@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     bins_series.name = "ablation: gamma vs histogram bins";
     bins_series.column_names = {"bins", "gamma_s"};
     for (std::size_t bins : {100u, 400u, 1200u, 3600u, 7200u}) {
-        SaturationOptions options;
+        SweepConfig options;
         options.coarse_points = 24;
         options.refine_rounds = 1;
         options.histogram_bins = bins;
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
     ConsoleTable grid_table({"coarse points", "refinement", "gamma", "evaluations"});
     for (std::size_t points : {16u, 24u, 48u, 64u}) {
         for (std::size_t rounds : {0u, 2u}) {
-            SaturationOptions options;
+            SweepConfig options;
             options.coarse_points = points;
             options.refine_rounds = rounds;
             options.refine_points = 8;
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
     std::printf("\n[3] Shannon slot count (gamma selected BY the Shannon metric)\n");
     ConsoleTable shannon_table({"slots", "gamma (Shannon)", "gamma (M-K, reference)"});
     for (std::size_t slots : {5u, 10u, 20u, 100u}) {
-        SaturationOptions options;
+        SweepConfig options;
         options.coarse_points = 32;
         options.refine_rounds = 1;
         options.shannon_slots = slots;

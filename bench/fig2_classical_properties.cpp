@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     const auto curve = classical_curve(stream, grid, /*with_distances=*/true);
 
     // gamma for the dotted reference line.
-    SaturationOptions sat_options;
+    SweepConfig sat_options;
     sat_options.coarse_points = config.paper_scale ? 40 : 24;
     sat_options.refine_rounds = 1;
     const Time gamma = find_saturation_scale(stream, sat_options).gamma;

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
         replica_stream("irvine", config.paper_scale ? 1.0 : 0.35, config.seed);
 
     // Right panel: the full metric curve and gamma.
-    SaturationOptions options;
+    SweepConfig options;
     options.coarse_points = config.paper_scale ? 48 : 28;
     options.refine_rounds = 2;
     options.refine_points = config.paper_scale ? 12 : 8;

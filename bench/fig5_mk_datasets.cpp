@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
         const LinkStream stream =
             replica_stream(name, config.paper_scale ? 1.0 : 0.3, config.seed);
 
-        SaturationOptions options;
+        SweepConfig options;
         options.coarse_points = config.paper_scale ? 48 : 28;
         options.refine_rounds = 2;
         options.refine_points = config.paper_scale ? 12 : 8;

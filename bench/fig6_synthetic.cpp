@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
     banner(config, "Fig 6: saturation scale on synthetic networks");
     Stopwatch watch;
 
-    SaturationOptions options;
+    SweepConfig options;
     options.coarse_points = config.paper_scale ? 40 : 28;
     options.refine_rounds = 2;
     options.refine_points = 8;

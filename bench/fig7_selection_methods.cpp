@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
     const LinkStream stream =
         replica_stream("irvine", config.paper_scale ? 1.0 : 0.35, config.seed);
 
-    SaturationOptions options;
+    SweepConfig options;
     options.coarse_points = config.paper_scale ? 48 : 30;
     options.refine_rounds = 2;
     options.refine_points = 8;

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
     const LinkStream stream =
         replica_stream("irvine", config.paper_scale ? 1.0 : 0.35, config.seed);
 
-    SaturationOptions sat_options;
+    SweepConfig sat_options;
     sat_options.coarse_points = config.paper_scale ? 40 : 24;
     sat_options.refine_rounds = 1;
     const Time gamma = find_saturation_scale(stream, sat_options).gamma;
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     const auto lost = lost_transitions_curve(transitions, grid);
 
     // Right: mean elongation factor.
-    ElongationOptions elongation_options;
+    SweepConfig elongation_options;
     elongation_options.max_stored_trips = config.paper_scale ? 8'000'000 : 2'000'000;
     const auto elongation = elongation_curve(stream, grid, elongation_options);
 

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
         "two_mode:n=" + std::to_string(config.paper_scale ? 100 : 40) +
         ",alternations=10,links_high=12,links_low=1,T=100000";
 
-    SaturationOptions sat;
+    SweepConfig sat;
     sat.coarse_points = config.paper_scale ? 40 : 24;
     sat.refine_rounds = 1;
     sat.refine_points = 8;

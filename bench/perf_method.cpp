@@ -38,7 +38,7 @@ std::vector<Time> sweep_grid(const LinkStream& stream) {
 /// re-aggregating (per-window sort + dedup) and re-scanning from scratch.
 std::vector<DeltaPoint> sequential_sweep(const LinkStream& stream,
                                          const std::vector<Time>& grid,
-                                         const SaturationOptions& options) {
+                                         const SweepConfig& options) {
     std::vector<DeltaPoint> points;
     points.reserve(grid.size());
     for (Time delta : grid) {
@@ -52,7 +52,7 @@ std::vector<DeltaPoint> sequential_sweep(const LinkStream& stream,
 void BM_DeltaSweep_Sequential(benchmark::State& state) {
     const auto stream = sweep_workload();
     const auto grid = sweep_grid(stream);
-    SaturationOptions options;
+    SweepConfig options;
     for (auto _ : state) {
         const auto points = sequential_sweep(stream, grid, options);
         benchmark::DoNotOptimize(points.data());
@@ -82,7 +82,7 @@ BENCHMARK(BM_DeltaSweep_Batched)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 /// Full method on a small Enron-like replica, sweeping grid resolution.
 void BM_OccupancyMethod_GridResolution(benchmark::State& state) {
     const auto stream = gen::generate_stream("replica:dataset=enron,scale=0.2", 7).stream;
-    SaturationOptions options;
+    SweepConfig options;
     options.coarse_points = static_cast<std::size_t>(state.range(0));
     options.refine_rounds = 1;
     options.refine_points = 6;
@@ -102,7 +102,7 @@ void BM_OccupancyMethod_WorkloadSize(benchmark::State& state) {
                                  ",links=6,T=50000",
                              3)
             .stream;
-    SaturationOptions options;
+    SweepConfig options;
     options.coarse_points = 24;
     options.refine_rounds = 1;
     options.refine_points = 6;
@@ -119,7 +119,7 @@ BENCHMARK(BM_OccupancyMethod_WorkloadSize)->Arg(20)->Arg(40)->Arg(80)
 void BM_EvaluateDelta(benchmark::State& state) {
     const auto stream =
         gen::generate_stream("replica:dataset=manufacturing,scale=0.2", 9).stream;
-    SaturationOptions options;
+    SweepConfig options;
     const Time delta = state.range(0);
     for (auto _ : state) {
         const auto point = evaluate_delta(stream, delta, options, nullptr);
@@ -143,7 +143,7 @@ bool identical(const DeltaPoint& a, const DeltaPoint& b) {
 bool verify_batched_matches_sequential() {
     const auto stream = sweep_workload();
     const auto grid = sweep_grid(stream);
-    const auto sequential = sequential_sweep(stream, grid, SaturationOptions{});
+    const auto sequential = sequential_sweep(stream, grid, SweepConfig{});
     DeltaSweepOptions options;
     options.num_threads = 8;
     DeltaSweepEngine engine(stream, options);

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
             replica_stream(row.dataset, config.paper_scale ? 1.0 : 0.3, config.seed);
         const auto stats = compute_stream_stats(stream);
 
-        SaturationOptions options;
+        SweepConfig options;
         options.coarse_points = config.paper_scale ? 48 : 30;
         options.refine_rounds = 2;
         options.refine_points = 8;

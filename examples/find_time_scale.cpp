@@ -8,7 +8,6 @@
 //                   [--threads=N] [--scan-threads=N]
 //                   [--backend=auto|dense|sparse]
 //                   [--format=auto|text|natbin]
-//                   [--workers=N] [--worker-cmd=BIN] [--lease-ms=M]
 //                   [--curve] [--dat=prefix] [--json] [--segments]
 //   find_time_scale convert <input> <output> [--directed]
 //                   [--format=auto|text|natbin] [--to=natbin|text]
@@ -43,15 +42,10 @@
 // machine-readable JSON, per-activity-regime scales, and gnuplot .dat
 // files.
 //
-// --workers=N runs the sweep on the fault-tolerant multi-process engine
-// (src/dist, docs/distributed.md): N worker processes mmap the shared
-// .natbin (the input must be natbin for exactly this reason) and the
-// coordinator survives worker crashes, hangs and corrupt replies — gamma,
-// the curve and the JSON report are bit-identical to the single-process
-// run.  --worker-cmd overrides the worker binary (default: this binary
-// re-exec'd; any override must call natscale::dist::maybe_run_worker at
-// the top of main).  With --json, a second `dist_summary` JSON line
-// reports the fault/retry counters.
+// The Delta grid of every search round is swept in parallel by one
+// in-process thread pool (--threads; --scan-threads additionally splits the
+// narrow refinement rounds by column); gamma, the curve and the JSON report
+// are bit-identical for every thread count.
 //
 // `watch` tails a GROWING natbin file (a writer appending via NatbinWriter,
 // header count still unpatched) through the online incremental engine
@@ -111,7 +105,6 @@ void usage() {
                  "                       [--threads=N] [--scan-threads=N]\n"
                  "                       [--backend=auto|dense|sparse]\n"
                  "                       [--format=auto|text|natbin] [--curve]\n"
-                 "                       [--workers=N] [--worker-cmd=BIN] [--lease-ms=M]\n"
                  "                       [--dat=prefix] [--json] [--segments]\n"
                  "       find_time_scale convert <input> <output> [--directed]\n"
                  "                       [--format=auto|text|natbin] [--to=natbin|text]\n"
@@ -625,12 +618,6 @@ int run_watch(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    // `find_time_scale dist-worker --connect=<socket>`: this process is a
-    // spawned sweep worker — hand the whole process over before any other
-    // argument handling (the coordinator self-execs this binary).
-    if (const auto worker_exit = dist::maybe_run_worker(argc, argv)) {
-        return *worker_exit;
-    }
     if (argc < 2) {
         usage();
         return 2;
@@ -691,8 +678,6 @@ int main(int argc, char** argv) {
     LoadOptions load_options;
     FormatChoice format = FormatChoice::automatic;
     SweepConfig options;
-    dist::DistConfig dist_config;
-    dist_config.workers = 0;  // 0 = classic single-process sweep
     bool print_curve = false;
     bool print_json = false;
     bool print_segments = false;
@@ -729,14 +714,6 @@ int main(int argc, char** argv) {
             // Input encoding: auto sniffs the magic bytes; natbin streams
             // are mmap'd (analyzed out-of-core), text is parsed into RAM.
             format = parse_format(arg, "--format=", true);
-        } else if (arg.rfind("--workers=", 0) == 0) {
-            // Fault-tolerant multi-process sweep (src/dist): N worker
-            // processes over the shared natbin; bit-identical results.
-            dist_config.workers = parse_count(arg, "--workers=");
-        } else if (arg.rfind("--worker-cmd=", 0) == 0) {
-            dist_config.worker_cmd = {examples::option_value(arg, "--worker-cmd=")};
-        } else if (arg.rfind("--lease-ms=", 0) == 0) {
-            dist_config.lease_timeout_ms = parse_count(arg, "--lease-ms=");
         } else if (arg == "--curve") {
             print_curve = true;
         } else if (arg == "--json") {
@@ -758,33 +735,14 @@ int main(int argc, char** argv) {
         return 2;
     }
 
-    if (dist_config.workers > 0 &&
-        detect_stream_format(path) != StreamFormat::natbin) {
-        std::fprintf(stderr,
-                     "error: --workers needs a .natbin input (workers mmap the shared "
-                     "file); run `find_time_scale convert %s <out>.natbin` first\n",
-                     path.c_str());
-        return 2;
-    }
-
-    dist::DistSweepStats dist_stats;
     try {
         const LoadedStream loaded = load_input(path, format, load_options);
         const auto stats = compute_stream_stats(loaded.stream);
         if (!print_json) print_stream_summary(std::cout, path, stats);
 
-        const SaturationResult result =
-            dist_config.workers > 0
-                ? dist::find_saturation_scale_dist(path, options, dist_config,
-                                                   &dist_stats)
-                : find_saturation_scale(loaded.stream, options);
+        const SaturationResult result = find_saturation_scale(loaded.stream, options);
         if (print_json) {
             std::cout << saturation_result_to_json(result) << '\n';
-            // Separate document, so the report line above stays byte-equal
-            // to a single-process run over the same stream and flags.
-            if (dist_config.workers > 0) {
-                std::cout << dist_summary_json(dist_stats) << '\n';
-            }
             if (print_segments) {
                 std::cout << segmented_saturation_to_json(
                                  find_segmented_saturation(loaded.stream, {}, options))
@@ -810,14 +768,6 @@ int main(int argc, char** argv) {
             print_saturation_report(std::cout, result);
         } else {
             std::cout << saturation_summary(result) << '\n';
-        }
-        if (dist_config.workers > 0) {
-            std::cout << "distributed sweep: " << dist_stats.workers_connected
-                      << " workers over " << dist_stats.tasks_total << " tasks ("
-                      << dist_stats.worker_deaths << " deaths, "
-                      << dist_stats.task_retries << " retries, "
-                      << dist_stats.tasks_inprocess << " run in-process"
-                      << (dist_stats.clean() ? ", clean" : "") << ")\n";
         }
         std::cout << "recommendation: aggregate at Delta <= " << result.gamma
                   << " ticks (" << format_duration(static_cast<double>(result.gamma))
@@ -848,19 +798,6 @@ int main(int argc, char** argv) {
         }
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
-        // The fault/retry counters are most interesting precisely when the
-        // sweep did NOT survive: emit the dist summary on the failure path
-        // too (the coordinator fills stats through the in-flight exception).
-        if (dist_config.workers > 0) {
-            if (print_json) {
-                std::cout << dist_summary_json(dist_stats) << '\n';
-            } else {
-                std::cout << "distributed sweep failed after "
-                          << dist_stats.task_retries << " retries, "
-                          << dist_stats.worker_deaths << " worker deaths ("
-                          << dist_stats.tasks_total << " tasks)\n";
-            }
-        }
         return 1;
     }
     return 0;

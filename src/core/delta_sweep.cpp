@@ -82,10 +82,9 @@ DeltaPoint score_delta_point(Time delta, const Histogram01& histogram,
 
 DeltaSweepEngine::DeltaSweepEngine(const LinkStream& stream, DeltaSweepOptions options)
     : stream_(&stream), options_(options) {
-    using Aggregation = DeltaSweepOptions::Aggregation;
-    use_pair_index_ =
-        options_.aggregation == Aggregation::pair_index ||
-        (options_.aggregation == Aggregation::automatic && stream.source().memory_resident());
+    use_pair_index_ = options_.aggregation == SweepAggregation::pair_index ||
+                      (options_.aggregation == SweepAggregation::automatic &&
+                       stream.source().memory_resident());
     if (use_pair_index_) build_pair_index();
 }
 
@@ -104,10 +103,9 @@ void DeltaSweepEngine::build_pair_index() {
                                                           : events[a].v < events[b].v;
                      });
 
-    using IndexSpill = DeltaSweepOptions::IndexSpill;
-    const bool want_spill =
-        options_.index_spill == IndexSpill::always ||
-        (options_.index_spill == IndexSpill::automatic && !stream_->source().memory_resident());
+    const bool want_spill = options_.index_spill == IndexSpillMode::always ||
+                            (options_.index_spill == IndexSpillMode::automatic &&
+                             !stream_->source().memory_resident());
     if (want_spill && !pair_order_storage_.empty()) {
         index_spill_ = spill_index(pair_order_storage_);
     }

@@ -11,7 +11,7 @@
 //     LinkStream's EventSource — in RAM or an mmap'd .natbin trace), and
 //     one extra (u, v, t)-ordered index over it is computed once at
 //     construction (optionally spilled to a mmap'd temp file, see
-//     DeltaSweepOptions::IndexSpill).  Aggregating at any Delta is then a
+//     IndexSpillMode).  Aggregating at any Delta is then a
 //     single O(E) pass: window boundaries come from the time order,
 //     per-window edge lists come out of the pair order already sorted and
 //     deduplicated — no per-window sort, no per-call dedup.  For
@@ -94,23 +94,19 @@ struct DeltaSweepOptions {
     /// of threads x n^2 x 12 B.
     ReachabilityBackend backend = ReachabilityBackend::automatic;
 
-    /// How aggregate() materializes each snapshot list.  The enumerators
-    /// live at namespace scope now (natscale/sweep_config.hpp, shared with
-    /// SweepConfig); the nested names remain as aliases for existing
-    /// callers.  All three modes produce bit-identical GraphSeries (hence
-    /// bit-identical evaluated points).
+    /// How aggregate() materializes each snapshot list (see SweepAggregation
+    /// in natscale/sweep_config.hpp).  All three modes produce bit-identical
+    /// GraphSeries (hence bit-identical evaluated points).
     ///
     /// Note that pair-index aggregate() allocates a transient 4 B/event
     /// slot array per call (per worker under evaluate()); on traces where
     /// that matters, prefer chunked — which `automatic` picks for mmap
     /// sources anyway.
-    using Aggregation = SweepAggregation;
-    Aggregation aggregation = Aggregation::automatic;
+    SweepAggregation aggregation = SweepAggregation::automatic;
 
     /// Where the pair-order index lives (pair_index mode only); see
     /// IndexSpillMode in natscale/sweep_config.hpp.
-    using IndexSpill = IndexSpillMode;
-    IndexSpill index_spill = IndexSpill::automatic;
+    IndexSpillMode index_spill = IndexSpillMode::automatic;
 };
 
 class DeltaSweepEngine {

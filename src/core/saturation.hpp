@@ -28,12 +28,6 @@
 
 namespace natscale {
 
-/// Deprecated alias: the saturation-search knobs are the selection and
-/// execution sections of the unified SweepConfig (natscale/sweep_config.hpp)
-/// now.  Every field keeps its name and default, so existing callers
-/// compile unchanged; new code should say SweepConfig.
-using SaturationOptions = SweepConfig;
-
 /// Sweep options matching a SweepConfig (same bins / slots / threads /
 /// backend / aggregation).
 DeltaSweepOptions sweep_options_of(const SweepConfig& options);
@@ -72,8 +66,10 @@ SaturationResult find_saturation_scale(const LinkStream& stream,
 
 /// Batch evaluator of one grid round: returns a DeltaPoint per period and,
 /// when the pointer is non-null, the occupancy histogram each point was
-/// scored from.  DeltaSweepEngine::evaluate has exactly this shape; the
-/// distributed engine (dist/coordinator) provides the other implementation.
+/// scored from.  DeltaSweepEngine::evaluate has exactly this shape and is
+/// what find_saturation_scale plugs in; instrumented callers (a timing
+/// harness, for instance) wrap their own per-stage evaluator around the
+/// same search loop.
 using GridEvaluator = std::function<std::vector<DeltaPoint>(
     std::span<const Time>, std::vector<Histogram01>*)>;
 

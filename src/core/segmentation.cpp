@@ -144,7 +144,7 @@ LinkStream compact_regime(const LinkStream& stream,
 
 SegmentedSaturation find_segmented_saturation(const LinkStream& stream,
                                               const SegmentationOptions& seg_options,
-                                              const SaturationOptions& sat_options) {
+                                              const SweepConfig& sat_options) {
     NATSCALE_EXPECTS(!stream.empty());
     SegmentedSaturation result;
     result.segments = segment_by_activity(stream, seg_options);

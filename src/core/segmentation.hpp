@@ -73,6 +73,6 @@ struct SegmentedSaturation {
 /// Runs segmentation + the occupancy method per regime.
 SegmentedSaturation find_segmented_saturation(
     const LinkStream& stream, const SegmentationOptions& seg_options = {},
-    const SaturationOptions& sat_options = {});
+    const SweepConfig& sat_options = {});
 
 }  // namespace natscale

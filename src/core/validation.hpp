@@ -42,12 +42,6 @@ struct ElongationPoint {
     std::uint64_t measured_trips = 0;  // trips with dep != arr among sampled pairs
 };
 
-/// Deprecated alias: the elongation knobs (max_stored_trips plus the shared
-/// execution section) live in the unified SweepConfig now
-/// (natscale/sweep_config.hpp).  Every field keeps its name and default, so
-/// existing callers compile unchanged; new code should say SweepConfig.
-using ElongationOptions = SweepConfig;
-
 /// Fig. 8 right: mean elongation factor e_P = (t_v - t_u + 1) * Delta /
 /// time_L(P) (Definition 8) of the minimal trips of G_Delta, per period.
 /// Trips with t_u == t_v are skipped, as in the paper (their elongation is

@@ -139,16 +139,4 @@ LinkStream detail::replica_impl(const ReplicaSpec& spec, std::uint64_t seed) {
     return LinkStream(std::move(events), n, spec.period_end, spec.directed);
 }
 
-// Deprecated shim; kept one PR for out-of-tree callers and bisect builds.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-LinkStream generate_replica(const ReplicaSpec& spec, std::uint64_t seed) {
-    return detail::replica_impl(spec, seed);
-}
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 }  // namespace natscale

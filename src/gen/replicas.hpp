@@ -68,15 +68,11 @@ ReplicaSpec manufacturing_spec();
 std::vector<ReplicaSpec> all_replica_specs();
 
 namespace detail {
-/// Shared implementation: the registry's "replica" model and the deprecated
-/// entry point below both call this, so the factory reproduces the legacy
-/// streams bit for bit.
+/// The implementation behind the registry's "replica" model
+/// (gen/models_paper.cpp); callers generate through
+/// gen::generate_stream("replica:dataset=...,scale=...").  Deterministic
+/// for a fixed (spec, seed).
 LinkStream replica_impl(const ReplicaSpec& spec, std::uint64_t seed);
 }  // namespace detail
-
-/// Generates the replica stream; deterministic for a fixed (spec, seed).
-[[deprecated("use gen::generate_stream(\"replica:dataset=...,scale=...\") — "
-             "see gen/registry.hpp")]]
-LinkStream generate_replica(const ReplicaSpec& spec, std::uint64_t seed);
 
 }  // namespace natscale

@@ -53,16 +53,4 @@ LinkStream detail::two_mode_stream_impl(const TwoModeSpec& spec, std::uint64_t s
     return LinkStream(std::move(events), spec.num_nodes, spec.period_end, /*directed=*/false);
 }
 
-// Deprecated shim; kept one PR for out-of-tree callers and bisect builds.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-LinkStream generate_two_mode_stream(const TwoModeSpec& spec, std::uint64_t seed) {
-    return detail::two_mode_stream_impl(spec, seed);
-}
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 }  // namespace natscale

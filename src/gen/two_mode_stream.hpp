@@ -34,15 +34,11 @@ struct TwoModeSpec {
 };
 
 namespace detail {
-/// Shared implementation: the registry's "two_mode" model and the
-/// deprecated entry point below both call this, so the factory reproduces
-/// the legacy streams bit for bit.
+/// The implementation behind the registry's "two_mode" model
+/// (gen/models_paper.cpp); callers generate through
+/// gen::generate_stream("two_mode:n=...,low_share=...").  Deterministic for
+/// a fixed (spec, seed).  Undirected.
 LinkStream two_mode_stream_impl(const TwoModeSpec& spec, std::uint64_t seed);
 }  // namespace detail
-
-/// Deterministic for a fixed (spec, seed).  Undirected.
-[[deprecated("use gen::generate_stream(\"two_mode:n=...,low_share=...\") — "
-             "see gen/registry.hpp")]]
-LinkStream generate_two_mode_stream(const TwoModeSpec& spec, std::uint64_t seed);
 
 }  // namespace natscale

@@ -25,19 +25,6 @@ LinkStream detail::uniform_stream_impl(const UniformStreamSpec& spec, std::uint6
     return LinkStream(std::move(events), spec.num_nodes, spec.period_end, /*directed=*/false);
 }
 
-// Deprecated shim: one call into the shared implementation.  Kept for one
-// PR so out-of-tree callers and git-bisect builds stay green.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-LinkStream generate_uniform_stream(const UniformStreamSpec& spec, std::uint64_t seed) {
-    return detail::uniform_stream_impl(spec, seed);
-}
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 double uniform_mean_intercontact(const UniformStreamSpec& spec) {
     return static_cast<double>(spec.period_end) /
            (static_cast<double>(spec.links_per_pair) *

@@ -20,16 +20,12 @@ struct UniformStreamSpec {
 };
 
 namespace detail {
-/// The implementation behind both the deprecated entry point below and the
-/// registry's "uniform" model (gen/models_paper.cpp) — one code path, so
-/// the factory reproduces the legacy streams bit for bit.
+/// The implementation behind the registry's "uniform" model
+/// (gen/models_paper.cpp); callers generate through
+/// gen::generate_stream("uniform:n=...,links=...,T=...").  Deterministic
+/// for a fixed (spec, seed).  Undirected.
 LinkStream uniform_stream_impl(const UniformStreamSpec& spec, std::uint64_t seed);
 }  // namespace detail
-
-/// Deterministic for a fixed (spec, seed).  Undirected.
-[[deprecated("use gen::generate_stream(\"uniform:n=...,links=...,T=...\") — "
-             "see gen/registry.hpp")]]
-LinkStream generate_uniform_stream(const UniformStreamSpec& spec, std::uint64_t seed);
 
 /// Mean inter-contact time of a node, T / (N (n-1)), in ticks (the x-axis of
 /// Fig. 6 left).

@@ -11,9 +11,6 @@
 //   lost_transitions_curve                            loss validation
 //   StreamSession          natscale/session.hpp       online: ingest-and-
 //                                                     query a growing stream
-//   find_saturation_scale_dist                        fault-tolerant multi-
-//                          dist/coordinator.hpp       process sweep over a
-//                                                     shared .natbin
 //   online_report_json,    natscale/report_schema.hpp the versioned JSON
 //   curve_json, ...                                   report schema
 //
@@ -28,8 +25,6 @@
 #include "core/occupancy.hpp"
 #include "core/saturation.hpp"
 #include "core/validation.hpp"
-#include "dist/coordinator.hpp"
-#include "dist/worker.hpp"
 #include "natscale/report_schema.hpp"
 #include "natscale/session.hpp"
 #include "natscale/sweep_config.hpp"

@@ -88,28 +88,6 @@ std::string histogram_json(const Histogram01& histogram, Time delta,
     return json.str();
 }
 
-std::string dist_summary_json(const dist::DistSweepStats& stats) {
-    JsonWriter json;
-    json.begin_object();
-    json.field("schema", kReportSchemaVersion);
-    json.field("report", "dist_summary");
-    json.field("workers_requested", stats.workers_requested);
-    json.field("workers_spawned", stats.workers_spawned);
-    json.field("workers_connected", stats.workers_connected);
-    json.field("worker_deaths", stats.worker_deaths);
-    json.field("spawn_failures", stats.spawn_failures);
-    json.field("tasks_total", stats.tasks_total);
-    json.field("task_retries", stats.task_retries);
-    json.field("stalled_leases", stats.stalled_leases);
-    json.field("corrupt_partials", stats.corrupt_partials);
-    json.field("duplicate_replies", stats.duplicate_replies);
-    json.field("tasks_inprocess", stats.tasks_inprocess);
-    json.field("clean", stats.clean());
-    json.field("wall_seconds", stats.wall_seconds);
-    json.end_object();
-    return json.str();
-}
-
 std::string metrics_snapshot_json(const obs::MetricsSnapshot& snapshot,
                                   std::int64_t seq) {
     JsonWriter json;

@@ -58,25 +58,6 @@
 //     num_trips              uint   minimal trips of G_delta
 //     occupancy_mean         float  mean occupancy rate
 //
-// Distributed-sweep summary (dist_summary_json) — emitted as its own
-// document (a second line after the saturation report, never inside it, so
-// the main report stays byte-comparable with single-process runs):
-//   report                   string "dist_summary"
-//   workers_requested        uint   --workers=N
-//   workers_spawned          uint   processes forked, respawns included
-//   workers_connected        uint   completed the hello handshake
-//   worker_deaths            uint   connections lost (SIGKILL, crash, EOF)
-//   spawn_failures           uint   children dead before ever connecting
-//   tasks_total              uint   (delta, shard) tasks across all rounds
-//   task_retries             uint   requeues, whatever the cause
-//   stalled_leases           uint   lease deadline expiries (hung worker)
-//   corrupt_partials         uint   checksum/parse-rejected replies
-//   duplicate_replies        uint   late replies for done tasks, discarded
-//   tasks_inprocess          uint   degraded to coordinator-local execution
-//   clean                    bool   every task ran exactly once on a live
-//                                   worker (no faults observed)
-//   wall_seconds             float  distributed-evaluation wall clock
-//
 // Histogram report (histogram_json) adds:
 //   delta_ticks              int    period of the histogram
 //   bins                     uint   bin count (resolution)
@@ -96,7 +77,6 @@
 #include <string>
 
 #include "core/delta_sweep.hpp"
-#include "dist/stats.hpp"
 #include "obs/metrics.hpp"
 #include "online/incremental_sweep.hpp"
 #include "stats/histogram01.hpp"
@@ -146,12 +126,6 @@ std::string curve_json(const OnlineReport& report, UniformityMetric metric,
 /// query reply).
 std::string histogram_json(const Histogram01& histogram, Time delta,
                            const ReportContext& context);
-
-/// Fault/retry summary of one distributed sweep run (`find_time_scale
-/// --workers=N --json` second line).  Emitted on the success path and on
-/// the graceful-degradation/error path alike, so retry/fault accounting
-/// is never lost.
-std::string dist_summary_json(const dist::DistSweepStats& stats);
 
 /// One merged view of the process-wide obs registry as a schema-1
 /// document (`"report": "metrics_snapshot"`): counters and gauges as

@@ -1,19 +1,14 @@
 // SweepConfig: the one configuration surface of the public API.
 //
-// Before this header existed, every entry point grew its own knob struct —
-// SaturationOptions for the scale search, ElongationOptions for the
-// validation curves, DeltaSweepOptions for the batched grid engine — with
-// the execution knobs (threads, scan threads, backend, aggregation mode)
-// duplicated across all of them and the CLI tools flattening each set into
-// flags independently.  SweepConfig consolidates the full knob set into one
-// struct that the facade (natscale/api.hpp), the CLI tools, `watch` mode,
-// and the natscaled daemon all share; SaturationOptions and
-// ElongationOptions survive as deprecated aliases of it, so every existing
-// caller compiles unchanged.
+// One struct carries the full knob set of the scale search, the validation
+// curves and the execution layer (threads, scan threads, backend,
+// aggregation mode); the facade (natscale/api.hpp), the CLI tools, `watch`
+// mode and the natscaled daemon all share it.  The batched grid engine's
+// DeltaSweepOptions is the execution subset (sweep_options_of).
 //
-// The consolidation is safe because the knobs never conflicted: the
-// saturation fields are simply unused by the elongation curve and vice
-// versa, and the execution fields always meant the same thing everywhere.
+// One struct is enough because the knobs never conflict: the saturation
+// fields are simply unused by the elongation curve and vice versa, and the
+// execution fields mean the same thing everywhere.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +20,7 @@
 
 namespace natscale {
 
-/// How a grid engine materializes each per-window snapshot list (the former
-/// DeltaSweepOptions::Aggregation, hoisted to namespace scope).  All three
+/// How a grid engine materializes each per-window snapshot list.  All three
 /// produce bit-identical aggregated series:
 ///
 ///   pair_index — a precomputed (u, v, t) index over the source: O(E) per
@@ -39,8 +33,7 @@ namespace natscale {
 ///                mmap-backed ones.
 enum class SweepAggregation { automatic, pair_index, chunked };
 
-/// Where the pair-order index lives (pair_index mode only; the former
-/// DeltaSweepOptions::IndexSpill, hoisted to namespace scope).
+/// Where the pair-order index lives (pair_index mode only).
 ///
 ///   never     — an in-RAM std::vector (4 B/event).
 ///   always    — spilled to a mmap'd unlinked temp file (best-effort; falls

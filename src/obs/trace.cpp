@@ -151,6 +151,15 @@ TraceSink* trace_sink() noexcept {
     return g_sink.load(std::memory_order_relaxed);
 }
 
+std::uint64_t current_span_id() noexcept { return t_current_span; }
+
+ParentSpanScope::ParentSpanScope(std::uint64_t parent) noexcept
+    : saved_(t_current_span) {
+    t_current_span = parent;
+}
+
+ParentSpanScope::~ParentSpanScope() noexcept { t_current_span = saved_; }
+
 Span::Span(const char* name) noexcept {
     sink_ = trace_sink();
     if (sink_ == nullptr) return;  // dormant: one load + branch

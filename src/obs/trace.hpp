@@ -2,10 +2,11 @@
 //
 // A Span brackets a unit of work (one Δ scan, one refinement round, one
 // daemon request); spans carry a process-unique id, the id of the
-// enclosing span on the same thread, and up to kMaxAttrs typed
-// attributes (Δ, shard range, task id, stream name, ...).  Completed
-// spans go to the installed TraceSink, which appends them as Chrome
-// trace-event JSON (one event per line, loadable in chrome://tracing
+// enclosing span on the same thread (for bodies run by
+// ThreadPool::parallel_for: the span open on the dispatching thread), and
+// up to kMaxAttrs typed attributes (Δ, shard range, stream name, ...).
+// Completed spans go to the installed TraceSink, which appends them as
+// Chrome trace-event JSON (one event per line, loadable in chrome://tracing
 // and Perfetto) and keeps an in-memory ring buffer of the most recent
 // spans for live introspection.
 //
@@ -23,8 +24,8 @@
 //         ...work...
 //     }  // emitted on scope exit
 //
-// Instant events (obs::instant) mark moments with no duration — lease
-// expiries, task requeues — with the same attribute syntax.
+// Instant events (obs::Instant) mark moments with no duration with the
+// same attribute syntax.
 #pragma once
 
 #include <array>
@@ -116,6 +117,24 @@ void install_trace_sink(TraceSink* sink) noexcept;
 TraceSink* trace_sink() noexcept;
 
 inline bool tracing_enabled() noexcept { return trace_sink() != nullptr; }
+
+/// Id of the innermost traced span open on this thread (0 = none).
+std::uint64_t current_span_id() noexcept;
+
+/// Makes `parent` the innermost span of this thread for the scope's
+/// lifetime, so spans opened here nest under a span opened on another
+/// thread.  ThreadPool::parallel_for uses it to carry the caller's span
+/// into the bodies its pool threads run.
+class ParentSpanScope {
+public:
+    explicit ParentSpanScope(std::uint64_t parent) noexcept;
+    ~ParentSpanScope() noexcept;
+    ParentSpanScope(const ParentSpanScope&) = delete;
+    ParentSpanScope& operator=(const ParentSpanScope&) = delete;
+
+private:
+    std::uint64_t saved_;
+};
 
 class Span {
 public:

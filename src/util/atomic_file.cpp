@@ -6,16 +6,37 @@
 
 #include <atomic>
 #include <cerrno>
+#include <charconv>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 
-#include "util/fault.hpp"
 #include "util/fd_io.hpp"
 
 namespace natscale {
 
 namespace {
+
+/// The save ordinal from which NATSCALE_FAULT tears writes: 1 for
+/// "torn_write", N for "torn_write:nth=N" (N >= 1).  Unset, empty or any
+/// other value is 0 = no fault, so a stray variable never breaks a save.
+std::uint64_t torn_write_nth_from_env() {
+    const char* env = std::getenv("NATSCALE_FAULT");
+    if (env == nullptr) return 0;
+    const std::string_view text(env);
+    if (text == "torn_write") return 1;
+    constexpr std::string_view kPrefix = "torn_write:nth=";
+    if (!text.starts_with(kPrefix)) return 0;
+    const char* first = text.data() + kPrefix.size();
+    const char* last = text.data() + text.size();
+    std::uint64_t nth = 0;
+    const auto [end, error] = std::from_chars(first, last, nth);
+    return error == std::errc{} && end == last ? nth : 0;
+}
 
 [[noreturn]] void throw_errno(const std::string& what) {
     throw std::runtime_error(what + ": " + std::strerror(errno));
@@ -59,10 +80,8 @@ void atomic_write_file(const std::string& path, std::span<const std::byte> bytes
     // again, so while the fault is armed every call from the nth on is
     // torn (>=, not ==) — and clearing NATSCALE_FAULT is the "restart".
     static std::atomic<std::uint64_t> fault_ordinal{0};
-    const FaultSpec fault = current_fault_spec();
-    const bool torn = fault.kind == FaultKind::torn_write &&
-                      fault_ordinal.fetch_add(1) + 1 >= fault.nth &&
-                      fault_spawn_index_from_env() < fault.spawns;
+    const std::uint64_t torn_nth = torn_write_nth_from_env();
+    const bool torn = torn_nth != 0 && fault_ordinal.fetch_add(1) + 1 >= torn_nth;
 
     const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
     if (fd < 0) throw_errno("open " + tmp);

@@ -20,9 +20,9 @@
 // from the process's Nth one on writes only half the temp file and returns
 // without renaming — exactly the observable state of a crash between
 // steps 1 and 3 (a crashed process never saves again, hence every call,
-// not just the Nth; clearing the variable is the restart).  Tests use it
-// to prove the target file survives an interrupted save
-// (tests/test_atomic_file.cpp).
+// not just the Nth; clearing the variable is the restart).  Any other
+// value of the variable is ignored.  Tests use it to prove the target file
+// survives an interrupted save (tests/test_atomic_file.cpp).
 #pragma once
 
 #include <cstddef>

@@ -5,9 +5,8 @@
 // and may fail with EINTR when a signal lands mid-call; every call site
 // that open-codes the retry loop is a latent bug (a missed EINTR under a
 // SIGALRM-driven profiler, a short write on a full socket buffer).  The
-// service layer (blocking client, epoll daemon), the distributed sweep
-// (coordinator/worker sockets) and the durable-save path (util/atomic_file)
-// all route through these helpers instead.
+// service layer (blocking client, epoll daemon) and the durable-save path
+// (util/atomic_file) route through these helpers instead.
 //
 // Two families:
 //   *_all    — blocking fds: loop until every byte moved (or a real error).

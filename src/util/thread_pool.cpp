@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/trace.hpp"
+
 namespace natscale {
 
 std::size_t ThreadPool::resolve_concurrency(std::size_t num_threads) {
@@ -40,6 +42,7 @@ void ThreadPool::parallel_for(
     Job job;
     job.count = count;
     job.worker_limit = max_workers;
+    job.parent_span = obs::current_span_id();
     job.body = &body;
 
     std::unique_lock<std::mutex> lock(mutex_);
@@ -70,7 +73,11 @@ void ThreadPool::worker_loop(std::size_t worker) {
         Job& job = *job_;
         if (worker >= job.worker_limit) continue;  // capped out of this call
         ++active_workers_;
-        drain(job, worker, lock);
+        {
+            // Spans the bodies open on this thread nest under the caller's.
+            const obs::ParentSpanScope parent(job.parent_span);
+            drain(job, worker, lock);
+        }
         --active_workers_;
         if (active_workers_ == 0 && job.finished == job.next) job_done_.notify_all();
     }

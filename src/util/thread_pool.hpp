@@ -46,7 +46,9 @@ public:
     /// Runs body(worker, index) for every index in [0, count); returns when
     /// all bodies have finished.  Rethrows the first exception thrown by a
     /// body (remaining indices may be skipped).  Not reentrant: bodies must
-    /// not call parallel_for on the same pool.
+    /// not call parallel_for on the same pool.  Trace spans opened by a
+    /// body nest under the span open on the calling thread, whichever
+    /// thread runs the body.
     ///
     /// `max_workers` caps how many threads participate in THIS call (the
     /// calling thread always does; pool workers with id >= max_workers sit
@@ -65,6 +67,7 @@ private:
         std::size_t next = 0;       // next unclaimed index (guarded by mutex_)
         std::size_t finished = 0;   // bodies completed (guarded by mutex_)
         std::size_t worker_limit = 0;  // workers with id >= limit skip the job
+        std::uint64_t parent_span = 0;  // the caller's open trace span
         const std::function<void(std::size_t, std::size_t)>* body = nullptr;
         std::exception_ptr error;   // first failure (guarded by mutex_)
     };

@@ -86,7 +86,7 @@ TEST(DeltaSweep, BatchedMatchesLegacyEvaluateDeltaBitwise) {
     const auto stream = seeded_stream(42);
     const auto grid = geometric_delta_grid(1, stream.period_end(), 20);
 
-    SaturationOptions legacy_options;
+    SweepConfig legacy_options;
     DeltaSweepEngine engine(stream, sweep_options_of(legacy_options));
     std::vector<Histogram01> histograms;
     const auto batched = engine.evaluate(grid, &histograms);
@@ -130,7 +130,7 @@ TEST(DeltaSweep, ThreadCountDoesNotChangeResults) {
 TEST(DeltaSweep, FindSaturationScaleIdenticalAcrossThreadCounts) {
     const auto stream = seeded_stream(3);
 
-    SaturationOptions options;
+    SweepConfig options;
     options.coarse_points = 16;
     options.refine_rounds = 1;
     options.refine_points = 5;
@@ -154,7 +154,7 @@ TEST(DeltaSweep, GammaHistogramMatchesLegacyReEvaluation) {
     // The search retains the gamma histogram from the sweep instead of
     // re-evaluating; it must equal what the legacy re-evaluation produced.
     const auto stream = seeded_stream(19);
-    SaturationOptions options;
+    SweepConfig options;
     options.coarse_points = 12;
     options.refine_rounds = 1;
     const SaturationResult result = find_saturation_scale(stream, options);

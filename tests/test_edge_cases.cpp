@@ -17,7 +17,7 @@ namespace {
 
 TEST(EdgeCases, TwoNodeStream) {
     LinkStream stream({{0, 1, 3}, {0, 1, 7}}, 2, 10);
-    SaturationOptions options;
+    SweepConfig options;
     options.coarse_points = 8;
     options.histogram_bins = 50;
     const auto result = find_saturation_scale(stream, options);
@@ -118,7 +118,7 @@ TEST(EdgeCases, ValidationOnStreamsWithoutTransitions) {
 TEST(EdgeCases, SaturationOnMinimalResolutionRange) {
     // T = 2: only Delta in {1, 2} exist.
     LinkStream stream({{0, 1, 0}, {1, 2, 1}}, 3, 2);
-    SaturationOptions options;
+    SweepConfig options;
     options.coarse_points = 8;
     options.histogram_bins = 10;
     const auto result = find_saturation_scale(stream, options);

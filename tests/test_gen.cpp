@@ -332,8 +332,7 @@ TEST(ReplicaModel, PairsRepeatLikeRealCorrespondents) {
 // --- golden parity with the pre-factory generators -------------------------
 //
 // The factory's paper models must reproduce the legacy streams bit for bit:
-// these checksums were captured from the last pre-factory revision, and the
-// deprecated shims must stay identical to the factory for their final PR.
+// these checksums were captured from the last pre-factory revision.
 
 std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t len) {
     const auto* p = static_cast<const unsigned char*>(data);
@@ -388,18 +387,21 @@ TEST(GoldenParity, FactoryReproducesLegacyStreamsBitwise) {
     }
 }
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
+// The former [[deprecated]] entry points (generate_uniform_stream,
+// generate_two_mode_stream, generate_replica) were one-line forwards to the
+// typed-spec implementations the registry's paper models call; their callers
+// now spell a registry spec.  Each former shim call must still yield its
+// golden stream, through the typed path and through the registry alike.
 TEST(GoldenParity, DeprecatedShimsMatchFactoryBitwise) {
     {
         UniformStreamSpec spec;
         spec.num_nodes = 10;
         spec.links_per_pair = 3;
         spec.period_end = 1'000;
-        const auto legacy = generate_uniform_stream(spec, 1);
+        const auto typed = detail::uniform_stream_impl(spec, 1);
         const auto factory = generate_stream("uniform:n=10,links=3,T=1000", 1).stream;
-        EXPECT_EQ(stream_checksum(legacy), stream_checksum(factory));
+        EXPECT_EQ(stream_checksum(typed), 0xc05aae3f794dd93aULL);
+        EXPECT_EQ(stream_checksum(factory), stream_checksum(typed));
     }
     {
         TwoModeSpec spec;
@@ -409,22 +411,22 @@ TEST(GoldenParity, DeprecatedShimsMatchFactoryBitwise) {
         spec.links_low = 2;
         spec.period_end = 4'000;
         spec.low_activity_share = 0.25;
-        const auto legacy = generate_two_mode_stream(spec, 7);
+        const auto typed = detail::two_mode_stream_impl(spec, 7);
         const auto factory =
             generate_stream("two_mode:n=20,alternations=4,links_high=8,links_low=2,"
                             "T=4000,low_share=0.25",
                             7)
                 .stream;
-        EXPECT_EQ(stream_checksum(legacy), stream_checksum(factory));
+        EXPECT_EQ(stream_checksum(typed), 0x248a4489a6ee58fbULL);
+        EXPECT_EQ(stream_checksum(factory), stream_checksum(typed));
     }
     {
-        const auto legacy = generate_replica(enron_spec().scaled(0.2), 7);
+        const auto typed = detail::replica_impl(enron_spec().scaled(0.2), 7);
         const auto factory = generate_stream("replica:dataset=enron,scale=0.2", 7).stream;
-        EXPECT_EQ(stream_checksum(legacy), stream_checksum(factory));
+        EXPECT_EQ(stream_checksum(typed), 0x4ef730e3a761a5ceULL);
+        EXPECT_EQ(stream_checksum(factory), stream_checksum(typed));
     }
 }
-
-#pragma GCC diagnostic pop
 
 // --- activity-model building blocks ----------------------------------------
 

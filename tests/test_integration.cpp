@@ -19,8 +19,8 @@
 namespace natscale {
 namespace {
 
-SaturationOptions quick_options() {
-    SaturationOptions options;
+SweepConfig quick_options() {
+    SweepConfig options;
     options.coarse_points = 20;
     options.refine_rounds = 1;
     options.refine_points = 6;

@@ -120,7 +120,7 @@ TEST(Oversample, OccupancyMethodRunsOnOversampledContacts) {
     const LinkStream sampled = oversample(contacts, options);
     ASSERT_GT(sampled.num_events(), 100u);
 
-    SaturationOptions sat;
+    SweepConfig sat;
     sat.coarse_points = 20;
     sat.refine_rounds = 1;
     sat.histogram_bins = 400;

@@ -222,8 +222,8 @@ TEST(LoadLinkStream, StreamsLargeFilesWithoutBufferingThemWhole) {
     // the first event was parsed.  The streaming loader's peak overhead is
     // the event list plus one line, so loading a ~16 MiB file must not grow
     // peak RSS by more than ~2.5x the file size.
-#ifdef NATSCALE_ASAN
-    GTEST_SKIP() << "peak-RSS bound is not meaningful under AddressSanitizer";
+#ifdef NATSCALE_SANITIZED
+    GTEST_SKIP() << "peak-RSS bound is not meaningful under a sanitizer";
 #endif
 #ifndef __linux__
     GTEST_SKIP() << "needs /proc/self/status (VmHWM)";

@@ -71,7 +71,7 @@ TEST(JsonWriter, MisuseThrows) {
 
 TEST(Export, SaturationResultRoundTripsKeyFields) {
     const auto stream = gen::generate_stream("uniform:n=10,links=5,T=2000", 5).stream;
-    SaturationOptions options;
+    SweepConfig options;
     options.coarse_points = 12;
     options.refine_rounds = 0;
     options.histogram_bins = 100;

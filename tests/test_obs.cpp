@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -21,6 +22,7 @@
 #include "service/protocol.hpp"
 #include "testing/temp_files.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace natscale {
 namespace {
@@ -243,6 +245,42 @@ TEST(ObsTrace, TraceFileIsOneWellFormedJsonArray) {
     EXPECT_EQ(count("\"ph\":\"i\""), 1u);
 }
 
+TEST(ObsTrace, PoolThreadSpansNestUnderTheCallersSpan) {
+    // A span opened inside a parallel_for body links to the span open on
+    // the thread that called parallel_for — also when a pool thread runs
+    // the body, where the per-thread parent stack alone would say "none".
+    const std::string path = testing::temp_path("obs_pool.trace.json");
+    testing::TempFileGuard guard(path);
+    constexpr std::size_t kTasks = 64;
+    obs::TraceSink sink(path, /*ring_capacity=*/kTasks + 1);
+    ThreadPool pool(4);
+    std::uint64_t outer_id = 0;
+    obs::install_trace_sink(&sink);
+    {
+        obs::Span outer("test.pool_outer");
+        outer_id = outer.id();
+        pool.parallel_for(kTasks, [](std::size_t) {
+            obs::Span task("test.pool_task");
+            // Long enough that the pool threads claim tasks too.
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        });
+    }
+    obs::install_trace_sink(nullptr);
+    sink.close();
+
+    const std::size_t caller_thread = obs::thread_ordinal();
+    std::size_t tasks = 0;
+    std::size_t on_pool_threads = 0;
+    for (const obs::SpanRecord& record : sink.recent()) {
+        if (std::string(record.name) != "test.pool_task") continue;
+        ++tasks;
+        if (record.thread != caller_thread) ++on_pool_threads;
+        EXPECT_EQ(record.parent, outer_id) << "task on thread " << record.thread;
+    }
+    EXPECT_EQ(tasks, kTasks);
+    EXPECT_GT(on_pool_threads, 0u);  // the case the per-thread stack misses
+}
+
 TEST(ObsTrace, RingBufferKeepsMostRecent) {
     const std::string path = testing::temp_path("obs_ring.trace.json");
     testing::TempFileGuard guard(path);
@@ -310,6 +348,60 @@ TEST(ObsParity, SweepIsBitIdenticalWithTracingOn) {
         EXPECT_EQ(saturation_result_to_json(traced),
                   saturation_result_to_json(untraced));
         EXPECT_GT(sink.events_written(), 0u);  // the sweep really was traced
+    }
+}
+
+TEST(ObsTrace, SweepSpansNestUnderTheirSearchRound) {
+    // Every per-period and per-shard span of a multi-threaded search hangs
+    // under the coarse-grid or refinement-round span that dispatched it.
+    // Three-point refinement grids are narrower than the 4-thread pool, so
+    // with scan_threads > 1 the rounds run as column-shard tasks (n = 200
+    // spans several shards).
+    const LinkStream stream = corpus_stream(5, 200, 3'000, 2'000);
+    constexpr std::size_t kRing = std::size_t{1} << 14;
+    for (const std::size_t scan_threads : {std::size_t{1}, std::size_t{4}}) {
+        SweepConfig options;
+        options.coarse_points = 8;
+        options.refine_rounds = 2;
+        options.refine_points = 3;
+        options.num_threads = 4;
+        options.scan_threads = scan_threads;
+        const std::string path = testing::temp_path("obs_sweep_tree.trace.json");
+        testing::TempFileGuard guard(path);
+        obs::TraceSink sink(path, kRing);
+        obs::install_trace_sink(&sink);
+        find_saturation_scale(stream, options);
+        obs::install_trace_sink(nullptr);
+        sink.close();
+
+        const std::vector<obs::SpanRecord> records = sink.recent();
+        ASSERT_LT(records.size(), kRing);  // nothing evicted
+        std::vector<std::uint64_t> rounds;
+        for (const obs::SpanRecord& record : records) {
+            const std::string name = record.name;
+            if (name == "saturation.coarse_grid" || name == "saturation.round") {
+                rounds.push_back(record.id);
+            }
+        }
+        std::size_t deltas = 0;
+        std::size_t shards = 0;
+        for (const obs::SpanRecord& record : records) {
+            const std::string name = record.name;
+            if (name == "sweep.delta") {
+                ++deltas;
+            } else if (name == "sweep.shard") {
+                ++shards;
+            } else {
+                continue;
+            }
+            EXPECT_NE(std::find(rounds.begin(), rounds.end(), record.parent), rounds.end())
+                << name << " span " << record.id << " has parent " << record.parent
+                << " (scan_threads " << scan_threads << ")";
+        }
+        EXPECT_GT(deltas, 0u);
+        if (scan_threads > 1) {
+            EXPECT_GT(shards, 1u);
+        }
     }
 }
 

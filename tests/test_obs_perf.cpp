@@ -27,14 +27,8 @@
 namespace natscale {
 namespace {
 
-#if defined(__SANITIZE_THREAD__) || defined(NATSCALE_ASAN)
+#ifdef NATSCALE_SANITIZED
 constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(memory_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
 #else
 constexpr bool kSanitized = false;
 #endif

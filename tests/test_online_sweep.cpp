@@ -257,7 +257,7 @@ TEST(OnlineSweep, MatchesBatchSaturationSearchOnItsCoarseGrid) {
     std::sort(sorted.begin(), sorted.end());
     const LinkStream stream(sorted, sc.n, sc.period, sc.directed);
 
-    SaturationOptions batch_options;
+    SweepConfig batch_options;
     batch_options.coarse_points = 16;
     batch_options.refine_rounds = 0;
     const SaturationResult batch = find_saturation_scale(stream, batch_options);

@@ -92,7 +92,7 @@ TEST(OutOfCoreParity, SaturationSearchAcrossBackendsAndThreads) {
             for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
                 SCOPED_TRACE(name + " backend " + std::to_string(static_cast<int>(backend)) +
                              " threads " + std::to_string(threads));
-                SaturationOptions options;
+                SweepConfig options;
                 options.coarse_points = 10;
                 options.refine_rounds = 1;
                 options.refine_points = 5;
@@ -141,12 +141,12 @@ TEST(OutOfCoreParity, AggregationStrategiesProduceIdenticalSeries) {
             SCOPED_TRACE(name + " delta " + std::to_string(delta));
             const GraphSeries reference = aggregate(stream, delta);
 
-            for (const auto aggregation : {DeltaSweepOptions::Aggregation::automatic,
-                                           DeltaSweepOptions::Aggregation::pair_index,
-                                           DeltaSweepOptions::Aggregation::chunked}) {
-                for (const auto spill : {DeltaSweepOptions::IndexSpill::automatic,
-                                         DeltaSweepOptions::IndexSpill::never,
-                                         DeltaSweepOptions::IndexSpill::always}) {
+            for (const auto aggregation : {SweepAggregation::automatic,
+                                           SweepAggregation::pair_index,
+                                           SweepAggregation::chunked}) {
+                for (const auto spill : {IndexSpillMode::automatic,
+                                         IndexSpillMode::never,
+                                         IndexSpillMode::always}) {
                     DeltaSweepOptions options;
                     options.aggregation = aggregation;
                     options.index_spill = spill;
@@ -183,7 +183,7 @@ TEST(OutOfCoreParity, EngineResolvesStorageAppropriateStrategy) {
     EXPECT_FALSE(mapped_engine.uses_pair_index());     // mmap source: chunked pipeline
 
     DeltaSweepOptions forced;
-    forced.aggregation = DeltaSweepOptions::Aggregation::pair_index;
+    forced.aggregation = SweepAggregation::pair_index;
     DeltaSweepEngine forced_engine(mapped, forced);
     EXPECT_TRUE(forced_engine.uses_pair_index());
     EXPECT_TRUE(forced_engine.index_spilled());        // automatic spill for mmap sources

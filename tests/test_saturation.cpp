@@ -74,7 +74,7 @@ TEST(DeltaGrid, RefinementRoundGridsSatisfyMergePreconditions) {
     }
     // And the searches themselves run their refinement rounds without
     // tripping the new contracts (exercised on a real stream).
-    SaturationOptions options;
+    SweepConfig options;
     options.coarse_points = 24;
     options.refine_rounds = 3;
     options.refine_points = 6;
@@ -89,8 +89,8 @@ TEST(DeltaGrid, RejectsBadArguments) {
     EXPECT_THROW(linear_delta_grid(1, 10, 1), contract_error);
 }
 
-SaturationOptions quick_options() {
-    SaturationOptions options;
+SweepConfig quick_options() {
+    SweepConfig options;
     options.coarse_points = 24;
     options.refine_rounds = 1;
     options.refine_points = 6;
@@ -221,10 +221,10 @@ TEST(Saturation, RejectsEmptyStreamAndBadOptions) {
     EXPECT_THROW(find_saturation_scale(empty, quick_options()), contract_error);
 
     const auto stream = gen::generate_stream("uniform:n=5,links=2,T=100", 1).stream;
-    SaturationOptions bad;
+    SweepConfig bad;
     bad.coarse_points = 1;
     EXPECT_THROW(find_saturation_scale(stream, bad), contract_error);
-    SaturationOptions bad_range;
+    SweepConfig bad_range;
     bad_range.min_delta = 50;
     bad_range.max_delta = 10;
     EXPECT_THROW(find_saturation_scale(stream, bad_range), contract_error);

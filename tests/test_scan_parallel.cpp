@@ -169,13 +169,13 @@ TEST(ScanParallel, DeltaSweepNarrowGridShardedPathBitIdenticalToOuterPath) {
 TEST(ScanParallel, SaturationSearchBitIdenticalAcrossScanThreadsAndBackends) {
     const auto stream = random_stream(61, 80, 900, 25'000);
 
-    SaturationOptions base;
+    SweepConfig base;
     base.coarse_points = 12;
     base.refine_rounds = 2;
     base.refine_points = 5;
     base.histogram_bins = 360;
 
-    SaturationOptions reference_options = base;
+    SweepConfig reference_options = base;
     reference_options.num_threads = 1;
     reference_options.scan_threads = 1;
     reference_options.backend = ReachabilityBackend::dense;
@@ -184,7 +184,7 @@ TEST(ScanParallel, SaturationSearchBitIdenticalAcrossScanThreadsAndBackends) {
     for (const ReachabilityBackend backend : kBackends) {
         for (const std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
             for (const std::size_t scan_threads : {std::size_t{1}, test_scan_threads()}) {
-                SaturationOptions options = base;
+                SweepConfig options = base;
                 options.backend = backend;
                 options.num_threads = num_threads;
                 options.scan_threads = scan_threads;
@@ -208,13 +208,13 @@ TEST(ScanParallel, ElongationCurveBitIdenticalAcrossScanThreads) {
     const auto stream = random_stream(67, 60, 700, 8'000);
     const std::vector<Time> deltas = {50, 400, 2'000};
 
-    ElongationOptions reference_options;
+    SweepConfig reference_options;
     reference_options.num_threads = 1;
     const auto reference = elongation_curve(stream, deltas, reference_options);
 
     for (const ReachabilityBackend backend : kBackends) {
         for (const std::size_t threads : {std::size_t{1}, test_scan_threads()}) {
-            ElongationOptions options;
+            SweepConfig options;
             options.backend = backend;
             options.num_threads = test_scan_threads();
             options.scan_threads = threads;

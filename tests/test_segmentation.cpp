@@ -109,7 +109,7 @@ TEST(SegmentedSaturation, RecoversPerModeGammas) {
             17)
             .stream;
 
-    SaturationOptions sat;
+    SweepConfig sat;
     sat.coarse_points = 20;
     sat.refine_rounds = 1;
     sat.histogram_bins = 400;
@@ -137,7 +137,7 @@ TEST(SegmentedSaturation, RecoversPerModeGammas) {
 TEST(SegmentedSaturation, HomogeneousFallsBackToGlobalGamma) {
     const auto stream = gen::generate_stream("uniform:n=15,links=8,T=10000", 5).stream;
 
-    SaturationOptions sat;
+    SweepConfig sat;
     sat.coarse_points = 20;
     sat.refine_rounds = 1;
     sat.histogram_bins = 400;

@@ -362,7 +362,7 @@ TEST(SimdScan, CorpusSweepBitIdenticalAcrossIsasBackendsAndThreads) {
 TEST(SimdScan, SaturationGammaBitIdenticalAcrossIsas) {
     IsaGuard guard;
     const auto stream = random_stream(29, 80, 900, 25'000);
-    SaturationOptions options;
+    SweepConfig options;
     options.coarse_points = 10;
     options.refine_rounds = 1;
     options.refine_points = 5;

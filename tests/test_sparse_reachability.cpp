@@ -223,19 +223,19 @@ void expect_same_point(const DeltaPoint& a, const DeltaPoint& b) {
 TEST(SparseReachability, SaturationSearchBitIdenticalAcrossBackendsAndThreads) {
     const auto stream = random_stream(29, 60, 800, 20'000, false);
 
-    SaturationOptions base;
+    SweepConfig base;
     base.coarse_points = 16;
     base.refine_rounds = 1;
     base.refine_points = 6;
     base.histogram_bins = 360;
 
-    SaturationOptions dense_options = base;
+    SweepConfig dense_options = base;
     dense_options.backend = ReachabilityBackend::dense;
     dense_options.num_threads = 1;
     const auto reference = find_saturation_scale(stream, dense_options);
 
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        SaturationOptions sparse_options = base;
+        SweepConfig sparse_options = base;
         sparse_options.backend = ReachabilityBackend::sparse;
         sparse_options.num_threads = threads;
         const auto result = find_saturation_scale(stream, sparse_options);

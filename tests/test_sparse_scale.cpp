@@ -9,17 +9,17 @@
 #include "core/occupancy.hpp"
 #include "linkstream/aggregation.hpp"
 #include "temporal/reachability_backend.hpp"
-#include "testing/temp_files.hpp"  // NATSCALE_ASAN
+#include "testing/temp_files.hpp"  // NATSCALE_SANITIZED
 #include "util/proc_rss.hpp"
 #include "util/rng.hpp"
 
 namespace natscale {
 namespace {
 
-/// Peak RSS in MiB, or 0.0 when unmeasurable or meaningless (under ASan
-/// the shadow/quarantine overhead is not this code's memory behaviour).
+/// Peak RSS in MiB, or 0.0 when unmeasurable or meaningless (under a
+/// sanitizer the shadow memory is not this code's memory behaviour).
 double bounded_peak_rss_mib() {
-#ifdef NATSCALE_ASAN
+#ifdef NATSCALE_SANITIZED
     return 0.0;
 #else
     return peak_rss_mib();

@@ -1,12 +1,18 @@
 // Unit tests for src/util: contracts, rng, math, format, table, gnuplot.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <span>
 #include <sstream>
+#include <string>
 
+#include "util/atomic_file.hpp"
 #include "util/contracts.hpp"
 #include "util/format.hpp"
 #include "util/gnuplot.hpp"
@@ -282,6 +288,41 @@ TEST(Timer, MeasuresElapsedTime) {
     EXPECT_GE(watch.elapsed_seconds(), 0.0);
     watch.reset();
     EXPECT_LT(watch.elapsed_seconds(), 1.0);
+}
+
+// The NATSCALE_FAULT grammar atomic_write_file honours: torn_write[:nth=N].
+// Nothing else in this binary arms the hook, so its save ordinal starts at 0
+// here (test_atomic_file.cpp covers the plain torn_write form).
+TEST(AtomicFileFault, TearsFromTheNthSaveAndIgnoresOtherValues) {
+    const auto path = std::filesystem::temp_directory_path() /
+                      ("natscale_fault_" + std::to_string(::getpid()) + ".bin");
+    const auto save = [&](const std::string& text) {
+        atomic_write_file(path.string(), std::as_bytes(std::span(text)));
+    };
+    const auto content = [&] {
+        std::ifstream in(path);
+        return std::string((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    };
+    for (const char* ignored : {"torn_write:nth=0", "torn_write:nth=", "torn_write:nth=2x",
+                                "torn_writer", "crash_before_reply:nth=1"}) {
+        ::setenv("NATSCALE_FAULT", ignored, 1);
+        save(ignored);
+        EXPECT_EQ(content(), ignored);
+    }
+    ::setenv("NATSCALE_FAULT", "torn_write:nth=2", 1);
+    save("first armed save lands");
+    EXPECT_EQ(content(), "first armed save lands");
+    save("second is torn");
+    save("and so is every later one");
+    EXPECT_EQ(content(), "first armed save lands");
+    ::unsetenv("NATSCALE_FAULT");
+
+    for (const auto& entry : std::filesystem::directory_iterator(path.parent_path())) {
+        if (entry.path().filename().string().rfind(path.filename().string(), 0) == 0) {
+            std::filesystem::remove(entry.path());  // the target and torn temp files
+        }
+    }
 }
 
 }  // namespace

@@ -102,7 +102,7 @@ TEST(Elongation, SingleWindowTripsSkipped) {
 
 TEST(Elongation, SamplingCapRespected) {
     const auto stream = random_stream(26, 14, 500, 5'000);
-    ElongationOptions options;
+    SweepConfig options;
     options.max_stored_trips = 50;  // force heavy sampling
     const auto curve = elongation_curve(stream, {10, 100}, options);
     ASSERT_EQ(curve.size(), 2u);

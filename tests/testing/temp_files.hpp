@@ -12,16 +12,18 @@
 #include <unistd.h>
 #endif
 
-// NATSCALE_ASAN: defined when AddressSanitizer instruments this build.
-// Peak-RSS bounds are meaningless under ASan (shadow memory and quarantines
-// dominate), so the memory-bound assertions are skipped — the functional
-// parts of those tests still run and give ASan its UB coverage.
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define NATSCALE_ASAN 1
+// NATSCALE_SANITIZED: defined when AddressSanitizer or ThreadSanitizer
+// instruments this build (gcc and clang spellings alike).  Peak-RSS bounds
+// and per-op timing budgets are meaningless there (shadow memory,
+// quarantines and instrumented accesses dominate), so those assertions are
+// skipped — the functional parts of the tests still run and give the
+// sanitizer its coverage.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define NATSCALE_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define NATSCALE_SANITIZED 1
 #endif
-#elif defined(__SANITIZE_ADDRESS__)
-#define NATSCALE_ASAN 1
 #endif
 
 namespace natscale::testing {
