@@ -2,21 +2,12 @@
 // of the occupancy method).
 //
 // The saturation-scale search evaluates the occupancy distribution over
-// dozens of aggregation periods Delta of the SAME stream.  Evaluating each
-// period independently (linkstream/aggregation + one reachability scan)
-// re-does per-window edge sorting and deduplication from scratch every
-// time; DeltaSweepEngine shares that work across the grid:
+// dozens of aggregation periods Delta of the SAME stream.  DeltaSweepEngine
+// runs that grid:
 //
-//   * the time-sorted event buffer is shared (it lives behind the
-//     LinkStream's EventSource — in RAM or an mmap'd .natbin trace), and
-//     one extra (u, v, t)-ordered index over it is computed once at
-//     construction (optionally spilled to a mmap'd temp file, see
-//     IndexSpillMode).  Aggregating at any Delta is then a
-//     single O(E) pass: window boundaries come from the time order,
-//     per-window edge lists come out of the pair order already sorted and
-//     deduplicated — no per-window sort, no per-call dedup.  For
-//     mmap-backed sources the engine instead defaults to the chunked
-//     window-sequential pipeline of linkstream/aggregation, whose peak
+//   * each period is aggregated by the chunked window-sequential pipeline
+//     of linkstream/aggregation, straight off the stream's shared
+//     time-sorted event buffer (in RAM or an mmap'd .natbin trace); peak
 //     residency is the per-window working set, not the trace;
 //   * the independent per-Delta reachability scans fan out over a
 //     util/thread_pool, with one reusable TemporalReachability engine per
@@ -37,11 +28,9 @@
 
 #include "linkstream/graph_series.hpp"
 #include "linkstream/link_stream.hpp"
-#include "natscale/sweep_config.hpp"
 #include "stats/histogram01.hpp"
 #include "stats/uniformity.hpp"
 #include "temporal/reachability.hpp"
-#include "util/mmap_file.hpp"
 #include "util/thread_pool.hpp"
 #include "util/types.hpp"
 
@@ -93,31 +82,11 @@ struct DeltaSweepOptions {
     /// backend bounds per-worker memory by the reachable-pair count instead
     /// of threads x n^2 x 12 B.
     ReachabilityBackend backend = ReachabilityBackend::automatic;
-
-    /// How aggregate() materializes each snapshot list (see SweepAggregation
-    /// in natscale/sweep_config.hpp).  All three modes produce bit-identical
-    /// GraphSeries (hence bit-identical evaluated points).
-    ///
-    /// Note that pair-index aggregate() allocates a transient 4 B/event
-    /// slot array per call (per worker under evaluate()); on traces where
-    /// that matters, prefer chunked — which `automatic` picks for mmap
-    /// sources anyway.
-    SweepAggregation aggregation = SweepAggregation::automatic;
-
-    /// Where the pair-order index lives (pair_index mode only); see
-    /// IndexSpillMode in natscale/sweep_config.hpp.
-    IndexSpillMode index_spill = IndexSpillMode::automatic;
 };
 
 class DeltaSweepEngine {
 public:
-    /// Indexes `stream` for repeated aggregation: one O(E log E) pair-order
-    /// sort, amortized over every subsequent evaluate()/aggregate() call.
-    /// In chunked mode (the automatic choice for mmap-backed streams) no
-    /// index is built at all and each aggregate() is one sequential pass.
     /// The stream must outlive the engine.
-    /// Preconditions: pair_index mode supports at most 2^32 - 1 events;
-    /// chunked mode has no such limit.
     explicit DeltaSweepEngine(const LinkStream& stream, DeltaSweepOptions options = {});
 
     const LinkStream& stream() const noexcept { return *stream_; }
@@ -132,24 +101,13 @@ public:
     std::vector<DeltaPoint> evaluate(std::span<const Time> grid,
                                      std::vector<Histogram01>* histograms_out = nullptr);
 
-    /// Shared-buffer aggregation at one period: same GraphSeries as
-    /// linkstream/aggregation's aggregate(stream, delta), built in O(E)
-    /// from the precomputed pair order.  Thread-safe (const).
+    /// Aggregation at one period: aggregate(stream(), delta) of
+    /// linkstream/aggregation.  Thread-safe (const).
     /// Preconditions: delta >= 1.
     GraphSeries aggregate(Time delta) const;
 
-    /// True when aggregate() goes through the pair-order index (resolved
-    /// from options().aggregation and the stream's storage at
-    /// construction).
-    bool uses_pair_index() const noexcept { return use_pair_index_; }
-
-    /// True when the pair-order index lives in a spilled temp-file mapping
-    /// rather than RAM.
-    bool index_spilled() const noexcept { return index_spill_ != nullptr; }
-
 private:
     ThreadPool& pool();
-    void build_pair_index();
 
     /// The narrow-grid path of evaluate(): dense per-Delta scans split into
     /// column-shard tasks, sparse ones kept whole, all fanned out together.
@@ -159,14 +117,6 @@ private:
 
     const LinkStream* stream_;
     DeltaSweepOptions options_;
-    bool use_pair_index_ = true;
-
-    /// Event indices sorted by (u, v, t) — the stable pair-order view of
-    /// the shared time-sorted event buffer.  Backed by either the in-RAM
-    /// vector or the spilled mapping; empty in chunked mode.
-    std::span<const std::uint32_t> pair_order_;
-    std::vector<std::uint32_t> pair_order_storage_;
-    std::unique_ptr<MappedFile> index_spill_;
 
     /// Created on first evaluate(); aggregate()-only users never pay for
     /// pool threads.

@@ -31,8 +31,6 @@ DeltaSweepOptions sweep_options_of(const SweepConfig& options) {
     sweep.num_threads = options.num_threads;
     sweep.scan_threads = options.scan_threads;
     sweep.backend = options.backend;
-    sweep.aggregation = options.aggregation;
-    sweep.index_spill = options.index_spill;
     return sweep;
 }
 

@@ -29,7 +29,7 @@
 namespace natscale {
 
 /// Sweep options matching a SweepConfig (same bins / slots / threads /
-/// backend / aggregation).
+/// scan threads / backend).
 DeltaSweepOptions sweep_options_of(const SweepConfig& options);
 
 struct SaturationResult {
@@ -57,10 +57,11 @@ struct SaturationResult {
 /// Runs the occupancy method.  The whole Delta grid of each round is
 /// evaluated in one batched, parallel DeltaSweepEngine pass; the result is
 /// identical to the sequential per-period evaluation.  mmap-backed streams
-/// (linkstream/binary_io's open_natbin) are swept out-of-core — the engine
-/// picks the chunked aggregation pipeline, and gamma, the curve, and the
-/// gamma histogram stay bit-identical to the in-memory path for every
-/// backend and thread count.  Preconditions: stream non-empty.
+/// (linkstream/binary_io's open_natbin) are swept out-of-core — the chunked
+/// aggregation pipeline releases consumed pages behind its scan — and
+/// gamma, the curve, and the gamma histogram stay bit-identical to the
+/// in-memory path for every backend and thread count.
+/// Preconditions: stream non-empty.
 SaturationResult find_saturation_scale(const LinkStream& stream,
                                        const SweepConfig& options = {});
 

@@ -1,10 +1,10 @@
 // SweepConfig: the one configuration surface of the public API.
 //
 // One struct carries the full knob set of the scale search, the validation
-// curves and the execution layer (threads, scan threads, backend,
-// aggregation mode); the facade (natscale/api.hpp), the CLI tools, `watch`
-// mode and the natscaled daemon all share it.  The batched grid engine's
-// DeltaSweepOptions is the execution subset (sweep_options_of).
+// curves and the execution layer (threads, scan threads, backend); the
+// facade (natscale/api.hpp), the CLI tools, `watch` mode and the natscaled
+// daemon all share it.  The batched grid engine's DeltaSweepOptions is the
+// execution subset (sweep_options_of).
 //
 // One struct is enough because the knobs never conflict: the saturation
 // fields are simply unused by the elongation curve and vice versa, and the
@@ -19,27 +19,6 @@
 #include "util/types.hpp"
 
 namespace natscale {
-
-/// How a grid engine materializes each per-window snapshot list.  All three
-/// produce bit-identical aggregated series:
-///
-///   pair_index — a precomputed (u, v, t) index over the source: O(E) per
-///                period with no per-window sort, at 4 B/event of index plus
-///                random access into the event storage.
-///   chunked    — the window-sequential out-of-core pipeline of
-///                linkstream/aggregation: per-window sort+dedup, consumed
-///                mmap pages released behind the scan.
-///   automatic  — pair_index for memory-resident sources, chunked for
-///                mmap-backed ones.
-enum class SweepAggregation { automatic, pair_index, chunked };
-
-/// Where the pair-order index lives (pair_index mode only).
-///
-///   never     — an in-RAM std::vector (4 B/event).
-///   always    — spilled to a mmap'd unlinked temp file (best-effort; falls
-///               back to RAM when the temp file cannot be written).
-///   automatic — spill only when the event source itself is mmap-backed.
-enum class IndexSpillMode { automatic, never, always };
 
 /// Every knob of the occupancy-method pipeline, in one place.  Entry points
 /// read the subset that concerns them and ignore the rest, so one config
@@ -87,11 +66,6 @@ struct SweepConfig {
     /// or sparse from n and event density.  Results are bit-identical for
     /// every choice.
     ReachabilityBackend backend = ReachabilityBackend::automatic;
-
-    /// Snapshot materialization and index placement of the grid engine (see
-    /// the enum docs above).  Results are bit-identical for every choice.
-    SweepAggregation aggregation = SweepAggregation::automatic;
-    IndexSpillMode index_spill = IndexSpillMode::automatic;
 
     // --- validation (elongation_curve) --------------------------------------
 

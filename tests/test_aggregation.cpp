@@ -44,6 +44,23 @@ TEST(Aggregate, DeduplicatesWithinWindow) {
     ASSERT_EQ(series.num_nonempty_windows(), 1u);
     EXPECT_EQ(series.snapshots()[0].edges.size(), 1u);
     EXPECT_EQ(series.total_edges(), 1u);
+
+    // Exact duplicate (u, v, t) events collapse as well, and a pair that
+    // recurs in a later window appears once in each of its windows.
+    const LinkStream repeats({{0, 1, 5}, {0, 1, 5}, {0, 1, 7}, {1, 2, 6}, {0, 1, 20}}, 3, 30);
+    using Windows = std::vector<std::pair<WindowIndex, std::vector<Edge>>>;
+    const auto windows_of = [&repeats](Time delta) {
+        const auto repeated = aggregate(repeats, delta);
+        Windows windows;
+        for (const auto& snap : repeated.snapshots()) {
+            windows.emplace_back(snap.k, snap.edges);
+        }
+        return windows;
+    };
+    EXPECT_EQ(windows_of(1),
+              (Windows{{6, {{0, 1}}}, {7, {{1, 2}}}, {8, {{0, 1}}}, {21, {{0, 1}}}}));
+    EXPECT_EQ(windows_of(10), (Windows{{1, {{0, 1}, {1, 2}}}, {3, {{0, 1}}}}));
+    EXPECT_EQ(windows_of(30), (Windows{{1, {{0, 1}, {1, 2}}}}));
 }
 
 TEST(Aggregate, DirectedEdgesNotMerged) {

@@ -1,5 +1,4 @@
-// Tests of the batched multi-Delta sweep engine: shared-buffer aggregation
-// equals the legacy per-call aggregation, the batched evaluation is
+// Tests of the batched multi-Delta sweep engine: the batched evaluation is
 // bit-identical to the legacy per-Delta path, and results are independent
 // of the thread count.
 #include <gtest/gtest.h>
@@ -10,38 +9,12 @@
 #include "core/delta_sweep.hpp"
 #include "core/saturation.hpp"
 #include "gen/registry.hpp"
-#include "linkstream/aggregation.hpp"
-#include "util/rng.hpp"
 
 namespace natscale {
 namespace {
 
 LinkStream seeded_stream(std::uint64_t seed) {
     return gen::generate_stream("uniform:n=24,links=4,T=20000", seed).stream;
-}
-
-LinkStream seeded_directed_stream(std::uint64_t seed) {
-    Rng rng(seed);
-    std::vector<Event> events;
-    for (int i = 0; i < 600; ++i) {
-        const NodeId u = static_cast<NodeId>(rng.uniform_int(0, 19));
-        NodeId v = static_cast<NodeId>(rng.uniform_int(0, 19));
-        if (v == u) v = (v + 1) % 20;
-        events.push_back({u, v, static_cast<Time>(rng.uniform_int(0, 9'999))});
-    }
-    return LinkStream(std::move(events), 20, 10'000, /*directed=*/true);
-}
-
-void expect_same_series(const GraphSeries& a, const GraphSeries& b) {
-    ASSERT_EQ(a.num_windows(), b.num_windows());
-    ASSERT_EQ(a.delta(), b.delta());
-    ASSERT_EQ(a.directed(), b.directed());
-    ASSERT_EQ(a.num_nonempty_windows(), b.num_nonempty_windows());
-    ASSERT_EQ(a.total_edges(), b.total_edges());
-    for (std::size_t i = 0; i < a.snapshots().size(); ++i) {
-        EXPECT_EQ(a.snapshots()[i].k, b.snapshots()[i].k);
-        EXPECT_EQ(a.snapshots()[i].edges, b.snapshots()[i].edges);
-    }
 }
 
 void expect_identical_point(const DeltaPoint& a, const DeltaPoint& b) {
@@ -53,33 +26,6 @@ void expect_identical_point(const DeltaPoint& a, const DeltaPoint& b) {
     EXPECT_EQ(a.scores.variation_coefficient, b.scores.variation_coefficient);
     EXPECT_EQ(a.scores.shannon_entropy, b.scores.shannon_entropy);
     EXPECT_EQ(a.scores.cre, b.scores.cre);
-}
-
-TEST(DeltaSweepAggregation, MatchesLegacyAggregateAcrossDeltas) {
-    const auto stream = seeded_stream(11);
-    const DeltaSweepEngine engine(stream);
-    for (Time delta : geometric_delta_grid(1, stream.period_end(), 16)) {
-        expect_same_series(engine.aggregate(delta), aggregate(stream, delta));
-    }
-}
-
-TEST(DeltaSweepAggregation, MatchesLegacyAggregateDirected) {
-    const auto stream = seeded_directed_stream(5);
-    const DeltaSweepEngine engine(stream);
-    for (Time delta : {Time{1}, Time{7}, Time{100}, Time{9'999}, Time{10'000}}) {
-        expect_same_series(engine.aggregate(delta), aggregate(stream, delta));
-    }
-}
-
-TEST(DeltaSweepAggregation, DuplicateEventsCollapsePerWindow) {
-    // Exact duplicate (u, v, t) events and same-window repeats must both
-    // dedup, exactly as the legacy path does.
-    std::vector<Event> events = {{0, 1, 5}, {0, 1, 5}, {0, 1, 7}, {1, 2, 6}, {0, 1, 20}};
-    const LinkStream stream(std::move(events), 3, 30);
-    const DeltaSweepEngine engine(stream);
-    for (Time delta : {Time{1}, Time{10}, Time{30}}) {
-        expect_same_series(engine.aggregate(delta), aggregate(stream, delta));
-    }
 }
 
 TEST(DeltaSweep, BatchedMatchesLegacyEvaluateDeltaBitwise) {

@@ -1,10 +1,9 @@
 // Differential parity: every result computed from an mmap-backed natbin
-// EventSource must be bit-identical to the in-memory path — occupancy
-// histograms, gamma, and the full Delta-sweep curve — across {dense,
-// sparse, auto} reachability backends x {1, 4} threads x three generated
-// scenarios, plus the engine's three aggregation strategies and both index
-// homes.  This is the executable form of the out-of-core pipeline's
-// correctness claim.
+// EventSource must be bit-identical to the in-memory path — aggregated
+// series, occupancy histograms, gamma, and the full Delta-sweep curve —
+// across {dense, sparse, auto} reachability backends x {1, 4} threads x
+// three generated scenarios.  This is the executable form of the
+// out-of-core pipeline's correctness claim.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -137,63 +136,22 @@ TEST(OutOfCoreParity, OccupancyHistogramsAtFixedDeltas) {
 TEST(OutOfCoreParity, AggregationStrategiesProduceIdenticalSeries) {
     for (const auto& [name, stream] : scenarios()) {
         const auto [guard, mapped] = mmap_copy(stream, name);
+        const DeltaSweepEngine engine(mapped);
         for (const Time delta : {Time{1}, Time{53}, Time{4'096}}) {
             SCOPED_TRACE(name + " delta " + std::to_string(delta));
             const GraphSeries reference = aggregate(stream, delta);
+            const GraphSeries series = engine.aggregate(delta);
 
-            for (const auto aggregation : {SweepAggregation::automatic,
-                                           SweepAggregation::pair_index,
-                                           SweepAggregation::chunked}) {
-                for (const auto spill : {IndexSpillMode::automatic,
-                                         IndexSpillMode::never,
-                                         IndexSpillMode::always}) {
-                    DeltaSweepOptions options;
-                    options.aggregation = aggregation;
-                    options.index_spill = spill;
-                    DeltaSweepEngine engine(mapped, options);
-                    const GraphSeries series = engine.aggregate(delta);
-
-                    ASSERT_EQ(series.num_nonempty_windows(), reference.num_nonempty_windows());
-                    EXPECT_EQ(series.total_edges(), reference.total_edges());
-                    const auto a = series.snapshots();
-                    const auto b = reference.snapshots();
-                    for (std::size_t i = 0; i < a.size(); ++i) {
-                        ASSERT_EQ(a[i].k, b[i].k);
-                        ASSERT_EQ(a[i].edges, b[i].edges);
-                    }
-                }
+            ASSERT_EQ(series.num_nonempty_windows(), reference.num_nonempty_windows());
+            EXPECT_EQ(series.total_edges(), reference.total_edges());
+            const auto a = series.snapshots();
+            const auto b = reference.snapshots();
+            for (std::size_t i = 0; i < a.size(); ++i) {
+                ASSERT_EQ(a[i].k, b[i].k);
+                ASSERT_EQ(a[i].edges, b[i].edges);
             }
         }
     }
-}
-
-TEST(OutOfCoreParity, EngineResolvesStorageAppropriateStrategy) {
-    const auto all = scenarios();
-    const auto& [name, stream] = all.front();
-    const auto [guard, mapped] = mmap_copy(stream, name);
-
-    DeltaSweepEngine in_memory_engine(stream);
-    EXPECT_TRUE(in_memory_engine.uses_pair_index());   // RAM source: indexed
-    EXPECT_FALSE(in_memory_engine.index_spilled());    // ... and the index stays in RAM
-
-    DeltaSweepEngine mapped_engine(mapped);
-    if (mapped.source().memory_resident()) {
-        GTEST_SKIP() << "no real mmap on this platform; automatic mode has nothing to pick";
-    }
-    EXPECT_FALSE(mapped_engine.uses_pair_index());     // mmap source: chunked pipeline
-
-    DeltaSweepOptions forced;
-    forced.aggregation = SweepAggregation::pair_index;
-    DeltaSweepEngine forced_engine(mapped, forced);
-    EXPECT_TRUE(forced_engine.uses_pair_index());
-    EXPECT_TRUE(forced_engine.index_spilled());        // automatic spill for mmap sources
-
-    const auto grid = std::vector<Time>{1, 100, 5'000};
-    const auto a = in_memory_engine.evaluate(grid);
-    const auto b = mapped_engine.evaluate(grid);
-    const auto c = forced_engine.evaluate(grid);
-    expect_points_bitwise_equal(b, a);
-    expect_points_bitwise_equal(c, a);
 }
 
 }  // namespace

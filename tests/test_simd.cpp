@@ -140,8 +140,7 @@ TEST(SimdKernels, CopyBumpSecondU32MatchesScalarAtEveryCount) {
             simd::kScalarOps.copy_bump_second_u32(expected.data(), src.data(), count);
             std::vector<std::byte> actual(count * 16);
             vec.copy_bump_second_u32(actual.data(), src.data(), count);
-            ASSERT_EQ(std::memcmp(actual.data(), expected.data(), actual.size()), 0)
-                << "isa=" << to_string(isa) << " count=" << count;
+            ASSERT_EQ(actual, expected) << "isa=" << to_string(isa) << " count=" << count;
         }
     }
 }
