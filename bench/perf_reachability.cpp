@@ -17,8 +17,8 @@
 // ColumnScaling and ScalarVsSimd suites
 // (`--benchmark_filter=PackedVsLegacy|ColumnScaling|ScalarVsSimd`):
 // the packed 8 B/pair kernel against the retired 12 B scalar kernel on the
-// same workloads, the intra-scan column-parallel occupancy histogram at
-// 1/2/4/8 scan threads, and the same dense/sparse scans under every SIMD
+// same workloads, a one-period DeltaSweepEngine grid (column-sharded over
+// the pool) at 1/2/4/8 threads, and the same dense/sparse scans under every SIMD
 // dispatch (one row per ISA; rows for ISAs this machine cannot execute run
 // the strongest supported path instead and say so via the supported/fallback
 // counters — see docs/simd.md for how to read them).  CI uploads both from
@@ -27,6 +27,7 @@
 
 #include <algorithm>
 
+#include "core/delta_sweep.hpp"
 #include "core/occupancy.hpp"
 #include "linkstream/aggregation.hpp"
 #include "temporal/column_shards.hpp"
@@ -127,10 +128,14 @@ BENCHMARK(BM_Aggregate)->Arg(1)->Arg(1'000)->Arg(1'000'000)->Unit(benchmark::kMi
 /// crossover.  The dense sweep stops at n = 4096 (state: n^2 x 12 B =
 /// 192 MiB); the sparse sweep continues to n = 16384, where dense would
 /// need 3 GiB.
+LinkStream crossover_stream(NodeId n) {
+    return random_stream(6, n, static_cast<std::size_t>(n) * 4, static_cast<Time>(n) * 40);
+}
+
+Time crossover_delta(NodeId n) { return static_cast<Time>(n) / 8 + 1; }
+
 GraphSeries crossover_series(NodeId n) {
-    const auto stream = random_stream(6, n, static_cast<std::size_t>(n) * 4,
-                                      static_cast<Time>(n) * 40);
-    return aggregate(stream, static_cast<Time>(n) / 8 + 1);
+    return aggregate(crossover_stream(n), crossover_delta(n));
 }
 
 void BM_DenseVsSparse_Dense(benchmark::State& state) {
@@ -288,22 +293,26 @@ BENCHMARK_CAPTURE(BM_ScalarVsSimd_SparseSeries, avx512, SimdIsa::avx512)
 BENCHMARK_CAPTURE(BM_ScalarVsSimd_SparseSeries, neon, SimdIsa::neon)
     ->Unit(benchmark::kMillisecond);
 
-/// Intra-scan thread scaling: the full occupancy histogram of the n = 2048
-/// crossover series through the column-sharded parallel scan at 1/2/4/8
-/// scan threads.  The result is bit-identical at every point (enforced by
-/// tests/test_scan_parallel.cpp); this measures only the wall-clock curve.
+/// Intra-scan thread scaling: the crossover period of the n = 2048 stream
+/// as a one-point DeltaSweepEngine grid (aggregate + dense scan + bin) at
+/// 1/2/4/8 threads.  One period is narrower than any multi-thread pool, so
+/// the engine splits the scan into column shards.  The result is
+/// bit-identical at every point (enforced by tests/test_scan_parallel.cpp);
+/// this measures only the wall-clock curve.
 void BM_ColumnScaling_OccupancyHistogram(benchmark::State& state) {
-    const auto scan_threads = static_cast<std::size_t>(state.range(0));
-    const auto series = crossover_series(2048);
+    const auto threads = static_cast<std::size_t>(state.range(0));
+    const auto stream = crossover_stream(2048);
+    const std::vector<Time> grid = {crossover_delta(2048)};
+    DeltaSweepOptions options;
+    options.backend = ReachabilityBackend::dense;
+    options.num_threads = threads;
+    DeltaSweepEngine engine(stream, options);
     std::uint64_t total = 0;
     for (auto _ : state) {
-        const auto hist =
-            occupancy_histogram(series, Histogram01::kDefaultBins,
-                                ReachabilityBackend::dense, scan_threads);
-        total = hist.total();
+        total = engine.evaluate(grid).front().num_trips;
         benchmark::DoNotOptimize(total);
     }
-    state.counters["scan_threads"] = static_cast<double>(scan_threads);
+    state.counters["threads"] = static_cast<double>(threads);
     state.counters["trips"] = static_cast<double>(total);
     state.counters["shards"] = static_cast<double>(column_shards(2048).size());
 }

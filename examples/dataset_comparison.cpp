@@ -11,7 +11,7 @@
 //
 // Runs on downscaled replicas by default; pass --full for published sizes.
 //
-// Run:  ./build/dataset_comparison [--full] [--threads=N] [--scan-threads=N]
+// Run:  ./build/dataset_comparison [--full] [--threads=N]
 //                                  [--backend=auto|dense|sparse]
 //
 // Each dataset's saturation search runs through the batched parallel sweep
@@ -37,7 +37,6 @@ using namespace natscale;
 int main(int argc, char** argv) {
     bool full = false;
     std::size_t num_threads = 0;
-    std::size_t scan_threads = 1;
     ReachabilityBackend backend = ReachabilityBackend::automatic;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -45,14 +44,11 @@ int main(int argc, char** argv) {
             full = true;
         } else if (arg.rfind("--threads=", 0) == 0) {
             num_threads = examples::parse_count(arg, "--threads=");
-        } else if (arg.rfind("--scan-threads=", 0) == 0) {
-            scan_threads = examples::parse_count(arg, "--scan-threads=");
         } else if (arg.rfind("--backend=", 0) == 0) {
             backend = examples::parse_backend(arg, "--backend=");
         } else {
             std::fprintf(stderr,
                          "usage: dataset_comparison [--full] [--threads=N]\n"
-                         "                          [--scan-threads=N]\n"
                          "                          [--backend=auto|dense|sparse]\n");
             return 2;
         }
@@ -77,7 +73,6 @@ int main(int argc, char** argv) {
         SweepConfig options;
         options.coarse_points = full ? 48 : 32;
         options.num_threads = num_threads;
-        options.scan_threads = scan_threads;
         options.backend = backend;
         const auto result = find_saturation_scale(stream, options);
         rows.push_back({name, stats.events_per_node_per_day, result.gamma});

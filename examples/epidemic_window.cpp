@@ -10,14 +10,13 @@
 // stream's reachability almost exactly; beyond gamma outbreak predictions
 // silently lose a growing share of the true transmission routes.
 //
-// Run:  ./build/epidemic_window [--threads=N] [--scan-threads=N]
-//                               [--backend=auto|dense|sparse]
+// Run:  ./build/epidemic_window [--threads=N] [--backend=auto|dense|sparse]
 //
 // The saturation search runs through the batched parallel sweep engine:
-// --threads fans the Delta grid out, --scan-threads additionally splits the
-// dense scans of narrow refinement grids by column, and --backend forces
-// the reachability storage.  gamma and every number printed are identical
-// for every combination.
+// --threads fans the Delta grid out (splitting the dense scans of a grid
+// narrower than the pool by column), and --backend forces the reachability
+// storage.  gamma and every number printed are identical for every
+// combination.
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -64,13 +63,11 @@ int main(int argc, char** argv) {
         const std::string arg = argv[i];
         if (arg.rfind("--threads=", 0) == 0) {
             options.num_threads = examples::parse_count(arg, "--threads=");
-        } else if (arg.rfind("--scan-threads=", 0) == 0) {
-            options.scan_threads = examples::parse_count(arg, "--scan-threads=");
         } else if (arg.rfind("--backend=", 0) == 0) {
             options.backend = examples::parse_backend(arg, "--backend=");
         } else {
             std::fprintf(stderr,
-                         "usage: epidemic_window [--threads=N] [--scan-threads=N]\n"
+                         "usage: epidemic_window [--threads=N]\n"
                          "                       [--backend=auto|dense|sparse]\n");
             return 2;
         }

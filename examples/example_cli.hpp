@@ -1,7 +1,7 @@
 // Shared command-line parsing for the example programs.
 //
-// Every example that exposes the engine knobs (--threads / --scan-threads /
-// --backend / --metric / numeric options generally) parses them through
+// Every example that exposes the engine knobs (--threads / --backend /
+// --metric / numeric options generally) parses them through
 // these helpers, so the hardened behavior — junk, negatives and trailing
 // garbage exit 2 with a message naming BOTH the offending value and the
 // flag it was passed to — is uniform across find_time_scale,

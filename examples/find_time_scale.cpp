@@ -5,8 +5,7 @@
 // Usage:
 //   find_time_scale <stream-file> [--directed] [--metric=mk|stddev|shannon|cre]
 //                   [--points=N] [--refine-rounds=N]
-//                   [--threads=N] [--scan-threads=N]
-//                   [--backend=auto|dense|sparse]
+//                   [--threads=N] [--backend=auto|dense|sparse]
 //                   [--format=auto|text|natbin]
 //                   [--curve] [--dat=prefix] [--json] [--segments]
 //   find_time_scale convert <input> <output> [--directed]
@@ -43,9 +42,9 @@
 // files.
 //
 // The Delta grid of every search round is swept in parallel by one
-// in-process thread pool (--threads; --scan-threads additionally splits the
-// narrow refinement rounds by column); gamma, the curve and the JSON report
-// are bit-identical for every thread count.
+// in-process thread pool (--threads; a round narrower than the pool is
+// split by destination column instead); gamma, the curve and the JSON
+// report are bit-identical for every thread count.
 //
 // `watch` tails a GROWING natbin file (a writer appending via NatbinWriter,
 // header count still unpatched) through the online incremental engine
@@ -102,8 +101,7 @@ void usage() {
                  "usage: find_time_scale <stream-file> [--directed]\n"
                  "                       [--metric=mk|stddev|shannon|cre]\n"
                  "                       [--points=N] [--refine-rounds=N]\n"
-                 "                       [--threads=N] [--scan-threads=N]\n"
-                 "                       [--backend=auto|dense|sparse]\n"
+                 "                       [--threads=N] [--backend=auto|dense|sparse]\n"
                  "                       [--format=auto|text|natbin] [--curve]\n"
                  "                       [--dat=prefix] [--json] [--segments]\n"
                  "       find_time_scale convert <input> <output> [--directed]\n"
@@ -697,15 +695,10 @@ int main(int argc, char** argv) {
             // online `watch` engine reproduces bit-for-bit.
             options.refine_rounds = parse_count(arg, "--refine-rounds=");
         } else if (arg.rfind("--threads=", 0) == 0) {
-            // The Delta grid is swept in parallel; the result is identical
-            // for every thread count (0 = all hardware threads).
+            // The Delta grid is swept in parallel, a grid narrower than the
+            // pool by column shards; the result is identical for every
+            // thread count (0 = all hardware threads).
             options.num_threads = parse_count(arg, "--threads=");
-        } else if (arg.rfind("--scan-threads=", 0) == 0) {
-            // Intra-scan column parallelism for the narrow refinement grids
-            // (1 = off; any other value enables it, with total concurrency
-            // still capped by --threads); gamma and the curve are identical
-            // for every value.
-            options.scan_threads = parse_count(arg, "--scan-threads=");
         } else if (arg.rfind("--backend=", 0) == 0) {
             // Reachability storage: auto picks dense or sparse per scan from
             // n and event density; the result is identical either way.

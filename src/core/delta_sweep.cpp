@@ -33,9 +33,8 @@ ThreadPool& DeltaSweepEngine::pool() {
     if (pool_ == nullptr) {
         // num_threads is THE concurrency (and therefore memory) cap: one
         // dense engine is cloned per pool worker, so the pool is never
-        // widened beyond it.  scan_threads only changes how the work is
-        // decomposed — the shard tasks of the narrow-grid path share this
-        // same pool.
+        // widened beyond it.  Both the per-period tasks and the shard tasks
+        // of the narrow-grid path run on this one pool.
         pool_ = std::make_unique<ThreadPool>(options_.num_threads);
     }
     return *pool_;
@@ -50,7 +49,7 @@ std::vector<DeltaPoint> DeltaSweepEngine::evaluate(std::span<const Time> grid,
     if (grid.empty()) return points;
 
     ThreadPool& workers = pool();
-    if (options_.scan_threads != 1 && grid.size() < workers.concurrency()) {
+    if (narrower_than_pool(grid.size(), workers)) {
         // Narrow grid: whole-period tasks alone cannot keep the pool busy,
         // so split the dense scans by destination column.  Bit-identical to
         // the outer path (the shard partition is a function of n, partials
@@ -115,7 +114,6 @@ std::vector<DeltaPoint> DeltaSweepEngine::evaluate_sharded(
     std::vector<Histogram01> partials(plan.tasks.size(),
                                       Histogram01(options_.histogram_bins));
     run_sharded_scans(workers, series_ptrs, plan, scan_options,
-                      sharded_scan_workers(options_.scan_threads, grid.size()),
                       [&](std::size_t task, const GraphSeries&) {
                           Histogram01& hist = partials[task];
                           return [&hist](const MinimalTrip& trip) {

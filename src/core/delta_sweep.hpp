@@ -12,13 +12,17 @@
 //   * the independent per-Delta reachability scans fan out over a
 //     util/thread_pool, with one reusable TemporalReachability engine per
 //     worker so the O(n^2) sweep state is allocated once per thread, not
-//     once per period.
+//     once per period;
+//   * a grid narrower than the pool (a late refinement round can hold a
+//     single period) instead runs as (Delta, column shard) tasks
+//     (temporal/sharded_scan), so every thread has a scan to work on.
 //
-// Results are deterministic and thread-count independent: every period is
-// evaluated by exactly one task writing to its own output slot, and the
-// per-period computation is bit-identical to the legacy single-period path
-// (same snapshot edge order, same trip emission order, same floating-point
-// accumulation order).
+// Results are deterministic and thread-count independent: every period (or
+// shard) is evaluated by exactly one task writing to its own output slot,
+// shard partials merge in fixed ascending order into split-invariant
+// accumulators, and the per-period computation is bit-identical to the
+// legacy single-period path (same snapshot edge order, same trip emission
+// order, same floating-point accumulation order).
 #pragma once
 
 #include <cstdint>
@@ -59,28 +63,21 @@ struct DeltaSweepOptions {
     /// Slot count for the Shannon-entropy metric (Section 7 uses 10).
     std::size_t shannon_slots = 10;
 
-    /// Threads for the per-Delta fan-out; 0 = hardware concurrency, 1 =
-    /// fully sequential (no pool threads are spawned).
+    /// Threads for the sweep; 0 = hardware concurrency, 1 = fully
+    /// sequential (no pool threads are spawned).  The one concurrency (and
+    /// engine-memory) cap: a grid at least as wide as the pool runs one
+    /// task per period, a narrower one splits its dense scans into column
+    /// shards (temporal/column_shards) over the same pool.  Results are
+    /// bit-identical for every value: the shard structure depends on n
+    /// alone, partials merge in fixed ascending order, and the histogram
+    /// accumulators are split-invariant.
     std::size_t num_threads = 0;
-
-    /// Intra-scan column parallelism (temporal/column_shards): any value
-    /// other than 1 (the default) lets evaluate() decompose the dense scans
-    /// of a narrow Delta grid — one narrower than the pool, which
-    /// whole-period tasks alone cannot keep busy — into per-column-shard
-    /// tasks, fanned out over at most scan_threads workers (0 = hardware
-    /// concurrency) of the SAME num_threads-wide pool.  num_threads stays
-    /// THE overall concurrency (and engine-memory) cap, so with
-    /// num_threads == 1 this option is inert.  Results are bit-identical
-    /// for every (num_threads, scan_threads) combination: the shard
-    /// structure depends on n alone, partials merge in fixed ascending
-    /// order, and the histogram accumulators are split-invariant.
-    std::size_t scan_threads = 1;
 
     /// Reachability backend of the per-Delta scans.  `automatic` picks dense
     /// or sparse from n and event density (temporal/reachability_backend);
     /// the evaluated points are bit-identical either way, but the sparse
     /// backend bounds per-worker memory by the reachable-pair count instead
-    /// of threads x n^2 x 12 B.
+    /// of threads x n^2 x 8 B.
     ReachabilityBackend backend = ReachabilityBackend::automatic;
 };
 
@@ -96,7 +93,8 @@ public:
     /// uniformity metrics), in grid order.  When `histograms_out` is
     /// non-null it receives the per-period occupancy histograms, aligned
     /// with the returned points.  Periods are independent, so they run in
-    /// parallel; the result is identical for any thread count.
+    /// parallel — split into column shards when the grid is narrower than
+    /// the pool; the result is identical for any thread count.
     /// Preconditions: every delta >= 1.
     std::vector<DeltaPoint> evaluate(std::span<const Time> grid,
                                      std::vector<Histogram01>* histograms_out = nullptr);

@@ -2,8 +2,6 @@
 
 #include "linkstream/aggregation.hpp"
 #include "temporal/reachability_backend.hpp"
-#include "temporal/sharded_scan.hpp"
-#include "util/thread_pool.hpp"
 
 namespace natscale {
 
@@ -18,50 +16,18 @@ ReachabilityOptions options_for(ReachabilityBackend backend) {
 }  // namespace
 
 Histogram01 occupancy_histogram(const GraphSeries& series, std::size_t num_bins,
-                                ReachabilityBackend backend, std::size_t scan_threads) {
-    const ReachabilityOptions scan_options = options_for(backend);
-    const std::vector<const GraphSeries*> series_ptrs = {&series};
-    const ShardedScanPlan plan = plan_sharded_scans(series_ptrs, scan_options);
-    if (scan_threads == 1 || plan.tasks.size() <= 1) {
-        Histogram01 hist(num_bins);
-        ReachabilityEngine engine;
-        engine.scan_series(series, [&](const MinimalTrip& trip) {
-            hist.add(series_occupancy(trip));
-        }, scan_options);
-        return hist;
-    }
-
-    // Column-parallel dense scan through the shared sharded-scan driver:
-    // one full backward sweep per shard, each into its own partial, merged
-    // in ascending shard order.  Bit-identical to the sequential scan above
-    // for every thread count (split-invariant accumulators + fixed shard
-    // structure).  The pool is per call; its spawn/join cost is microseconds
-    // against the multi-ms scans where sharding pays — loops over many
-    // periods should use DeltaSweepEngine, which keeps one pool alive.
-    ThreadPool pool(std::min<std::size_t>(ThreadPool::resolve_concurrency(scan_threads),
-                                          plan.tasks.size()));
-    std::vector<Histogram01> partials(plan.tasks.size(), Histogram01(num_bins));
-    run_sharded_scans(pool, series_ptrs, plan, scan_options, pool.concurrency(),
-                      [&](std::size_t task, const GraphSeries&) {
-                          Histogram01& hist = partials[task];
-                          return [&hist](const MinimalTrip& trip) {
-                              hist.add(series_occupancy(trip));
-                          };
-                      });
-    Histogram01 hist = std::move(partials.front());
-    for (std::size_t s = 1; s < partials.size(); ++s) hist.merge(partials[s]);
+                                ReachabilityBackend backend) {
+    Histogram01 hist(num_bins);
+    ReachabilityEngine engine;
+    engine.scan_series(series, [&](const MinimalTrip& trip) {
+        hist.add(series_occupancy(trip));
+    }, options_for(backend));
     return hist;
 }
 
 Histogram01 occupancy_histogram(const LinkStream& stream, Time delta, std::size_t num_bins,
-                                ReachabilityBackend backend, std::size_t scan_threads) {
-    return occupancy_histogram(aggregate(stream, delta), num_bins, backend, scan_threads);
-}
-
-Histogram01 occupancy_histogram(const LinkStream& stream, Time delta,
-                                const SweepConfig& config) {
-    return occupancy_histogram(stream, delta, config.histogram_bins, config.backend,
-                               config.scan_threads);
+                                ReachabilityBackend backend) {
+    return occupancy_histogram(aggregate(stream, delta), num_bins, backend);
 }
 
 EmpiricalDistribution occupancy_distribution(const GraphSeries& series,

@@ -12,7 +12,6 @@
 
 #include "linkstream/graph_series.hpp"
 #include "linkstream/link_stream.hpp"
-#include "natscale/sweep_config.hpp"
 #include "stats/empirical_distribution.hpp"
 #include "stats/histogram01.hpp"
 #include "temporal/reachability.hpp"
@@ -21,21 +20,15 @@
 namespace natscale {
 
 /// Streaming histogram of the occupancy rates of all minimal trips of the
-/// series (histogram error O(1/num_bins); see Histogram01).  The scan
-/// backend is selected automatically from n and event density unless forced
-/// (see temporal/reachability_backend.hpp); the histogram is bit-identical
-/// either way.
-///
-/// `scan_threads` enables intra-scan column parallelism for dense scans
-/// (temporal/column_shards): 1 (default) scans sequentially, 0 uses the
-/// hardware concurrency, N fans the fixed column shards out over up to N
-/// threads.  The histogram — bins and moments — is bit-identical for every
-/// value (the shard partition depends on n alone and the accumulators are
-/// split-invariant); sparse scans ignore the setting.
+/// series (histogram error O(1/num_bins); see Histogram01), from one
+/// sequential scan.  The scan backend is selected automatically from n and
+/// event density unless forced (see temporal/reachability_backend.hpp); the
+/// histogram is bit-identical either way.  To scan one period on several
+/// threads, evaluate a one-point grid with DeltaSweepEngine, which splits a
+/// grid narrower than its pool into column shards.
 Histogram01 occupancy_histogram(const GraphSeries& series,
                                 std::size_t num_bins = Histogram01::kDefaultBins,
-                                ReachabilityBackend backend = ReachabilityBackend::automatic,
-                                std::size_t scan_threads = 1);
+                                ReachabilityBackend backend = ReachabilityBackend::automatic);
 
 /// Aggregates the stream at `delta` and computes the occupancy histogram.
 /// Aggregation is window-sequential (linkstream/aggregation), so an
@@ -44,15 +37,7 @@ Histogram01 occupancy_histogram(const GraphSeries& series,
 /// in-memory path.
 Histogram01 occupancy_histogram(const LinkStream& stream, Time delta,
                                 std::size_t num_bins = Histogram01::kDefaultBins,
-                                ReachabilityBackend backend = ReachabilityBackend::automatic,
-                                std::size_t scan_threads = 1);
-
-/// SweepConfig-driven variant of the single-period histogram: reads the
-/// histogram_bins / backend / scan_threads knobs of the unified config
-/// (natscale/sweep_config.hpp) and ignores the rest.  Identical output to
-/// the explicit-knob overload above.
-Histogram01 occupancy_histogram(const LinkStream& stream, Time delta,
-                                const SweepConfig& config);
+                                ReachabilityBackend backend = ReachabilityBackend::automatic);
 
 /// Exact sample-storing variant for small series and for the tests.
 EmpiricalDistribution occupancy_distribution(

@@ -2,7 +2,6 @@
 
 #include <optional>
 
-#include "core/delta_sweep.hpp"
 #include "linkstream/aggregation.hpp"
 #include "stats/exact_sum.hpp"
 #include "temporal/reachability_backend.hpp"
@@ -121,24 +120,18 @@ std::vector<ElongationPoint> elongation_curve(const LinkStream& stream,
     store_options.pair_sample_divisor = divisor;
     const StreamTripStore store(stream, store_options);
 
-    // The periods are independent: share the aggregation index and fan the
-    // scans out, one result slot and one reachability engine per worker.
-    DeltaSweepOptions sweep_options;
-    sweep_options.num_threads = options.num_threads;
-    const DeltaSweepEngine shared(stream, sweep_options);
-
-    // num_threads is THE concurrency (and memory) cap — scan_threads only
-    // changes the decomposition and caps its shard-task fan-out, which
-    // shares this pool.
+    // The periods are independent: fan the scans out, one result slot and
+    // one reachability engine per worker.  num_threads is THE concurrency
+    // (and memory) cap; the shard tasks of a narrow period list share this
+    // pool.
     ThreadPool pool(options.num_threads);
 
-    if (options.scan_threads == 1 || deltas.size() >= pool.concurrency()) {
-        // Wide period list (or intra-scan parallelism disabled): one
-        // whole-period task per entry.
+    if (!narrower_than_pool(deltas.size(), pool)) {
+        // Wide period list: one whole-period task per entry.
         std::vector<ReachabilityEngine> engines(pool.concurrency());
         std::vector<ElongationPoint> curve(deltas.size());
         pool.parallel_for(deltas.size(), [&](std::size_t worker, std::size_t index) {
-            curve[index] = elongation_of_series(shared.aggregate(deltas[index]), store,
+            curve[index] = elongation_of_series(aggregate(stream, deltas[index]), store,
                                                 engines[worker], options.backend);
         });
         return curve;
@@ -148,8 +141,9 @@ std::vector<ElongationPoint> elongation_curve(const LinkStream& stream,
     // elongation partial per (period, shard) task, merged in ascending shard
     // order.  Bit-identical to the whole-period path (exact sums).
     std::vector<std::optional<GraphSeries>> series(deltas.size());
-    pool.parallel_for(deltas.size(),
-                      [&](std::size_t index) { series[index].emplace(shared.aggregate(deltas[index])); });
+    pool.parallel_for(deltas.size(), [&](std::size_t index) {
+        series[index].emplace(aggregate(stream, deltas[index]));
+    });
     std::vector<const GraphSeries*> series_ptrs(deltas.size());
     for (std::size_t d = 0; d < deltas.size(); ++d) series_ptrs[d] = &*series[d];
 
@@ -159,7 +153,6 @@ std::vector<ElongationPoint> elongation_curve(const LinkStream& stream,
     const ShardedScanPlan plan = plan_sharded_scans(series_ptrs, scan_options);
     std::vector<ElongationPartial> partials(plan.tasks.size());
     run_sharded_scans(pool, series_ptrs, plan, scan_options,
-                      sharded_scan_workers(options.scan_threads, deltas.size()),
                       [&](std::size_t task, const GraphSeries& s) {
                           ElongationPartial& partial = partials[task];
                           const Time delta = s.delta();

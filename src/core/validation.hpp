@@ -46,9 +46,9 @@ struct ElongationPoint {
 /// time_L(P) (Definition 8) of the minimal trips of G_Delta, per period.
 /// Trips with t_u == t_v are skipped, as in the paper (their elongation is
 /// undefined).  Deterministic pair sampling keeps memory bounded on large
-/// streams while leaving the mean unbiased.  Aggregation is shared across
-/// the periods (one DeltaSweepEngine) and the per-period scans run on a
-/// util/thread_pool.
+/// streams while leaving the mean unbiased.  The per-period scans run on a
+/// util/thread_pool, split into column shards when the period list is
+/// narrower than the pool.
 std::vector<ElongationPoint> elongation_curve(const LinkStream& stream,
                                               const std::vector<Time>& deltas,
                                               const SweepConfig& options = {});

@@ -1,7 +1,7 @@
 // SweepConfig: the one configuration surface of the public API.
 //
 // One struct carries the full knob set of the scale search, the validation
-// curves and the execution layer (threads, scan threads, backend); the
+// curves and the execution layer (threads, backend); the
 // facade (natscale/api.hpp), the CLI tools, `watch` mode and the natscaled
 // daemon all share it.  The batched grid engine's DeltaSweepOptions is the
 // execution subset (sweep_options_of).
@@ -52,15 +52,11 @@ struct SweepConfig {
 
     // --- execution (every entry point) -------------------------------------
 
-    /// Threads for the per-Delta fan-out; 0 = hardware concurrency, 1 =
-    /// fully sequential.  Results are bit-identical for every value.
+    /// Threads for the sweep; 0 = hardware concurrency, 1 = fully
+    /// sequential.  Grids narrower than the pool split their dense scans
+    /// by destination column (temporal/column_shards), so every thread has
+    /// work.  Results are bit-identical for every value.
     std::size_t num_threads = 0;
-
-    /// Intra-scan column parallelism (temporal/column_shards) for grids too
-    /// narrow to saturate the pool with whole-period tasks.  1 = disabled
-    /// (default); tasks share the num_threads-wide pool (num_threads stays
-    /// the concurrency cap).  Results are bit-identical for every value.
-    std::size_t scan_threads = 1;
 
     /// Reachability backend of the per-period scans; `automatic` picks dense
     /// or sparse from n and event density.  Results are bit-identical for

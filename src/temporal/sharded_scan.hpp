@@ -3,12 +3,12 @@
 // aggregated series into (item, column shard) tasks — dense-resolved scans
 // split per shard (temporal/column_shards), sparse ones stay whole — and fan
 // the tasks out over one thread pool with per-worker engines.  Keeping the
-// plan building and the dispatch here means the two "bit-identical" callers
-// cannot drift apart; they differ only in their per-task partial type and
-// merge/scoring step, which stay at the call sites.
+// switch, the plan building and the dispatch here means the two
+// "bit-identical" callers cannot drift apart; they differ only in their
+// per-task partial type and merge/scoring step, which stay at the call
+// sites.
 #pragma once
 
-#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -38,12 +38,11 @@ struct ShardedScanPlan {
     std::vector<std::size_t> first_task;
 };
 
-/// The scan_threads cap actually applied to a sharded fan-out over
-/// `items` series: never fewer workers than the per-period path would use
-/// (one per item), so enabling the decomposition can only add concurrency;
-/// the pool's own width (num_threads) still bounds the result.
-inline std::size_t sharded_scan_workers(std::size_t scan_threads, std::size_t items) {
-    return std::max(ThreadPool::resolve_concurrency(scan_threads), items);
+/// True when `items` whole-series tasks cannot keep every thread of `pool`
+/// busy — the case the (item, column shard) decomposition exists for.  A
+/// one-thread pool is never narrow, so sequential runs never shard.
+inline bool narrower_than_pool(std::size_t items, const ThreadPool& pool) {
+    return items < pool.concurrency();
 }
 
 /// Resolves each series' backend exactly as ReachabilityEngine would (same
@@ -72,42 +71,38 @@ inline ShardedScanPlan plan_sharded_scans(std::span<const GraphSeries* const> se
     return plan;
 }
 
-/// Fans every task of `plan` out over `pool`, one reusable engine pair per
-/// worker, with at most `max_workers` threads participating (the
-/// scan_threads cap; the pool's own width — num_threads — bounds it too).
+/// Fans every task of `plan` out over the whole of `pool`, one reusable
+/// engine pair per worker.
 /// `sink_of(task_index, series)` returns the per-trip sink for that task —
 /// typically a lambda binding the task's own partial slot, which is what
 /// keeps the fan-out deterministic at every thread count.
 template <typename SinkFactory>
 void run_sharded_scans(ThreadPool& pool, std::span<const GraphSeries* const> series,
                        const ShardedScanPlan& plan, const ReachabilityOptions& options,
-                       std::size_t max_workers, SinkFactory&& sink_of) {
+                       SinkFactory&& sink_of) {
     std::vector<TemporalReachability> dense_engines(pool.concurrency());
     std::vector<SparseTemporalReachability> sparse_engines(pool.concurrency());
     static obs::Counter& shards_scanned = obs::counter("sweep.shards_scanned");
-    pool.parallel_for(
-        plan.tasks.size(),
-        [&](std::size_t worker, std::size_t index) {
-            const ShardedScanTask& task = plan.tasks[index];
-            const GraphSeries& s = *series[task.item];
-            obs::Span span("sweep.shard");
-            if (span.active()) {
-                span.attr("item", static_cast<std::uint64_t>(task.item));
-                span.attr("col_begin", static_cast<std::uint64_t>(task.col_begin));
-                span.attr("col_end", static_cast<std::uint64_t>(task.col_end));
-                span.attr("backend", task.dense ? "dense" : "sparse");
-                span.attr("simd", to_string(active_simd_isa()));
-            }
-            shards_scanned.add();
-            const auto sink = sink_of(index, s);
-            if (task.dense) {
-                dense_engines[worker].scan_series_columns(s, task.col_begin, task.col_end,
-                                                          sink, options);
-            } else {
-                sparse_engines[worker].scan_series(s, sink, options);
-            }
-        },
-        max_workers);
+    pool.parallel_for(plan.tasks.size(), [&](std::size_t worker, std::size_t index) {
+        const ShardedScanTask& task = plan.tasks[index];
+        const GraphSeries& s = *series[task.item];
+        obs::Span span("sweep.shard");
+        if (span.active()) {
+            span.attr("item", static_cast<std::uint64_t>(task.item));
+            span.attr("col_begin", static_cast<std::uint64_t>(task.col_begin));
+            span.attr("col_end", static_cast<std::uint64_t>(task.col_end));
+            span.attr("backend", task.dense ? "dense" : "sparse");
+            span.attr("simd", to_string(active_simd_isa()));
+        }
+        shards_scanned.add();
+        const auto sink = sink_of(index, s);
+        if (task.dense) {
+            dense_engines[worker].scan_series_columns(s, task.col_begin, task.col_end, sink,
+                                                      options);
+        } else {
+            sparse_engines[worker].scan_series(s, sink, options);
+        }
+    });
 }
 
 }  // namespace natscale

@@ -29,19 +29,16 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::parallel_for(
-    std::size_t count, const std::function<void(std::size_t, std::size_t)>& body,
-    std::size_t max_workers) {
+    std::size_t count, const std::function<void(std::size_t, std::size_t)>& body) {
     if (count == 0) return;
-    if (workers_.empty() || count == 1 || max_workers <= 1) {
-        // No pool threads (concurrency 1), nothing to share, or capped to
-        // the calling thread: plain loop.
+    if (workers_.empty() || count == 1) {
+        // No pool threads (concurrency 1) or nothing to share: plain loop.
         for (std::size_t index = 0; index < count; ++index) body(0, index);
         return;
     }
 
     Job job;
     job.count = count;
-    job.worker_limit = max_workers;
     job.parent_span = obs::current_span_id();
     job.body = &body;
 
@@ -71,7 +68,6 @@ void ThreadPool::worker_loop(std::size_t worker) {
         if (stop_) return;
         seen = generation_;
         Job& job = *job_;
-        if (worker >= job.worker_limit) continue;  // capped out of this call
         ++active_workers_;
         {
             // Spans the bodies open on this thread nest under the caller's.

@@ -37,7 +37,7 @@ public:
 
     /// The "0 = hardware concurrency (at least 1)" resolution rule the
     /// constructor applies, exposed so callers sizing related structures
-    /// (or capping parallel_for) share the single definition.
+    /// share the single definition.
     static std::size_t resolve_concurrency(std::size_t num_threads);
 
     /// Total number of threads that execute bodies, calling thread included.
@@ -49,14 +49,8 @@ public:
     /// not call parallel_for on the same pool.  Trace spans opened by a
     /// body nest under the span open on the calling thread, whichever
     /// thread runs the body.
-    ///
-    /// `max_workers` caps how many threads participate in THIS call (the
-    /// calling thread always does; pool workers with id >= max_workers sit
-    /// it out).  Lets one pool serve fan-outs with different concurrency
-    /// budgets without re-spawning threads.
     void parallel_for(std::size_t count,
-                      const std::function<void(std::size_t worker, std::size_t index)>& body,
-                      std::size_t max_workers = ~std::size_t{0});
+                      const std::function<void(std::size_t worker, std::size_t index)>& body);
 
     /// Convenience overload for bodies that need no per-worker scratch.
     void parallel_for(std::size_t count, const std::function<void(std::size_t index)>& body);
@@ -66,7 +60,6 @@ private:
         std::size_t count = 0;
         std::size_t next = 0;       // next unclaimed index (guarded by mutex_)
         std::size_t finished = 0;   // bodies completed (guarded by mutex_)
-        std::size_t worker_limit = 0;  // workers with id >= limit skip the job
         std::uint64_t parent_span = 0;  // the caller's open trace span
         const std::function<void(std::size_t, std::size_t)>* body = nullptr;
         std::exception_ptr error;   // first failure (guarded by mutex_)

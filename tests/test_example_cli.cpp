@@ -46,8 +46,8 @@ TEST(ExampleCliDeath, TrailingGarbageNamesTheFlag) {
 }
 
 TEST(ExampleCliDeath, EmptyValueNamesTheFlag) {
-    EXPECT_EXIT(parse_count("--scan-threads=", "--scan-threads="),
-                ::testing::ExitedWithCode(2), "for option '--scan-threads'");
+    EXPECT_EXIT(parse_count("--threads=", "--threads="),
+                ::testing::ExitedWithCode(2), "for option '--threads'");
 }
 
 TEST(ExampleCliDeath, BadBackendNamesTheFlagAndChoices) {

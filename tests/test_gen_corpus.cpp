@@ -5,7 +5,7 @@
 //   * the GroundTruth report verifies against the generated stream,
 //   * DeltaSweepEngine results are bitwise identical across the
 //     {dense, sparse, automatic} reachability backends and across
-//     {1, 4} intra-scan threads,
+//     {1, 4} threads,
 //   * a StreamSession fed the same events reports bitwise identically to
 //     the cold batch sweep (batch-vs-online parity),
 //   * the stream round-trips bitwise through the .natbin format.
@@ -66,7 +66,7 @@ TEST(GenCorpus, GroundTruthHoldsForEverySpec) {
     }
 }
 
-TEST(GenCorpus, SweepParityAcrossBackendsAndScanThreads) {
+TEST(GenCorpus, SweepParityAcrossBackendsAndThreads) {
     for (const auto& spec : gen::default_corpus()) {
         if (spec.model == "empty") continue;  // sweeps reject empty streams
         const std::string context = gen::to_string(spec);
@@ -75,7 +75,6 @@ TEST(GenCorpus, SweepParityAcrossBackendsAndScanThreads) {
 
         DeltaSweepOptions baseline_options;
         baseline_options.num_threads = 1;
-        baseline_options.scan_threads = 1;
         baseline_options.backend = ReachabilityBackend::automatic;
         DeltaSweepEngine baseline(stream, baseline_options);
         const auto reference = baseline.evaluate(grid);
@@ -83,15 +82,15 @@ TEST(GenCorpus, SweepParityAcrossBackendsAndScanThreads) {
         for (const ReachabilityBackend backend :
              {ReachabilityBackend::dense, ReachabilityBackend::sparse,
               ReachabilityBackend::automatic}) {
-            for (const std::size_t scan_threads : {std::size_t{1}, std::size_t{4}}) {
+            for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
                 DeltaSweepOptions options;
                 options.backend = backend;
-                options.scan_threads = scan_threads;
+                options.num_threads = threads;
                 DeltaSweepEngine engine(stream, options);
                 const auto points = engine.evaluate(grid);
                 ASSERT_EQ(points.size(), reference.size()) << context;
                 for (std::size_t i = 0; i < points.size(); ++i) {
-                    expect_identical_point(context + " backend/scan_threads variant",
+                    expect_identical_point(context + " backend/threads variant",
                                            points[i], reference[i]);
                 }
             }

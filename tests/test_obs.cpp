@@ -354,55 +354,53 @@ TEST(ObsParity, SweepIsBitIdenticalWithTracingOn) {
 TEST(ObsTrace, SweepSpansNestUnderTheirSearchRound) {
     // Every per-period and per-shard span of a multi-threaded search hangs
     // under the coarse-grid or refinement-round span that dispatched it.
-    // Three-point refinement grids are narrower than the 4-thread pool, so
-    // with scan_threads > 1 the rounds run as column-shard tasks (n = 200
-    // spans several shards).
+    // With nothing but num_threads set, the engine picks the decomposition
+    // itself: the 8-point coarse grid is wider than the 4-thread pool, so
+    // it runs one sweep.delta task per period; the three-point refinement
+    // grids are narrower, so they run as column-shard tasks (n = 200 spans
+    // several shards).
     const LinkStream stream = corpus_stream(5, 200, 3'000, 2'000);
     constexpr std::size_t kRing = std::size_t{1} << 14;
-    for (const std::size_t scan_threads : {std::size_t{1}, std::size_t{4}}) {
-        SweepConfig options;
-        options.coarse_points = 8;
-        options.refine_rounds = 2;
-        options.refine_points = 3;
-        options.num_threads = 4;
-        options.scan_threads = scan_threads;
-        const std::string path = testing::temp_path("obs_sweep_tree.trace.json");
-        testing::TempFileGuard guard(path);
-        obs::TraceSink sink(path, kRing);
-        obs::install_trace_sink(&sink);
-        find_saturation_scale(stream, options);
-        obs::install_trace_sink(nullptr);
-        sink.close();
+    SweepConfig options;
+    options.coarse_points = 8;
+    options.refine_rounds = 2;
+    options.refine_points = 3;
+    options.num_threads = 4;
+    const std::string path = testing::temp_path("obs_sweep_tree.trace.json");
+    testing::TempFileGuard guard(path);
+    obs::TraceSink sink(path, kRing);
+    obs::install_trace_sink(&sink);
+    find_saturation_scale(stream, options);
+    obs::install_trace_sink(nullptr);
+    sink.close();
 
-        const std::vector<obs::SpanRecord> records = sink.recent();
-        ASSERT_LT(records.size(), kRing);  // nothing evicted
-        std::vector<std::uint64_t> rounds;
-        for (const obs::SpanRecord& record : records) {
-            const std::string name = record.name;
-            if (name == "saturation.coarse_grid" || name == "saturation.round") {
-                rounds.push_back(record.id);
-            }
-        }
-        std::size_t deltas = 0;
-        std::size_t shards = 0;
-        for (const obs::SpanRecord& record : records) {
-            const std::string name = record.name;
-            if (name == "sweep.delta") {
-                ++deltas;
-            } else if (name == "sweep.shard") {
-                ++shards;
-            } else {
-                continue;
-            }
+    const std::vector<obs::SpanRecord> records = sink.recent();
+    ASSERT_LT(records.size(), kRing);  // nothing evicted
+    std::vector<std::uint64_t> coarse;
+    std::vector<std::uint64_t> rounds;
+    for (const obs::SpanRecord& record : records) {
+        const std::string name = record.name;
+        if (name == "saturation.coarse_grid") coarse.push_back(record.id);
+        if (name == "saturation.round") rounds.push_back(record.id);
+    }
+    ASSERT_EQ(coarse.size(), 1u);
+    ASSERT_FALSE(rounds.empty());
+    std::size_t deltas = 0;
+    std::size_t shards = 0;
+    for (const obs::SpanRecord& record : records) {
+        const std::string name = record.name;
+        if (name == "sweep.delta") {
+            ++deltas;
+            EXPECT_EQ(record.parent, coarse.front())
+                << "sweep.delta span " << record.id << " has parent " << record.parent;
+        } else if (name == "sweep.shard") {
+            ++shards;
             EXPECT_NE(std::find(rounds.begin(), rounds.end(), record.parent), rounds.end())
-                << name << " span " << record.id << " has parent " << record.parent
-                << " (scan_threads " << scan_threads << ")";
-        }
-        EXPECT_GT(deltas, 0u);
-        if (scan_threads > 1) {
-            EXPECT_GT(shards, 1u);
+                << "sweep.shard span " << record.id << " has parent " << record.parent;
         }
     }
+    EXPECT_EQ(deltas, options.coarse_points);
+    EXPECT_GT(shards, 1u);
 }
 
 // --- stats protocol message -------------------------------------------------

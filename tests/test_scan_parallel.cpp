@@ -2,22 +2,27 @@
 // histograms, batched Delta sweeps, the full saturation search, and the
 // elongation validation must be bit-identical — trips counted, gamma, every
 // curve score, histogram bins AND moments — to the sequential pre-packed
-// reference across {dense, sparse, automatic} backends x {1, N} scan threads
-// x series/stream modes.  N defaults to 4 and is overridable through the
-// NATSCALE_TEST_SCAN_THREADS environment variable so CI can force
-// oversubscription (scan_threads > cores) and shake out scheduling-order
+// reference across {dense, sparse, automatic} backends x {1, N} threads x
+// series/stream modes.  Grids narrower than an N-thread pool run as
+// (period, column shard) tasks, so the N-thread legs exercise the sharded
+// path.  N defaults to 4 and is overridable through the
+// NATSCALE_TEST_THREADS environment variable so CI can force
+// oversubscription (threads > cores) and shake out scheduling-order
 // dependence a wide machine would never hit.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/delta_sweep.hpp"
 #include "core/occupancy.hpp"
 #include "core/saturation.hpp"
 #include "core/validation.hpp"
 #include "linkstream/aggregation.hpp"
+#include "obs/metrics.hpp"
 #include "temporal/column_shards.hpp"
 #include "temporal/legacy_reachability.hpp"
 #include "temporal/minimal_trip.hpp"
@@ -27,10 +32,10 @@
 namespace natscale {
 namespace {
 
-/// Scan-thread count under test: 4 unless the environment overrides it (the
-/// CI oversubscription job sets it above the runner's core count).
-std::size_t test_scan_threads() {
-    if (const char* env = std::getenv("NATSCALE_TEST_SCAN_THREADS")) {
+/// Thread count under test: 4 unless the environment overrides it (the CI
+/// oversubscription job sets it above the runner's core count).
+std::size_t test_threads() {
+    if (const char* env = std::getenv("NATSCALE_TEST_THREADS")) {
         const int parsed = std::atoi(env);
         if (parsed > 1) return static_cast<std::size_t>(parsed);
     }
@@ -94,13 +99,23 @@ TEST(ScanParallel, OccupancyHistogramBitIdenticalToPrePackedSequentialScan) {
             reference.add(series_occupancy(trip));
         });
         for (const ReachabilityBackend backend : kBackends) {
-            for (const std::size_t threads : {std::size_t{1}, test_scan_threads()}) {
-                const Histogram01 hist = occupancy_histogram(series, 720, backend, threads);
-                SCOPED_TRACE("delta=" + std::to_string(delta) +
-                             " backend=" + std::to_string(static_cast<int>(backend)) +
-                             " scan_threads=" + std::to_string(threads));
-                expect_same_histogram(hist, reference);
-            }
+            SCOPED_TRACE("delta=" + std::to_string(delta) +
+                         " backend=" + std::to_string(static_cast<int>(backend)));
+            // The sequential scan ...
+            expect_same_histogram(occupancy_histogram(series, 720, backend), reference);
+
+            // ... and the same period as a one-point grid on an N-thread
+            // pool, which splits its dense scan into column shards.
+            DeltaSweepOptions options;
+            options.histogram_bins = 720;
+            options.backend = backend;
+            options.num_threads = test_threads();
+            DeltaSweepEngine engine(stream, options);
+            std::vector<Histogram01> hists;
+            const std::vector<Time> grid = {delta};
+            engine.evaluate(grid, &hists);
+            ASSERT_EQ(hists.size(), 1u);
+            expect_same_histogram(hists.front(), reference);
         }
     }
 }
@@ -142,23 +157,25 @@ TEST(ScanParallel, DeltaSweepNarrowGridShardedPathBitIdenticalToOuterPath) {
     std::vector<Histogram01> reference_hists;
     const auto reference = reference_engine.evaluate(narrow_grid, &reference_hists);
 
+    const obs::Counter& shards_scanned = obs::counter("sweep.shards_scanned");
     for (const ReachabilityBackend backend : kBackends) {
-        for (const std::size_t threads : {std::size_t{1}, test_scan_threads()}) {
+        for (const std::size_t threads : {std::size_t{1}, test_threads()}) {
             DeltaSweepOptions options;
             options.histogram_bins = 360;
             options.backend = backend;
-            // Pool wider than the grid, so scan_threads != 1 engages the
-            // (period, shard) decomposition.
-            options.num_threads = test_scan_threads();
-            options.scan_threads = threads;
+            // A pool wider than the grid engages the (period, shard)
+            // decomposition; a one-thread pool never does.
+            options.num_threads = threads;
             DeltaSweepEngine engine(stream, options);
             std::vector<Histogram01> hists;
+            const std::uint64_t shards_before = shards_scanned.read();
             const auto points = engine.evaluate(narrow_grid, &hists);
+            EXPECT_EQ(shards_scanned.read() > shards_before, narrow_grid.size() < threads);
             ASSERT_EQ(points.size(), reference.size());
             for (std::size_t i = 0; i < points.size(); ++i) {
                 SCOPED_TRACE("i=" + std::to_string(i) +
                              " backend=" + std::to_string(static_cast<int>(backend)) +
-                             " scan_threads=" + std::to_string(threads));
+                             " threads=" + std::to_string(threads));
                 expect_same_point(points[i], reference[i]);
                 expect_same_histogram(hists[i], reference_hists[i]);
             }
@@ -166,7 +183,7 @@ TEST(ScanParallel, DeltaSweepNarrowGridShardedPathBitIdenticalToOuterPath) {
     }
 }
 
-TEST(ScanParallel, SaturationSearchBitIdenticalAcrossScanThreadsAndBackends) {
+TEST(ScanParallel, SaturationSearchBitIdenticalAcrossThreadsAndBackends) {
     const auto stream = random_stream(61, 80, 900, 25'000);
 
     SweepConfig base;
@@ -177,34 +194,29 @@ TEST(ScanParallel, SaturationSearchBitIdenticalAcrossScanThreadsAndBackends) {
 
     SweepConfig reference_options = base;
     reference_options.num_threads = 1;
-    reference_options.scan_threads = 1;
     reference_options.backend = ReachabilityBackend::dense;
     const auto reference = find_saturation_scale(stream, reference_options);
 
     for (const ReachabilityBackend backend : kBackends) {
-        for (const std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
-            for (const std::size_t scan_threads : {std::size_t{1}, test_scan_threads()}) {
-                SweepConfig options = base;
-                options.backend = backend;
-                options.num_threads = num_threads;
-                options.scan_threads = scan_threads;
-                const auto result = find_saturation_scale(stream, options);
-                SCOPED_TRACE("backend=" + std::to_string(static_cast<int>(backend)) +
-                             " threads=" + std::to_string(num_threads) +
-                             " scan_threads=" + std::to_string(scan_threads));
-                EXPECT_EQ(result.gamma, reference.gamma);
-                ASSERT_EQ(result.curve.size(), reference.curve.size());
-                for (std::size_t i = 0; i < result.curve.size(); ++i) {
-                    expect_same_point(result.curve[i], reference.curve[i]);
-                }
-                expect_same_point(result.at_gamma, reference.at_gamma);
-                expect_same_histogram(result.gamma_histogram, reference.gamma_histogram);
+        for (const std::size_t num_threads : {std::size_t{1}, test_threads()}) {
+            SweepConfig options = base;
+            options.backend = backend;
+            options.num_threads = num_threads;
+            const auto result = find_saturation_scale(stream, options);
+            SCOPED_TRACE("backend=" + std::to_string(static_cast<int>(backend)) +
+                         " threads=" + std::to_string(num_threads));
+            EXPECT_EQ(result.gamma, reference.gamma);
+            ASSERT_EQ(result.curve.size(), reference.curve.size());
+            for (std::size_t i = 0; i < result.curve.size(); ++i) {
+                expect_same_point(result.curve[i], reference.curve[i]);
             }
+            expect_same_point(result.at_gamma, reference.at_gamma);
+            expect_same_histogram(result.gamma_histogram, reference.gamma_histogram);
         }
     }
 }
 
-TEST(ScanParallel, ElongationCurveBitIdenticalAcrossScanThreads) {
+TEST(ScanParallel, ElongationCurveBitIdenticalAcrossThreads) {
     const auto stream = random_stream(67, 60, 700, 8'000);
     const std::vector<Time> deltas = {50, 400, 2'000};
 
@@ -213,17 +225,16 @@ TEST(ScanParallel, ElongationCurveBitIdenticalAcrossScanThreads) {
     const auto reference = elongation_curve(stream, deltas, reference_options);
 
     for (const ReachabilityBackend backend : kBackends) {
-        for (const std::size_t threads : {std::size_t{1}, test_scan_threads()}) {
+        for (const std::size_t threads : {std::size_t{1}, test_threads()}) {
             SweepConfig options;
             options.backend = backend;
-            options.num_threads = test_scan_threads();
-            options.scan_threads = threads;
+            options.num_threads = threads;
             const auto curve = elongation_curve(stream, deltas, options);
             ASSERT_EQ(curve.size(), reference.size());
             for (std::size_t i = 0; i < curve.size(); ++i) {
                 SCOPED_TRACE("i=" + std::to_string(i) +
                              " backend=" + std::to_string(static_cast<int>(backend)) +
-                             " scan_threads=" + std::to_string(threads));
+                             " threads=" + std::to_string(threads));
                 EXPECT_EQ(curve[i].delta, reference[i].delta);
                 EXPECT_EQ(curve[i].measured_trips, reference[i].measured_trips);
                 EXPECT_TRUE(same_bits(curve[i].mean_elongation,
@@ -233,16 +244,27 @@ TEST(ScanParallel, ElongationCurveBitIdenticalAcrossScanThreads) {
     }
 }
 
-TEST(ScanParallel, OversubscribedScanThreadsStayDeterministic) {
-    // scan_threads far beyond any core count the CI runners have: the
-    // scheduler interleaves shard tasks arbitrarily, results must not move.
+TEST(ScanParallel, OversubscribedThreadsStayDeterministic) {
+    // Pools far wider than any core count the CI runners have: the scheduler
+    // interleaves the one-period grid's shard tasks arbitrarily, results
+    // must not move.
     const auto stream = random_stream(71, 120, 1'000, 12'000);
-    const auto series = aggregate(stream, 150);
-    const Histogram01 reference = occupancy_histogram(series, 360);
+    const std::vector<Time> grid = {150};
+    const auto evaluate = [&](std::size_t threads) {
+        DeltaSweepOptions options;
+        options.histogram_bins = 360;
+        options.num_threads = threads;
+        DeltaSweepEngine engine(stream, options);
+        std::vector<Histogram01> hists;
+        const auto points = engine.evaluate(grid, &hists);
+        return std::pair{points.front(), hists.front()};
+    };
+    const auto [reference_point, reference_hist] = evaluate(1);
     for (const std::size_t threads : {std::size_t{3}, std::size_t{16}, std::size_t{61}}) {
-        expect_same_histogram(
-            occupancy_histogram(series, 360, ReachabilityBackend::automatic, threads),
-            reference);
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        const auto [point, hist] = evaluate(threads);
+        expect_same_point(point, reference_point);
+        expect_same_histogram(hist, reference_hist);
     }
 }
 

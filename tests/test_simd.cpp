@@ -4,8 +4,10 @@
 // around the 4-lane (AVX2) and 8-lane (AVX-512) boundaries — and the full
 // pipeline (sweep points, saturation gamma, histogram moments) must be
 // bitwise identical between scalar and vector dispatch over the whole
-// generator corpus.  The width-0 / width-1 column-shard scans pin the
-// masked-tail paths through the public scan API on every ISA.
+// generator corpus, at 1 and 4 threads.  The saturation search's one-period
+// refinement round runs column-sharded on every ISA, and the width-0 /
+// width-1 column-shard scans pin the masked-tail paths through the public
+// scan API on every ISA.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -20,6 +22,7 @@
 #include "core/saturation.hpp"
 #include "gen/registry.hpp"
 #include "linkstream/aggregation.hpp"
+#include "obs/metrics.hpp"
 #include "temporal/reachability.hpp"
 #include "temporal/reachability_backend.hpp"
 #include "util/rng.hpp"
@@ -322,11 +325,10 @@ TEST(SimdScan, CorpusSweepBitIdenticalAcrossIsasBackendsAndThreads) {
         const auto grid = corpus_grid(spec, stream);
 
         // Scalar dispatch, sequential scan: the reference every other
-        // (ISA, backend, scan-thread) combination must reproduce bitwise.
+        // (ISA, backend, thread count) combination must reproduce bitwise.
         ASSERT_TRUE(set_simd_isa(SimdIsa::scalar));
         DeltaSweepOptions baseline_options;
         baseline_options.num_threads = 1;
-        baseline_options.scan_threads = 1;
         DeltaSweepEngine baseline_engine(stream, baseline_options);
         std::vector<Histogram01> baseline_hists;
         const auto baseline = baseline_engine.evaluate(grid, &baseline_hists);
@@ -339,11 +341,10 @@ TEST(SimdScan, CorpusSweepBitIdenticalAcrossIsasBackendsAndThreads) {
                                                 " isa=" + to_string(isa) +
                                                 " backend=" +
                                                 std::to_string(static_cast<int>(backend)) +
-                                                " scan_threads=" + std::to_string(threads);
+                                                " threads=" + std::to_string(threads);
                     DeltaSweepOptions options;
                     options.backend = backend;
-                    options.num_threads = 1;
-                    options.scan_threads = threads;
+                    options.num_threads = threads;
                     DeltaSweepEngine engine(stream, options);
                     std::vector<Histogram01> hists;
                     const auto points = engine.evaluate(grid, &hists);
@@ -364,18 +365,24 @@ TEST(SimdScan, SaturationGammaBitIdenticalAcrossIsas) {
     SweepConfig options;
     options.coarse_points = 10;
     options.refine_rounds = 1;
-    options.refine_points = 5;
+    options.refine_points = 3;
     options.histogram_bins = 360;
-    options.num_threads = 1;
-    options.scan_threads = 1;
 
+    // Scalar dispatch, sequential scans: the reference.
     ASSERT_TRUE(set_simd_isa(SimdIsa::scalar));
+    options.num_threads = 1;
     const auto reference = find_saturation_scale(stream, options);
 
+    // On a 4-thread pool the refinement round (fewer periods than threads)
+    // splits n = 80 into two column shards on every ISA.
+    options.num_threads = 4;
+    const obs::Counter& shards_scanned = obs::counter("sweep.shards_scanned");
     for (const SimdIsa isa : supported_simd_isas()) {
         ASSERT_TRUE(set_simd_isa(isa));
+        const std::uint64_t shards_before = shards_scanned.read();
         const auto result = find_saturation_scale(stream, options);
         const std::string context = std::string("isa=") + to_string(isa);
+        EXPECT_GT(shards_scanned.read(), shards_before) << context;
         EXPECT_EQ(result.gamma, reference.gamma) << context;
         ASSERT_EQ(result.curve.size(), reference.curve.size()) << context;
         for (std::size_t i = 0; i < result.curve.size(); ++i) {

@@ -87,28 +87,27 @@ TEST(ThreadPool, DefaultPicksHardwareConcurrency) {
 }
 
 TEST(ThreadPool, MaxWorkersCapsParticipation) {
-    ThreadPool pool(6);
-    // Cap 2: only worker ids 0 and 1 may ever run a body; every index still
-    // runs exactly once and the call still terminates.
-    for (const std::size_t cap : {std::size_t{1}, std::size_t{2}, std::size_t{99}}) {
+    // The pool's width is the one cap on participation (it bounds the
+    // per-worker engine memory of the sweep): worker ids stay below
+    // concurrency(), every index still runs exactly once, and the call
+    // still terminates, also when the job has more indices than threads.
+    for (const std::size_t width : {std::size_t{1}, std::size_t{2}, std::size_t{6}}) {
+        ThreadPool pool(width);
         std::vector<std::atomic<int>> runs(50);
         std::atomic<std::size_t> max_worker{0};
-        pool.parallel_for(
-            runs.size(),
-            [&](std::size_t worker, std::size_t index) {
-                ++runs[index];
-                std::size_t seen = max_worker.load();
-                while (worker > seen && !max_worker.compare_exchange_weak(seen, worker)) {
-                }
-            },
-            cap);
+        pool.parallel_for(runs.size(), [&](std::size_t worker, std::size_t index) {
+            ++runs[index];
+            std::size_t seen = max_worker.load();
+            while (worker > seen && !max_worker.compare_exchange_weak(seen, worker)) {
+            }
+        });
         for (auto& r : runs) EXPECT_EQ(r.load(), 1);
-        EXPECT_LT(max_worker.load(), std::max<std::size_t>(cap, 1));
+        EXPECT_LT(max_worker.load(), pool.concurrency());
+        // The pool stays usable for later jobs.
+        std::atomic<int> sum{0};
+        pool.parallel_for(20, [&](std::size_t) { ++sum; });
+        EXPECT_EQ(sum.load(), 20);
     }
-    // The pool stays usable for uncapped jobs afterwards.
-    std::atomic<int> sum{0};
-    pool.parallel_for(20, [&](std::size_t) { ++sum; });
-    EXPECT_EQ(sum.load(), 20);
 }
 
 TEST(ThreadPool, ResolveConcurrencyRule) {
