@@ -293,18 +293,18 @@ BENCHMARK_CAPTURE(BM_ScalarVsSimd_SparseSeries, avx512, SimdIsa::avx512)
 BENCHMARK_CAPTURE(BM_ScalarVsSimd_SparseSeries, neon, SimdIsa::neon)
     ->Unit(benchmark::kMillisecond);
 
-/// Intra-scan thread scaling: the crossover period of the n = 2048 stream
-/// as a one-point DeltaSweepEngine grid (aggregate + dense scan + bin) at
+/// Intra-scan thread scaling: the crossover period of the n = 1024 stream
+/// (below kSparseMinNodes, so select_backend resolves it to dense) as a
+/// one-point DeltaSweepEngine grid (aggregate + dense scan + bin) at
 /// 1/2/4/8 threads.  One period is narrower than any multi-thread pool, so
 /// the engine splits the scan into column shards.  The result is
 /// bit-identical at every point (enforced by tests/test_scan_parallel.cpp);
 /// this measures only the wall-clock curve.
 void BM_ColumnScaling_OccupancyHistogram(benchmark::State& state) {
     const auto threads = static_cast<std::size_t>(state.range(0));
-    const auto stream = crossover_stream(2048);
-    const std::vector<Time> grid = {crossover_delta(2048)};
+    const auto stream = crossover_stream(1024);
+    const std::vector<Time> grid = {crossover_delta(1024)};
     DeltaSweepOptions options;
-    options.backend = ReachabilityBackend::dense;
     options.num_threads = threads;
     DeltaSweepEngine engine(stream, options);
     std::uint64_t total = 0;
@@ -314,7 +314,7 @@ void BM_ColumnScaling_OccupancyHistogram(benchmark::State& state) {
     }
     state.counters["threads"] = static_cast<double>(threads);
     state.counters["trips"] = static_cast<double>(total);
-    state.counters["shards"] = static_cast<double>(column_shards(2048).size());
+    state.counters["shards"] = static_cast<double>(column_shards(1024).size());
 }
 BENCHMARK(BM_ColumnScaling_OccupancyHistogram)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();

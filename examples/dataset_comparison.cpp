@@ -12,11 +12,10 @@
 // Runs on downscaled replicas by default; pass --full for published sizes.
 //
 // Run:  ./build/dataset_comparison [--full] [--threads=N]
-//                                  [--backend=auto|dense|sparse]
 //
 // Each dataset's saturation search runs through the batched parallel sweep
-// engine; the knobs mirror find_time_scale and change wall-clock only —
-// every gamma in the table is identical for every combination.
+// engine; --threads mirrors find_time_scale and changes wall-clock only —
+// every gamma in the table is identical for every thread count.
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -37,19 +36,16 @@ using namespace natscale;
 int main(int argc, char** argv) {
     bool full = false;
     std::size_t num_threads = 0;
-    ReachabilityBackend backend = ReachabilityBackend::automatic;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--full") {
             full = true;
         } else if (arg.rfind("--threads=", 0) == 0) {
             num_threads = examples::parse_count(arg, "--threads=");
-        } else if (arg.rfind("--backend=", 0) == 0) {
-            backend = examples::parse_backend(arg, "--backend=");
         } else {
             std::fprintf(stderr,
-                         "usage: dataset_comparison [--full] [--threads=N]\n"
-                         "                          [--backend=auto|dense|sparse]\n");
+                         "unknown option '%s'\nusage: dataset_comparison [--full] [--threads=N]\n",
+                         arg.c_str());
             return 2;
         }
     }
@@ -73,7 +69,6 @@ int main(int argc, char** argv) {
         SweepConfig options;
         options.coarse_points = full ? 48 : 32;
         options.num_threads = num_threads;
-        options.backend = backend;
         const auto result = find_saturation_scale(stream, options);
         rows.push_back({name, stats.events_per_node_per_day, result.gamma});
 

@@ -10,13 +10,12 @@
 // stream's reachability almost exactly; beyond gamma outbreak predictions
 // silently lose a growing share of the true transmission routes.
 //
-// Run:  ./build/epidemic_window [--threads=N] [--backend=auto|dense|sparse]
+// Run:  ./build/epidemic_window [--threads=N]
 //
 // The saturation search runs through the batched parallel sweep engine:
 // --threads fans the Delta grid out (splitting the dense scans of a grid
-// narrower than the pool by column), and --backend forces the reachability
-// storage.  gamma and every number printed are identical for every
-// combination.
+// narrower than the pool by column).  gamma and every number printed are
+// identical for every thread count.
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -63,12 +62,9 @@ int main(int argc, char** argv) {
         const std::string arg = argv[i];
         if (arg.rfind("--threads=", 0) == 0) {
             options.num_threads = examples::parse_count(arg, "--threads=");
-        } else if (arg.rfind("--backend=", 0) == 0) {
-            options.backend = examples::parse_backend(arg, "--backend=");
         } else {
-            std::fprintf(stderr,
-                         "usage: epidemic_window [--threads=N]\n"
-                         "                       [--backend=auto|dense|sparse]\n");
+            std::fprintf(stderr, "unknown option '%s'\nusage: epidemic_window [--threads=N]\n",
+                         arg.c_str());
             return 2;
         }
     }

@@ -1,11 +1,11 @@
 // Shared command-line parsing for the example programs.
 //
-// Every example that exposes the engine knobs (--threads / --backend /
-// --metric / numeric options generally) parses them through
-// these helpers, so the hardened behavior — junk, negatives and trailing
-// garbage exit 2 with a message naming BOTH the offending value and the
-// flag it was passed to — is uniform across find_time_scale,
-// epidemic_window, dataset_comparison and the natscaled client.
+// Every example that exposes the engine knobs (--threads / --metric /
+// numeric options generally) parses them through these helpers, so the
+// hardened behavior — junk, negatives and trailing garbage exit 2 with a
+// message naming BOTH the offending value and the flag it was passed to —
+// is uniform across find_time_scale, epidemic_window, dataset_comparison
+// and the natscaled client.
 //
 // Helpers take the flag spelling itself (e.g. "--points="), which both
 // derives the value (no hand-counted prefix lengths) and lets the error
@@ -18,7 +18,6 @@
 #include <utility>
 
 #include "stats/uniformity.hpp"
-#include "temporal/reachability.hpp"
 
 namespace natscale::examples {
 
@@ -53,15 +52,6 @@ inline std::size_t parse_count(const std::string& arg, const std::string& flag) 
     } catch (const std::exception&) {
         invalid_value(flag, value, "a non-negative integer");
     }
-}
-
-/// `--backend=auto|dense|sparse`; exits 2 on anything else.
-inline ReachabilityBackend parse_backend(const std::string& arg, const std::string& flag) {
-    const std::string value = option_value(arg, flag);
-    if (value == "auto") return ReachabilityBackend::automatic;
-    if (value == "dense") return ReachabilityBackend::dense;
-    if (value == "sparse") return ReachabilityBackend::sparse;
-    invalid_value(flag, value, "auto|dense|sparse");
 }
 
 /// `--metric=mk|stddev|shannon|cre`; exits 2 on anything else.

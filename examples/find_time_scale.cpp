@@ -5,8 +5,7 @@
 // Usage:
 //   find_time_scale <stream-file> [--directed] [--metric=mk|stddev|shannon|cre]
 //                   [--points=N] [--refine-rounds=N]
-//                   [--threads=N] [--backend=auto|dense|sparse]
-//                   [--format=auto|text|natbin]
+//                   [--threads=N] [--format=auto|text|natbin]
 //                   [--curve] [--dat=prefix] [--json] [--segments]
 //   find_time_scale convert <input> <output> [--directed]
 //                   [--format=auto|text|natbin] [--to=natbin|text]
@@ -44,7 +43,9 @@
 // The Delta grid of every search round is swept in parallel by one
 // in-process thread pool (--threads; a round narrower than the pool is
 // split by destination column instead); gamma, the curve and the JSON
-// report are bit-identical for every thread count.
+// report are bit-identical for every thread count.  Each period's scan
+// runs on the dense or sparse reachability kernel that select_backend
+// picks from n and event density.
 //
 // `watch` tails a GROWING natbin file (a writer appending via NatbinWriter,
 // header count still unpatched) through the online incremental engine
@@ -84,12 +85,10 @@
 #include "online/incremental_sweep.hpp"
 #include "util/format.hpp"
 #include "util/gnuplot.hpp"
-#include "util/simd.hpp"
 #include "util/timer.hpp"
 
 using namespace natscale;
 using examples::FormatChoice;
-using examples::parse_backend;
 using examples::parse_count;
 using examples::parse_format;
 using examples::parse_metric;
@@ -101,9 +100,8 @@ void usage() {
                  "usage: find_time_scale <stream-file> [--directed]\n"
                  "                       [--metric=mk|stddev|shannon|cre]\n"
                  "                       [--points=N] [--refine-rounds=N]\n"
-                 "                       [--threads=N] [--backend=auto|dense|sparse]\n"
-                 "                       [--format=auto|text|natbin] [--curve]\n"
-                 "                       [--dat=prefix] [--json] [--segments]\n"
+                 "                       [--threads=N] [--format=auto|text|natbin]\n"
+                 "                       [--curve] [--dat=prefix] [--json] [--segments]\n"
                  "       find_time_scale convert <input> <output> [--directed]\n"
                  "                       [--format=auto|text|natbin] [--to=natbin|text]\n"
                  "                       [--columns=uvt|tuv|...]\n"
@@ -117,11 +115,11 @@ void usage() {
                  "                       [--every-events=N] [--every-seconds=S]\n"
                  "                       [--poll-ms=M] [--max-reports=N]\n"
                  "                       [--checkpoint=PATH]\n"
-                 "every subcommand also accepts --simd=auto|scalar|avx2|avx512|neon\n"
-                 "(kernel dispatch override; results are bit-identical on every path),\n"
-                 "--trace-out=FILE (Chrome-trace-format spans, loadable in Perfetto) and\n"
-                 "--metrics-out=FILE (final metrics_snapshot JSON line; '-' for stdout);\n"
-                 "results are bit-identical with and without either sink\n");
+                 "every subcommand also accepts --trace-out=FILE (Chrome-trace-format\n"
+                 "spans, loadable in Perfetto) and --metrics-out=FILE (final\n"
+                 "metrics_snapshot JSON line; '-' for stdout); results are bit-identical\n"
+                 "with and without either sink.  NATSCALE_SIMD=scalar|avx2|avx512|neon\n"
+                 "overrides the kernel dispatch (same results on every path)\n");
 }
 
 /// Process-wide observability session for the CLI (--trace-out /
@@ -620,11 +618,10 @@ int main(int argc, char** argv) {
         usage();
         return 2;
     }
-    // --simd=, --trace-out= and --metrics-out= apply to every subcommand
-    // (they pin process-global state before any scan runs), so they are
-    // consumed here, ahead of the per-subcommand parsers.  Results are
-    // bit-identical on every path; the flags exist for benchmarking,
-    // pinning CI legs and observability.
+    // --trace-out= and --metrics-out= apply to every subcommand (the trace
+    // sink is process-global and must be installed before any scan runs),
+    // so they are consumed here, ahead of the per-subcommand parsers.
+    // Results are bit-identical with and without either sink.
     ObsSession obs_session;
     {
         int kept = 1;
@@ -637,34 +634,10 @@ int main(int argc, char** argv) {
                     std::fprintf(stderr, "error: %s\n", e.what());
                     return 1;
                 }
-                continue;
-            }
-            if (arg.rfind("--metrics-out=", 0) == 0) {
+            } else if (arg.rfind("--metrics-out=", 0) == 0) {
                 obs_session.set_metrics_out(arg.substr(14));
-                continue;
-            }
-            if (arg.rfind("--simd=", 0) != 0) {
+            } else {
                 argv[kept++] = argv[i];
-                continue;
-            }
-            const std::string value = arg.substr(7);
-            SimdIsa isa = SimdIsa::scalar;
-            if (value == "auto") {
-                isa = detect_simd_isa();
-            } else if (!parse_simd_isa(value, isa)) {
-                std::fprintf(stderr,
-                             "bad value in '%s' (expected auto|scalar|avx2|avx512|neon)\n",
-                             arg.c_str());
-                return 2;
-            }
-            if (!set_simd_isa(isa)) {
-                std::fprintf(stderr, "--simd=%s is not supported on this CPU (supported:",
-                             value.c_str());
-                for (const SimdIsa s : supported_simd_isas()) {
-                    std::fprintf(stderr, " %s", to_string(s));
-                }
-                std::fprintf(stderr, ")\n");
-                return 2;
             }
         }
         argc = kept;
@@ -699,10 +672,6 @@ int main(int argc, char** argv) {
             // pool by column shards; the result is identical for every
             // thread count (0 = all hardware threads).
             options.num_threads = parse_count(arg, "--threads=");
-        } else if (arg.rfind("--backend=", 0) == 0) {
-            // Reachability storage: auto picks dense or sparse per scan from
-            // n and event density; the result is identical either way.
-            options.backend = parse_backend(arg, "--backend=");
         } else if (arg.rfind("--format=", 0) == 0) {
             // Input encoding: auto sniffs the magic bytes; natbin streams
             // are mmap'd (analyzed out-of-core), text is parsed into RAM.
@@ -719,8 +688,12 @@ int main(int argc, char** argv) {
             std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
             usage();
             return 2;
-        } else {
+        } else if (path.empty()) {
             path = arg;
+        } else {
+            std::fprintf(stderr, "unexpected argument '%s'\n", arg.c_str());
+            usage();
+            return 2;
         }
     }
     if (path.empty()) {

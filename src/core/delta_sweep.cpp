@@ -29,6 +29,17 @@ GraphSeries DeltaSweepEngine::aggregate(Time delta) const {
     return natscale::aggregate(*stream_, delta);
 }
 
+namespace {
+
+/// Counts one evaluated period under the backend its scan ran on.
+void count_backend(bool dense) {
+    static obs::Counter& dense_deltas = obs::counter("sweep.dense_deltas");
+    static obs::Counter& sparse_deltas = obs::counter("sweep.sparse_deltas");
+    (dense ? dense_deltas : sparse_deltas).add();
+}
+
+}  // namespace
+
 ThreadPool& DeltaSweepEngine::pool() {
     if (pool_ == nullptr) {
         // num_threads is THE concurrency (and therefore memory) cap: one
@@ -61,8 +72,6 @@ std::vector<DeltaPoint> DeltaSweepEngine::evaluate(std::span<const Time> grid,
     // or sparse rows, per the selected backend) is allocated on the worker's
     // first period and reused for every later one.
     std::vector<ReachabilityEngine> engines(workers.concurrency());
-    ReachabilityOptions scan_options;
-    scan_options.backend = options_.backend;
 
     static obs::Counter& deltas_evaluated = obs::counter("sweep.deltas_evaluated");
     static obs::LatencyHistogram& scan_ns = obs::histogram("sweep.delta_scan_ns");
@@ -76,14 +85,10 @@ std::vector<DeltaPoint> DeltaSweepEngine::evaluate(std::span<const Time> grid,
         const GraphSeries series = aggregate(grid[index]);
         Histogram01 hist(options_.histogram_bins);
         engines[worker].scan_series(
-            series, [&](const MinimalTrip& trip) { hist.add(series_occupancy(trip)); },
-            scan_options);
-        if (span.active()) {
-            span.attr("backend",
-                      engines[worker].last_backend() == ReachabilityBackend::dense
-                          ? "dense"
-                          : "sparse");
-        }
+            series, [&](const MinimalTrip& trip) { hist.add(series_occupancy(trip)); });
+        const bool dense = engines[worker].last_backend() == ReachabilityBackend::dense;
+        if (span.active()) span.attr("backend", dense ? "dense" : "sparse");
+        count_backend(dense);
         deltas_evaluated.add();
         scan_ns.record(obs::TraceSink::now_ns() - scan_start);
 
@@ -108,12 +113,10 @@ std::vector<DeltaPoint> DeltaSweepEngine::evaluate_sharded(
     //    (temporal/sharded_scan.hpp): dense scans split per column shard,
     //    sparse ones stay whole, each task writing its own histogram
     //    partial.
-    ReachabilityOptions scan_options;
-    scan_options.backend = options_.backend;
-    const ShardedScanPlan plan = plan_sharded_scans(series_ptrs, scan_options);
+    const ShardedScanPlan plan = plan_sharded_scans(series_ptrs, {});
     std::vector<Histogram01> partials(plan.tasks.size(),
                                       Histogram01(options_.histogram_bins));
-    run_sharded_scans(workers, series_ptrs, plan, scan_options,
+    run_sharded_scans(workers, series_ptrs, plan, {},
                       [&](std::size_t task, const GraphSeries&) {
                           Histogram01& hist = partials[task];
                           return [&hist](const MinimalTrip& trip) {
@@ -126,6 +129,7 @@ std::vector<DeltaPoint> DeltaSweepEngine::evaluate_sharded(
     deltas_evaluated.add(grid.size());
     std::vector<DeltaPoint> points(grid.size());
     for (std::size_t g = 0; g < grid.size(); ++g) {
+        count_backend(plan.tasks[plan.first_task[g]].dense);
         Histogram01 hist = std::move(partials[plan.first_task[g]]);
         for (std::size_t t = plan.first_task[g] + 1; t < plan.first_task[g + 1]; ++t) {
             hist.merge(partials[t]);

@@ -10,9 +10,10 @@
 //     time-sorted event buffer (in RAM or an mmap'd .natbin trace); peak
 //     residency is the per-window working set, not the trace;
 //   * the independent per-Delta reachability scans fan out over a
-//     util/thread_pool, with one reusable TemporalReachability engine per
-//     worker so the O(n^2) sweep state is allocated once per thread, not
-//     once per period;
+//     util/thread_pool, with one reusable ReachabilityEngine per worker so
+//     the sweep state is allocated once per thread, not once per period;
+//     each scan runs on the dense or sparse kernel that select_backend
+//     (temporal/reachability_backend) picks for that period's series;
 //   * a grid narrower than the pool (a late refinement round can hold a
 //     single period) instead runs as (Delta, column shard) tasks
 //     (temporal/sharded_scan), so every thread has a scan to work on.
@@ -34,7 +35,6 @@
 #include "linkstream/link_stream.hpp"
 #include "stats/histogram01.hpp"
 #include "stats/uniformity.hpp"
-#include "temporal/reachability.hpp"
 #include "util/thread_pool.hpp"
 #include "util/types.hpp"
 
@@ -72,13 +72,6 @@ struct DeltaSweepOptions {
     /// alone, partials merge in fixed ascending order, and the histogram
     /// accumulators are split-invariant.
     std::size_t num_threads = 0;
-
-    /// Reachability backend of the per-Delta scans.  `automatic` picks dense
-    /// or sparse from n and event density (temporal/reachability_backend);
-    /// the evaluated points are bit-identical either way, but the sparse
-    /// backend bounds per-worker memory by the reachable-pair count instead
-    /// of threads x n^2 x 8 B.
-    ReachabilityBackend backend = ReachabilityBackend::automatic;
 };
 
 class DeltaSweepEngine {
@@ -94,7 +87,9 @@ public:
     /// non-null it receives the per-period occupancy histograms, aligned
     /// with the returned points.  Periods are independent, so they run in
     /// parallel — split into column shards when the grid is narrower than
-    /// the pool; the result is identical for any thread count.
+    /// the pool; the result is identical for any thread count.  Each
+    /// period adds one to `sweep.dense_deltas` or `sweep.sparse_deltas`,
+    /// after the backend its scan ran on.
     /// Preconditions: every delta >= 1.
     std::vector<DeltaPoint> evaluate(std::span<const Time> grid,
                                      std::vector<Histogram01>* histograms_out = nullptr);

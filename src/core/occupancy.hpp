@@ -14,21 +14,18 @@
 #include "linkstream/link_stream.hpp"
 #include "stats/empirical_distribution.hpp"
 #include "stats/histogram01.hpp"
-#include "temporal/reachability.hpp"
 #include "util/types.hpp"
 
 namespace natscale {
 
 /// Streaming histogram of the occupancy rates of all minimal trips of the
 /// series (histogram error O(1/num_bins); see Histogram01), from one
-/// sequential scan.  The scan backend is selected automatically from n and
-/// event density unless forced (see temporal/reachability_backend.hpp); the
-/// histogram is bit-identical either way.  To scan one period on several
-/// threads, evaluate a one-point grid with DeltaSweepEngine, which splits a
-/// grid narrower than its pool into column shards.
+/// sequential scan on the backend select_backend picks from n and event
+/// density (temporal/reachability_backend.hpp).  To scan one period on
+/// several threads, evaluate a one-point grid with DeltaSweepEngine, which
+/// splits a grid narrower than its pool into column shards.
 Histogram01 occupancy_histogram(const GraphSeries& series,
-                                std::size_t num_bins = Histogram01::kDefaultBins,
-                                ReachabilityBackend backend = ReachabilityBackend::automatic);
+                                std::size_t num_bins = Histogram01::kDefaultBins);
 
 /// Aggregates the stream at `delta` and computes the occupancy histogram.
 /// Aggregation is window-sequential (linkstream/aggregation), so an
@@ -36,15 +33,12 @@ Histogram01 occupancy_histogram(const GraphSeries& series,
 /// is the per-window working set, and the histogram is bit-identical to the
 /// in-memory path.
 Histogram01 occupancy_histogram(const LinkStream& stream, Time delta,
-                                std::size_t num_bins = Histogram01::kDefaultBins,
-                                ReachabilityBackend backend = ReachabilityBackend::automatic);
+                                std::size_t num_bins = Histogram01::kDefaultBins);
 
 /// Exact sample-storing variant for small series and for the tests.
-EmpiricalDistribution occupancy_distribution(
-    const GraphSeries& series, ReachabilityBackend backend = ReachabilityBackend::automatic);
+EmpiricalDistribution occupancy_distribution(const GraphSeries& series);
 
 /// Count of minimal trips of the aggregated series.
-std::uint64_t count_minimal_trips(
-    const GraphSeries& series, ReachabilityBackend backend = ReachabilityBackend::automatic);
+std::uint64_t count_minimal_trips(const GraphSeries& series);
 
 }  // namespace natscale

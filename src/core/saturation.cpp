@@ -29,7 +29,6 @@ DeltaSweepOptions sweep_options_of(const SweepConfig& options) {
     sweep.histogram_bins = options.histogram_bins;
     sweep.shannon_slots = options.shannon_slots;
     sweep.num_threads = options.num_threads;
-    sweep.backend = options.backend;
     return sweep;
 }
 
@@ -37,8 +36,7 @@ DeltaPoint evaluate_delta(const LinkStream& stream, Time delta,
                           const SweepConfig& options, Histogram01* histogram_out) {
     DeltaPoint point;
     point.delta = delta;
-    Histogram01 hist =
-        occupancy_histogram(stream, delta, options.histogram_bins, options.backend);
+    Histogram01 hist = occupancy_histogram(stream, delta, options.histogram_bins);
     point.scores = compute_all_metrics(hist, options.shannon_slots);
     point.num_trips = hist.total();
     point.occupancy_mean = hist.mean();

@@ -28,8 +28,7 @@
 
 namespace natscale {
 
-/// Sweep options matching a SweepConfig (same bins / slots / threads /
-/// backend).
+/// Sweep options matching a SweepConfig (same bins / slots / threads).
 DeltaSweepOptions sweep_options_of(const SweepConfig& options);
 
 struct SaturationResult {
@@ -60,7 +59,7 @@ struct SaturationResult {
 /// (linkstream/binary_io's open_natbin) are swept out-of-core — the chunked
 /// aggregation pipeline releases consumed pages behind its scan — and
 /// gamma, the curve, and the gamma histogram stay bit-identical to the
-/// in-memory path for every backend and thread count.
+/// in-memory path for every thread count.
 /// Preconditions: stream non-empty.
 SaturationResult find_saturation_scale(const LinkStream& stream,
                                        const SweepConfig& options = {});

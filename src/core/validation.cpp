@@ -80,12 +80,10 @@ ElongationPoint point_of(Time delta, const ElongationPartial& partial) {
 /// reachability engine is caller-provided so a sweep can reuse one per
 /// worker thread.
 ElongationPoint elongation_of_series(const GraphSeries& series, const StreamTripStore& store,
-                                     ReachabilityEngine& engine,
-                                     ReachabilityBackend backend) {
+                                     ReachabilityEngine& engine) {
     const Time delta = series.delta();
     ReachabilityOptions options;
     options.pair_sample_divisor = store.pair_sample_divisor();
-    options.backend = backend;
 
     ElongationPartial partial;
     engine.scan_series(series, [&](const MinimalTrip& trip) {
@@ -100,8 +98,7 @@ ElongationPoint elongation_at(const LinkStream& stream, Time delta,
                               const StreamTripStore& store) {
     NATSCALE_EXPECTS(delta >= 1);
     ReachabilityEngine engine;
-    return elongation_of_series(aggregate(stream, delta), store, engine,
-                                ReachabilityBackend::automatic);
+    return elongation_of_series(aggregate(stream, delta), store, engine);
 }
 
 std::vector<ElongationPoint> elongation_curve(const LinkStream& stream,
@@ -131,8 +128,8 @@ std::vector<ElongationPoint> elongation_curve(const LinkStream& stream,
         std::vector<ReachabilityEngine> engines(pool.concurrency());
         std::vector<ElongationPoint> curve(deltas.size());
         pool.parallel_for(deltas.size(), [&](std::size_t worker, std::size_t index) {
-            curve[index] = elongation_of_series(aggregate(stream, deltas[index]), store,
-                                                engines[worker], options.backend);
+            curve[index] =
+                elongation_of_series(aggregate(stream, deltas[index]), store, engines[worker]);
         });
         return curve;
     }
@@ -149,7 +146,6 @@ std::vector<ElongationPoint> elongation_curve(const LinkStream& stream,
 
     ReachabilityOptions scan_options;
     scan_options.pair_sample_divisor = store.pair_sample_divisor();
-    scan_options.backend = options.backend;
     const ShardedScanPlan plan = plan_sharded_scans(series_ptrs, scan_options);
     std::vector<ElongationPartial> partials(plan.tasks.size());
     run_sharded_scans(pool, series_ptrs, plan, scan_options,

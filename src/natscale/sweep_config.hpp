@@ -1,10 +1,11 @@
 // SweepConfig: the one configuration surface of the public API.
 //
 // One struct carries the full knob set of the scale search, the validation
-// curves and the execution layer (threads, backend); the
-// facade (natscale/api.hpp), the CLI tools, `watch` mode and the natscaled
-// daemon all share it.  The batched grid engine's DeltaSweepOptions is the
-// execution subset (sweep_options_of).
+// curves and the execution layer (threads); the facade (natscale/api.hpp),
+// the CLI tools, `watch` mode and the natscaled daemon all share it.  The
+// batched grid engine's DeltaSweepOptions is the execution subset
+// (sweep_options_of).  select_backend (temporal/reachability_backend.hpp)
+// picks the reachability backend of each scan.
 //
 // One struct is enough because the knobs never conflict: the saturation
 // fields are simply unused by the elongation curve and vice versa, and the
@@ -15,7 +16,6 @@
 
 #include "stats/histogram01.hpp"
 #include "stats/uniformity.hpp"
-#include "temporal/reachability.hpp"
 #include "util/types.hpp"
 
 namespace natscale {
@@ -57,11 +57,6 @@ struct SweepConfig {
     /// by destination column (temporal/column_shards), so every thread has
     /// work.  Results are bit-identical for every value.
     std::size_t num_threads = 0;
-
-    /// Reachability backend of the per-period scans; `automatic` picks dense
-    /// or sparse from n and event density.  Results are bit-identical for
-    /// every choice.
-    ReachabilityBackend backend = ReachabilityBackend::automatic;
 
     // --- validation (elongation_curve) --------------------------------------
 

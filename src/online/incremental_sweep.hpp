@@ -24,7 +24,7 @@
 // BIT-IDENTICAL to the batch one: bins, total, mean, stddev, and every
 // uniformity metric computed from them.  This is the repo's signature
 // invariant, property-tested in tests/test_online_sweep.cpp against cold
-// DeltaSweepEngine runs across backends and thread counts.
+// DeltaSweepEngine runs across thread counts.
 //
 // --- Frozen prefix + live tail ----------------------------------------------
 //

@@ -80,16 +80,16 @@
 
 namespace natscale {
 
-/// Storage strategy of a reachability scan.  The dense backend keeps one
+/// Storage strategy of a reachability scan, as picked by select_backend
+/// (temporal/reachability_backend.hpp).  The dense backend keeps one
 /// packed n x n table (n^2 x 8 bytes); the sparse backend keeps one sorted
 /// run of (v, arrival, hops) entries per source, bounded by the number of
 /// reachable ordered pairs.  Both emit the exact same minimal trips in the
 /// exact same order (see temporal/sparse_reachability.hpp for the
 /// equivalence argument).
 enum class ReachabilityBackend {
-    automatic,  ///< pick from n and event density (see select_backend)
-    dense,      ///< packed n x n table — fastest for small/dense node sets
-    sparse,     ///< per-source sorted runs — required for large sparse n
+    dense,   ///< packed n x n table — fastest for small/dense node sets
+    sparse,  ///< per-source sorted runs — required for large sparse n
 };
 
 struct ReachabilityOptions {
@@ -103,12 +103,6 @@ struct ReachabilityOptions {
     /// 1 (default) reports every trip.  Sampling selects whole pairs, so the
     /// per-pair trip structure needed by the elongation measure is preserved.
     std::uint64_t pair_sample_divisor = 1;
-
-    /// Backend used by ReachabilityEngine (temporal/reachability_backend.hpp).
-    /// `automatic` selects from the node count and event density; forcing
-    /// `dense` or `sparse` overrides the selection.  Ignored when scanning
-    /// through TemporalReachability / SparseTemporalReachability directly.
-    ReachabilityBackend backend = ReachabilityBackend::automatic;
 };
 
 namespace detail {

@@ -1,16 +1,9 @@
 #include "temporal/reachability_backend.hpp"
 
-#include "util/contracts.hpp"
-
 namespace natscale {
 
 ReachabilityBackend select_backend(NodeId num_nodes, std::size_t total_arcs,
                                    const ReachabilityOptions& options) {
-    if (options.backend != ReachabilityBackend::automatic) {
-        NATSCALE_EXPECTS(options.backend == ReachabilityBackend::dense ||
-                         options.distances == nullptr);
-        return options.backend;
-    }
     if (options.distances != nullptr) return ReachabilityBackend::dense;
 
     const std::size_t n = num_nodes;

@@ -6,23 +6,26 @@
 //   sparse  (temporal/sparse_reachability.hpp)  16 B per reachable pair
 //
 // Both emit the exact same trip sequence, so the choice is purely a
-// space/time trade-off.  ReachabilityEngine is the facade every caller
-// (core/occupancy, core/delta_sweep, core/validation, and through them
-// core/saturation and core/segmentation) scans through: it holds both
-// engines (each allocates its state lazily, on first use) and picks one per
-// scan from the node count and the event density.
+// space/time trade-off, made by select_backend alone.  ReachabilityEngine
+// is the facade every batch caller (core/occupancy, core/delta_sweep,
+// core/validation, and through them core/saturation and core/segmentation)
+// scans through: it holds both engines (each allocates its state lazily, on
+// first use) and picks one per scan; the column-sharded plan
+// (temporal/sharded_scan) applies the same rule per series.
 //
 // Selection rule, in order:
-//   1. an explicit ReachabilityOptions::backend wins;
-//   2. scans feeding a DistanceAccumulator use dense (the accumulator keeps
+//   1. scans feeding a DistanceAccumulator use dense (the accumulator keeps
 //      an n^2 table of its own, so sparse state would buy nothing);
-//   3. if the dense table would exceed kDenseMemoryBudgetBytes, sparse —
+//   2. if the dense table would exceed kDenseMemoryBudgetBytes, sparse —
 //      this is what makes n = 200k streams feasible at all;
-//   4. if the node set is large (>= kSparseMinNodes) and the stream is
+//   3. if the node set is large (>= kSparseMinNodes) and the stream is
 //      sparse (average arcs per node <= kSparseDensityLimit), sparse — the
 //      merge-based relaxation beats the dense `for v in 0..n` inner loop
 //      when reachable sets are small;
-//   5. otherwise dense.
+//   4. otherwise dense.
+// On the crossover workload of bench/perf_reachability (DenseVsSparse,
+// ~4 events per node) the rule picks the faster engine at every measured
+// n: dense at n = 256 and 1024, sparse at n = 4096 (README has the times).
 #pragma once
 
 #include "temporal/reachability.hpp"
@@ -48,10 +51,9 @@ inline constexpr NodeId kSparseMinNodes = 2048;
 /// "Sparse enough": average arcs per node at or below this.
 inline constexpr double kSparseDensityLimit = 8.0;
 
-/// Resolves `options.backend` for a scan over `num_nodes` nodes and
-/// `total_arcs` instantaneous arcs (series: total edges over all snapshots;
-/// stream: event count).  Never returns `automatic`.
-/// Precondition: a forced sparse backend cannot accumulate distances.
+/// The backend of a scan over `num_nodes` nodes and `total_arcs`
+/// instantaneous arcs (series: total edges over all snapshots; stream:
+/// event count) with `options`, by the rule above.
 ReachabilityBackend select_backend(NodeId num_nodes, std::size_t total_arcs,
                                    const ReachabilityOptions& options);
 

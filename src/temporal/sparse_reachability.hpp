@@ -27,9 +27,9 @@
 //     in the identical order.
 //
 // Distance accumulation (ReachabilityOptions::distances) is not supported:
-// the accumulator itself keeps an n^2 table, which defeats the point.  The
-// automatic backend selection routes distance-accumulating scans to the
-// dense engine (see temporal/reachability_backend.hpp).
+// the accumulator itself keeps an n^2 table, which defeats the point.
+// Backend selection routes distance-accumulating scans to the dense engine
+// (see temporal/reachability_backend.hpp).
 #pragma once
 
 #include <algorithm>

@@ -26,9 +26,10 @@
 // (CPUID via __builtin_cpu_supports on x86-64; NEON unconditionally on
 // AArch64).  Requesting an unsupported ISA falls back to the strongest
 // supported one with a one-time stderr warning — a forced-path CI leg on the
-// wrong hardware degrades loudly instead of crashing.  set_simd_isa() is the
-// programmatic override behind the `--simd=` CLI flag and the bench suite;
-// tests iterate supported_simd_isas() to pin every path that can run here.
+// wrong hardware degrades loudly instead of crashing.  The variable is the
+// one user-facing override; set_simd_isa() is the programmatic one the tests
+// and the bench suite use, and tests iterate supported_simd_isas() to pin
+// every path that can run here.
 //
 // Every implementation of every op produces byte-identical output, so the
 // differential suites (tests/test_simd.cpp, scalar-vs-ISA over the whole
@@ -49,7 +50,7 @@ enum class SimdIsa {
     neon,    ///< AArch64 Advanced SIMD
 };
 
-/// Lower-case name used by NATSCALE_SIMD, the --simd flag and the benches.
+/// Lower-case name used by NATSCALE_SIMD and the benches.
 const char* to_string(SimdIsa isa);
 
 /// Parses "scalar" / "avx2" / "avx512" / "neon"; returns false on anything

@@ -6,13 +6,10 @@
 
 namespace natscale {
 
-std::size_t ThreadPool::resolve_concurrency(std::size_t num_threads) {
-    return num_threads == 0 ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-                            : num_threads;
-}
-
 ThreadPool::ThreadPool(std::size_t num_threads) {
-    num_threads = resolve_concurrency(num_threads);
+    if (num_threads == 0) {
+        num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    }
     workers_.reserve(num_threads - 1);
     for (std::size_t worker = 1; worker < num_threads; ++worker) {
         workers_.emplace_back([this, worker] { worker_loop(worker); });

@@ -35,11 +35,6 @@ public:
     ThreadPool(const ThreadPool&) = delete;
     ThreadPool& operator=(const ThreadPool&) = delete;
 
-    /// The "0 = hardware concurrency (at least 1)" resolution rule the
-    /// constructor applies, exposed so callers sizing related structures
-    /// share the single definition.
-    static std::size_t resolve_concurrency(std::size_t num_threads);
-
     /// Total number of threads that execute bodies, calling thread included.
     std::size_t concurrency() const noexcept { return workers_.size() + 1; }
 

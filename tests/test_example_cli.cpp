@@ -21,8 +21,7 @@ TEST(ExampleCliParsers, OptionValueStripsTheFlag) {
     EXPECT_EQ(option_value("--close", "--close"), "");
 }
 
-TEST(ExampleCliParsers, ParseBackendAndMetricAndFormat) {
-    EXPECT_EQ(parse_backend("--backend=dense", "--backend="), ReachabilityBackend::dense);
+TEST(ExampleCliParsers, ParseMetricAndFormat) {
     EXPECT_EQ(parse_metric("--metric=cre", "--metric="), UniformityMetric::cre);
     EXPECT_EQ(parse_format("--format=auto", "--format=", true), FormatChoice::automatic);
     EXPECT_EQ(parse_format("--to=natbin", "--to=", false), FormatChoice::natbin);
@@ -48,12 +47,6 @@ TEST(ExampleCliDeath, TrailingGarbageNamesTheFlag) {
 TEST(ExampleCliDeath, EmptyValueNamesTheFlag) {
     EXPECT_EXIT(parse_count("--threads=", "--threads="),
                 ::testing::ExitedWithCode(2), "for option '--threads'");
-}
-
-TEST(ExampleCliDeath, BadBackendNamesTheFlagAndChoices) {
-    EXPECT_EXIT(parse_backend("--backend=gpu", "--backend="),
-                ::testing::ExitedWithCode(2),
-                "'gpu' for option '--backend' \\(expected auto\\|dense\\|sparse\\)");
 }
 
 TEST(ExampleCliDeath, BadMetricNamesTheFlagAndChoices) {

@@ -3,9 +3,11 @@
 // for.  For each spec of gen::default_corpus():
 //
 //   * the GroundTruth report verifies against the generated stream,
-//   * DeltaSweepEngine results are bitwise identical across the
-//     {dense, sparse, automatic} reachability backends and across
-//     {1, 4} threads,
+//   * DeltaSweepEngine results are bitwise identical across {1, 4}
+//     threads, and the dense and sparse reachability engines, called
+//     directly, emit identical trip sequences at every period of the grid
+//     (select_backend picks dense for every corpus spec, so the sweep alone
+//     would never reach the sparse engine),
 //   * a StreamSession fed the same events reports bitwise identically to
 //     the cold batch sweep (batch-vs-online parity),
 //   * the stream round-trips bitwise through the .natbin format.
@@ -24,8 +26,10 @@
 #include "core/delta_grid.hpp"
 #include "core/delta_sweep.hpp"
 #include "gen/registry.hpp"
+#include "linkstream/aggregation.hpp"
 #include "linkstream/binary_io.hpp"
 #include "natscale/session.hpp"
+#include "temporal/sparse_reachability.hpp"
 #include "testing/temp_files.hpp"
 
 namespace natscale {
@@ -75,25 +79,27 @@ TEST(GenCorpus, SweepParityAcrossBackendsAndThreads) {
 
         DeltaSweepOptions baseline_options;
         baseline_options.num_threads = 1;
-        baseline_options.backend = ReachabilityBackend::automatic;
         DeltaSweepEngine baseline(stream, baseline_options);
         const auto reference = baseline.evaluate(grid);
 
-        for (const ReachabilityBackend backend :
-             {ReachabilityBackend::dense, ReachabilityBackend::sparse,
-              ReachabilityBackend::automatic}) {
-            for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-                DeltaSweepOptions options;
-                options.backend = backend;
-                options.num_threads = threads;
-                DeltaSweepEngine engine(stream, options);
-                const auto points = engine.evaluate(grid);
-                ASSERT_EQ(points.size(), reference.size()) << context;
-                for (std::size_t i = 0; i < points.size(); ++i) {
-                    expect_identical_point(context + " backend/threads variant",
-                                           points[i], reference[i]);
-                }
-            }
+        DeltaSweepOptions options;
+        options.num_threads = 4;
+        DeltaSweepEngine engine(stream, options);
+        const auto points = engine.evaluate(grid);
+        ASSERT_EQ(points.size(), reference.size()) << context;
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            expect_identical_point(context + " 4 threads", points[i], reference[i]);
+        }
+
+        TemporalReachability dense;
+        SparseTemporalReachability sparse;
+        for (const Time delta : grid) {
+            const GraphSeries series = aggregate(stream, delta);
+            std::vector<MinimalTrip> dense_trips;
+            std::vector<MinimalTrip> sparse_trips;
+            dense.scan_series(series, [&](const MinimalTrip& t) { dense_trips.push_back(t); });
+            sparse.scan_series(series, [&](const MinimalTrip& t) { sparse_trips.push_back(t); });
+            EXPECT_EQ(sparse_trips, dense_trips) << context << " delta=" << delta;
         }
     }
 }

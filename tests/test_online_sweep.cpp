@@ -2,8 +2,8 @@
 // schedule, the incrementally maintained results — histogram bins AND exact
 // moments, every uniformity metric, the trip count, and the saturation-scale
 // argmax — are BIT-identical to a cold DeltaSweepEngine batch run over the
-// same event prefix, for every reachability backend and thread count of the
-// cold side and every thread count of the online side.  Plus the ingestor's
+// same event prefix, for every thread count of the cold side and of the
+// online side.  Plus the ingestor's
 // ordering/duplicate/late semantics and the checkpoint round trip.
 #include <gtest/gtest.h>
 
@@ -78,15 +78,13 @@ void expect_identical_points(const DeltaPoint& a, const DeltaPoint& b) {
     EXPECT_EQ(a.scores.cre, b.scores.cre);
 }
 
-/// Cold reference over `events` with a given backend / thread config;
-/// returns points + histograms for the grid.
+/// Cold reference over `events` at a given thread count; returns points +
+/// histograms for the grid.
 std::vector<DeltaPoint> cold_sweep(const std::vector<Event>& events, NodeId n, Time period,
                                    bool directed, const std::vector<Time>& grid,
-                                   ReachabilityBackend backend, std::size_t threads,
-                                   std::vector<Histogram01>* histograms) {
+                                   std::size_t threads, std::vector<Histogram01>* histograms) {
     const LinkStream stream(events, n, period, directed);
     DeltaSweepOptions options;
-    options.backend = backend;
     options.num_threads = threads;
     DeltaSweepEngine engine(stream, options);
     return engine.evaluate(grid, histograms);
@@ -168,27 +166,20 @@ TEST(OnlineSweep, MatchesColdBatchAtEveryRefreshPoint) {
                 const OnlineReport report = online.refresh(covered, &online_hists);
                 ++refreshes;
 
-                // Cold reference across backends x thread counts; one
-                // histogram comparison per backend (the cold paths are
+                // Cold reference across thread counts (the cold paths are
                 // already proven identical to one another, but this pins
                 // the online result against each independently).
-                for (const ReachabilityBackend backend :
-                     {ReachabilityBackend::automatic, ReachabilityBackend::dense,
-                      ReachabilityBackend::sparse}) {
-                    for (const std::size_t cold_threads : {std::size_t{1}, std::size_t{4}}) {
-                        std::vector<Histogram01> cold_hists;
-                        const std::vector<DeltaPoint> cold = cold_sweep(
-                            covered, sc.n, sc.period, sc.directed, grid, backend,
-                            cold_threads, &cold_hists);
-                        ASSERT_EQ(cold.size(), report.points.size());
-                        for (std::size_t g = 0; g < cold.size(); ++g) {
-                            expect_identical_points(report.points[g], cold[g]);
-                            expect_identical_histograms(online_hists[g], cold_hists[g]);
-                        }
-                        EXPECT_EQ(report.best_index,
-                                  cold_best(cold, options.metric));
-                        EXPECT_EQ(report.gamma, cold[cold_best(cold, options.metric)].delta);
+                for (const std::size_t cold_threads : {std::size_t{1}, std::size_t{4}}) {
+                    std::vector<Histogram01> cold_hists;
+                    const std::vector<DeltaPoint> cold = cold_sweep(
+                        covered, sc.n, sc.period, sc.directed, grid, cold_threads, &cold_hists);
+                    ASSERT_EQ(cold.size(), report.points.size());
+                    for (std::size_t g = 0; g < cold.size(); ++g) {
+                        expect_identical_points(report.points[g], cold[g]);
+                        expect_identical_histograms(online_hists[g], cold_hists[g]);
                     }
+                    EXPECT_EQ(report.best_index, cold_best(cold, options.metric));
+                    EXPECT_EQ(report.gamma, cold[cold_best(cold, options.metric)].delta);
                 }
             }
             EXPECT_GE(refreshes, 2) << "scenario did not exercise multiple refreshes";

@@ -1,9 +1,9 @@
 // Differential parity: every result computed from an mmap-backed natbin
 // EventSource must be bit-identical to the in-memory path — aggregated
 // series, occupancy histograms, gamma, and the full Delta-sweep curve —
-// across {dense, sparse, auto} reachability backends x {1, 4} threads x
-// three generated scenarios.  This is the executable form of the
-// out-of-core pipeline's correctness claim.
+// across {1, 4} threads x four generated scenarios, one of which resolves
+// its larger aggregation periods to the sparse reachability backend.  This
+// is the executable form of the out-of-core pipeline's correctness claim.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -15,6 +15,8 @@
 #include "gen/registry.hpp"
 #include "linkstream/aggregation.hpp"
 #include "linkstream/binary_io.hpp"
+#include "obs/metrics.hpp"
+#include "testing/streams.hpp"
 #include "testing/temp_files.hpp"
 #include "util/rng.hpp"
 
@@ -51,6 +53,7 @@ std::vector<std::pair<std::string, LinkStream>> scenarios() {
         "two_mode",
         gen::generate_stream("two_mode:n=22,alternations=5,T=24000", 22).stream);
     result.emplace_back("burst", burst_scenario(33));
+    result.emplace_back("burst_pairs", testing::burst_pairs_stream());
     return result;
 }
 
@@ -83,52 +86,45 @@ void expect_points_bitwise_equal(const std::vector<DeltaPoint>& a,
 }
 
 TEST(OutOfCoreParity, SaturationSearchAcrossBackendsAndThreads) {
+    const obs::Counter& dense_deltas = obs::counter("sweep.dense_deltas");
+    const obs::Counter& sparse_deltas = obs::counter("sweep.sparse_deltas");
+    const std::uint64_t dense_before = dense_deltas.read();
+    const std::uint64_t sparse_before = sparse_deltas.read();
     for (const auto& [name, stream] : scenarios()) {
         const auto [guard, mapped] = mmap_copy(stream, name);
-        for (const ReachabilityBackend backend :
-             {ReachabilityBackend::automatic, ReachabilityBackend::dense,
-              ReachabilityBackend::sparse}) {
-            for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-                SCOPED_TRACE(name + " backend " + std::to_string(static_cast<int>(backend)) +
-                             " threads " + std::to_string(threads));
-                SweepConfig options;
-                options.coarse_points = 10;
-                options.refine_rounds = 1;
-                options.refine_points = 5;
-                options.backend = backend;
-                options.num_threads = threads;
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+            SCOPED_TRACE(name + " threads " + std::to_string(threads));
+            SweepConfig options;
+            options.coarse_points = 10;
+            options.refine_rounds = 1;
+            options.refine_points = 5;
+            options.num_threads = threads;
 
-                const SaturationResult in_memory = find_saturation_scale(stream, options);
-                const SaturationResult out_of_core = find_saturation_scale(mapped, options);
+            const SaturationResult in_memory = find_saturation_scale(stream, options);
+            const SaturationResult out_of_core = find_saturation_scale(mapped, options);
 
-                EXPECT_EQ(out_of_core.gamma, in_memory.gamma);
-                expect_points_bitwise_equal(out_of_core.curve, in_memory.curve);
-                EXPECT_EQ(out_of_core.gamma_histogram.counts(),
-                          in_memory.gamma_histogram.counts());
-                EXPECT_EQ(out_of_core.gamma_histogram.mean(),
-                          in_memory.gamma_histogram.mean());
-            }
+            EXPECT_EQ(out_of_core.gamma, in_memory.gamma);
+            expect_points_bitwise_equal(out_of_core.curve, in_memory.curve);
+            EXPECT_EQ(out_of_core.gamma_histogram.counts(),
+                      in_memory.gamma_histogram.counts());
+            EXPECT_EQ(out_of_core.gamma_histogram.mean(), in_memory.gamma_histogram.mean());
         }
     }
+    EXPECT_GT(dense_deltas.read(), dense_before);
+    EXPECT_GT(sparse_deltas.read(), sparse_before);
 }
 
 TEST(OutOfCoreParity, OccupancyHistogramsAtFixedDeltas) {
     for (const auto& [name, stream] : scenarios()) {
         const auto [guard, mapped] = mmap_copy(stream, name);
         for (const Time delta : {Time{1}, Time{97}, Time{1'000}, Time{10'000}}) {
-            for (const ReachabilityBackend backend :
-                 {ReachabilityBackend::automatic, ReachabilityBackend::dense,
-                  ReachabilityBackend::sparse}) {
-                SCOPED_TRACE(name + " delta " + std::to_string(delta));
-                const Histogram01 expected =
-                    occupancy_histogram(stream, delta, Histogram01::kDefaultBins, backend);
-                const Histogram01 actual =
-                    occupancy_histogram(mapped, delta, Histogram01::kDefaultBins, backend);
-                EXPECT_EQ(actual.counts(), expected.counts());
-                EXPECT_EQ(actual.total(), expected.total());
-                EXPECT_EQ(actual.mean(), expected.mean());
-                EXPECT_EQ(actual.population_stddev(), expected.population_stddev());
-            }
+            SCOPED_TRACE(name + " delta " + std::to_string(delta));
+            const Histogram01 expected = occupancy_histogram(stream, delta);
+            const Histogram01 actual = occupancy_histogram(mapped, delta);
+            EXPECT_EQ(actual.counts(), expected.counts());
+            EXPECT_EQ(actual.total(), expected.total());
+            EXPECT_EQ(actual.mean(), expected.mean());
+            EXPECT_EQ(actual.population_stddev(), expected.population_stddev());
         }
     }
 }

@@ -2,21 +2,25 @@
 // histograms, batched Delta sweeps, the full saturation search, and the
 // elongation validation must be bit-identical — trips counted, gamma, every
 // curve score, histogram bins AND moments — to the sequential pre-packed
-// reference across {dense, sparse, automatic} backends x {1, N} threads x
-// series/stream modes.  Grids narrower than an N-thread pool run as
-// (period, column shard) tasks, so the N-thread legs exercise the sharded
-// path.  N defaults to 4 and is overridable through the
-// NATSCALE_TEST_THREADS environment variable so CI can force
+// reference across {1, N} threads x series/stream modes.  Grids narrower
+// than an N-thread pool run as (period, column shard) tasks, so the
+// N-thread legs exercise the sharded path.  The small streams resolve to
+// the dense backend; a large sparse stream drives the sparse-resolved
+// periods (whole tasks on both paths) and a grid mixing the two against a
+// direct dense-engine reference.  N defaults to 4 and is overridable
+// through the NATSCALE_TEST_THREADS environment variable so CI can force
 // oversubscription (threads > cores) and shake out scheduling-order
 // dependence a wide machine would never hit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/delta_grid.hpp"
 #include "core/delta_sweep.hpp"
 #include "core/occupancy.hpp"
 #include "core/saturation.hpp"
@@ -27,10 +31,13 @@
 #include "temporal/legacy_reachability.hpp"
 #include "temporal/minimal_trip.hpp"
 #include "temporal/reachability_backend.hpp"
+#include "testing/streams.hpp"
 #include "util/rng.hpp"
 
 namespace natscale {
 namespace {
+
+using testing::burst_pairs_stream;
 
 /// Thread count under test: 4 unless the environment overrides it (the CI
 /// oversubscription job sets it above the runner's core count).
@@ -82,12 +89,6 @@ void expect_same_point(const DeltaPoint& a, const DeltaPoint& b) {
     EXPECT_TRUE(same_bits(a.scores.variation_coefficient, b.scores.variation_coefficient));
 }
 
-const std::vector<ReachabilityBackend> kBackends = {
-    ReachabilityBackend::automatic,
-    ReachabilityBackend::dense,
-    ReachabilityBackend::sparse,
-};
-
 TEST(ScanParallel, OccupancyHistogramBitIdenticalToPrePackedSequentialScan) {
     const auto stream = random_stream(51, 150, 1'500, 30'000);
     for (const Time delta : {40, 700, 15'000}) {
@@ -98,25 +99,21 @@ TEST(ScanParallel, OccupancyHistogramBitIdenticalToPrePackedSequentialScan) {
         legacy.scan_series(series, [&](const MinimalTrip& trip) {
             reference.add(series_occupancy(trip));
         });
-        for (const ReachabilityBackend backend : kBackends) {
-            SCOPED_TRACE("delta=" + std::to_string(delta) +
-                         " backend=" + std::to_string(static_cast<int>(backend)));
-            // The sequential scan ...
-            expect_same_histogram(occupancy_histogram(series, 720, backend), reference);
+        SCOPED_TRACE("delta=" + std::to_string(delta));
+        // The sequential scan ...
+        expect_same_histogram(occupancy_histogram(series, 720), reference);
 
-            // ... and the same period as a one-point grid on an N-thread
-            // pool, which splits its dense scan into column shards.
-            DeltaSweepOptions options;
-            options.histogram_bins = 720;
-            options.backend = backend;
-            options.num_threads = test_threads();
-            DeltaSweepEngine engine(stream, options);
-            std::vector<Histogram01> hists;
-            const std::vector<Time> grid = {delta};
-            engine.evaluate(grid, &hists);
-            ASSERT_EQ(hists.size(), 1u);
-            expect_same_histogram(hists.front(), reference);
-        }
+        // ... and the same period as a one-point grid on an N-thread pool,
+        // which splits its dense scan into column shards.
+        DeltaSweepOptions options;
+        options.histogram_bins = 720;
+        options.num_threads = test_threads();
+        DeltaSweepEngine engine(stream, options);
+        std::vector<Histogram01> hists;
+        const std::vector<Time> grid = {delta};
+        engine.evaluate(grid, &hists);
+        ASSERT_EQ(hists.size(), 1u);
+        expect_same_histogram(hists.front(), reference);
     }
 }
 
@@ -158,61 +155,51 @@ TEST(ScanParallel, DeltaSweepNarrowGridShardedPathBitIdenticalToOuterPath) {
     const auto reference = reference_engine.evaluate(narrow_grid, &reference_hists);
 
     const obs::Counter& shards_scanned = obs::counter("sweep.shards_scanned");
-    for (const ReachabilityBackend backend : kBackends) {
-        for (const std::size_t threads : {std::size_t{1}, test_threads()}) {
-            DeltaSweepOptions options;
-            options.histogram_bins = 360;
-            options.backend = backend;
-            // A pool wider than the grid engages the (period, shard)
-            // decomposition; a one-thread pool never does.
-            options.num_threads = threads;
-            DeltaSweepEngine engine(stream, options);
-            std::vector<Histogram01> hists;
-            const std::uint64_t shards_before = shards_scanned.read();
-            const auto points = engine.evaluate(narrow_grid, &hists);
-            EXPECT_EQ(shards_scanned.read() > shards_before, narrow_grid.size() < threads);
-            ASSERT_EQ(points.size(), reference.size());
-            for (std::size_t i = 0; i < points.size(); ++i) {
-                SCOPED_TRACE("i=" + std::to_string(i) +
-                             " backend=" + std::to_string(static_cast<int>(backend)) +
-                             " threads=" + std::to_string(threads));
-                expect_same_point(points[i], reference[i]);
-                expect_same_histogram(hists[i], reference_hists[i]);
-            }
+    for (const std::size_t threads : {std::size_t{1}, test_threads()}) {
+        DeltaSweepOptions options;
+        options.histogram_bins = 360;
+        // A pool wider than the grid engages the (period, shard)
+        // decomposition; a one-thread pool never does.
+        options.num_threads = threads;
+        DeltaSweepEngine engine(stream, options);
+        std::vector<Histogram01> hists;
+        const std::uint64_t shards_before = shards_scanned.read();
+        const auto points = engine.evaluate(narrow_grid, &hists);
+        EXPECT_EQ(shards_scanned.read() > shards_before, narrow_grid.size() < threads);
+        ASSERT_EQ(points.size(), reference.size());
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            SCOPED_TRACE("i=" + std::to_string(i) + " threads=" + std::to_string(threads));
+            expect_same_point(points[i], reference[i]);
+            expect_same_histogram(hists[i], reference_hists[i]);
         }
     }
 }
 
 TEST(ScanParallel, SaturationSearchBitIdenticalAcrossThreadsAndBackends) {
-    const auto stream = random_stream(61, 80, 900, 25'000);
+    // n = 80 resolves every period dense; on the burst stream the search
+    // crosses from dense to sparse periods.
+    const obs::Counter& sparse_deltas = obs::counter("sweep.sparse_deltas");
+    for (const LinkStream& stream : {random_stream(61, 80, 900, 25'000), burst_pairs_stream()}) {
+        SCOPED_TRACE("n=" + std::to_string(stream.num_nodes()));
+        SweepConfig options;
+        options.coarse_points = 12;
+        options.refine_rounds = 2;
+        options.refine_points = 5;
+        options.histogram_bins = 360;
+        options.num_threads = 1;
+        const std::uint64_t sparse_before = sparse_deltas.read();
+        const auto reference = find_saturation_scale(stream, options);
+        EXPECT_EQ(sparse_deltas.read() > sparse_before, stream.num_nodes() >= kSparseMinNodes);
 
-    SweepConfig base;
-    base.coarse_points = 12;
-    base.refine_rounds = 2;
-    base.refine_points = 5;
-    base.histogram_bins = 360;
-
-    SweepConfig reference_options = base;
-    reference_options.num_threads = 1;
-    reference_options.backend = ReachabilityBackend::dense;
-    const auto reference = find_saturation_scale(stream, reference_options);
-
-    for (const ReachabilityBackend backend : kBackends) {
-        for (const std::size_t num_threads : {std::size_t{1}, test_threads()}) {
-            SweepConfig options = base;
-            options.backend = backend;
-            options.num_threads = num_threads;
-            const auto result = find_saturation_scale(stream, options);
-            SCOPED_TRACE("backend=" + std::to_string(static_cast<int>(backend)) +
-                         " threads=" + std::to_string(num_threads));
-            EXPECT_EQ(result.gamma, reference.gamma);
-            ASSERT_EQ(result.curve.size(), reference.curve.size());
-            for (std::size_t i = 0; i < result.curve.size(); ++i) {
-                expect_same_point(result.curve[i], reference.curve[i]);
-            }
-            expect_same_point(result.at_gamma, reference.at_gamma);
-            expect_same_histogram(result.gamma_histogram, reference.gamma_histogram);
+        options.num_threads = test_threads();
+        const auto result = find_saturation_scale(stream, options);
+        EXPECT_EQ(result.gamma, reference.gamma);
+        ASSERT_EQ(result.curve.size(), reference.curve.size());
+        for (std::size_t i = 0; i < result.curve.size(); ++i) {
+            expect_same_point(result.curve[i], reference.curve[i]);
         }
+        expect_same_point(result.at_gamma, reference.at_gamma);
+        expect_same_histogram(result.gamma_histogram, reference.gamma_histogram);
     }
 }
 
@@ -224,23 +211,15 @@ TEST(ScanParallel, ElongationCurveBitIdenticalAcrossThreads) {
     reference_options.num_threads = 1;
     const auto reference = elongation_curve(stream, deltas, reference_options);
 
-    for (const ReachabilityBackend backend : kBackends) {
-        for (const std::size_t threads : {std::size_t{1}, test_threads()}) {
-            SweepConfig options;
-            options.backend = backend;
-            options.num_threads = threads;
-            const auto curve = elongation_curve(stream, deltas, options);
-            ASSERT_EQ(curve.size(), reference.size());
-            for (std::size_t i = 0; i < curve.size(); ++i) {
-                SCOPED_TRACE("i=" + std::to_string(i) +
-                             " backend=" + std::to_string(static_cast<int>(backend)) +
-                             " threads=" + std::to_string(threads));
-                EXPECT_EQ(curve[i].delta, reference[i].delta);
-                EXPECT_EQ(curve[i].measured_trips, reference[i].measured_trips);
-                EXPECT_TRUE(same_bits(curve[i].mean_elongation,
-                                      reference[i].mean_elongation));
-            }
-        }
+    SweepConfig options;
+    options.num_threads = test_threads();
+    const auto curve = elongation_curve(stream, deltas, options);
+    ASSERT_EQ(curve.size(), reference.size());
+    for (std::size_t i = 0; i < curve.size(); ++i) {
+        SCOPED_TRACE("i=" + std::to_string(i));
+        EXPECT_EQ(curve[i].delta, reference[i].delta);
+        EXPECT_EQ(curve[i].measured_trips, reference[i].measured_trips);
+        EXPECT_TRUE(same_bits(curve[i].mean_elongation, reference[i].mean_elongation));
     }
 }
 
@@ -266,6 +245,72 @@ TEST(ScanParallel, OversubscribedThreadsStayDeterministic) {
         expect_same_point(point, reference_point);
         expect_same_histogram(hist, reference_hist);
     }
+}
+
+/// Reference for one period: the histogram of a direct dense-engine scan of
+/// aggregate(stream, delta), bypassing select_backend and the sweep engine.
+Histogram01 dense_engine_histogram(const LinkStream& stream, Time delta) {
+    Histogram01 hist(360);
+    TemporalReachability dense;
+    dense.scan_series(aggregate(stream, delta),
+                      [&](const MinimalTrip& trip) { hist.add(series_occupancy(trip)); });
+    return hist;
+}
+
+/// Evaluates `grid` on a `threads`-wide engine and checks every point and
+/// histogram against dense_engine_histogram, plus how many periods each
+/// backend counter saw.
+void expect_grid_matches_dense_engine(const LinkStream& stream, const std::vector<Time>& grid,
+                                      std::size_t threads, std::uint64_t dense_periods,
+                                      std::uint64_t sparse_periods) {
+    const obs::Counter& dense_deltas = obs::counter("sweep.dense_deltas");
+    const obs::Counter& sparse_deltas = obs::counter("sweep.sparse_deltas");
+    const std::uint64_t dense_before = dense_deltas.read();
+    const std::uint64_t sparse_before = sparse_deltas.read();
+
+    DeltaSweepOptions options;
+    options.histogram_bins = 360;
+    options.num_threads = threads;
+    DeltaSweepEngine engine(stream, options);
+    std::vector<Histogram01> hists;
+    const auto points = engine.evaluate(grid, &hists);
+
+    EXPECT_EQ(dense_deltas.read() - dense_before, dense_periods);
+    EXPECT_EQ(sparse_deltas.read() - sparse_before, sparse_periods);
+    ASSERT_EQ(points.size(), grid.size());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        SCOPED_TRACE("delta=" + std::to_string(grid[i]) +
+                     " threads=" + std::to_string(threads));
+        const Histogram01 reference = dense_engine_histogram(stream, grid[i]);
+        expect_same_point(points[i], score_delta_point(grid[i], reference, options.shannon_slots));
+        expect_same_histogram(hists[i], reference);
+    }
+}
+
+TEST(ScanParallel, SparseResolvedGridsBitIdenticalToDenseEngine) {
+    const auto stream = burst_pairs_stream();
+    // At least as wide as the pool (whole-period tasks) and narrower than
+    // it (the sharded plan, which keeps sparse periods whole).
+    const std::vector<Time> wide =
+        geometric_delta_grid(50, stream.period_end(), std::max<std::size_t>(6, test_threads()));
+    const std::vector<Time> narrow = {200, 9'000};
+    const std::size_t threads = std::max<std::size_t>(3, test_threads());
+    for (const std::size_t pool : {std::size_t{1}, threads}) {
+        expect_grid_matches_dense_engine(stream, wide, pool, 0, wide.size());
+        expect_grid_matches_dense_engine(stream, narrow, pool, 0, narrow.size());
+    }
+}
+
+TEST(ScanParallel, NarrowGridMixingDenseAndSparsePeriodsBitIdenticalToDenseEngine) {
+    // Delta = 2 resolves dense (split into column shards), 5000 sparse
+    // (kept whole): one sharded plan holds both kinds of task.
+    const auto stream = burst_pairs_stream();
+    const std::vector<Time> grid = {2, 5'000};
+    const obs::Counter& shards_scanned = obs::counter("sweep.shards_scanned");
+    const std::uint64_t shards_before = shards_scanned.read();
+    expect_grid_matches_dense_engine(stream, grid, std::max<std::size_t>(3, test_threads()), 1,
+                                     1);
+    EXPECT_EQ(shards_scanned.read() - shards_before, column_shards(kSparseMinNodes).size() + 1);
 }
 
 }  // namespace

@@ -4,10 +4,11 @@
 // around the 4-lane (AVX2) and 8-lane (AVX-512) boundaries — and the full
 // pipeline (sweep points, saturation gamma, histogram moments) must be
 // bitwise identical between scalar and vector dispatch over the whole
-// generator corpus, at 1 and 4 threads.  The saturation search's one-period
-// refinement round runs column-sharded on every ISA, and the width-0 /
-// width-1 column-shard scans pin the masked-tail paths through the public
-// scan API on every ISA.
+// generator corpus, at 1 and 4 threads, with every period also scanned
+// through the sparse engine directly (the corpus resolves to dense).  The
+// saturation search's one-period refinement round runs column-sharded on
+// every ISA, and the width-0 / width-1 column-shard scans pin the
+// masked-tail paths through the public scan API on every ISA.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -314,18 +315,13 @@ std::vector<Time> corpus_grid(const gen::GenSpec& spec, const LinkStream& stream
 
 TEST(SimdScan, CorpusSweepBitIdenticalAcrossIsasBackendsAndThreads) {
     IsaGuard guard;
-    const std::vector<ReachabilityBackend> backends = {
-        ReachabilityBackend::dense,
-        ReachabilityBackend::sparse,
-        ReachabilityBackend::automatic,
-    };
     for (const auto& spec : gen::default_corpus()) {
         if (spec.model == "empty") continue;  // sweeps reject empty streams
         const auto stream = gen::generate_stream(spec).stream;
         const auto grid = corpus_grid(spec, stream);
 
         // Scalar dispatch, sequential scan: the reference every other
-        // (ISA, backend, thread count) combination must reproduce bitwise.
+        // (ISA, thread count) combination must reproduce bitwise.
         ASSERT_TRUE(set_simd_isa(SimdIsa::scalar));
         DeltaSweepOptions baseline_options;
         baseline_options.num_threads = 1;
@@ -335,25 +331,30 @@ TEST(SimdScan, CorpusSweepBitIdenticalAcrossIsasBackendsAndThreads) {
 
         for (const SimdIsa isa : supported_simd_isas()) {
             ASSERT_TRUE(set_simd_isa(isa));
-            for (const ReachabilityBackend backend : backends) {
-                for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-                    const std::string context = gen::to_string(spec) +
-                                                " isa=" + to_string(isa) +
-                                                " backend=" +
-                                                std::to_string(static_cast<int>(backend)) +
-                                                " threads=" + std::to_string(threads);
-                    DeltaSweepOptions options;
-                    options.backend = backend;
-                    options.num_threads = threads;
-                    DeltaSweepEngine engine(stream, options);
-                    std::vector<Histogram01> hists;
-                    const auto points = engine.evaluate(grid, &hists);
-                    ASSERT_EQ(points.size(), baseline.size()) << context;
-                    for (std::size_t i = 0; i < points.size(); ++i) {
-                        expect_identical_point(context, points[i], baseline[i]);
-                        expect_identical_histogram(context, hists[i], baseline_hists[i]);
-                    }
+            for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+                const std::string context = gen::to_string(spec) + " isa=" + to_string(isa) +
+                                            " threads=" + std::to_string(threads);
+                DeltaSweepOptions options;
+                options.num_threads = threads;
+                DeltaSweepEngine engine(stream, options);
+                std::vector<Histogram01> hists;
+                const auto points = engine.evaluate(grid, &hists);
+                ASSERT_EQ(points.size(), baseline.size()) << context;
+                for (std::size_t i = 0; i < points.size(); ++i) {
+                    expect_identical_point(context, points[i], baseline[i]);
+                    expect_identical_histogram(context, hists[i], baseline_hists[i]);
                 }
+            }
+            // The sparse engine under this ISA against the scalar sweep.
+            SparseTemporalReachability sparse;
+            for (std::size_t i = 0; i < grid.size(); ++i) {
+                Histogram01 hist(baseline_hists[i].num_bins());
+                sparse.scan_series(aggregate(stream, grid[i]), [&](const MinimalTrip& trip) {
+                    hist.add(series_occupancy(trip));
+                });
+                expect_identical_histogram(gen::to_string(spec) + " isa=" + to_string(isa) +
+                                               " sparse engine",
+                                           hist, baseline_hists[i]);
             }
         }
     }

@@ -2,11 +2,14 @@
 // engine must emit the exact same minimal-trip sequence (same trips, same
 // order — so every float accumulation downstream is bit-identical) as the
 // dense engine, on series and stream scans, with and without pair sampling,
-// and through the whole saturation search for every thread count.
+// and through the whole saturation search for every thread count.  The
+// engines are called directly; select_backend's rule (also tested here)
+// decides which one a batch scan runs on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "core/saturation.hpp"
@@ -156,47 +159,40 @@ TEST(BackendSelection, LargeSparseStreamsGoSparseWithinBudget) {
     EXPECT_EQ(select_backend(3'000, 10'000'000, {}), ReachabilityBackend::dense);
 }
 
-TEST(BackendSelection, ExplicitBackendWins) {
-    ReachabilityOptions force_sparse;
-    force_sparse.backend = ReachabilityBackend::sparse;
-    EXPECT_EQ(select_backend(10, 10, force_sparse), ReachabilityBackend::sparse);
-    ReachabilityOptions force_dense;
-    force_dense.backend = ReachabilityBackend::dense;
-    EXPECT_EQ(select_backend(200'000, 10, force_dense), ReachabilityBackend::dense);
-}
-
 TEST(BackendSelection, DistanceAccumulationForcesDense) {
     DistanceAccumulator distances;
     ReachabilityOptions options;
     options.distances = &distances;
     EXPECT_EQ(select_backend(200'000, 10, options), ReachabilityBackend::dense);
-    options.backend = ReachabilityBackend::sparse;
-    EXPECT_THROW(select_backend(200'000, 10, options), contract_error);
 }
 
 TEST(ReachabilityEngine, FacadeDispatchesAndAgrees) {
-    const auto stream = random_stream(23, 30, 300, 2'000, false);
-    const auto series = aggregate(stream, 100);
-
     ReachabilityEngine engine;
-    std::vector<MinimalTrip> automatic;
-    engine.scan_series(series, [&](const MinimalTrip& t) { automatic.push_back(t); });
-    EXPECT_EQ(engine.last_backend(), ReachabilityBackend::dense);  // n = 30
+    std::vector<MinimalTrip> trips;
+    const auto collect = [&](const MinimalTrip& t) { trips.push_back(t); };
 
-    ReachabilityOptions force_sparse;
-    force_sparse.backend = ReachabilityBackend::sparse;
-    std::vector<MinimalTrip> forced;
-    engine.scan_series(series, [&](const MinimalTrip& t) { forced.push_back(t); },
-                       force_sparse);
+    // n = 30: dense.
+    const auto small = aggregate(random_stream(23, 30, 300, 2'000, false), 100);
+    engine.scan_series(small, collect);
+    EXPECT_EQ(engine.last_backend(), ReachabilityBackend::dense);
+    EXPECT_EQ(trips, sparse_series_trips(small));
+
+    // n = kSparseMinNodes at 2 arcs per node: sparse.
+    const auto large =
+        aggregate(random_stream(31, kSparseMinNodes, 2 * kSparseMinNodes, 4'000, false), 10);
+    trips.clear();
+    engine.scan_series(large, collect);
     EXPECT_EQ(engine.last_backend(), ReachabilityBackend::sparse);
-    EXPECT_EQ(automatic, forced);
+    EXPECT_EQ(trips, dense_series_trips(large));
     // Post-scan lookups go through the sparse state.
-    EXPECT_EQ(engine.arrival(0, 1),
-              [&] {
-                  SparseTemporalReachability reference;
-                  reference.scan_series(series, [](const MinimalTrip&) {});
-                  return reference.arrival(0, 1);
-              }());
+    ASSERT_FALSE(trips.empty());
+    const NodeId u = trips.front().u;
+    TemporalReachability reference;
+    reference.scan_series(large, [](const MinimalTrip&) {});
+    for (NodeId v = 0; v < large.num_nodes(); ++v) {
+        EXPECT_EQ(engine.arrival(u, v), reference.arrival(u, v)) << v;
+        EXPECT_EQ(engine.hop_count(u, v), reference.hop_count(u, v)) << v;
+    }
 }
 
 /// Bitwise equality for doubles (== would conflate -0.0 with 0.0 and miss
@@ -221,6 +217,9 @@ void expect_same_point(const DeltaPoint& a, const DeltaPoint& b) {
 }
 
 TEST(SparseReachability, SaturationSearchBitIdenticalAcrossBackendsAndThreads) {
+    // n = 60 resolves every scan of find_saturation_scale to dense; the
+    // same search through an evaluator that scans each period with the
+    // sparse engine must match it to the bit at every thread count.
     const auto stream = random_stream(29, 60, 800, 20'000, false);
 
     SweepConfig base;
@@ -229,16 +228,27 @@ TEST(SparseReachability, SaturationSearchBitIdenticalAcrossBackendsAndThreads) {
     base.refine_points = 6;
     base.histogram_bins = 360;
 
-    SweepConfig dense_options = base;
-    dense_options.backend = ReachabilityBackend::dense;
-    dense_options.num_threads = 1;
-    const auto reference = find_saturation_scale(stream, dense_options);
+    const GridEvaluator sparse_evaluator = [&](std::span<const Time> grid,
+                                               std::vector<Histogram01>* histograms) {
+        std::vector<DeltaPoint> points;
+        SparseTemporalReachability engine;
+        for (const Time delta : grid) {
+            Histogram01 hist(base.histogram_bins);
+            engine.scan_series(aggregate(stream, delta), [&](const MinimalTrip& trip) {
+                hist.add(series_occupancy(trip));
+            });
+            points.push_back(score_delta_point(delta, hist, base.shannon_slots));
+            if (histograms != nullptr) histograms->push_back(std::move(hist));
+        }
+        return points;
+    };
+    const auto reference =
+        find_saturation_scale_with(sparse_evaluator, 1, stream.period_end(), base);
 
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        SweepConfig sparse_options = base;
-        sparse_options.backend = ReachabilityBackend::sparse;
-        sparse_options.num_threads = threads;
-        const auto result = find_saturation_scale(stream, sparse_options);
+        SweepConfig options = base;
+        options.num_threads = threads;
+        const auto result = find_saturation_scale(stream, options);
 
         EXPECT_EQ(result.gamma, reference.gamma) << "threads=" << threads;
         ASSERT_EQ(result.curve.size(), reference.curve.size());

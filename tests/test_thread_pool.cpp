@@ -111,8 +111,8 @@ TEST(ThreadPool, MaxWorkersCapsParticipation) {
 }
 
 TEST(ThreadPool, ResolveConcurrencyRule) {
-    EXPECT_EQ(ThreadPool::resolve_concurrency(3), 3u);
-    EXPECT_GE(ThreadPool::resolve_concurrency(0), 1u);
+    EXPECT_EQ(ThreadPool(3).concurrency(), 3u);
+    EXPECT_GE(ThreadPool(0).concurrency(), 1u);
 }
 
 }  // namespace
