@@ -5,9 +5,9 @@
 // temporal reach of every source by the cell size AT EVERY aggregation
 // period, which is what makes a full [1, T] Delta grid tractable at
 // n = 16384 for the cold reference and the online engine alike — the
-// ring workload of scale_outofcore has reach growing with the window
-// count, which is fine for its single Delta = T/32 but blows up both
-// sweeps on a grid that includes fine periods.
+// ring workload of tests/test_outofcore_scale.cpp has reach growing with
+// the window count, which is fine for its single Delta = T/32 but blows up
+// both sweeps on a grid that includes fine periods.
 //
 // Protocol (the acceptance measurement of the online subsystem):
 //   1. stream all but the last `append_fraction` of the events into a

@@ -9,21 +9,22 @@
 //     of linkstream/aggregation, straight off the stream's shared
 //     time-sorted event buffer (in RAM or an mmap'd .natbin trace); peak
 //     residency is the per-window working set, not the trace;
-//   * the independent per-Delta reachability scans fan out over a
-//     util/thread_pool, with one reusable ReachabilityEngine per worker so
-//     the sweep state is allocated once per thread, not once per period;
-//     each scan runs on the dense or sparse kernel that select_backend
-//     (temporal/reachability_backend) picks for that period's series;
-//   * a grid narrower than the pool (a late refinement round can hold a
-//     single period) instead runs as (Delta, column shard) tasks
-//     (temporal/sharded_scan), so every thread has a scan to work on.
+//   * the per-Delta reachability scans fan out over a util/thread_pool
+//     through scan_periods (temporal/sharded_scan), the one function that
+//     decides between one task per period (one reusable ReachabilityEngine
+//     per worker) and, for a grid narrower than the pool (a late
+//     refinement round can hold a single period), (Delta, column shard)
+//     tasks; each scan runs on the dense or sparse kernel that
+//     select_backend (temporal/reachability_backend) picks for that
+//     period's series;
+//   * every period is scored by score_delta_point once the fan-out is done.
 //
 // Results are deterministic and thread-count independent: every period (or
-// shard) is evaluated by exactly one task writing to its own output slot,
-// shard partials merge in fixed ascending order into split-invariant
+// shard) is scanned by exactly one task writing to its own partial, shard
+// partials merge in fixed ascending order into split-invariant
 // accumulators, and the per-period computation is bit-identical to the
-// legacy single-period path (same snapshot edge order, same trip emission
-// order, same floating-point accumulation order).
+// sequential single-period path (same snapshot edge order, same trip
+// emission order, same floating-point accumulation order).
 #pragma once
 
 #include <cstdint>
@@ -85,11 +86,9 @@ public:
     /// Evaluates every period of `grid` (occupancy histogram + all five
     /// uniformity metrics), in grid order.  When `histograms_out` is
     /// non-null it receives the per-period occupancy histograms, aligned
-    /// with the returned points.  Periods are independent, so they run in
-    /// parallel — split into column shards when the grid is narrower than
-    /// the pool; the result is identical for any thread count.  Each
-    /// period adds one to `sweep.dense_deltas` or `sweep.sparse_deltas`,
-    /// after the backend its scan ran on.
+    /// with the returned points.  The scans run through scan_periods
+    /// (temporal/sharded_scan), which counts and traces every period under
+    /// `sweep.*`; the result is identical for any thread count.
     /// Preconditions: every delta >= 1.
     std::vector<DeltaPoint> evaluate(std::span<const Time> grid,
                                      std::vector<Histogram01>* histograms_out = nullptr);
@@ -101,12 +100,6 @@ public:
 
 private:
     ThreadPool& pool();
-
-    /// The narrow-grid path of evaluate(): dense per-Delta scans split into
-    /// column-shard tasks, sparse ones kept whole, all fanned out together.
-    std::vector<DeltaPoint> evaluate_sharded(std::span<const Time> grid,
-                                             std::vector<Histogram01>* histograms_out,
-                                             ThreadPool& workers);
 
     const LinkStream* stream_;
     DeltaSweepOptions options_;

@@ -18,15 +18,6 @@ Histogram01 occupancy_histogram(const LinkStream& stream, Time delta, std::size_
     return occupancy_histogram(aggregate(stream, delta), num_bins);
 }
 
-EmpiricalDistribution occupancy_distribution(const GraphSeries& series) {
-    EmpiricalDistribution dist;
-    ReachabilityEngine engine;
-    engine.scan_series(series, [&](const MinimalTrip& trip) {
-        dist.add(series_occupancy(trip));
-    });
-    return dist;
-}
-
 std::uint64_t count_minimal_trips(const GraphSeries& series) {
     std::uint64_t count = 0;
     ReachabilityEngine engine;

@@ -12,7 +12,6 @@
 
 #include "linkstream/graph_series.hpp"
 #include "linkstream/link_stream.hpp"
-#include "stats/empirical_distribution.hpp"
 #include "stats/histogram01.hpp"
 #include "util/types.hpp"
 
@@ -34,9 +33,6 @@ Histogram01 occupancy_histogram(const GraphSeries& series,
 /// in-memory path.
 Histogram01 occupancy_histogram(const LinkStream& stream, Time delta,
                                 std::size_t num_bins = Histogram01::kDefaultBins);
-
-/// Exact sample-storing variant for small series and for the tests.
-EmpiricalDistribution occupancy_distribution(const GraphSeries& series);
 
 /// Count of minimal trips of the aggregated series.
 std::uint64_t count_minimal_trips(const GraphSeries& series);

@@ -1,10 +1,9 @@
 #include "core/validation.hpp"
 
-#include <optional>
+#include <span>
 
 #include "linkstream/aggregation.hpp"
 #include "stats/exact_sum.hpp"
-#include "temporal/reachability_backend.hpp"
 #include "temporal/sharded_scan.hpp"
 #include "util/contracts.hpp"
 #include "util/math.hpp"
@@ -36,10 +35,15 @@ namespace {
 struct ElongationPartial {
     ExactSum sum;
     std::uint64_t measured = 0;
+
+    void merge(const ElongationPartial& other) {
+        sum.merge(other.sum);
+        measured += other.measured;
+    }
 };
 
-/// Adds one minimal trip's elongation term; shared by the sequential and
-/// column-sharded paths so both accumulate the identical quantity.
+/// Adds one minimal trip's elongation term to the partial of its scan (or
+/// column shard).
 void accumulate_elongation(const MinimalTrip& trip, Time delta, const StreamTripStore& store,
                            ElongationPartial& partial) {
     if (trip.dep == trip.arr) return;  // e_P defined only for t_u != t_v
@@ -76,20 +80,25 @@ ElongationPoint point_of(Time delta, const ElongationPartial& partial) {
     return point;
 }
 
-/// Elongation of one aggregated series against the stream trip store; the
-/// reachability engine is caller-provided so a sweep can reuse one per
-/// worker thread.
-ElongationPoint elongation_of_series(const GraphSeries& series, const StreamTripStore& store,
-                                     ReachabilityEngine& engine) {
-    const Time delta = series.delta();
-    ReachabilityOptions options;
-    options.pair_sample_divisor = store.pair_sample_divisor();
-
-    ElongationPartial partial;
-    engine.scan_series(series, [&](const MinimalTrip& trip) {
-        accumulate_elongation(trip, delta, store, partial);
-    }, options);
-    return point_of(delta, partial);
+/// Elongation points of every period of `deltas`, scanned on `pool` by
+/// scan_periods (temporal/sharded_scan) against the stream trip store, whose
+/// sampling divisor the series scans reuse.
+std::vector<ElongationPoint> elongation_points(const LinkStream& stream,
+                                               std::span<const Time> deltas,
+                                               const StreamTripStore& store, ThreadPool& pool) {
+    ReachabilityOptions scan_options;
+    scan_options.pair_sample_divisor = store.pair_sample_divisor();
+    const std::vector<ElongationPartial> partials = scan_periods(
+        pool, deltas.size(), [&](std::size_t index) { return aggregate(stream, deltas[index]); },
+        ElongationPartial{}, scan_options,
+        [&store](ElongationPartial& partial, const GraphSeries& series) {
+            return [&partial, &store, delta = series.delta()](const MinimalTrip& trip) {
+                accumulate_elongation(trip, delta, store, partial);
+            };
+        });
+    std::vector<ElongationPoint> curve(deltas.size());
+    for (std::size_t d = 0; d < deltas.size(); ++d) curve[d] = point_of(deltas[d], partials[d]);
+    return curve;
 }
 
 }  // namespace
@@ -97,8 +106,8 @@ ElongationPoint elongation_of_series(const GraphSeries& series, const StreamTrip
 ElongationPoint elongation_at(const LinkStream& stream, Time delta,
                               const StreamTripStore& store) {
     NATSCALE_EXPECTS(delta >= 1);
-    ReachabilityEngine engine;
-    return elongation_of_series(aggregate(stream, delta), store, engine);
+    ThreadPool pool(1);
+    return elongation_points(stream, std::span(&delta, 1), store, pool).front();
 }
 
 std::vector<ElongationPoint> elongation_curve(const LinkStream& stream,
@@ -117,56 +126,9 @@ std::vector<ElongationPoint> elongation_curve(const LinkStream& stream,
     store_options.pair_sample_divisor = divisor;
     const StreamTripStore store(stream, store_options);
 
-    // The periods are independent: fan the scans out, one result slot and
-    // one reachability engine per worker.  num_threads is THE concurrency
-    // (and memory) cap; the shard tasks of a narrow period list share this
-    // pool.
+    // num_threads is THE concurrency (and memory) cap of the scans.
     ThreadPool pool(options.num_threads);
-
-    if (!narrower_than_pool(deltas.size(), pool)) {
-        // Wide period list: one whole-period task per entry.
-        std::vector<ReachabilityEngine> engines(pool.concurrency());
-        std::vector<ElongationPoint> curve(deltas.size());
-        pool.parallel_for(deltas.size(), [&](std::size_t worker, std::size_t index) {
-            curve[index] =
-                elongation_of_series(aggregate(stream, deltas[index]), store, engines[worker]);
-        });
-        return curve;
-    }
-
-    // Narrow period list: split the dense scans by destination column, one
-    // elongation partial per (period, shard) task, merged in ascending shard
-    // order.  Bit-identical to the whole-period path (exact sums).
-    std::vector<std::optional<GraphSeries>> series(deltas.size());
-    pool.parallel_for(deltas.size(), [&](std::size_t index) {
-        series[index].emplace(aggregate(stream, deltas[index]));
-    });
-    std::vector<const GraphSeries*> series_ptrs(deltas.size());
-    for (std::size_t d = 0; d < deltas.size(); ++d) series_ptrs[d] = &*series[d];
-
-    ReachabilityOptions scan_options;
-    scan_options.pair_sample_divisor = store.pair_sample_divisor();
-    const ShardedScanPlan plan = plan_sharded_scans(series_ptrs, scan_options);
-    std::vector<ElongationPartial> partials(plan.tasks.size());
-    run_sharded_scans(pool, series_ptrs, plan, scan_options,
-                      [&](std::size_t task, const GraphSeries& s) {
-                          ElongationPartial& partial = partials[task];
-                          const Time delta = s.delta();
-                          return [&partial, delta, &store](const MinimalTrip& trip) {
-                              accumulate_elongation(trip, delta, store, partial);
-                          };
-                      });
-
-    std::vector<ElongationPoint> curve(deltas.size());
-    for (std::size_t d = 0; d < deltas.size(); ++d) {
-        ElongationPartial merged;
-        for (std::size_t t = plan.first_task[d]; t < plan.first_task[d + 1]; ++t) {
-            merged.sum.merge(partials[t].sum);
-            merged.measured += partials[t].measured;
-        }
-        curve[d] = point_of(deltas[d], merged);
-    }
-    return curve;
+    return elongation_points(stream, deltas, store, pool);
 }
 
 }  // namespace natscale

@@ -46,15 +46,17 @@ struct ElongationPoint {
 /// time_L(P) (Definition 8) of the minimal trips of G_Delta, per period.
 /// Trips with t_u == t_v are skipped, as in the paper (their elongation is
 /// undefined).  Deterministic pair sampling keeps memory bounded on large
-/// streams while leaving the mean unbiased.  The per-period scans run on a
-/// util/thread_pool, split into column shards when the period list is
-/// narrower than the pool.
+/// streams while leaving the mean unbiased.  The per-period scans run
+/// through scan_periods (temporal/sharded_scan), the fan-out
+/// DeltaSweepEngine::evaluate uses too: one task per period, or column
+/// shards when the period list is narrower than the pool.  Every period is
+/// counted and traced under `sweep.*` like a search period.
 std::vector<ElongationPoint> elongation_curve(const LinkStream& stream,
                                               const std::vector<Time>& deltas,
                                               const SweepConfig& options = {});
 
 /// Single-period elongation against a prebuilt trip store (whose sampling
-/// divisor is reused for the series scan).
+/// divisor is reused for the series scan): the same fan-out on one thread.
 ElongationPoint elongation_at(const LinkStream& stream, Time delta,
                               const StreamTripStore& store);
 

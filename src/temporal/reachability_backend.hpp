@@ -7,11 +7,12 @@
 //
 // Both emit the exact same trip sequence, so the choice is purely a
 // space/time trade-off, made by select_backend alone.  ReachabilityEngine
-// is the facade every batch caller (core/occupancy, core/delta_sweep,
-// core/validation, and through them core/saturation and core/segmentation)
-// scans through: it holds both engines (each allocates its state lazily, on
-// first use) and picks one per scan; the column-sharded plan
-// (temporal/sharded_scan) applies the same rule per series.
+// is the facade batch scans go through (core/occupancy directly;
+// core/delta_sweep and core/validation, and through them core/saturation
+// and core/segmentation, via scan_periods in temporal/sharded_scan): it
+// holds both engines (each allocates its state lazily, on first use) and
+// picks one per scan.  scan_periods applies the same rule per period when
+// it splits a narrow period list into column shards.
 //
 // Selection rule, in order:
 //   1. scans feeding a DistanceAccumulator use dense (the accumulator keeps

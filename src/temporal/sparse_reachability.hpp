@@ -117,20 +117,6 @@ public:
         process_instant(label, sink, options);
     }
 
-    /// Period-range form of scan_series: sweeps only snapshots
-    /// [snap_begin, snap_end) of the series (indices into
-    /// series.snapshots(), still in backward order).  With `resume` false
-    /// the state is reset first; with `resume` true the sweep continues from
-    /// the existing state, so scanning [k, K) and then [0, k) with resume
-    /// emits exactly the trips (and leaves exactly the state) of one full
-    /// scan.  Preconditions: snap_begin <= snap_end <= snapshots().size();
-    /// when resuming, the previously processed instants all had larger
-    /// window indices.
-    template <typename Sink>
-    void scan_series_range(const GraphSeries& series, std::size_t snap_begin,
-                           std::size_t snap_end, bool resume, Sink&& sink,
-                           const ReachabilityOptions& options = {});
-
     /// The whole sweep state, row per source.  With the entries of each row
     /// restored verbatim, a sweep continues bit-identically — the
     /// serialization surface of online/checkpoint.
@@ -182,26 +168,6 @@ void SparseTemporalReachability::scan_series(const GraphSeries& series, Sink&& s
     for (auto it = snapshots.rbegin(); it != snapshots.rend(); ++it) {
         detail::build_instant_arcs(arcs_, it->edges, series.directed());
         process_instant(it->k, sink, options);
-    }
-}
-
-template <typename Sink>
-void SparseTemporalReachability::scan_series_range(const GraphSeries& series,
-                                                   std::size_t snap_begin,
-                                                   std::size_t snap_end, bool resume,
-                                                   Sink&& sink,
-                                                   const ReachabilityOptions& options) {
-    NATSCALE_EXPECTS(options.distances == nullptr);  // dense backend only
-    const auto snapshots = series.snapshots();
-    NATSCALE_EXPECTS(snap_begin <= snap_end && snap_end <= snapshots.size());
-    if (!resume) {
-        prepare(series.num_nodes());
-    } else {
-        NATSCALE_EXPECTS(series.num_nodes() == n_);
-    }
-    for (std::size_t i = snap_end; i-- > snap_begin;) {
-        detail::build_instant_arcs(arcs_, snapshots[i].edges, series.directed());
-        process_instant(snapshots[i].k, sink, options);
     }
 }
 

@@ -59,7 +59,7 @@ TEST(DeltaSweep, ThreadCountDoesNotChangeResults) {
     std::vector<Histogram01> hist1;
     const auto points1 = engine1.evaluate(grid, &hist1);
 
-    for (std::size_t threads : {2u, 4u, 7u}) {
+    for (std::size_t threads : {2u, 4u, 7u, 8u}) {
         DeltaSweepOptions multi;
         multi.num_threads = threads;
         DeltaSweepEngine engineN(stream, multi);

@@ -3,7 +3,10 @@
 
 #include "core/occupancy.hpp"
 #include "linkstream/aggregation.hpp"
+#include "stats/empirical_distribution.hpp"
 #include "stats/uniformity.hpp"
+#include "temporal/minimal_trip.hpp"
+#include "temporal/reachability_backend.hpp"
 #include "util/rng.hpp"
 
 namespace natscale {
@@ -26,7 +29,11 @@ TEST(Occupancy, HistogramMatchesExactDistribution) {
     for (Time delta : {1, 5, 17, 120}) {
         const auto series = aggregate(stream, delta);
         const auto hist = occupancy_histogram(series, 3600);
-        const auto exact = occupancy_distribution(series);
+        // The exact sample set of the same trips, from a direct scan.
+        EmpiricalDistribution exact;
+        ReachabilityEngine engine;
+        engine.scan_series(series,
+                           [&](const MinimalTrip& trip) { exact.add(series_occupancy(trip)); });
         ASSERT_EQ(hist.total(), exact.size()) << "delta=" << delta;
         EXPECT_NEAR(hist.mean(), exact.mean(), 1e-12);
         EXPECT_NEAR(mk_distance_to_uniform(hist), mk_distance_to_uniform(exact),

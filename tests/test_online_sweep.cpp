@@ -407,29 +407,35 @@ TEST(StreamIngestor, DuplicateAndLatePolicies) {
     EXPECT_TRUE(d.append({2, 1, 1}));  // directed streams keep orientation
 }
 
-TEST(OnlineSweep, SparseScanSeriesRangeResumesBitIdentically) {
-    // The period-range entry point underpinning resumability: scanning
-    // [k, K) then [0, k) with resume emits exactly the full scan's trips
-    // and leaves exactly its state.
+TEST(OnlineSweep, SparseRelaxInstantResumesBitIdentically) {
+    // The resumable entry points the online engine drives: relaxing
+    // snapshots [k, K) and then, on the same state, [0, k) — each range
+    // backward — emits exactly the full scan's trips and leaves exactly its
+    // state.
     const Scenario sc = kScenarios[0];
     std::vector<Event> sorted =
         random_events(sc.seed + 3, sc.n, sc.period, 300, sc.directed);
     std::sort(sorted.begin(), sorted.end());
     const LinkStream stream(sorted, sc.n, sc.period, sc.directed);
     const GraphSeries series = aggregate(stream, 250);
+    const auto snapshots = series.snapshots();
 
     SparseTemporalReachability whole;
     std::vector<MinimalTrip> expected;
     whole.scan_series(series, [&](const MinimalTrip& t) { expected.push_back(t); });
 
-    for (const std::size_t split : {std::size_t{0}, series.snapshots().size() / 3,
-                                    series.snapshots().size()}) {
+    for (const std::size_t split : {std::size_t{0}, snapshots.size() / 3, snapshots.size()}) {
         SparseTemporalReachability split_scan;
         std::vector<MinimalTrip> got;
-        split_scan.scan_series_range(series, split, series.snapshots().size(), false,
-                                     [&](const MinimalTrip& t) { got.push_back(t); });
-        split_scan.scan_series_range(series, 0, split, true,
-                                     [&](const MinimalTrip& t) { got.push_back(t); });
+        const auto relax_backward = [&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = end; i-- > begin;) {
+                split_scan.relax_instant(snapshots[i].edges, series.directed(), snapshots[i].k,
+                                         [&](const MinimalTrip& t) { got.push_back(t); });
+            }
+        };
+        split_scan.begin(series.num_nodes());
+        relax_backward(split, snapshots.size());
+        relax_backward(0, split);
         EXPECT_EQ(got, expected) << "split=" << split;
         EXPECT_EQ(split_scan.state_rows(), whole.state_rows());
     }

@@ -96,24 +96,50 @@ TEST(Reachability, DirectedSeriesRespectsOrientation) {
     EXPECT_EQ(trips.size(), 3u);
 }
 
-TEST(Reachability, Figure1SeriesLosesPinkPath) {
-    // The Figure 1 stream (see test_temporal_paths.cpp): d reaches b in the
-    // stream but not in the series aggregated at Delta = 10.
-    constexpr NodeId b = 1, c = 2, d = 3, e = 4;
-    LinkStream stream({{e, c, 3}, {c, b, 14}, {0, d, 8}, {d, c, 21}, {c, b, 25}}, 5, 30);
+// ---- The Figure 1 universe -------------------------------------------------
+// Nodes a..e; three aggregation windows of length 10.  The dark-blue path
+// e -> c -> b spans windows 1 and 2 and survives aggregation; the light-pink
+// path d -> c -> b lies inside window 3 and is destroyed by it (it would
+// need two links of G3, which Remark 1 forbids).
+constexpr NodeId a = 0, b = 1, c = 2, d = 3, e = 4;
 
-    const auto stream_trips = collect_stream_trips(stream);
-    EXPECT_TRUE(contains_trip(stream_trips, {d, b, 21, 25, 2}));
-    EXPECT_TRUE(contains_trip(stream_trips, {e, b, 3, 14, 2}));
+LinkStream figure1_stream() {
+    return LinkStream({{e, c, 3}, {c, b, 14}, {a, d, 8}, {d, c, 21}, {c, b, 25}},
+                      5, 30, /*directed=*/false);
+}
 
-    const auto series_trips = collect_series_trips(aggregate(stream, 10));
-    EXPECT_TRUE(contains_trip(series_trips, {e, b, 1, 2, 2}));
-    for (const auto& t : series_trips) {
+TEST(Figure1, DarkBluePathExistsInStream) {
+    const auto trips = collect_stream_trips(figure1_stream());
+    const MinimalTrip dark_blue{e, b, 3, 14, 2};
+    EXPECT_TRUE(contains_trip(trips, dark_blue));
+    EXPECT_EQ(stream_duration(dark_blue), 11);
+}
+
+TEST(Figure1, DarkBluePathExistsInSeries) {
+    const auto trips = collect_series_trips(aggregate(figure1_stream(), 10));
+    const MinimalTrip dark_blue{e, b, 1, 2, 2};
+    EXPECT_TRUE(contains_trip(trips, dark_blue));
+    EXPECT_EQ(series_duration(dark_blue), 2);  // two windows
+}
+
+TEST(Figure1, LightPinkPathExistsInStream) {
+    EXPECT_TRUE(contains_trip(collect_stream_trips(figure1_stream()), {d, b, 21, 25, 2}));
+}
+
+TEST(Figure1, LightPinkPathDestroyedBySeries) {
+    // Both links are in G3; Remark 1 forbids using two links of the same
+    // snapshot, so d reaches b by no trip of the series.
+    for (const auto& t : collect_series_trips(aggregate(figure1_stream(), 10))) {
         EXPECT_FALSE(t.u == d && t.v == b) << "pink path should be destroyed";
     }
+}
 
+TEST(Reachability, Figure1SeriesLosesPinkPath) {
+    // The Figure 1 series at Delta = 10 (its trips are checked by the
+    // Figure1 tests above): the final state has no d -> b arrival, and e
+    // reaches b in window 2 with two hops.
     TemporalReachability engine;
-    engine.scan_series(aggregate(stream, 10), [](const MinimalTrip&) {});
+    engine.scan_series(aggregate(figure1_stream(), 10), [](const MinimalTrip&) {});
     EXPECT_EQ(engine.arrival(d, b), kInfiniteTime);
     EXPECT_EQ(engine.arrival(e, b), 2);
     EXPECT_EQ(engine.hop_count(e, b), 2);

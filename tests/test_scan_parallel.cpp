@@ -6,8 +6,9 @@
 // than an N-thread pool run as (period, column shard) tasks, so the
 // N-thread legs exercise the sharded path.  The small streams resolve to
 // the dense backend; a large sparse stream drives the sparse-resolved
-// periods (whole tasks on both paths) and a grid mixing the two against a
-// direct dense-engine reference.  N defaults to 4 and is overridable
+// periods (whole tasks on both paths) and period lists mixing the two, for
+// the sweep against a direct dense-engine reference and for the elongation
+// curve across thread counts.  N defaults to 4 and is overridable
 // through the NATSCALE_TEST_THREADS environment variable so CI can force
 // oversubscription (threads > cores) and shake out scheduling-order
 // dependence a wide machine would never hit.
@@ -203,24 +204,47 @@ TEST(ScanParallel, SaturationSearchBitIdenticalAcrossThreadsAndBackends) {
     }
 }
 
-TEST(ScanParallel, ElongationCurveBitIdenticalAcrossThreads) {
-    const auto stream = random_stream(67, 60, 700, 8'000);
-    const std::vector<Time> deltas = {50, 400, 2'000};
-
-    SweepConfig reference_options;
-    reference_options.num_threads = 1;
-    const auto reference = elongation_curve(stream, deltas, reference_options);
-
+/// Runs elongation_curve over `deltas` at one thread and at `threads`,
+/// checks the curves bit for bit, and checks that each run counted
+/// `sparse_periods` sparse-resolved periods.
+void expect_elongation_thread_invariant(const LinkStream& stream, const std::vector<Time>& deltas,
+                                        std::size_t threads, std::uint64_t sparse_periods) {
+    const obs::Counter& sparse_deltas = obs::counter("sweep.sparse_deltas");
     SweepConfig options;
-    options.num_threads = test_threads();
+    options.num_threads = 1;
+    std::uint64_t sparse_before = sparse_deltas.read();
+    const auto reference = elongation_curve(stream, deltas, options);
+    EXPECT_EQ(sparse_deltas.read() - sparse_before, sparse_periods);
+
+    options.num_threads = threads;
+    sparse_before = sparse_deltas.read();
     const auto curve = elongation_curve(stream, deltas, options);
+    EXPECT_EQ(sparse_deltas.read() - sparse_before, sparse_periods);
     ASSERT_EQ(curve.size(), reference.size());
     for (std::size_t i = 0; i < curve.size(); ++i) {
-        SCOPED_TRACE("i=" + std::to_string(i));
+        SCOPED_TRACE("delta=" + std::to_string(deltas[i]) +
+                     " threads=" + std::to_string(threads));
         EXPECT_EQ(curve[i].delta, reference[i].delta);
         EXPECT_EQ(curve[i].measured_trips, reference[i].measured_trips);
         EXPECT_TRUE(same_bits(curve[i].mean_elongation, reference[i].mean_elongation));
     }
+}
+
+TEST(ScanParallel, ElongationCurveBitIdenticalAcrossThreads) {
+    // n = 60 resolves dense; at the default N = 4 the three periods are
+    // narrower than the pool, so the N-thread leg shards them.
+    expect_elongation_thread_invariant(random_stream(67, 60, 700, 8'000), {50, 400, 2'000},
+                                       test_threads(), 0);
+
+    // The burst stream: a wide list whose periods all resolve sparse, and
+    // a narrow list mixing one dense sharded period (Delta = 2) with one
+    // sparse whole period (Delta = 5000).
+    const auto stream = burst_pairs_stream();
+    const std::vector<Time> wide =
+        geometric_delta_grid(50, stream.period_end(), std::max<std::size_t>(6, test_threads()));
+    const std::size_t threads = std::max<std::size_t>(3, test_threads());
+    expect_elongation_thread_invariant(stream, wide, threads, wide.size());
+    expect_elongation_thread_invariant(stream, {2, 5'000}, threads, 1);
 }
 
 TEST(ScanParallel, OversubscribedThreadsStayDeterministic) {
