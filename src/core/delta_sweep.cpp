@@ -1,7 +1,7 @@
 #include "core/delta_sweep.hpp"
 
+#include "core/occupancy.hpp"
 #include "linkstream/aggregation.hpp"
-#include "temporal/minimal_trip.hpp"
 #include "temporal/sharded_scan.hpp"
 
 namespace natscale {
@@ -37,9 +37,8 @@ std::vector<DeltaPoint> DeltaSweepEngine::evaluate(std::span<const Time> grid,
                                                    std::vector<Histogram01>* histograms_out) {
     std::vector<Histogram01> hists = scan_periods(
         pool(), grid.size(), [&](std::size_t index) { return aggregate(grid[index]); },
-        Histogram01(options_.histogram_bins), {}, [](Histogram01& hist, const GraphSeries&) {
-            return [&hist](const MinimalTrip& trip) { hist.add(series_occupancy(trip)); };
-        });
+        Histogram01(options_.histogram_bins), {},
+        [](Histogram01& hist, const GraphSeries&) { return OccupancyTally(hist); });
     std::vector<DeltaPoint> points(grid.size());
     for (std::size_t g = 0; g < grid.size(); ++g) {
         points[g] = score_delta_point(grid[g], hists[g], options_.shannon_slots);

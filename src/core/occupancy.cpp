@@ -5,12 +5,28 @@
 
 namespace natscale {
 
+void OccupancyTally::grow(Time duration) {
+    rows_ = duration;
+    cells_.resize(cell(duration, static_cast<Hops>(duration)) + 1);
+}
+
+void OccupancyTally::flush() noexcept {
+    for (Time d = 1; d <= rows_; ++d) {
+        for (Hops h = 1; h <= d; ++h) {
+            const std::uint64_t count = cells_[cell(d, h)];
+            if (count != 0) {
+                histogram_->add(static_cast<double>(h) / static_cast<double>(d), count);
+            }
+        }
+    }
+    rows_ = 0;
+    cells_.clear();
+}
+
 Histogram01 occupancy_histogram(const GraphSeries& series, std::size_t num_bins) {
     Histogram01 hist(num_bins);
     ReachabilityEngine engine;
-    engine.scan_series(series, [&](const MinimalTrip& trip) {
-        hist.add(series_occupancy(trip));
-    });
+    engine.scan_series(series, OccupancyTally(hist));
     return hist;
 }
 

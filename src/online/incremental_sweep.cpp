@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/occupancy.hpp"
 #include "linkstream/aggregation.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -16,13 +17,15 @@ namespace {
 /// `delta` to the time-reversed sweep: one instant per non-empty window, in
 /// increasing window order, labeled -k (strictly decreasing — the order the
 /// backward kernel requires), arcs reversed when directed.  Emitted trips
-/// are mapped back to original orientation and window indices before
-/// reaching `sink`.  Preconditions: `begin` is the first event of its
-/// window (the callers' fold boundaries are window-aligned).
-template <typename Sink>
+/// are mapped back to original orientation and window indices and tallied
+/// into `histogram`, complete on return.  Preconditions: `begin` is the
+/// first event of its window (the callers' fold boundaries are
+/// window-aligned).
 void relax_windows(SparseTemporalReachability& sweep, bool directed,
                    std::span<const Event> events, std::size_t begin, std::size_t end,
-                   Time delta, std::vector<Edge>& edge_scratch, Sink&& sink) {
+                   Time delta, Histogram01& histogram) {
+    OccupancyTally tally(histogram);
+    std::vector<Edge> edge_scratch;
     std::size_t i = begin;
     while (i < end) {
         const WindowIndex k = window_of(events[i].t, delta);
@@ -42,8 +45,8 @@ void relax_windows(SparseTemporalReachability& sweep, bool directed,
                                 // Reversed trip (a, b, -k2, -k1) is original
                                 // trip (b, a, k1, k2); hops and duration
                                 // (hence occupancy) are preserved.
-                                sink(MinimalTrip{trip.v, trip.u, -trip.arr, -trip.dep,
-                                                 trip.hops});
+                                tally(MinimalTrip{trip.v, trip.u, -trip.arr, -trip.dep,
+                                                  trip.hops});
                             });
     }
 }
@@ -118,12 +121,9 @@ void OnlineSweepEngine::sync(std::span<const Event> events, Time watermark) {
         const std::size_t fold_end =
             partition_by_time(events, static_cast<std::size_t>(period.folded), seal_time);
         if (fold_end == period.folded) return;
-        std::vector<Edge> edge_scratch;
         relax_windows(period.sweep, directed_, events,
                       static_cast<std::size_t>(period.folded), fold_end, period.delta,
-                      edge_scratch, [&](const MinimalTrip& trip) {
-                          period.histogram.add(series_occupancy(trip));
-                      });
+                      period.histogram);
         period.folded = fold_end;
     });
 }
@@ -156,12 +156,8 @@ OnlineReport OnlineSweepEngine::refresh(std::span<const Event> events,
         // tail windows will be swept again (possibly extended) next time.
         SparseTemporalReachability live = period.sweep;
         Histogram01 histogram = period.histogram;
-        std::vector<Edge> edge_scratch;
         relax_windows(live, directed_, events, static_cast<std::size_t>(period.folded),
-                      events.size(), period.delta, edge_scratch,
-                      [&](const MinimalTrip& trip) {
-                          histogram.add(series_occupancy(trip));
-                      });
+                      events.size(), period.delta, histogram);
         report.points[index] =
             score_delta_point(period.delta, histogram, options_.shannon_slots);
         if (histograms_out != nullptr) (*histograms_out)[index] = std::move(histogram);

@@ -18,13 +18,16 @@
 // symmetric under time reversal, and so is the minimum hop count over the
 // paths of a fixed (departure, arrival) interval, so the reversed sweep
 // emits exactly the reversed trips of the batch sweep: the same multiset of
-// (hops, duration) pairs, hence the same multiset of occupancy rates.
-// Histogram01 accumulation is order-independent (integer bins, exact-sum
-// moments — see stats/exact_sum), so the histogram built forward is
-// BIT-IDENTICAL to the batch one: bins, total, mean, stddev, and every
-// uniformity metric computed from them.  This is the repo's signature
-// invariant, property-tested in tests/test_online_sweep.cpp against cold
-// DeltaSweepEngine runs across thread counts.
+// (hops, duration) pairs, hence the same multiset of occupancy rates.  Each
+// sync and refresh tallies its trips by pair in an OccupancyTally
+// (core/occupancy) and flushes them into the period's histogram when its
+// sweep ends, as the batch scans do.  Histogram01 accumulation is
+// order-independent (integer bins, exact-sum moments — see stats/exact_sum),
+// so the histogram built forward is BIT-IDENTICAL to the batch one: bins,
+// total, mean, stddev, and every uniformity metric computed from them.
+// This is the repo's signature invariant, property-tested in
+// tests/test_online_sweep.cpp against cold DeltaSweepEngine runs across
+// thread counts.
 //
 // --- Frozen prefix + live tail ----------------------------------------------
 //
@@ -34,7 +37,7 @@
 // sync() folds newly sealed windows into the frozen state (each event is
 // processed once per period over the stream's lifetime).  refresh() answers
 // the current question: clone the frozen state, sweep only the unsealed
-// tail windows, merge the tail trips into a copy of the frozen histogram,
+// tail windows, flush the tail's tally into a copy of the frozen histogram,
 // and score.  Refresh cost is O(tail + reachable pairs) per period — on a
 // 10^7-event trace with a 1 % tail, orders of magnitude below the cold
 // sweep (bench/perf_online.cpp measures it).

@@ -2,10 +2,13 @@
 //
 // The occupancy method evaluates the distribution of occupancy rates of all
 // minimal trips of every aggregated series; for real datasets this means up
-// to hundreds of millions of samples per Delta, which must not be stored.
+// to hundreds of millions of trips per Delta, which must not be stored.
 // Histogram01 accumulates counts in B equal bins together with the exact
 // first two moments; the uniformity metrics are then computed from the
-// binned inverse cumulative distribution with error O(1/B).
+// binned inverse cumulative distribution with error O(1/B).  Those trips
+// carry far fewer distinct occupancy rates, so the scans tally them by
+// (hops, duration) first (core/occupancy's OccupancyTally) and add each
+// distinct rate once, through add(x, count).
 //
 // Bin j (0-based) represents the half-open interval (j/B, (j+1)/B]; all mass
 // of a bin is treated as sitting at its right edge, which is exact for
@@ -16,8 +19,9 @@
 // Accumulation is split-invariant: the bins are integers and the moments are
 // kept in exact fixed-point superaccumulators (stats/exact_sum.hpp), so
 // splitting a sample stream into partial histograms at ANY boundaries and
-// merge()-ing them reproduces the single-accumulator bins, total, mean and
-// stddev bit-for-bit.  This is what lets the column-sharded parallel
+// merge()-ing them — or adding k equal samples as one add(x, k) —
+// reproduces the single-accumulator bins, total, mean and stddev
+// bit-for-bit.  This is what lets the column-sharded parallel
 // reachability scans (temporal/column_shards.hpp) accumulate per-shard
 // partials concurrently while staying bit-identical to the sequential scan
 // at every thread count.

@@ -36,7 +36,9 @@ namespace natscale {
 ///     order-independent (e.g. Histogram01).
 ///   * `sink_of(partial, series)` returns the per-trip sink that
 ///     accumulates one scan (or one column shard of it) of `series` into
-///     `partial`.
+///     `partial`.  The sink is called as a non-const lvalue and destroyed
+///     right after its scan, before any merge, so it may buffer trips and
+///     complete `partial` in its destructor (OccupancyTally does).
 /// Every period adds one to `sweep.deltas_evaluated` and to
 /// `sweep.dense_deltas` or `sweep.sparse_deltas`, after the backend
 /// select_backend picks for its series; whole-period tasks open a
@@ -122,7 +124,7 @@ std::vector<Partial> scan_periods(ThreadPool& pool, std::size_t count, SeriesOf&
             span.attr("simd", to_string(active_simd_isa()));
         }
         shards_scanned.add();
-        const auto sink = sink_of(partials[index], s);
+        auto sink = sink_of(partials[index], s);
         if (task.dense) {
             dense_engines[worker].scan_series_columns(s, task.col_begin, task.col_end, sink,
                                                       options);

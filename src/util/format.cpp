@@ -26,7 +26,7 @@ std::string format_count(std::uint64_t value) {
 }
 
 std::string format_duration(double seconds) {
-    if (seconds < 0) return "-" + format_duration(-seconds);
+    if (seconds < 0) return std::string(1, '-').append(format_duration(-seconds));
     if (seconds < 60.0) return format_fixed(seconds, seconds < 10 ? 2 : 1) + "s";
     if (seconds < 3600.0) return format_fixed(seconds / 60.0, 1) + "min";
     if (seconds < 48.0 * 3600.0) return format_fixed(seconds / 3600.0, 1) + "h";

@@ -2,7 +2,9 @@
 // partials produced by ANY split of a sample stream must reproduce the
 // single-accumulator bins, total, mean and stddev bit-for-bit — the property
 // the column-sharded parallel scans rely on for thread-count-independent
-// results (see stats/exact_sum.hpp and temporal/column_shards.hpp).
+// results (see stats/exact_sum.hpp and temporal/column_shards.hpp).  The
+// same property lets OccupancyTally add each (hops, duration) pair once:
+// its flushed histogram must equal per-trip adds in every bit of state.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,13 +12,18 @@
 #include <limits>
 #include <vector>
 
+#include "core/occupancy.hpp"
 #include "stats/exact_sum.hpp"
 #include "stats/histogram01.hpp"
+#include "temporal/minimal_trip.hpp"
+#include "testing/histograms.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 
 namespace natscale {
 namespace {
+
+using testing::expect_identical_histograms;
 
 bool same_bits(double a, double b) {
     std::uint64_t ia = 0;
@@ -131,13 +138,6 @@ std::vector<double> occupancy_like_samples(std::uint64_t seed, std::size_t count
     return samples;
 }
 
-void expect_identical(const Histogram01& merged, const Histogram01& whole) {
-    EXPECT_EQ(merged.counts(), whole.counts());
-    EXPECT_EQ(merged.total(), whole.total());
-    EXPECT_TRUE(same_bits(merged.mean(), whole.mean()));
-    EXPECT_TRUE(same_bits(merged.population_stddev(), whole.population_stddev()));
-}
-
 TEST(HistogramBlockMerge, RandomSplitsReproduceSingleAccumulatorBitwise) {
     for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull}) {
         const auto samples = occupancy_like_samples(seed, 5'000);
@@ -162,7 +162,7 @@ TEST(HistogramBlockMerge, RandomSplitsReproduceSingleAccumulatorBitwise) {
 
         Histogram01 merged(360);
         for (const auto& partial : partials) merged.merge(partial);
-        expect_identical(merged, whole);
+        expect_identical_histograms(merged, whole);
     }
 }
 
@@ -178,7 +178,7 @@ TEST(HistogramBlockMerge, InterleavedSplitReproducesSingleAccumulatorBitwise) {
     }
     Histogram01 merged(3600);
     for (const auto& partial : partials) merged.merge(partial);
-    expect_identical(merged, whole);
+    expect_identical_histograms(merged, whole);
 }
 
 TEST(HistogramBlockMerge, MergeOrderDoesNotMatter) {
@@ -191,7 +191,7 @@ TEST(HistogramBlockMerge, MergeOrderDoesNotMatter) {
     for (std::size_t p = 0; p < partials.size(); ++p) ascending.merge(partials[p]);
     Histogram01 descending(100);
     for (std::size_t p = partials.size(); p-- > 0;) descending.merge(partials[p]);
-    expect_identical(ascending, descending);
+    expect_identical_histograms(ascending, descending);
 }
 
 TEST(HistogramBlockMerge, WeightedAddsMatchRepeatedAdds) {
@@ -200,7 +200,102 @@ TEST(HistogramBlockMerge, WeightedAddsMatchRepeatedAdds) {
     const double x = 1.0 / 3.0;
     weighted.add(x, 1'000'000);
     for (int i = 0; i < 1'000'000; ++i) repeated.add(x);
-    expect_identical(weighted, repeated);
+    expect_identical_histograms(weighted, repeated);
+}
+
+// --- OccupancyTally ---------------------------------------------------------
+
+MinimalTrip trip_of(Time duration, Hops hops) {
+    return MinimalTrip{0, 1, 1, duration, hops};
+}
+
+/// Tallies `trips` into a copy of `start` and adds them one by one to
+/// another copy; both must end in the same full state.
+void expect_tally_matches_per_trip_adds(const std::vector<MinimalTrip>& trips,
+                                        const Histogram01& start) {
+    Histogram01 per_trip = start;
+    for (const MinimalTrip& trip : trips) per_trip.add(series_occupancy(trip));
+    Histogram01 tallied = start;
+    {
+        OccupancyTally tally(tallied);
+        for (const MinimalTrip& trip : trips) tally(trip);
+    }
+    expect_identical_histograms(tallied, per_trip);
+}
+
+TEST(OccupancyTally, MatchesPerTripAddsAtTheTableEdge) {
+    const Time edge = OccupancyTally::kMaxTableDuration;
+    std::vector<MinimalTrip> trips;
+    for (const Time duration : {Time{1}, edge - 1, edge, edge + 1, Time{1000}}) {
+        for (const Time hops : {Time{1}, (duration + 1) / 2, duration}) {
+            // A few repeats per pair, so table cells count above one.
+            for (Time repeat = 0; repeat < 1 + duration % 4; ++repeat) {
+                trips.push_back(trip_of(duration, static_cast<Hops>(hops)));
+            }
+        }
+    }
+    expect_tally_matches_per_trip_adds(trips, Histogram01(3600));
+    expect_tally_matches_per_trip_adds(trips, Histogram01(7));
+}
+
+TEST(OccupancyTally, MatchesPerTripAddsWhenNearlyEveryPairIsDistinct) {
+    // 50k random pairs with hops <= duration <= 1000: nearly all distinct,
+    // the shape of a sparse trace at its finest period.
+    Rng rng(2024);
+    std::vector<MinimalTrip> trips;
+    for (int i = 0; i < 50'000; ++i) {
+        const auto duration = static_cast<Time>(1 + rng.uniform_index(1000));
+        const auto hops =
+            static_cast<Hops>(1 + rng.uniform_index(static_cast<std::size_t>(duration)));
+        trips.push_back(trip_of(duration, hops));
+    }
+    expect_tally_matches_per_trip_adds(trips, Histogram01(3600));
+}
+
+TEST(OccupancyTally, AddsToAHistogramThatAlreadyHoldsSamples) {
+    Histogram01 start(360);
+    for (const double x : occupancy_like_samples(31, 2'000)) start.add(x);
+    std::vector<MinimalTrip> trips;
+    Rng rng(32);
+    for (int i = 0; i < 5'000; ++i) {
+        const auto duration = static_cast<Time>(1 + rng.uniform_index(300));
+        const auto hops =
+            static_cast<Hops>(1 + rng.uniform_index(static_cast<std::size_t>(duration)));
+        trips.push_back(trip_of(duration, hops));
+    }
+    expect_tally_matches_per_trip_adds(trips, start);
+}
+
+TEST(OccupancyTally, SecondFlushAddsNothing) {
+    Histogram01 tallied(360);
+    Histogram01 per_trip(360);
+    OccupancyTally tally(tallied);
+    for (const MinimalTrip& trip :
+         {trip_of(3, 2), trip_of(3, 2), trip_of(40, 7), trip_of(900, 5)}) {
+        tally(trip);
+        per_trip.add(series_occupancy(trip));
+    }
+    tally.flush();
+    expect_identical_histograms(tallied, per_trip);
+    tally.flush();
+    expect_identical_histograms(tallied, per_trip);
+    // The table counts afresh after a flush.
+    tally(trip_of(3, 2));
+    tally.flush();
+    per_trip.add(series_occupancy(trip_of(3, 2)));
+    expect_identical_histograms(tallied, per_trip);
+}
+
+TEST(OccupancyTally, RejectsTripsSeriesOccupancyRejects) {
+    Histogram01 hist(360);
+    OccupancyTally tally(hist);
+    for (const MinimalTrip& bad : {trip_of(5, 0), trip_of(5, 6), trip_of(300, 0),
+                                   trip_of(300, 301), MinimalTrip{0, 1, 4, 3, 1}}) {
+        EXPECT_THROW(series_occupancy(bad), contract_error);
+        EXPECT_THROW(tally(bad), contract_error);
+    }
+    tally.flush();
+    EXPECT_TRUE(hist.empty());
 }
 
 }  // namespace

@@ -10,10 +10,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <string>
 #include <vector>
 
 #include "core/delta_grid.hpp"
 #include "core/delta_sweep.hpp"
+#include "core/occupancy.hpp"
 #include "core/saturation.hpp"
 #include "linkstream/aggregation.hpp"
 #include "linkstream/io.hpp"
@@ -22,13 +24,18 @@
 #include "online/incremental_sweep.hpp"
 #include "online/stream_ingestor.hpp"
 #include "stats/uniformity.hpp"
+#include "temporal/minimal_trip.hpp"
+#include "temporal/reachability_backend.hpp"
 #include "temporal/sparse_reachability.hpp"
+#include "testing/histograms.hpp"
 #include "testing/temp_files.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 
 namespace natscale {
 namespace {
+
+using testing::expect_identical_histograms;
 
 /// Random (t, u, v)-style event soup: bursty, duplicate-heavy, with both
 /// sparse and busy instants — appended UNSORTED within a small jitter so
@@ -54,17 +61,6 @@ std::vector<Event> random_events(std::uint64_t seed, NodeId n, Time period, std:
         }
     }
     return events;
-}
-
-void expect_identical_histograms(const Histogram01& a, const Histogram01& b) {
-    ASSERT_EQ(a.num_bins(), b.num_bins());
-    EXPECT_EQ(a.total(), b.total());
-    EXPECT_EQ(a.counts(), b.counts());
-    // Bitwise moment equality: the exact accumulators themselves must match.
-    EXPECT_TRUE(a.moment_sum() == b.moment_sum());
-    EXPECT_TRUE(a.moment_sum_sq() == b.moment_sum_sq());
-    EXPECT_EQ(a.mean(), b.mean());
-    EXPECT_EQ(a.population_stddev(), b.population_stddev());
 }
 
 void expect_identical_points(const DeltaPoint& a, const DeltaPoint& b) {
@@ -264,6 +260,43 @@ TEST(OnlineSweep, MatchesBatchSaturationSearchOnItsCoarseGrid) {
     for (std::size_t g = 0; g < report.points.size(); ++g) {
         expect_identical_points(report.points[g], batch.curve[g]);
     }
+}
+
+TEST(OnlineSweep, RefreshAfterPartialSyncMatchesPerTripReference) {
+    // The cold side of the tests above tallies trips exactly as the online
+    // engine does.  Here the reference adds each trip of a direct
+    // ReachabilityEngine scan on its own, over a grid whose Delta = 1
+    // trips straddle the tally table's edge.
+    const Scenario sc = kScenarios[2];
+    std::vector<Event> sorted = random_events(sc.seed, sc.n, sc.period, sc.count, sc.directed);
+    std::sort(sorted.begin(), sorted.end());
+    const LinkStream stream(sorted, sc.n, sc.period, sc.directed);
+
+    OnlineSweepOptions options;
+    options.grid = {1, 30, 400};
+    OnlineSweepEngine online(sc.n, sc.directed, options);
+    // Half the stream frozen by sync, the other half swept as refresh tail.
+    const std::size_t half = sorted.size() / 2;
+    online.sync(std::span(sorted).first(half), sorted[half].t);
+    std::vector<Histogram01> hists;
+    online.refresh(sorted, &hists);
+
+    bool table_trips = false;
+    bool longer_trips = false;
+    ASSERT_EQ(hists.size(), options.grid.size());
+    for (std::size_t g = 0; g < options.grid.size(); ++g) {
+        SCOPED_TRACE("delta=" + std::to_string(options.grid[g]));
+        Histogram01 reference(options.histogram_bins);
+        ReachabilityEngine engine;
+        engine.scan_series(aggregate(stream, options.grid[g]), [&](const MinimalTrip& trip) {
+            const bool in_table = series_duration(trip) <= OccupancyTally::kMaxTableDuration;
+            (in_table ? table_trips : longer_trips) = true;
+            reference.add(series_occupancy(trip));
+        });
+        expect_identical_histograms(hists[g], reference);
+    }
+    EXPECT_TRUE(table_trips);
+    EXPECT_TRUE(longer_trips);
 }
 
 TEST(OnlineSweep, CheckpointRoundTripContinuesBitIdentically) {

@@ -32,6 +32,7 @@
 #include "temporal/legacy_reachability.hpp"
 #include "temporal/minimal_trip.hpp"
 #include "temporal/reachability_backend.hpp"
+#include "testing/histograms.hpp"
 #include "testing/streams.hpp"
 #include "util/rng.hpp"
 
@@ -39,6 +40,7 @@ namespace natscale {
 namespace {
 
 using testing::burst_pairs_stream;
+using testing::expect_identical_histograms;
 
 /// Thread count under test: 4 unless the environment overrides it (the CI
 /// oversubscription job sets it above the runner's core count).
@@ -72,13 +74,6 @@ LinkStream random_stream(std::uint64_t seed, NodeId n, std::size_t num_events, T
     return LinkStream(std::move(events), n, period, directed);
 }
 
-void expect_same_histogram(const Histogram01& a, const Histogram01& b) {
-    EXPECT_EQ(a.counts(), b.counts());
-    EXPECT_EQ(a.total(), b.total());
-    EXPECT_TRUE(same_bits(a.mean(), b.mean()));
-    EXPECT_TRUE(same_bits(a.population_stddev(), b.population_stddev()));
-}
-
 void expect_same_point(const DeltaPoint& a, const DeltaPoint& b) {
     EXPECT_EQ(a.delta, b.delta);
     EXPECT_EQ(a.num_trips, b.num_trips);
@@ -92,17 +87,28 @@ void expect_same_point(const DeltaPoint& a, const DeltaPoint& b) {
 
 TEST(ScanParallel, OccupancyHistogramBitIdenticalToPrePackedSequentialScan) {
     const auto stream = random_stream(51, 150, 1'500, 30'000);
-    for (const Time delta : {40, 700, 15'000}) {
+    for (const Time delta : {10, 40, 700, 15'000}) {
         const auto series = aggregate(stream, delta);
-        // The pre-PR sequential path: legacy scalar kernel, one accumulator.
+        // The reference: legacy scalar kernel, one accumulator, one add
+        // per trip.
         Histogram01 reference(720);
+        std::uint64_t table_trips = 0;
+        std::uint64_t longer_trips = 0;
         LegacyTemporalReachability legacy;
         legacy.scan_series(series, [&](const MinimalTrip& trip) {
+            ++(series_duration(trip) <= OccupancyTally::kMaxTableDuration ? table_trips
+                                                                          : longer_trips);
             reference.add(series_occupancy(trip));
         });
         SCOPED_TRACE("delta=" + std::to_string(delta));
+        // Delta = 10 (3000 windows) has trips on both sides of the tally
+        // table's edge.
+        if (delta == 10) {
+            EXPECT_GT(table_trips, 0u);
+            EXPECT_GT(longer_trips, 0u);
+        }
         // The sequential scan ...
-        expect_same_histogram(occupancy_histogram(series, 720), reference);
+        expect_identical_histograms(occupancy_histogram(series, 720), reference);
 
         // ... and the same period as a one-point grid on an N-thread pool,
         // which splits its dense scan into column shards.
@@ -114,7 +120,7 @@ TEST(ScanParallel, OccupancyHistogramBitIdenticalToPrePackedSequentialScan) {
         const std::vector<Time> grid = {delta};
         engine.evaluate(grid, &hists);
         ASSERT_EQ(hists.size(), 1u);
-        expect_same_histogram(hists.front(), reference);
+        expect_identical_histograms(hists.front(), reference);
     }
 }
 
@@ -141,7 +147,7 @@ TEST(ScanParallel, StreamModeShardedScanBitIdenticalToPrePackedScan) {
                                    [&](const MinimalTrip& t) { add_occ(partial, t); });
         sharded.merge(partial);
     }
-    expect_same_histogram(sharded, reference);
+    expect_identical_histograms(sharded, reference);
 }
 
 TEST(ScanParallel, DeltaSweepNarrowGridShardedPathBitIdenticalToOuterPath) {
@@ -171,7 +177,7 @@ TEST(ScanParallel, DeltaSweepNarrowGridShardedPathBitIdenticalToOuterPath) {
         for (std::size_t i = 0; i < points.size(); ++i) {
             SCOPED_TRACE("i=" + std::to_string(i) + " threads=" + std::to_string(threads));
             expect_same_point(points[i], reference[i]);
-            expect_same_histogram(hists[i], reference_hists[i]);
+            expect_identical_histograms(hists[i], reference_hists[i]);
         }
     }
 }
@@ -200,7 +206,7 @@ TEST(ScanParallel, SaturationSearchBitIdenticalAcrossThreadsAndBackends) {
             expect_same_point(result.curve[i], reference.curve[i]);
         }
         expect_same_point(result.at_gamma, reference.at_gamma);
-        expect_same_histogram(result.gamma_histogram, reference.gamma_histogram);
+        expect_identical_histograms(result.gamma_histogram, reference.gamma_histogram);
     }
 }
 
@@ -267,7 +273,7 @@ TEST(ScanParallel, OversubscribedThreadsStayDeterministic) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
         const auto [point, hist] = evaluate(threads);
         expect_same_point(point, reference_point);
-        expect_same_histogram(hist, reference_hist);
+        expect_identical_histograms(hist, reference_hist);
     }
 }
 
@@ -307,7 +313,7 @@ void expect_grid_matches_dense_engine(const LinkStream& stream, const std::vecto
                      " threads=" + std::to_string(threads));
         const Histogram01 reference = dense_engine_histogram(stream, grid[i]);
         expect_same_point(points[i], score_delta_point(grid[i], reference, options.shannon_slots));
-        expect_same_histogram(hists[i], reference);
+        expect_identical_histograms(hists[i], reference);
     }
 }
 

@@ -220,6 +220,7 @@ TEST(Format, Duration) {
     EXPECT_EQ(format_duration(90.0), "1.5min");
     EXPECT_EQ(format_duration(3600.0 * 18), "18.0h");
     EXPECT_EQ(format_duration(86400.0 * 3), "3.0d");
+    EXPECT_EQ(format_duration(-90.0), "-1.5min");
 }
 
 TEST(Format, FixedAndCount) {
