@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
         const double append_s = watch.elapsed_seconds();
 
         watch.reset();
-        tail = open_natbin_tail(path, tail.complete_records);
+        tail = open_natbin_tail(path, tail_cursor(tail));
         engine.sync(tail.events, tail.events.back().t);
         std::vector<Histogram01> online_hists;
         const OnlineReport report = engine.refresh(tail.events, &online_hists);

@@ -20,15 +20,16 @@
 //                   [--max-reports=N] [--checkpoint=PATH]
 //
 // Text stream files hold one `u v t` triple per line (spaces, tabs or
-// commas; '#'/'%' comments; arbitrary node labels).  .natbin files are the
-// compact binary format of linkstream/binary_io: they reopen via mmap, so
-// multi-GB traces are analyzed out-of-core without loading the events into
-// RAM.  `convert` turns one into the other (text -> natbin is the common
-// direction; the labels, node universe and period survive exactly), and its
-// --columns/--delimiter/--time-scale/--skip-header flags adapt published
-// CSV/TSV conventions (SNAP `u v t`, sociopatterns `t i j`, millisecond
-// stamps, header rows) on the way in; --validate reopens the output through
-// the full validation pass before declaring success.
+// commas; '#'/'%' comments; arbitrary node labels; \n, \r\n or \r line
+// endings), read by the one text parser of linkstream/io.  .natbin files
+// are the compact binary format of linkstream/binary_io: they reopen via
+// mmap, so multi-GB traces are analyzed out-of-core without loading the
+// events into RAM.  `convert` turns one into the other (text -> natbin is
+// the common direction; the labels, node universe and period survive
+// exactly), and its --columns/--delimiter/--time-scale/--skip-header flags
+// adapt published CSV/TSV conventions (SNAP `u v t`, sociopatterns `t i j`,
+// millisecond stamps, header rows) on the way in; --validate rereads the
+// output through the same parsers before declaring success.
 //
 // `gen` resolves a generator spec ("model:key=value,..." — see
 // docs/generators.md) through the scenario factory of src/gen/registry.hpp
@@ -74,7 +75,6 @@
 #include "examples/example_cli.hpp"
 #include "gen/registry.hpp"
 #include "linkstream/binary_io.hpp"
-#include "linkstream/csv_adapter.hpp"
 #include "linkstream/io.hpp"
 #include "linkstream/stream_stats.hpp"
 #include "natscale/api.hpp"
@@ -160,19 +160,17 @@ private:
     std::string metrics_path_;
 };
 
-/// Loads `path` honouring a forced format.  natbin goes through the
-/// mmap-backed open_natbin, so the events are paged on demand instead of
-/// parsed into RAM.  A natbin file fixes its own directedness, so a
-/// contradicting --directed is reported rather than silently dropped.
-LoadedStream load_input(const std::string& path, FormatChoice format,
-                        const LoadOptions& options) {
-    if (format == FormatChoice::automatic) {
-        format = detect_stream_format(path) == StreamFormat::natbin ? FormatChoice::natbin
-                                                                    : FormatChoice::text;
-    }
-    if (format == FormatChoice::text) return load_link_stream(path, options);
-    LoadedStream loaded = open_natbin(path);
-    if (options.directed && !loaded.stream.directed()) {
+/// Loads the input of the main command and of `convert`, honouring a forced
+/// format: auto sniffs through load_stream_auto, text goes through the one
+/// text parser under `csv`, and natbin through the mmap-backed open_natbin,
+/// so the events are paged on demand instead of parsed into RAM.  A natbin
+/// file fixes its own directedness, so a contradicting --directed is
+/// reported rather than silently dropped.
+LoadedStream load_input(const std::string& path, FormatChoice format, const CsvFormat& csv) {
+    LoadedStream loaded = format == FormatChoice::automatic ? load_stream_auto(path, csv)
+                          : format == FormatChoice::text ? load_link_stream(path, csv)
+                                                         : open_natbin(path);
+    if (csv.directed && !loaded.stream.directed()) {
         std::fprintf(stderr,
                      "warning: --directed ignored: '%s' is a natbin file flagged undirected\n",
                      path.c_str());
@@ -197,8 +195,8 @@ void print_stream_shape(const std::string& path, const LinkStream& stream,
 /// `find_time_scale convert <input> <output>`: re-encodes a stream.  The
 /// natbin output preserves what text cannot: the exact node universe n
 /// (isolated nodes included), the period of study T, directedness, and the
-/// dense-id <-> label mapping.  Text inputs go through the CSV/TSV adapter,
-/// whose defaults match the classic lenient loader; malformed rows exit 2
+/// dense-id <-> label mapping.  Text inputs go through the same parser as
+/// the main command, with the CSV layout flags on top; malformed rows exit 2
 /// with the path, line number and a named reason.
 int run_convert(int argc, char** argv) {
     CsvFormat csv;
@@ -249,23 +247,7 @@ int run_convert(int argc, char** argv) {
     }
     try {
         validate_csv_columns(csv.columns, input);  // before touching the file
-        FormatChoice resolved = in_format;
-        if (resolved == FormatChoice::automatic) {
-            resolved = detect_stream_format(input) == StreamFormat::natbin
-                           ? FormatChoice::natbin
-                           : FormatChoice::text;
-        }
-        LoadedStream loaded = [&] {
-            if (resolved == FormatChoice::text) return load_csv_stream(input, csv);
-            LoadedStream opened = open_natbin(input);
-            if (csv.directed && !opened.stream.directed()) {
-                std::fprintf(stderr,
-                             "warning: --directed ignored: '%s' is a natbin file flagged "
-                             "undirected\n",
-                             input.c_str());
-            }
-            return opened;
-        }();
+        const LoadedStream loaded = load_input(input, in_format, csv);
         if (out_format == FormatChoice::natbin) {
             save_natbin(output, loaded.stream, loaded.node_labels);
         } else {
@@ -273,7 +255,7 @@ int run_convert(int argc, char** argv) {
         }
         print_stream_shape(output, loaded.stream, loaded.node_labels.size());
         if (validate) {
-            // Reopen through the strict loader: one full validation pass
+            // Reread through the same parsers: one full validation pass
             // (bounds, canonical order, label table) over what we just wrote.
             const LoadedStream reread = out_format == FormatChoice::natbin
                                             ? open_natbin(output)
@@ -646,7 +628,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[1], "gen") == 0) return run_gen(argc, argv);
     if (std::strcmp(argv[1], "watch") == 0) return run_watch(argc, argv);
     std::string path;
-    LoadOptions load_options;
+    CsvFormat csv;
     FormatChoice format = FormatChoice::automatic;
     SweepConfig options;
     bool print_curve = false;
@@ -657,7 +639,7 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--directed") {
-            load_options.directed = true;
+            csv.directed = true;
         } else if (arg.rfind("--metric=", 0) == 0) {
             options.metric = parse_metric(arg, "--metric=");
         } else if (arg.rfind("--points=", 0) == 0) {
@@ -702,7 +684,7 @@ int main(int argc, char** argv) {
     }
 
     try {
-        const LoadedStream loaded = load_input(path, format, load_options);
+        const LoadedStream loaded = load_input(path, format, csv);
         const auto stats = compute_stream_stats(loaded.stream);
         if (!print_json) print_stream_summary(std::cout, path, stats);
 

@@ -21,8 +21,9 @@ using namespace natscale;
 
 int main() {
     // 1. A synthetic link stream: 50 nodes, 8 links per pair, ~28 hours.
-    //    (Use load_link_stream("mytrace.txt") for a real `u v t` file; see
-    //    `find_time_scale gen --list` for every available stream model.)
+    //    (Use load_link_stream("mytrace.txt") for a real `u v t` file, with a
+    //    CsvFormat for other column layouts, or load_stream_auto for text or
+    //    natbin; see `find_time_scale gen --list` for every stream model.)
     const LinkStream stream =
         gen::generate_stream("uniform:n=50,links=8,T=100000", /*seed=*/42).stream;
 

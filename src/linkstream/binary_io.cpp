@@ -179,17 +179,19 @@ std::vector<std::string> parse_labels(const std::string& path, const NatbinHeade
     return labels;
 }
 
-/// The sequential validation pass shared by both loaders: checks bounds,
-/// canonical endpoints and (t, u, v) sortedness of every record, releasing
-/// consumed pages behind itself (a no-op for in-memory sources).  Returns
-/// the distinct-timestamp count.
+/// The record check of every natbin reader: one sequential pass over
+/// records [first, size) of `source` that checks bounds, canonical
+/// endpoints and (t, u, v) sortedness, chaining the order check through
+/// `prev` (the last record of an already validated prefix; t = -1 for
+/// none), and releases consumed pages behind itself (a no-op for in-memory
+/// sources).  Returns the distinct-timestamp count of the checked records.
 std::size_t validate_records(const std::string& path, const NatbinHeader& h,
-                             const EventSource& source) {
+                             const EventSource& source, std::size_t first = 0,
+                             Event prev = {0, 0, -1}) {
     SequentialScan scan(source);
     const auto events = source.events();
     std::size_t distinct = 0;
-    Event prev{0, 0, -1};
-    for (std::size_t i = 0; i < events.size(); ++i) {
+    for (std::size_t i = first; i < events.size(); ++i) {
         const Event e = events[i];
         if (e.u >= h.num_nodes || e.v >= h.num_nodes) {
             throw io_error(path, "event " + std::to_string(i) + " endpoint out of range");
@@ -213,6 +215,23 @@ std::size_t validate_records(const std::string& path, const NatbinHeader& h,
     }
     scan.finish();
     return distinct;
+}
+
+/// The first `count` records of `file` as an EventSource: the mapping
+/// itself (zero copy) on little-endian hosts when `prefer_mmap`, an owned
+/// decoded copy otherwise.
+EventSource record_source(const std::shared_ptr<const MappedFile>& file, const NatbinHeader& h,
+                          std::uint64_t count, bool prefer_mmap) {
+    if (prefer_mmap && kLittleEndian && file->is_mapped()) {
+        return EventSource::mapped(file, h.events_offset, static_cast<std::size_t>(count));
+    }
+    const std::byte* records = file->data() + h.events_offset;
+    file->advise_sequential(h.events_offset, count * kNatbinRecordBytes);
+    std::vector<Event> events(static_cast<std::size_t>(count));
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        events[i] = decode_event(records + i * kNatbinRecordBytes);
+    }
+    return EventSource::owning(std::move(events));
 }
 
 }  // namespace
@@ -343,21 +362,7 @@ LoadedStream load_impl(const std::string& path, bool prefer_mmap) {
     std::vector<std::string> labels = parse_labels(path, h, file->data());
     if (h.num_events == 0) throw std::runtime_error(path + ": no events");
 
-    const bool zero_copy = prefer_mmap && kLittleEndian && file->is_mapped();
-
-    EventSource source;
-    if (zero_copy) {
-        source = EventSource::mapped(file, h.events_offset,
-                                     static_cast<std::size_t>(h.num_events));
-    } else {
-        const std::byte* records = file->data() + h.events_offset;
-        file->advise_sequential(h.events_offset, h.num_events * kNatbinRecordBytes);
-        std::vector<Event> events(static_cast<std::size_t>(h.num_events));
-        for (std::size_t i = 0; i < events.size(); ++i) {
-            events[i] = decode_event(records + i * kNatbinRecordBytes);
-        }
-        source = EventSource::owning(std::move(events));
-    }
+    EventSource source = record_source(file, h, h.num_events, prefer_mmap);
     const std::size_t distinct = validate_records(path, h, source);
     return {LinkStream::from_source(std::move(source), h.num_nodes, h.period_end, h.directed,
                                     distinct),
@@ -370,10 +375,7 @@ LoadedStream open_natbin(const std::string& path) { return load_impl(path, true)
 
 LoadedStream load_natbin(const std::string& path) { return load_impl(path, false); }
 
-namespace {
-
-NatbinTail open_natbin_tail_impl(const std::string& path, std::uint64_t validated_prefix,
-                                 const Event* expect_boundary) {
+NatbinTail open_natbin_tail(const std::string& path, const NatbinTailCursor& cursor) {
     auto file = std::make_shared<const MappedFile>(MappedFile::open(path));
     const NatbinHeader h = parse_header(path, file->data(), file->size(), /*tail=*/true);
 
@@ -385,71 +387,30 @@ NatbinTail open_natbin_tail_impl(const std::string& path, std::uint64_t validate
     const std::size_t record_bytes = file->size() - h.events_offset;
     tail.complete_records = record_bytes / kNatbinRecordBytes;
     tail.trailing_bytes = record_bytes % kNatbinRecordBytes;
-    if (validated_prefix > tail.complete_records) {
+    const std::uint64_t prefix = cursor.validated_records;
+    if (prefix > tail.complete_records) {
         throw io_error(path, "file shrank below the validated prefix (" +
                                  std::to_string(tail.complete_records) + " records, " +
-                                 std::to_string(validated_prefix) + " previously seen)");
+                                 std::to_string(prefix) + " previously seen)");
     }
-
-    if (kLittleEndian && file->is_mapped()) {
-        tail.source = EventSource::mapped(file, h.events_offset,
-                                          static_cast<std::size_t>(tail.complete_records));
-    } else {
-        const std::byte* records = file->data() + h.events_offset;
-        std::vector<Event> events(static_cast<std::size_t>(tail.complete_records));
-        for (std::size_t i = 0; i < events.size(); ++i) {
-            events[i] = decode_event(records + i * kNatbinRecordBytes);
-        }
-        tail.source = EventSource::owning(std::move(events));
-    }
+    tail.source = record_source(file, h, tail.complete_records, /*prefer_mmap=*/true);
     tail.events = tail.source.events();
 
     // Validate only the records appended since the caller's previous open;
-    // the boundary order check chains through the last validated record, so
-    // a polling reader pays O(new records) per reopen, not O(file).
-    const auto events = tail.events;
-    Event prev = validated_prefix > 0 ? events[static_cast<std::size_t>(validated_prefix) - 1]
-                                      : Event{0, 0, -1};
-    if (expect_boundary != nullptr && validated_prefix > 0 && prev != *expect_boundary) {
-        throw io_error(path, "record " + std::to_string(validated_prefix - 1) +
-                                 " no longer matches the validated prefix (file truncated "
-                                 "and regrown, or replaced by an unrelated stream)");
+    // the order check chains through the boundary record, so a polling
+    // reader pays O(new records) per reopen, not O(file).
+    Event boundary{0, 0, -1};
+    if (prefix > 0) {
+        boundary = tail.events[static_cast<std::size_t>(prefix) - 1];
+        if (boundary != cursor.last_validated) {
+            throw io_error(path, "record " + std::to_string(prefix - 1) +
+                                     " no longer matches the validated prefix (file "
+                                     "truncated and regrown, or replaced by an unrelated "
+                                     "stream)");
+        }
     }
-    SequentialScan scan(tail.source);
-    for (std::size_t i = static_cast<std::size_t>(validated_prefix); i < events.size(); ++i) {
-        const Event e = events[i];
-        if (e.u >= h.num_nodes || e.v >= h.num_nodes) {
-            throw io_error(path, "event " + std::to_string(i) + " endpoint out of range");
-        }
-        if (e.u == e.v) {
-            throw io_error(path, "event " + std::to_string(i) + " is a self-loop");
-        }
-        if (!h.directed && e.u > e.v) {
-            throw io_error(path, "event " + std::to_string(i) +
-                                     " breaks the canonical u < v endpoint order");
-        }
-        if (e.t < 0 || e.t >= h.period_end) {
-            throw io_error(path, "event " + std::to_string(i) + " timestamp out of [0, T)");
-        }
-        if (prev.t >= 0 && e < prev) {
-            throw io_error(path, "event " + std::to_string(i) + " breaks (t, u, v) sort order");
-        }
-        prev = e;
-        scan.consumed(i);
-    }
+    validate_records(path, h, tail.source, static_cast<std::size_t>(prefix), boundary);
     return tail;
-}
-
-}  // namespace
-
-NatbinTail open_natbin_tail(const std::string& path, std::uint64_t validated_prefix) {
-    return open_natbin_tail_impl(path, validated_prefix, nullptr);
-}
-
-NatbinTail open_natbin_tail(const std::string& path, const NatbinTailCursor& cursor) {
-    return open_natbin_tail_impl(path, cursor.validated_records,
-                                 cursor.validated_records > 0 ? &cursor.last_validated
-                                                              : nullptr);
 }
 
 NatbinTailCursor tail_cursor(const NatbinTail& tail) {
@@ -470,9 +431,9 @@ StreamFormat detect_stream_format(const std::string& path) {
     return StreamFormat::text;
 }
 
-LoadedStream load_stream_auto(const std::string& path, const LoadOptions& options) {
+LoadedStream load_stream_auto(const std::string& path, const CsvFormat& format) {
     return detect_stream_format(path) == StreamFormat::natbin ? open_natbin(path)
-                                                              : load_link_stream(path, options);
+                                                              : load_link_stream(path, format);
 }
 
 }  // namespace natscale

@@ -114,28 +114,24 @@ struct NatbinTailCursor {
     Event last_validated{0, 0, -1};  ///< meaningful only when validated_records > 0
 };
 
-/// Opens a natbin file in tail mode.  The header is validated as usual, but
-/// the event-count cross-checks are relaxed: the record region is whatever
-/// the file size says it is, truncated to whole records.  Records
-/// [validated_prefix, complete_records) are validated (bounds, canonical
-/// endpoints, (t, u, v) order — including order against the last record of
-/// the prefix); pass the complete-record count of the previous open so a
-/// polling reader revalidates only what was appended.  Throws io_error on a
-/// malformed header or records, and when the file shrank below
-/// validated_prefix.
-NatbinTail open_natbin_tail(const std::string& path, std::uint64_t validated_prefix = 0);
+/// Opens a natbin file in tail mode: the one reopen of a polling reader.
+/// The header is validated as usual, but the event-count cross-checks are
+/// relaxed: the record region is whatever the file size says it is,
+/// truncated to whole records.  Records [cursor.validated_records,
+/// complete_records) are validated (bounds, canonical endpoints, (t, u, v)
+/// order — including order against the cursor's last record), so a polling
+/// reader that passes the cursor of its previous open (tail_cursor())
+/// revalidates only what was appended; the default cursor validates every
+/// record.  When the cursor has a validated prefix, the record at its
+/// boundary must still equal cursor.last_validated — a mismatch means the
+/// file on disk is not a continuation of what was already consumed
+/// (truncated and regrown, or replaced wholesale).  Throws io_error on a
+/// malformed header or records, on that mismatch, and when the file shrank
+/// below the cursor's validated prefix.
+NatbinTail open_natbin_tail(const std::string& path, const NatbinTailCursor& cursor = {});
 
-/// Cursor-checked tail open for polling readers.  Everything the prefix
-/// overload does, plus: when the cursor has a validated prefix, the record at
-/// its boundary must still equal cursor.last_validated — a mismatch means the
-/// file on disk is not a continuation of what was already consumed (truncated
-/// and regrown, or replaced wholesale) and raises io_error instead of
-/// yielding events from an unrelated stream.  Build the next poll's cursor
-/// from the returned tail with tail_cursor().
-NatbinTail open_natbin_tail(const std::string& path, const NatbinTailCursor& cursor);
-
-/// The cursor describing everything `tail` has validated: pass it to the
-/// cursor overload on the next poll.
+/// The cursor describing everything `tail` has validated: pass it to
+/// open_natbin_tail on the next poll.
 NatbinTailCursor tail_cursor(const NatbinTail& tail);
 
 /// Streaming writer for traces too large to materialize as a LinkStream
@@ -196,8 +192,9 @@ enum class StreamFormat { text, natbin };
 StreamFormat detect_stream_format(const std::string& path);
 
 /// Loads either format: natbin through the mmap-backed open_natbin, text
-/// through load_link_stream.  `options` applies to text only (a natbin file
-/// already fixes directedness, node universe and period).
-LoadedStream load_stream_auto(const std::string& path, const LoadOptions& options = {});
+/// through load_link_stream.  `format` applies to text only (a natbin file
+/// already fixes directedness, node universe and period).  The one place
+/// that sniffs for the natbin magic before loading.
+LoadedStream load_stream_auto(const std::string& path, const CsvFormat& format = {});
 
 }  // namespace natscale

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iterator>
@@ -269,6 +270,61 @@ TEST(NatbinRejection, UnsortedOrNonCanonicalRecords) {
     out_of_range[records + 4] = 9;
     TempFileGuard range_file(write_temp("natscale_range.natbin", out_of_range));
     EXPECT_THROW(open_natbin(range_file.path()), io_error);
+}
+
+TEST(NatbinRejection, MalformedRecordTableSameMessageFromEveryReader) {
+    // One record check serves every natbin reader: each malformed row must
+    // be rejected with the same message by the strict loaders, by a fresh
+    // tail open, and by a tail reopen resuming just before the bad record.
+    const std::vector<Event> valid{{0, 1, 2}, {1, 2, 5}, {0, 3, 6}};  // n = 4, T = 10
+    struct Row {
+        const char* name;
+        Event bad;  // replaces the last record
+        const char* reason;
+    };
+    const std::vector<Row> rows{
+        {"endpoint >= n", {0, 4, 6}, "endpoint out of range"},
+        {"self-loop", {3, 3, 6}, "is a self-loop"},
+        {"u > v undirected", {3, 0, 6}, "breaks the canonical u < v endpoint order"},
+        {"t < 0", {0, 3, -1}, "timestamp out of [0, T)"},
+        {"t >= T", {0, 3, 10}, "timestamp out of [0, T)"},
+        {"(t, u, v) order", {0, 3, 4}, "breaks (t, u, v) sort order"},
+    };
+    auto message_of = [](auto&& open) -> std::string {
+        try {
+            open();
+        } catch (const io_error& e) {
+            return e.what();
+        }
+        return "no io_error";
+    };
+    const std::size_t bad_index = valid.size() - 1;
+    for (const Row& row : rows) {
+        SCOPED_TRACE(row.name);
+        TempFileGuard file(temp_path("natscale_bad_record.natbin"));
+        {
+            NatbinWriter writer(file.path(), 4, 10, /*directed=*/false);
+            for (const Event& e : valid) writer.append(e);
+        }
+        {
+            // Overwrite the last record in place, little-endian u32 u, u32 v,
+            // i64 t: the writer itself refuses every row of this table.
+            const std::size_t at = kNatbinHeaderBytes + bad_index * kNatbinRecordBytes;
+            std::fstream os(file.path(), std::ios::binary | std::ios::in | std::ios::out);
+            os.seekp(static_cast<std::streamoff>(at));
+            const auto t = static_cast<std::uint64_t>(row.bad.t);
+            for (int b = 0; b < 4; ++b) os.put(static_cast<char>(row.bad.u >> (8 * b)));
+            for (int b = 0; b < 4; ++b) os.put(static_cast<char>(row.bad.v >> (8 * b)));
+            for (int b = 0; b < 8; ++b) os.put(static_cast<char>(t >> (8 * b)));
+        }
+        const std::string expected =
+            file.path() + ": event " + std::to_string(bad_index) + " " + row.reason;
+        const NatbinTailCursor before_bad{bad_index, valid[bad_index - 1]};
+        EXPECT_EQ(message_of([&] { open_natbin(file.path()); }), expected);
+        EXPECT_EQ(message_of([&] { load_natbin(file.path()); }), expected);
+        EXPECT_EQ(message_of([&] { open_natbin_tail(file.path()); }), expected);
+        EXPECT_EQ(message_of([&] { open_natbin_tail(file.path(), before_bad); }), expected);
+    }
 }
 
 TEST(NatbinRejection, HostileHeaderFieldsNeverReadOutOfBounds) {

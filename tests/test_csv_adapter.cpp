@@ -1,15 +1,16 @@
-// Tests for the real-trace CSV/TSV adapter (linkstream/csv_adapter):
-// column layouts, strict vs lenient delimiting, timestamp scaling, label
-// interning, and the hardened io_errors malformed rows must produce.  The
-// round-trip test takes a sociopatterns-style sample through CSV -> natbin
-// and compares bitwise against a hand-written expected trace.
+// Tests for the real-trace CSV/TSV layouts of the text parser
+// (linkstream/io's CsvFormat): column layouts, strict vs lenient
+// delimiting, timestamp scaling, label interning, and the hardened
+// io_errors malformed rows must produce.  The round-trip test takes a
+// sociopatterns-style sample through CSV -> natbin and compares bitwise
+// against a hand-written expected trace.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "linkstream/binary_io.hpp"
-#include "linkstream/csv_adapter.hpp"
+#include "linkstream/io.hpp"
 #include "testing/temp_files.hpp"
 
 namespace natscale {
@@ -44,7 +45,7 @@ TEST(CsvAdapter, SnapStyleLenientDefault) {
         "alice bob 100\n"
         "bob carol 250\n"
         "alice carol 250\n";
-    const auto loaded = parse_csv_stream(text);
+    const auto loaded = parse_link_stream(text);
     ASSERT_EQ(loaded.stream.num_events(), 3u);
     EXPECT_EQ(loaded.stream.num_nodes(), 3u);
     EXPECT_EQ(loaded.stream.period_end(), 251);  // max t + 1
@@ -64,7 +65,7 @@ TEST(CsvAdapter, SociopatternsLayoutWithHeader) {
     format.columns = "tuv";
     format.delimiter = '\t';
     format.skip_header = 1;
-    const auto loaded = parse_csv_stream(text, format);
+    const auto loaded = parse_link_stream(text, format);
     ASSERT_EQ(loaded.stream.num_events(), 3u);
     const std::vector<std::string> labels{"1157", "1232", "1191"};
     EXPECT_EQ(loaded.node_labels, labels);
@@ -77,7 +78,7 @@ TEST(CsvAdapter, SociopatternsLayoutWithHeader) {
 TEST(CsvAdapter, WeightColumnSkippedAndTrailingFieldsIgnored) {
     CsvFormat format;
     format.columns = "uv_t";
-    const auto loaded = parse_csv_stream("a b 3.5 10 extra junk\nb c 1 20\n", format);
+    const auto loaded = parse_link_stream("a b 3.5 10 extra junk\nb c 1 20\n", format);
     ASSERT_EQ(loaded.stream.num_events(), 2u);
     expect_event(loaded.stream.events()[0], 0, 1, 10);
     expect_event(loaded.stream.events()[1], 1, 2, 20);
@@ -86,7 +87,7 @@ TEST(CsvAdapter, WeightColumnSkippedAndTrailingFieldsIgnored) {
 TEST(CsvAdapter, TimeScaleConvertsUnits) {
     CsvFormat format;
     format.time_scale = 1e-3;  // millisecond file at second resolution
-    const auto loaded = parse_csv_stream("a b 1500\na c 2499\n", format);
+    const auto loaded = parse_link_stream("a b 1500\na c 2499\n", format);
     expect_event(loaded.stream.events()[0], 0, 1, 2);  // llround(1.5)
     expect_event(loaded.stream.events()[1], 0, 2, 2);
 }
@@ -94,20 +95,20 @@ TEST(CsvAdapter, TimeScaleConvertsUnits) {
 TEST(CsvAdapter, DirectedKeepsOrientation) {
     CsvFormat format;
     format.directed = true;
-    const auto loaded = parse_csv_stream("b a 5\n", format);
+    const auto loaded = parse_link_stream("b a 5\n", format);
     EXPECT_TRUE(loaded.stream.directed());
     // 'b' interned first -> id 0; orientation preserved, not canonicalized.
     expect_event(loaded.stream.events()[0], 0, 1, 5);
 }
 
 TEST(CsvAdapter, SelfLoopsSkippedOrRejectedPerFormat) {
-    const auto skipped = parse_csv_stream("a a 1\na b 2\n");
+    const auto skipped = parse_link_stream("a a 1\na b 2\n");
     EXPECT_EQ(skipped.stream.num_events(), 1u);
 
     CsvFormat strict;
     strict.skip_self_loops = false;
     try {
-        parse_csv_stream("a a 1\n", strict, "trace.csv");
+        parse_link_stream("a a 1\n", strict, "trace.csv");
         FAIL() << "expected io_error";
     } catch (const io_error& e) {
         EXPECT_EQ(std::string(e.what()), "trace.csv:1: self-loop on node 'a'");
@@ -117,9 +118,9 @@ TEST(CsvAdapter, SelfLoopsSkippedOrRejectedPerFormat) {
 TEST(CsvAdapter, StrictDelimiterRejectsEmptyFields) {
     CsvFormat format;
     format.delimiter = ',';
-    EXPECT_NO_THROW(parse_csv_stream("a,b,7\n", format));
+    EXPECT_NO_THROW(parse_link_stream("a,b,7\n", format));
     try {
-        parse_csv_stream("a,,7\n", format, "trace.csv");
+        parse_link_stream("a,,7\n", format, "trace.csv");
         FAIL() << "expected io_error";
     } catch (const io_error& e) {
         EXPECT_EQ(std::string(e.what()), "trace.csv:1: empty field 2");
@@ -132,7 +133,7 @@ TEST(CsvAdapter, StripsUtf8BomFromFirstLine) {
     // Excel/Sheets exports prepend a UTF-8 BOM.  Left in place it was
     // interned into the first node label, so "alice" on line 1 and "alice"
     // on line 2 became two different nodes.
-    const auto loaded = parse_csv_stream("\xEF\xBB\xBF" "alice bob 1\nalice carol 2\n");
+    const auto loaded = parse_link_stream("\xEF\xBB\xBF" "alice bob 1\nalice carol 2\n");
     EXPECT_EQ(loaded.stream.num_nodes(), 3u);
     const std::vector<std::string> labels{"alice", "bob", "carol"};
     EXPECT_EQ(loaded.node_labels, labels);
@@ -141,7 +142,7 @@ TEST(CsvAdapter, StripsUtf8BomFromFirstLine) {
     // later in the file is data and stays untouched.
     CsvFormat strict;
     strict.delimiter = ',';
-    const auto kept = parse_csv_stream("\xEF\xBB\xBF" "a,b,1\n" "\xEF\xBB\xBF" "a,c,2\n", strict);
+    const auto kept = parse_link_stream("\xEF\xBB\xBF" "a,b,1\n" "\xEF\xBB\xBF" "a,c,2\n", strict);
     EXPECT_EQ(kept.stream.num_nodes(), 4u);  // a, b, "\xEF\xBB\xBF" "a", c
     EXPECT_EQ(kept.node_labels[2], "\xEF\xBB\xBF" "a");
 }
@@ -150,7 +151,7 @@ TEST(CsvAdapter, ClassicMacCarriageReturnLineEndings) {
     // \r-only line endings (classic-Mac spreadsheet exports): the old
     // std::getline-based reader saw the whole file as one line, parsed the
     // first row and silently discarded every other event.
-    const auto loaded = parse_csv_stream("alice bob 100\rbob carol 250\ralice carol 300\r");
+    const auto loaded = parse_link_stream("alice bob 100\rbob carol 250\ralice carol 300\r");
     ASSERT_EQ(loaded.stream.num_events(), 3u);
     EXPECT_EQ(loaded.stream.num_nodes(), 3u);
     EXPECT_EQ(loaded.stream.period_end(), 301);
@@ -159,18 +160,18 @@ TEST(CsvAdapter, ClassicMacCarriageReturnLineEndings) {
     // final row without a terminator.
     CsvFormat strict;
     strict.delimiter = ',';
-    const auto strict_loaded = parse_csv_stream("a,b,1\r\rb,c,2\ra,c,3", strict);
+    const auto strict_loaded = parse_link_stream("a,b,1\r\rb,c,2\ra,c,3", strict);
     ASSERT_EQ(strict_loaded.stream.num_events(), 3u);
 
     // Mixed endings parse identically: every convention separates rows once.
-    const auto mixed = parse_csv_stream("alice bob 100\r\nbob carol 250\ralice carol 300\n");
+    const auto mixed = parse_link_stream("alice bob 100\r\nbob carol 250\ralice carol 300\n");
     ASSERT_EQ(mixed.stream.num_events(), 3u);
     EXPECT_EQ(mixed.stream.period_end(), 301);
 
     // Line numbers in diagnostics count \r rows, so errors point at the
     // right row of the original file.
     try {
-        parse_csv_stream("a b 1\rc d\r", {}, "mac.txt");
+        parse_link_stream("a b 1\rc d\r", {}, "mac.txt");
         FAIL() << "expected io_error";
     } catch (const io_error& e) {
         EXPECT_EQ(std::string(e.what()),
@@ -180,41 +181,41 @@ TEST(CsvAdapter, ClassicMacCarriageReturnLineEndings) {
 
 TEST(CsvAdapter, MalformedRowsNameLineAndReason) {
     try {
-        parse_csv_stream("a b 1\nc d\n", {}, "bad.txt");
+        parse_link_stream("a b 1\nc d\n", {}, "bad.txt");
         FAIL() << "expected io_error";
     } catch (const io_error& e) {
         EXPECT_EQ(std::string(e.what()),
                   "bad.txt:2: row has 2 fields, layout 'uvt' needs at least 3");
     }
     try {
-        parse_csv_stream("a b x\n", {}, "bad.txt");
+        parse_link_stream("a b x\n", {}, "bad.txt");
         FAIL() << "expected io_error";
     } catch (const io_error& e) {
         EXPECT_EQ(std::string(e.what()), "bad.txt:1: bad timestamp 'x'");
     }
     try {
-        parse_csv_stream("a b -5\n", {}, "bad.txt");
+        parse_link_stream("a b -5\n", {}, "bad.txt");
         FAIL() << "expected io_error";
     } catch (const io_error& e) {
         EXPECT_EQ(std::string(e.what()), "bad.txt:1: bad timestamp '-5'");
     }
-    EXPECT_THROW(parse_csv_stream("", {}, "empty.txt"), std::runtime_error);
-    EXPECT_THROW(parse_csv_stream("# only comments\n", {}, "empty.txt"),
+    EXPECT_THROW(parse_link_stream("", {}, "empty.txt"), std::runtime_error);
+    EXPECT_THROW(parse_link_stream("# only comments\n", {}, "empty.txt"),
                  std::runtime_error);
 }
 
 TEST(CsvAdapter, LoadFromFileMatchesParseFromString) {
     const std::string text = "a b 1\nb c 2\n";
-    const std::string path = write_temp("csv_adapter_sample.txt", text);
+    const std::string path = write_temp("csv_layout_sample.txt", text);
     TempFileGuard guard(path);
-    const auto from_file = load_csv_stream(path);
-    const auto from_text = parse_csv_stream(text);
+    const auto from_file = load_link_stream(path);
+    const auto from_text = parse_link_stream(text);
     ASSERT_EQ(from_file.stream.num_events(), from_text.stream.num_events());
     for (std::size_t i = 0; i < from_file.stream.num_events(); ++i) {
         EXPECT_EQ(from_file.stream.events()[i], from_text.stream.events()[i]);
     }
     EXPECT_EQ(from_file.node_labels, from_text.node_labels);
-    EXPECT_THROW(load_csv_stream(temp_path("no_such_file.csv")), std::runtime_error);
+    EXPECT_THROW(load_link_stream(temp_path("no_such_file.csv")), std::runtime_error);
 }
 
 TEST(CsvAdapter, SociopatternsSampleRoundTripsToNatbinBitwise) {
@@ -229,7 +230,7 @@ TEST(CsvAdapter, SociopatternsSampleRoundTripsToNatbinBitwise) {
     format.columns = "tuv";
     format.delimiter = '\t';
     format.skip_header = 1;
-    const auto loaded = parse_csv_stream(text, format);
+    const auto loaded = parse_link_stream(text, format);
 
     // ...whose expected trace (dense ids by first appearance, undirected
     // canonical order) is written out by hand:

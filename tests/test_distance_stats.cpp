@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "linkstream/aggregation.hpp"
-#include "temporal/brute_force.hpp"
+#include "testing/brute_force.hpp"
 #include "temporal/distance_stats.hpp"
 #include "temporal/reachability.hpp"
 #include "util/rng.hpp"

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "linkstream/binary_io.hpp"
 #include "linkstream/io.hpp"
 #include "testing/temp_files.hpp"
 #include "util/proc_rss.hpp"
@@ -12,6 +13,7 @@
 namespace natscale {
 namespace {
 
+using testing::TempFileGuard;
 using testing::temp_path;
 using testing::write_temp;
 
@@ -49,14 +51,14 @@ TEST(ParseLinkStream, FourthColumnIgnored) {
 }
 
 TEST(ParseLinkStream, TimeScaleConvertsFractions) {
-    LoadOptions options;
+    CsvFormat options;
     options.time_scale = 1000.0;
     const auto loaded = parse_link_stream("0 1 1.5\n", options);
     EXPECT_EQ(loaded.stream.events()[0].t, 1500);
 }
 
 TEST(ParseLinkStream, DirectedFlagHonoured) {
-    LoadOptions options;
+    CsvFormat options;
     options.directed = true;
     const auto loaded = parse_link_stream("b a 1\n", options);
     EXPECT_TRUE(loaded.stream.directed());
@@ -69,7 +71,7 @@ TEST(ParseLinkStream, SelfLoopsSkippedByDefault) {
 }
 
 TEST(ParseLinkStream, SelfLoopsRejectedWhenAsked) {
-    LoadOptions options;
+    CsvFormat options;
     options.skip_self_loops = false;
     EXPECT_THROW(parse_link_stream("0 0 1\n", options), io_error);
 }
@@ -173,7 +175,7 @@ TEST(LoadLinkStream, MessyFileContentParsedCorrectly) {
 
 TEST(LoadLinkStream, SelfLoopRejectedWithLineNumberWhenNotSkipping) {
     const auto path = write_temp("natscale_io_selfloop.txt", kMessyFile);
-    LoadOptions options;
+    CsvFormat options;
     options.skip_self_loops = false;
     try {
         load_link_stream(path, options);
@@ -253,6 +255,68 @@ TEST(LoadLinkStream, StreamsLargeFilesWithoutBufferingThemWhole) {
         EXPECT_LT(after - before, 2.5 * file_size)
             << "peak RSS grew by " << (after - before) / (1024 * 1024)
             << " MiB loading a " << file_size / (1024 * 1024) << " MiB file";
+    }
+}
+
+/// Two spreadsheet-export quirks the text parser must undo.  Each file used
+/// to load differently through the main command than through `convert`.
+constexpr const char* kBomFile = "\xEF\xBB\xBF" "alice bob 1\nalice carol 2\nbob carol 3\n";
+constexpr const char* kCarriageReturnFile =
+    "alice bob 100\rbob carol 200\ralice carol 300\rcarol dave 400\r";
+
+TEST(LoadLinkStream, StripsUtf8ByteOrderMark) {
+    // Left in place, the BOM was interned into the first label, so "alice"
+    // on line 1 and "alice" on line 2 became two different nodes.
+    const auto path = write_temp("natscale_io_bom.txt", kBomFile);
+    TempFileGuard guard(path);
+    const std::vector<std::string> labels{"alice", "bob", "carol"};
+    for (const auto& loaded : {parse_link_stream(kBomFile), load_link_stream(path)}) {
+        EXPECT_EQ(loaded.stream.num_nodes(), 3u);
+        EXPECT_EQ(loaded.node_labels, labels);
+        EXPECT_EQ(loaded.stream.num_events(), 3u);
+    }
+}
+
+TEST(LoadLinkStream, CarriageReturnOnlyRowsAreSeparateLines) {
+    // A \r-only file read as one line kept its first row and silently
+    // dropped every other event.
+    const auto path = write_temp("natscale_io_cr.txt", kCarriageReturnFile);
+    TempFileGuard guard(path);
+    for (const auto& loaded : {parse_link_stream(kCarriageReturnFile), load_link_stream(path)}) {
+        EXPECT_EQ(loaded.stream.num_events(), 4u);
+        EXPECT_EQ(loaded.stream.num_nodes(), 4u);
+        EXPECT_EQ(loaded.stream.period_end(), 401);
+    }
+}
+
+TEST(LoadStreamAuto, TextFileMatchesItsNatbinCopy) {
+    // One file, one answer: the format sniff must hand text to the same
+    // parser `convert` uses, so loading the file directly and reopening its
+    // natbin copy agree on events, labels and period.
+    struct Case {
+        const char* text;
+        std::size_t events;
+        NodeId nodes;
+    };
+    const Case cases[] = {{kMessyFile, 3, 3}, {kBomFile, 3, 3}, {kCarriageReturnFile, 4, 4}};
+    for (const Case& c : cases) {
+        SCOPED_TRACE(::testing::PrintToString(std::string(c.text)));
+        TempFileGuard text_file(write_temp("natscale_io_auto.txt", c.text));
+        TempFileGuard bin_file(temp_path("natscale_io_auto.natbin"));
+        const auto parsed = parse_link_stream(c.text);
+        save_natbin(bin_file.path(), parsed.stream, parsed.node_labels);
+        const auto converted = open_natbin(bin_file.path());
+        const auto direct = load_stream_auto(text_file.path());
+
+        EXPECT_EQ(direct.stream.num_events(), c.events);
+        EXPECT_EQ(direct.stream.num_nodes(), c.nodes);
+        EXPECT_EQ(direct.node_labels, converted.node_labels);
+        EXPECT_EQ(direct.stream.num_nodes(), converted.stream.num_nodes());
+        EXPECT_EQ(direct.stream.period_end(), converted.stream.period_end());
+        ASSERT_EQ(direct.stream.num_events(), converted.stream.num_events());
+        for (std::size_t i = 0; i < direct.stream.num_events(); ++i) {
+            EXPECT_EQ(direct.stream.events()[i], converted.stream.events()[i]) << "event " << i;
+        }
     }
 }
 

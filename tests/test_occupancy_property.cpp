@@ -10,7 +10,7 @@
 #include "core/occupancy.hpp"
 #include "linkstream/aggregation.hpp"
 #include "stats/uniformity.hpp"
-#include "temporal/brute_force.hpp"
+#include "testing/brute_force.hpp"
 #include "temporal/reachability.hpp"
 #include "util/rng.hpp"
 

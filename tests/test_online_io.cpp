@@ -117,14 +117,14 @@ TEST(NatbinTailMode, UnfinishedWriterIsReadableAfterFlush) {
     writer.append(events[3]);
     writer.append(events[4]);
     writer.flush();
-    tail = open_natbin_tail(path, tail.complete_records);
+    tail = open_natbin_tail(path, tail_cursor(tail));
     EXPECT_EQ(tail.complete_records, 5u);
     EXPECT_FALSE(tail.finished());
 
     writer.append(events[5]);
     writer.append(events[6]);
     writer.finish();
-    tail = open_natbin_tail(path, tail.complete_records);
+    tail = open_natbin_tail(path, tail_cursor(tail));
     EXPECT_EQ(tail.complete_records, events.size());
     EXPECT_EQ(tail.header_num_events, events.size());
     EXPECT_TRUE(tail.finished());
@@ -137,43 +137,45 @@ TEST(NatbinTailMode, UnfinishedWriterIsReadableAfterFlush) {
 TEST(NatbinTailMode, RejectsMalformedAppendsAndShrinkingFiles) {
     const std::string path = write_sample("tail_malformed.natbin", /*finish=*/false);
     TempFileGuard guard(path);
-    const NatbinTail tail = open_natbin_tail(path);
+    const NatbinTailCursor validated = tail_cursor(open_natbin_tail(path));
 
     // A shrink below the validated prefix is a hard error (the reader's
     // frozen state references records that no longer exist).
-    EXPECT_THROW(open_natbin_tail(path, tail.complete_records + 1), io_error);
+    NatbinTailCursor beyond = validated;
+    ++beyond.validated_records;
+    EXPECT_THROW(open_natbin_tail(path, beyond), io_error);
 
-    // Corrupt one appended record (out-of-range endpoint): only reopens
-    // validating that suffix see it.
+    // Corrupt one record before the last, which a cursor checks as its
+    // boundary (out-of-range endpoint): only reopens validating it see it.
     std::vector<char> bytes = read_all(path);
-    const std::size_t last = kNatbinHeaderBytes +
-                             (sample_events().size() - 1) * kNatbinRecordBytes;
+    const std::size_t corrupt = sample_events().size() - 2;
     const std::uint32_t bad_node = 0xFFu;
-    std::memcpy(bytes.data() + last, &bad_node, sizeof(bad_node));
+    std::memcpy(bytes.data() + kNatbinHeaderBytes + corrupt * kNatbinRecordBytes, &bad_node,
+                sizeof(bad_node));
     {
         std::ofstream os(path, std::ios::binary | std::ios::trunc);
         os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     }
     EXPECT_THROW(open_natbin_tail(path), io_error);
     // ... while a reader that already validated everything skips the check.
-    EXPECT_NO_THROW(open_natbin_tail(path, sample_events().size()));
+    EXPECT_NO_THROW(open_natbin_tail(path, validated));
 
     // Out-of-order append relative to the validated prefix.
     const std::string path2 = write_sample("tail_order.natbin", /*finish=*/false);
     TempFileGuard guard2(path2);
-    const NatbinTail before = open_natbin_tail(path2);
+    const NatbinTailCursor before = tail_cursor(open_natbin_tail(path2));
     {
         std::ofstream os(path2, std::ios::binary | std::ios::app);
         const Event stale{0, 1, 1};  // t regresses below the last record
         os.write(reinterpret_cast<const char*>(&stale), sizeof(stale));
     }
-    EXPECT_THROW(open_natbin_tail(path2, before.complete_records), io_error);
+    EXPECT_THROW(open_natbin_tail(path2, before), io_error);
 }
 
 TEST(NatbinTailMode, CursorDetectsTruncateAndRegrow) {
     // A file truncated and regrown past its previous size between polls
-    // keeps (or exceeds) the old record count, so the count-only prefix
-    // check cannot see the swap; the cursor also carries the last validated
+    // keeps (or exceeds) the old record count, so a count-only prefix check
+    // cannot see the swap; the cursor also carries the last validated
     // record and rejects the impostor prefix.
     const std::string path = write_sample("tail_regrow.natbin", /*finish=*/false);
     TempFileGuard guard(path);
@@ -189,9 +191,7 @@ TEST(NatbinTailMode, CursorDetectsTruncateAndRegrow) {
         for (Time t = 0; t < 10; ++t) writer.append({0, 2, t});
         writer.finish();
     }
-    // The count-only overload splices the streams without noticing...
-    EXPECT_NO_THROW(open_natbin_tail(path, cursor.validated_records));
-    // ...the cursor overload refuses, naming the boundary record.
+    // The reopen refuses, naming the boundary record.
     try {
         open_natbin_tail(path, cursor);
         FAIL() << "regrown file accepted as a continuation";

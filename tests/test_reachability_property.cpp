@@ -7,7 +7,7 @@
 #include <tuple>
 
 #include "linkstream/aggregation.hpp"
-#include "temporal/brute_force.hpp"
+#include "testing/brute_force.hpp"
 #include "temporal/reachability.hpp"
 #include "util/rng.hpp"
 

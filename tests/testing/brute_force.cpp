@@ -1,4 +1,4 @@
-#include "temporal/brute_force.hpp"
+#include "testing/brute_force.hpp"
 
 #include <algorithm>
 #include <map>
