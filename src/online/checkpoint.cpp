@@ -185,6 +185,8 @@ OnlineSweepEngine restore_checkpoint(std::span<const std::byte> bytes,
     }
     engine.options_.grid = engine.grid_;
 
+    const ReachabilityBackend backend =
+        OnlineSweepEngine::initial_backend(engine.num_nodes_, engine.grid_.size());
     engine.periods_.resize(engine.grid_.size());
     for (std::size_t g = 0; g < engine.grid_.size(); ++g) {
         auto& period = engine.periods_[g];
@@ -208,7 +210,7 @@ OnlineSweepEngine restore_checkpoint(std::span<const std::byte> bytes,
         // payload, so a crafted num_nodes can never drive a huge resize
         // (the checksum is no defense — it is trivially recomputable).
         in.require_items(engine.num_nodes_, 8);
-        std::vector<SparseTemporalReachability::Row> rows(engine.num_nodes_);
+        std::vector<ReachRow> rows(engine.num_nodes_);
         for (auto& row : rows) {
             const std::uint64_t entries = in.u64();
             in.require_items(entries, kEntryBytes);
@@ -218,17 +220,20 @@ OnlineSweepEngine restore_checkpoint(std::span<const std::byte> bytes,
                 entry.v = in.u32();
                 entry.hops = static_cast<Hops>(in.u32());
                 entry.arr = in.i64();
-                if (entry.v >= engine.num_nodes_ || entry.hops < 1 ||
+                // Arrivals are reversed labels -k with k >= 1; arr >= 0
+                // would pack as (or past) the dense unreachable sentinel.
+                if (entry.v >= engine.num_nodes_ || entry.hops < 1 || entry.arr >= 0 ||
                     (i > 0 && row[i - 1].v >= entry.v)) {
                     throw io_error(path, "malformed checkpoint sweep row");
                 }
             }
         }
-        period.sweep.restore_state(engine.num_nodes_, std::move(rows));
+        period.sweep.restore_state(engine.num_nodes_, std::move(rows), backend);
     }
     if (in.position() != size - 8) {
         throw io_error(path, "trailing bytes in checkpoint");
     }
+    engine.count_period_backends();
     return engine;
 }
 

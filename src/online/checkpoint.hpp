@@ -9,6 +9,14 @@
 // restoring, the caller re-attaches the feed and sync()s from
 // synced_events() onward.
 //
+// The sweep rows are the kernel-independent form of a period's state: the
+// finite (v, hops, arr) cells of each source, sorted by v, whose arrivals
+// are reversed window labels -k (always <= -1).  A dense period's finite
+// cells are exactly the sparse kernel's rows, so the bytes do not depend
+// on which kernel held the period.  Restore picks each period's kernel by
+// the rule a fresh engine applies (online/incremental_sweep.hpp); a period
+// whose rows hold a window past the dense rank range restores sparse.
+//
 //   offset  size  field
 //   0       8     magic "NATSCKP1"
 //   8       4     version (u32 LE) = 1
@@ -25,7 +33,8 @@
 //   ...           per period: folded (u64), histogram total (u64),
 //                 bin counts (u64 x bins), moment limbs (u64 x 36 twice),
 //                 then per source row: entry count (u64) followed by
-//                 entries (v u32, hops u32, arr i64)
+//                 entries (v u32, hops u32 >= 1, arr i64 <= -1), by
+//                 strictly increasing v < num_nodes
 //   end-8   8     FNV-1a 64 checksum of everything before it
 //
 // All counts are cross-checked against the file size before any allocation

@@ -13,6 +13,12 @@ namespace natscale {
 
 namespace {
 
+obs::Counter& period_counter(ReachabilityBackend backend) {
+    static obs::Counter& dense = obs::counter("online.dense_periods");
+    static obs::Counter& sparse = obs::counter("online.sparse_periods");
+    return backend == ReachabilityBackend::dense ? dense : sparse;
+}
+
 /// Feeds the events of windows [first event at `begin`, `end`) at period
 /// `delta` to the time-reversed sweep: one instant per non-empty window, in
 /// increasing window order, labeled -k (strictly decreasing — the order the
@@ -21,7 +27,7 @@ namespace {
 /// into `histogram`, complete on return.  Preconditions: `begin` is the
 /// first event of its window (the callers' fold boundaries are
 /// window-aligned).
-void relax_windows(SparseTemporalReachability& sweep, bool directed,
+void relax_windows(ReachabilityEngine& sweep, bool directed,
                    std::span<const Event> events, std::size_t begin, std::size_t end,
                    Time delta, Histogram01& histogram) {
     OccupancyTally tally(histogram);
@@ -40,14 +46,11 @@ void relax_windows(SparseTemporalReachability& sweep, bool directed,
                 edge_scratch.emplace_back(events[i].u, events[i].v);
             }
         }
-        sweep.relax_instant(edge_scratch, directed, -static_cast<Time>(k),
-                            [&](const MinimalTrip& trip) {
-                                // Reversed trip (a, b, -k2, -k1) is original
-                                // trip (b, a, k1, k2); hops and duration
-                                // (hence occupancy) are preserved.
-                                tally(MinimalTrip{trip.v, trip.u, -trip.arr, -trip.dep,
-                                                  trip.hops});
-                            });
+        sweep.relax_window(edge_scratch, directed, k, [&](const MinimalTrip& trip) {
+            // Reversed trip (a, b, -k2, -k1) is original trip (b, a, k1, k2);
+            // hops and duration (hence occupancy) are preserved.
+            tally(MinimalTrip{trip.v, trip.u, -trip.arr, -trip.dep, trip.hops});
+        });
     }
 }
 
@@ -72,13 +75,30 @@ OnlineSweepEngine::OnlineSweepEngine(NodeId num_nodes, bool directed,
     grid_.erase(std::unique(grid_.begin(), grid_.end()), grid_.end());
     NATSCALE_EXPECTS(grid_.front() >= 1);
 
+    const ReachabilityBackend backend = initial_backend(num_nodes_, grid_.size());
     periods_.resize(grid_.size());
     for (std::size_t g = 0; g < grid_.size(); ++g) {
         PeriodState& period = periods_[g];
         period.delta = grid_[g];
         period.histogram = Histogram01(options_.histogram_bins);
-        period.sweep.begin(num_nodes_);
+        period.sweep.begin(num_nodes_, backend);
     }
+    count_period_backends();
+}
+
+ReachabilityBackend OnlineSweepEngine::initial_backend(NodeId num_nodes, std::size_t periods) {
+    if (select_backend(num_nodes, 0, {}) != ReachabilityBackend::dense) {
+        return ReachabilityBackend::sparse;
+    }
+    // select_backend bounds one table; n^2 x 8 B fits size_t here.
+    const std::size_t table_bytes =
+        static_cast<std::size_t>(num_nodes) * num_nodes * kDensePairBytes;
+    return periods <= kDenseMemoryBudgetBytes / table_bytes ? ReachabilityBackend::dense
+                                                            : ReachabilityBackend::sparse;
+}
+
+void OnlineSweepEngine::count_period_backends() const {
+    for (const PeriodState& period : periods_) period_counter(period.sweep.last_backend()).add();
 }
 
 ThreadPool& OnlineSweepEngine::pool() {
@@ -89,6 +109,11 @@ ThreadPool& OnlineSweepEngine::pool() {
 std::uint64_t OnlineSweepEngine::folded_events(std::size_t index) const {
     NATSCALE_EXPECTS(index < periods_.size());
     return periods_[index].folded;
+}
+
+ReachabilityBackend OnlineSweepEngine::period_backend(std::size_t index) const {
+    NATSCALE_EXPECTS(index < periods_.size());
+    return periods_[index].sweep.last_backend();
 }
 
 void OnlineSweepEngine::sync(std::span<const Event> events, Time watermark) {
@@ -121,10 +146,17 @@ void OnlineSweepEngine::sync(std::span<const Event> events, Time watermark) {
         const std::size_t fold_end =
             partition_by_time(events, static_cast<std::size_t>(period.folded), seal_time);
         if (fold_end == period.folded) return;
+        const ReachabilityBackend before = period.sweep.last_backend();
         relax_windows(period.sweep, directed_, events,
                       static_cast<std::size_t>(period.folded), fold_end, period.delta,
                       period.histogram);
+        // Frozen periods keep their tables only: dense scratch can match a
+        // table's size, and refresh() clones the frozen state.
+        period.sweep.release_scratch();
         period.folded = fold_end;
+        // A dense period that reached the window-index limit moved to sparse.
+        const ReachabilityBackend after = period.sweep.last_backend();
+        if (after != before) period_counter(after).add();
     });
 }
 
@@ -154,7 +186,7 @@ OnlineReport OnlineSweepEngine::refresh(std::span<const Event> events,
         // Clone the frozen state, sweep the unsealed tail on the clone, and
         // score frozen + tail.  The clone makes refresh repeatable: the
         // tail windows will be swept again (possibly extended) next time.
-        SparseTemporalReachability live = period.sweep;
+        ReachabilityEngine live = period.sweep;
         Histogram01 histogram = period.histogram;
         relax_windows(live, directed_, events, static_cast<std::size_t>(period.folded),
                       events.size(), period.delta, histogram);

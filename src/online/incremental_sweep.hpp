@@ -42,11 +42,21 @@
 // 10^7-event trace with a 1 % tail, orders of magnitude below the cold
 // sweep (bench/perf_online.cpp measures it).
 //
-// The sweep state is the row-sparse backend's (temporal/sparse_reachability
-// drives the identical kernel through its resumable entry points), so
-// memory is bounded by the number of reachable ordered pairs per period —
-// the same bound that makes n = 200k batch scans feasible — never
-// threads x n^2.
+// --- Which kernel -----------------------------------------------------------
+//
+// Each period holds its sweep through the ReachabilityEngine facade
+// (temporal/reachability_backend), which drives the same kernels as the
+// batch scans through their resumable time-reversed entry points.  The
+// batch rule decides, with the online engine's memory on top: every period
+// is dense when select_backend(n, 0, {}) picks dense AND the tables of all
+// periods, n^2 x 8 B x grid size, fit kDenseMemoryBudgetBytes (192 MiB:
+// n = 150 at 48 periods is 8 MiB, n = 1024 at 24 periods exactly the
+// budget).  Otherwise every period is sparse, with memory bounded by the
+// reachable ordered pairs per period — the only kernel that fits at large
+// n.  A dense period that reaches window 2^32 - 1 (Delta = 1 over
+// millisecond timestamps) moves its state to the sparse kernel and
+// continues there.  Both kernels emit the identical trip sequence, so the
+// choice never changes a result.
 #pragma once
 
 #include <cstddef>
@@ -58,7 +68,7 @@
 #include "core/delta_sweep.hpp"
 #include "stats/histogram01.hpp"
 #include "stats/uniformity.hpp"
-#include "temporal/sparse_reachability.hpp"
+#include "temporal/reachability_backend.hpp"
 #include "util/thread_pool.hpp"
 #include "util/types.hpp"
 
@@ -145,6 +155,15 @@ public:
     /// refresh tail starts there.  Exposed for the bench and the tests.
     std::uint64_t folded_events(std::size_t index) const;
 
+    /// Kernel holding the frozen state of grid period `index`.  Exposed
+    /// for the tests.
+    ReachabilityBackend period_backend(std::size_t index) const;
+
+    /// The kernel every period of a new or restored engine over `num_nodes`
+    /// nodes and `periods` grid periods starts on (the rule in the file
+    /// comment).
+    static ReachabilityBackend initial_backend(NodeId num_nodes, std::size_t periods);
+
     /// Re-binds the sync/refresh fan-out width (0 = hardware concurrency).
     /// Thread count is a runtime choice, not sweep state: load_checkpoint
     /// resets it to the default, and callers restoring an engine re-apply
@@ -167,12 +186,16 @@ private:
     struct PeriodState {
         Time delta = 0;
         std::uint64_t folded = 0;
-        SparseTemporalReachability sweep;
+        ReachabilityEngine sweep;
         Histogram01 histogram{Histogram01::kDefaultBins};
     };
 
     OnlineSweepEngine() = default;  // load_checkpoint fills the fields
     ThreadPool& pool();
+
+    /// Adds each period to online.dense_periods or online.sparse_periods,
+    /// by its current kernel.
+    void count_period_backends() const;
 
     NodeId num_nodes_ = 0;
     bool directed_ = false;

@@ -9,12 +9,56 @@ void TemporalReachability::prepare(NodeId n, NodeId col_begin, NodeId col_end) {
     n_ = n;
     col_begin_ = col_begin;
     col_end_ = col_end;
+    reversed_ = false;
     const std::size_t cells =
         static_cast<std::size_t>(n) * (col_end - col_begin);
     state_.assign(cells, kUnreachablePacked);
     if (slot_.size() < n) slot_.assign(n, -1);
     std::fill(slot_.begin(), slot_.end(), -1);
     active_.clear();
+}
+
+void TemporalReachability::begin(NodeId n) {
+    prepare(n, 0, n);
+    reversed_ = true;
+}
+
+std::vector<ReachRow> TemporalReachability::state_rows() const {
+    NATSCALE_EXPECTS(col_begin_ == 0 && col_end_ == n_);
+    std::vector<ReachRow> rows(n_);
+    for (NodeId u = 0; u < n_; ++u) {
+        const PackedState* cells = &state_[static_cast<std::size_t>(u) * n_];
+        for (NodeId v = 0; v < n_; ++v) {
+            const auto rank = static_cast<std::uint32_t>(cells[v] >> 32);
+            if (rank == kUnreachableRank) continue;
+            rows[u].push_back(
+                {v, static_cast<Hops>(static_cast<std::uint32_t>(cells[v])), label_of(rank)});
+        }
+    }
+    return rows;
+}
+
+bool TemporalReachability::fits_reversed(const std::vector<ReachRow>& rows) {
+    return std::all_of(rows.begin(), rows.end(), [](const ReachRow& row) {
+        return std::all_of(row.begin(), row.end(), [](const ReachEntry& entry) {
+            return entry.arr <= -1 && entry.arr >= -kMaxReversedWindow;
+        });
+    });
+}
+
+void TemporalReachability::restore_state(NodeId n, const std::vector<ReachRow>& rows) {
+    NATSCALE_EXPECTS(rows.size() == n && fits_reversed(rows));
+    begin(n);
+    for (NodeId u = 0; u < n; ++u) {
+        const ReachRow& row = rows[u];
+        PackedState* cells = &state_[static_cast<std::size_t>(u) * n];
+        for (std::size_t i = 0; i < row.size(); ++i) {
+            NATSCALE_EXPECTS(row[i].v < n && (i == 0 || row[i - 1].v < row[i].v));
+            const auto rank = static_cast<std::uint32_t>(kUnreachableRank + row[i].arr);
+            cells[row[i].v] = (static_cast<PackedState>(rank) << 32) |
+                              static_cast<std::uint32_t>(row[i].hops);
+        }
+    }
 }
 
 namespace detail {
@@ -37,7 +81,7 @@ Time TemporalReachability::arrival(NodeId u, NodeId v) const {
     const std::size_t width = col_end_ - col_begin_;
     const PackedState cell = state_[static_cast<std::size_t>(u) * width + (v - col_begin_)];
     const auto rank = static_cast<std::uint32_t>(cell >> 32);
-    return rank == kUnreachableRank ? kInfiniteTime : labels_[rank];
+    return rank == kUnreachableRank ? kInfiniteTime : label_of(rank);
 }
 
 Hops TemporalReachability::hop_count(NodeId u, NodeId v) const {

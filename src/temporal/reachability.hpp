@@ -63,6 +63,22 @@
 // The same sweep optionally drives a DistanceAccumulator (mean d_time /
 // d_hops over all start windows, Fig. 2) and supports deterministic pair
 // sampling for the expensive elongation validation of Section 8.
+//
+// --- Resumable time-reversed form ------------------------------------------
+//
+// The online engine (src/online) runs the sweep forward by feeding the
+// windows of a growing stream time-REVERSED, one at a time: window k is the
+// instant labelled -k, so the windows arrive in the decreasing label order
+// the backward kernel requires.  Its label set is neither known nor finite,
+// so instead of ranking it, window k takes arrival rank 0xFFFFFFFF - k.  A
+// later window has a smaller label and a smaller rank, so ranks stay
+// monotone as windows are appended, and rank r decodes arithmetically back
+// to label r - 0xFFFFFFFF, with no label table to grow or copy.  Windows
+// 1 .. 2^32 - 2 (kMaxReversedWindow) take ranks 2^32 - 2 .. 1, below the
+// unreachable rank; the caller moves a sweep that reaches window 2^32 - 1
+// to the sparse backend (ReachabilityEngine::relax_window does).  The state
+// leaves and re-enters the kernel as sorted (v, hops, arr) rows, the form
+// the sparse backend keeps natively: state_rows() / restore_state().
 #pragma once
 
 #include <cstring>
@@ -104,6 +120,22 @@ struct ReachabilityOptions {
     /// per-pair trip structure needed by the elongation measure is preserved.
     std::uint64_t pair_sample_divisor = 1;
 };
+
+/// One finite cell of a sweep state: from its row's source, the earliest
+/// arrival at `v` over the departures processed so far is `arr`, reached
+/// with `hops` minimum hops.  A vector of rows (one per source, entries
+/// sorted by strictly increasing v) is the kernel-independent form of a
+/// resumable sweep's state: the sparse backend stores exactly these rows,
+/// the dense one exports and restores them, and online/checkpoint
+/// serializes them.
+struct ReachEntry {
+    NodeId v = 0;
+    Hops hops = 0;
+    Time arr = 0;
+
+    friend constexpr bool operator==(const ReachEntry&, const ReachEntry&) = default;
+};
+using ReachRow = std::vector<ReachEntry>;
 
 namespace detail {
 
@@ -191,6 +223,51 @@ public:
     Time arrival(NodeId u, NodeId v) const;
     Hops hop_count(NodeId u, NodeId v) const;
 
+    // --- resumable time-reversed form (see the file comment) ----------------
+
+    /// Largest window index relax_window accepts.
+    static constexpr WindowIndex kMaxReversedWindow = 0xFFFFFFFE;
+
+    /// Resets the state for a reversed sweep over n nodes (full column
+    /// range).  Must be called before the first relax_window of a sweep.
+    void begin(NodeId n);
+
+    /// Relaxes window k of the time-reversed sweep: `edges` are the
+    /// (possibly duplicated, arbitrarily ordered) links of the instant
+    /// labelled -k, deduplicated and direction-expanded as the batch scans
+    /// do.  Emits exactly the trips, in exactly the order, that
+    /// SparseTemporalReachability::relax_instant(edges, directed, -k, sink)
+    /// emits from the same state.  Preconditions: begin() or restore_state()
+    /// first; 1 <= k <= kMaxReversedWindow; k strictly increasing within
+    /// one session.
+    template <typename Sink>
+    void relax_window(std::span<const Edge> edges, bool directed, WindowIndex k, Sink&& sink) {
+        NATSCALE_EXPECTS(reversed_ && k >= 1 && k <= kMaxReversedWindow);
+        detail::build_instant_arcs(arcs_, edges, directed);
+        process_instant<true>(static_cast<std::uint32_t>(kUnreachableRank - k), -k, sink, {});
+    }
+
+    /// The finite cells, decoded: row u lists (v, hops, arr) for every v
+    /// reachable from u, in increasing v — after the same windows, exactly
+    /// SparseTemporalReachability::state_rows().  Full column range only.
+    std::vector<ReachRow> state_rows() const;
+
+    /// True when every arrival of `rows` is the label of a window the
+    /// reversed form can rank: -kMaxReversedWindow <= arr <= -1.
+    static bool fits_reversed(const std::vector<ReachRow>& rows);
+
+    /// Packs rows (state_rows() of either backend) as the state of a
+    /// reversed sweep, which then continues bit-identically.
+    /// Preconditions: rows.size() == n; every row sorted by strictly
+    /// increasing v with v < n; fits_reversed(rows).
+    void restore_state(NodeId n, const std::vector<ReachRow>& rows);
+
+    /// Frees the pre-instant row copies kept between instants, which reach
+    /// the size of the table itself on an instant that touches every node.
+    /// The state is kept.  For callers that hold many engines at once (the
+    /// online engine holds one per grid period).
+    void release_scratch() { std::vector<PackedState>().swap(scratch_); }
+
 private:
     static constexpr std::uint32_t kUnreachableRank = 0xFFFFFFFFu;
     /// arrival rank 0xFFFFFFFF, hops 0: larger than every reachable packed
@@ -198,9 +275,22 @@ private:
     static constexpr PackedState kUnreachablePacked =
         static_cast<PackedState>(kUnreachableRank) << 32;
 
+    /// Label of arrival rank `rank` in the reversed form: -(window index).
+    static constexpr Time reversed_label(std::uint32_t rank) {
+        return static_cast<Time>(rank) - static_cast<Time>(kUnreachableRank);
+    }
+
+    /// Label of a reachable rank, in whichever form ran last.
+    Time label_of(std::uint32_t rank) const {
+        return reversed_ ? reversed_label(rank) : labels_[rank];
+    }
+
     void prepare(NodeId n, NodeId col_begin, NodeId col_end);
 
-    template <typename Sink>
+    /// Relaxes the arcs_ of one instant.  Arrival ranks decode back to
+    /// labels through labels_ in the batch scans, arithmetically in the
+    /// `Reversed` form.
+    template <bool Reversed, typename Sink>
     void process_instant(std::uint32_t rank, Time label, Sink& sink,
                          const ReachabilityOptions& options);
 
@@ -216,6 +306,7 @@ private:
     NodeId n_ = 0;
     NodeId col_begin_ = 0;
     NodeId col_end_ = 0;
+    bool reversed_ = false;             // ranks decode arithmetically, not via labels_
     std::vector<PackedState> state_;    // n_ rows x (col_end_ - col_begin_) columns
     std::vector<PackedState> scratch_;  // pre-instant rows of active nodes
     std::vector<Time> labels_;          // rank -> original instant label
@@ -245,7 +336,7 @@ void TemporalReachability::scan_series_columns(const GraphSeries& series, NodeId
     }
     for (std::size_t i = snapshots.size(); i-- > 0;) {
         detail::build_instant_arcs(arcs_, snapshots[i].edges, series.directed());
-        process_instant(static_cast<std::uint32_t>(i), snapshots[i].k, sink, options);
+        process_instant<false>(static_cast<std::uint32_t>(i), snapshots[i].k, sink, options);
     }
     if (options.distances != nullptr) {
         decode_tables();
@@ -274,14 +365,21 @@ void TemporalReachability::scan_stream_columns(const LinkStream& stream, NodeId 
                                           const auto rank =
                                               static_cast<std::uint32_t>(--next_rank);
                                           labels_[rank] = t;
-                                          process_instant(rank, t, sink, options);
+                                          process_instant<false>(rank, t, sink, options);
                                       });
     NATSCALE_ENSURES(next_rank == 0);
 }
 
-template <typename Sink>
+template <bool Reversed, typename Sink>
 void TemporalReachability::process_instant(std::uint32_t rank, Time label, Sink& sink,
                                            const ReachabilityOptions& options) {
+    const auto decode = [this](std::uint32_t arrival_rank) {
+        if constexpr (Reversed) {
+            return reversed_label(arrival_rank);
+        } else {
+            return labels_[arrival_rank];
+        }
+    };
     const std::size_t width = col_end_ - col_begin_;
     // A zero-width shard (col_begin == col_end, legal per the sharding
     // contract) owns no destination columns: nothing can be relaxed or
@@ -363,14 +461,14 @@ void TemporalReachability::process_instant(std::uint32_t rank, Time label, Sink&
             const auto old_rank = static_cast<std::uint32_t>(before >> 32);
             if (options.distances != nullptr) {
                 const Time old_arr =
-                    old_rank == kUnreachableRank ? kInfiniteTime : labels_[old_rank];
+                    old_rank == kUnreachableRank ? kInfiniteTime : decode(old_rank);
                 const Hops old_hops = old_rank == kUnreachableRank
                                           ? kInfiniteHops
                                           : static_cast<Hops>(static_cast<std::uint32_t>(before));
                 options.distances->record_change(u, v, label, old_arr, old_hops);
             }
             if (new_rank < old_rank && keep_pair(u, v, options.pair_sample_divisor)) {
-                sink(MinimalTrip{u, v, label, labels_[new_rank],
+                sink(MinimalTrip{u, v, label, decode(new_rank),
                                  static_cast<Hops>(static_cast<std::uint32_t>(now))});
             }
             ++j;

@@ -20,4 +20,23 @@ ReachabilityBackend select_backend(NodeId num_nodes, std::size_t total_arcs,
     return ReachabilityBackend::dense;
 }
 
+void ReachabilityEngine::restore_state(NodeId n, std::vector<ReachRow> rows,
+                                       ReachabilityBackend backend) {
+    if (backend == ReachabilityBackend::dense && TemporalReachability::fits_reversed(rows)) {
+        last_ = ReachabilityBackend::dense;
+        dense_.restore_state(n, rows);
+    } else {
+        last_ = ReachabilityBackend::sparse;
+        sparse_.restore_state(n, std::move(rows));
+    }
+}
+
+void ReachabilityEngine::leave_dense() {
+    std::vector<ReachRow> rows = dense_.state_rows();
+    const auto n = static_cast<NodeId>(rows.size());
+    dense_ = TemporalReachability{};
+    sparse_.restore_state(n, std::move(rows));
+    last_ = ReachabilityBackend::sparse;
+}
+
 }  // namespace natscale

@@ -7,12 +7,19 @@
 //
 // Both emit the exact same trip sequence, so the choice is purely a
 // space/time trade-off, made by select_backend alone.  ReachabilityEngine
-// is the facade batch scans go through (core/occupancy directly;
-// core/delta_sweep and core/validation, and through them core/saturation
-// and core/segmentation, via scan_periods in temporal/sharded_scan): it
-// holds both engines (each allocates its state lazily, on first use) and
-// picks one per scan.  scan_periods applies the same rule per period when
-// it splits a narrow period list into column shards.
+// is the facade every scan goes through:
+//   * batch scans: core/occupancy directly; core/delta_sweep and
+//     core/validation, and through them core/saturation and
+//     core/segmentation, via scan_periods in temporal/sharded_scan, which
+//     applies the same rule per period when it splits a narrow period list
+//     into column shards;
+//   * the online engine (online/incremental_sweep, under `watch` and
+//     `natscaled`): one facade per grid period, driven through the
+//     resumable time-reversed form below.  All its periods are held at
+//     once, so it asks select_backend(n, 0, {}) and also requires the whole
+//     engine's tables, n^2 x 8 B x periods, to fit kDenseMemoryBudgetBytes.
+// The facade holds both engines (each allocates its state lazily, on first
+// use) and picks one per scan, or per reversed sweep.
 //
 // Selection rule, in order:
 //   1. scans feeding a DistanceAccumulator use dense (the accumulator keeps
@@ -93,10 +100,65 @@ public:
                                                    : sparse_.hop_count(u, v);
     }
 
-    /// Backend used by the most recent scan (dense before any scan).
+    /// Backend used by the most recent scan, or holding the current
+    /// reversed sweep (dense before any scan).
     ReachabilityBackend last_backend() const noexcept { return last_; }
 
+    // --- resumable time-reversed form (online/incremental_sweep) -----------
+    //
+    // Window k is the instant labelled -k, fed in increasing k (see
+    // temporal/reachability.hpp).  The caller picks the backend; the facade
+    // keeps the sweep going when the dense kernel's rank range ends.
+
+    /// Starts a reversed sweep over n nodes on `backend`.
+    void begin(NodeId n, ReachabilityBackend backend) {
+        last_ = backend;
+        if (backend == ReachabilityBackend::dense) {
+            dense_.begin(n);
+        } else {
+            sparse_.begin(n);
+        }
+    }
+
+    /// Relaxes window k: emits the trips of the instant labelled -k.  A
+    /// dense sweep reaching a window past TemporalReachability::
+    /// kMaxReversedWindow first moves its state to the sparse backend and
+    /// continues there.  Preconditions: begin() or restore_state() first;
+    /// k >= 1, strictly increasing within one sweep.
+    template <typename Sink>
+    void relax_window(std::span<const Edge> edges, bool directed, WindowIndex k, Sink&& sink) {
+        if (last_ == ReachabilityBackend::dense &&
+            k > TemporalReachability::kMaxReversedWindow) {
+            leave_dense();
+        }
+        if (last_ == ReachabilityBackend::dense) {
+            dense_.relax_window(edges, directed, k, std::forward<Sink>(sink));
+        } else {
+            sparse_.relax_instant(edges, directed, -k, std::forward<Sink>(sink));
+        }
+    }
+
+    /// The reversed sweep's state as kernel-independent rows: identical for
+    /// both backends after the same windows.
+    std::vector<ReachRow> state_rows() const {
+        return last_ == ReachabilityBackend::dense ? dense_.state_rows()
+                                                   : sparse_.state_rows();
+    }
+
+    /// Resumes a reversed sweep from state_rows() output on `backend`, or
+    /// on sparse when the rows hold a window the dense kernel cannot rank.
+    /// Preconditions: as SparseTemporalReachability::restore_state.
+    void restore_state(NodeId n, std::vector<ReachRow> rows, ReachabilityBackend backend);
+
+    /// Frees the dense kernel's per-instant scratch
+    /// (TemporalReachability::release_scratch); the sweep state is kept.
+    void release_scratch() { dense_.release_scratch(); }
+
 private:
+    /// Moves a dense reversed sweep's state to the sparse backend and
+    /// releases the dense table.
+    void leave_dense();
+
     ReachabilityBackend last_ = ReachabilityBackend::dense;
     TemporalReachability dense_;
     SparseTemporalReachability sparse_;

@@ -53,23 +53,18 @@ public:
     /// earliest arrival at `v` (over departures at or after the instant
     /// being processed) is `arr`, with `hops` minimum hops among
     /// earliest-arrival paths.
-    struct Entry {
-        NodeId v = 0;
-        Hops hops = 0;
-        Time arr = 0;
-
-        friend constexpr bool operator==(const Entry&, const Entry&) = default;
-    };
+    using Entry = ReachEntry;
     // The SIMD candidate-generation kernel (util/simd.hpp) copies entries as
     // 16-byte {u32, u32, u64} records, bumping the second u32 lane (hops).
     static_assert(sizeof(Entry) == 16);
     static_assert(offsetof(Entry, v) == 0 && offsetof(Entry, hops) == 4 &&
                   offsetof(Entry, arr) == 8);
 
-    /// Per-source state: finite entries sorted by v.  Exposed (with
+    /// Per-source state: finite entries sorted by v — the kernel-independent
+    /// rows of temporal/reachability.hpp, stored as they are.  Exposed (with
     /// state_rows / restore_state below) so the online engine's checkpoints
     /// can serialize a sweep mid-stream and resume it bit-identically.
-    using Row = std::vector<Entry>;
+    using Row = ReachRow;
 
     /// Enumerates all minimal trips of the series; same contract and same
     /// emission order as TemporalReachability::scan_series.
@@ -91,11 +86,12 @@ public:
     // makes the state reusable across calls: a caller may process a range of
     // instants, keep the engine (it is cheaply copyable — plain vectors),
     // and later continue with earlier instants.  The online subsystem
-    // (src/online) drives the forward incremental sweep through this API by
-    // feeding time-REVERSED instants: processing reversed labels in the
-    // decreasing order this engine requires is a forward pass over the
-    // original stream, so appending events extends the state instead of
-    // invalidating it.
+    // (src/online) drives the forward incremental sweep through this API,
+    // via ReachabilityEngine::relax_window, by feeding time-REVERSED
+    // instants: processing reversed labels in the decreasing order this
+    // engine requires is a forward pass over the original stream, so
+    // appending events extends the state instead of invalidating it.  The
+    // dense engine has the same form (TemporalReachability::relax_window).
 
     /// Resets the sweep state for a node universe of size n.  Must be called
     /// before the first relax_instant of a sweep (the batch scans call it

@@ -23,6 +23,7 @@
 #include "online/checkpoint.hpp"
 #include "online/incremental_sweep.hpp"
 #include "online/stream_ingestor.hpp"
+#include "stats/exact_sum.hpp"
 #include "stats/uniformity.hpp"
 #include "temporal/minimal_trip.hpp"
 #include "temporal/reachability_backend.hpp"
@@ -31,6 +32,7 @@
 #include "testing/temp_files.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
+#include "util/wire.hpp"
 
 namespace natscale {
 namespace {
@@ -106,13 +108,22 @@ struct Scenario {
     Time period;
     std::size_t count;
     bool directed;
+    ReachabilityBackend backend;  // the kernel every online period resolves to
 };
 
 const Scenario kScenarios[] = {
-    {1, 24, 4000, 600, false},
-    {2, 12, 900, 400, true},
-    {3, 48, 20000, 900, false},
+    {1, 24, 4000, 600, false, ReachabilityBackend::dense},
+    {2, 12, 900, 400, true, ReachabilityBackend::dense},
+    {3, 48, 20000, 900, false, ReachabilityBackend::dense},
+    // kSparseMinNodes: the online rule sends it to the sparse kernel.
+    {4, 2048, 20000, 900, false, ReachabilityBackend::sparse},
 };
+
+void expect_backend(const OnlineSweepEngine& engine, ReachabilityBackend backend) {
+    for (std::size_t g = 0; g < engine.grid().size(); ++g) {
+        EXPECT_EQ(engine.period_backend(g), backend) << "period " << g;
+    }
+}
 
 TEST(OnlineSweep, MatchesColdBatchAtEveryRefreshPoint) {
     for (const Scenario& sc : kScenarios) {
@@ -126,6 +137,7 @@ TEST(OnlineSweep, MatchesColdBatchAtEveryRefreshPoint) {
             options.grid = grid;
             options.num_threads = online_threads;
             OnlineSweepEngine online(sc.n, sc.directed, options);
+            expect_backend(online, sc.backend);
 
             IngestorOptions ingest_options;
             ingest_options.reorder_horizon = sc.period / 20;
@@ -299,8 +311,8 @@ TEST(OnlineSweep, RefreshAfterPartialSyncMatchesPerTripReference) {
     EXPECT_TRUE(longer_trips);
 }
 
-TEST(OnlineSweep, CheckpointRoundTripContinuesBitIdentically) {
-    const Scenario sc = kScenarios[0];
+void expect_checkpoint_round_trip(const Scenario& sc) {
+    SCOPED_TRACE("n=" + std::to_string(sc.n));
     const std::vector<Event> events =
         random_events(sc.seed + 9, sc.n, sc.period, sc.count, sc.directed);
     std::vector<Event> sorted = events;
@@ -311,6 +323,7 @@ TEST(OnlineSweep, CheckpointRoundTripContinuesBitIdentically) {
     options.grid = grid;
     options.metric = UniformityMetric::shannon_entropy;
     OnlineSweepEngine original(sc.n, sc.directed, options);
+    expect_backend(original, sc.backend);
 
     // Sync half the stream, checkpoint, restore, then continue BOTH engines
     // with the rest: every later report must match bitwise.
@@ -330,6 +343,8 @@ TEST(OnlineSweep, CheckpointRoundTripContinuesBitIdentically) {
     EXPECT_EQ(restored.options().metric, options.metric);
     ASSERT_EQ(std::vector<Time>(restored.grid().begin(), restored.grid().end()),
               std::vector<Time>(original.grid().begin(), original.grid().end()));
+    expect_backend(restored, sc.backend);
+    EXPECT_EQ(serialize_checkpoint(restored), serialize_checkpoint(original));
 
     original.sync(sorted, sc.period);
     restored.sync(sorted, sc.period);
@@ -343,6 +358,11 @@ TEST(OnlineSweep, CheckpointRoundTripContinuesBitIdentically) {
         EXPECT_EQ(original.folded_events(g), restored.folded_events(g));
     }
     EXPECT_EQ(r1.gamma, r2.gamma);
+}
+
+TEST(OnlineSweep, CheckpointRoundTripContinuesBitIdentically) {
+    expect_checkpoint_round_trip(kScenarios[0]);
+    expect_checkpoint_round_trip(kScenarios[3]);
 }
 
 TEST(OnlineSweep, CheckpointRejectsCorruption) {
@@ -384,6 +404,112 @@ TEST(OnlineSweep, CheckpointRejectsCorruption) {
         EXPECT_THROW(load_checkpoint(path), std::exception) << "cut=" << cut;
     }
     std::filesystem::remove(path);
+
+    // A sweep row entry with a non-negative arrival, checksum recomputed.
+    // Reversed labels are always <= -1; packed into the dense kernel, such
+    // an entry would collide with the unreachable sentinel.
+    std::vector<std::byte> image = serialize_checkpoint(engine);
+    // First period: folded, total, bin counts and two moment sums, then the
+    // rows; the first non-empty row's first entry is (v u32, hops u32, arr).
+    std::size_t row_at = 72 + 8 * options.grid.size() + 16 + 8 * options.histogram_bins +
+                         2 * 8 * ExactSum::kLimbs;
+    while (wire::get_u64(image.data() + row_at) == 0) row_at += 8;
+    const std::size_t arr_at = row_at + 8 + 8;
+    ASSERT_LT(static_cast<std::int64_t>(wire::get_u64(image.data() + arr_at)), 0);
+    EXPECT_NO_THROW(restore_checkpoint(image, "intact"));
+    for (const std::int64_t arr : {std::int64_t{0}, std::int64_t{5}}) {
+        wire::put_u64(image.data() + arr_at, static_cast<std::uint64_t>(arr));
+        wire::put_u64(image.data() + image.size() - 8,
+                      wire::fnv1a64(image.data(), image.size() - 8));
+        try {
+            restore_checkpoint(image, "corrupt");
+            ADD_FAILURE() << "arr=" << arr << " restored";
+        } catch (const io_error& error) {
+            EXPECT_NE(std::string(error.what()).find("malformed checkpoint sweep row"),
+                      std::string::npos)
+                << error.what();
+        }
+    }
+}
+
+TEST(OnlineSweep, KernelRuleBudgetsEveryPeriodsTables) {
+    // Dense needs select_backend's dense verdict for n AND the tables of
+    // all periods, n^2 x 8 B each, within kDenseMemoryBudgetBytes.
+    using enum ReachabilityBackend;
+    EXPECT_EQ(OnlineSweepEngine::initial_backend(150, 48), dense);    // 8.2 MiB
+    EXPECT_EQ(OnlineSweepEngine::initial_backend(1024, 24), dense);   // exactly 192 MiB
+    EXPECT_EQ(OnlineSweepEngine::initial_backend(1024, 25), sparse);  // 200 MiB
+    EXPECT_EQ(OnlineSweepEngine::initial_backend(2047, 1), dense);
+    EXPECT_EQ(OnlineSweepEngine::initial_backend(kSparseMinNodes, 1), sparse);
+
+    // Construction applies it to every period.
+    const auto engine = [](NodeId n, std::size_t periods) {
+        OnlineSweepOptions options;
+        for (std::size_t g = 1; g <= periods; ++g) options.grid.push_back(static_cast<Time>(g));
+        return OnlineSweepEngine(n, false, options);
+    };
+    expect_backend(engine(150, 48), dense);
+    expect_backend(engine(1024, 25), sparse);
+}
+
+TEST(OnlineSweep, DensePeriodCrossingWindowIndexLimitContinuesSparse) {
+    // Delta = 1 over timestamps around 2^32: window k = t + 1 reaches
+    // 2^32 - 1, past the dense kernel's rank range, mid-stream.  That
+    // period moves its state to the sparse kernel and continues there,
+    // while the coarse period stays dense: a grid that mixes both kernels.
+    // Every refresh equals the cold batch run, and so does a checkpoint
+    // restored after the move.
+    const NodeId n = 24;
+    const Time base = (Time{1} << 32) - 400;  // window 2^32 - 1 starts at base + 398
+    const Time period_end = base + 800;
+    std::vector<Event> sorted = random_events(11, n, 800, 500, false);
+    for (Event& event : sorted) event.t += base;
+    std::sort(sorted.begin(), sorted.end());
+
+    OnlineSweepOptions options;
+    options.grid = {1, 1000};
+    options.num_threads = 1;
+    OnlineSweepEngine online(n, false, options);
+    expect_backend(online, ReachabilityBackend::dense);
+
+    const auto expect_matches_cold = [&](std::size_t count) {
+        SCOPED_TRACE("events=" + std::to_string(count));
+        const std::vector<Event> prefix(sorted.begin(),
+                                        sorted.begin() + static_cast<std::ptrdiff_t>(count));
+        std::vector<Histogram01> online_hists;
+        const OnlineReport report = online.refresh(prefix, &online_hists);
+        std::vector<Histogram01> cold_hists;
+        const std::vector<DeltaPoint> cold =
+            cold_sweep(prefix, n, period_end, false, options.grid, 1, &cold_hists);
+        ASSERT_EQ(cold.size(), report.points.size());
+        for (std::size_t g = 0; g < cold.size(); ++g) {
+            expect_identical_points(report.points[g], cold[g]);
+            expect_identical_histograms(online_hists[g], cold_hists[g]);
+        }
+    };
+    // The watermark lags the feed, so refresh tails cross the limit on
+    // their clones before the frozen state does.
+    for (const std::size_t count : {std::size_t{125}, std::size_t{250}, std::size_t{375},
+                                    sorted.size()}) {
+        online.sync(std::span(sorted).first(count), sorted[count * 2 / 3].t);
+        expect_matches_cold(count);
+        if (count == 125) {
+            ASSERT_LT(sorted[count].t, (Time{1} << 32) - 2);
+            EXPECT_EQ(online.period_backend(0), ReachabilityBackend::dense);
+        }
+    }
+    online.sync(sorted, kInfiniteTime);
+    expect_matches_cold(sorted.size());
+    EXPECT_EQ(online.period_backend(0), ReachabilityBackend::sparse);
+    EXPECT_EQ(online.period_backend(1), ReachabilityBackend::dense);
+
+    // The moved period's rows hold windows past the rank range, so it
+    // restores sparse; the coarse one restores dense.
+    const std::vector<std::byte> image = serialize_checkpoint(online);
+    OnlineSweepEngine restored = restore_checkpoint(image, "crossing");
+    EXPECT_EQ(restored.period_backend(0), ReachabilityBackend::sparse);
+    EXPECT_EQ(restored.period_backend(1), ReachabilityBackend::dense);
+    EXPECT_EQ(serialize_checkpoint(restored), image);
 }
 
 TEST(StreamIngestor, ReordersWithinHorizonAndTracksWatermark) {
@@ -471,6 +597,57 @@ TEST(OnlineSweep, SparseRelaxInstantResumesBitIdentically) {
         relax_backward(0, split);
         EXPECT_EQ(got, expected) << "split=" << split;
         EXPECT_EQ(split_scan.state_rows(), whole.state_rows());
+    }
+}
+
+TEST(OnlineSweep, DenseRelaxWindowResumesBitIdentically) {
+    // The dense kernel's resumable form against the sparse one: windows fed
+    // time-reversed (window k is the instant labelled -k) in two splits —
+    // on one engine, and on a second one restored from the first's rows —
+    // emit exactly the sparse kernel's trip sequence and leave exactly its
+    // state_rows().
+    for (const Scenario& sc : {kScenarios[0], kScenarios[1]}) {
+        std::vector<Event> sorted =
+            random_events(sc.seed + 3, sc.n, sc.period, 300, sc.directed);
+        std::sort(sorted.begin(), sorted.end());
+        const LinkStream stream(sorted, sc.n, sc.period, sc.directed);
+        const GraphSeries series = aggregate(stream, sc.period / 16);
+        const auto snapshots = series.snapshots();
+
+        SparseTemporalReachability sparse;
+        std::vector<MinimalTrip> expected;
+        sparse.begin(series.num_nodes());
+        for (const auto& snapshot : snapshots) {
+            sparse.relax_instant(snapshot.edges, series.directed(), -snapshot.k,
+                                 [&](const MinimalTrip& t) { expected.push_back(t); });
+        }
+        ASSERT_FALSE(expected.empty());
+
+        const auto relax_forward = [&](TemporalReachability& engine, std::size_t begin,
+                                       std::size_t end, std::vector<MinimalTrip>& trips) {
+            for (std::size_t i = begin; i < end; ++i) {
+                engine.relax_window(snapshots[i].edges, series.directed(), snapshots[i].k,
+                                    [&](const MinimalTrip& t) { trips.push_back(t); });
+            }
+        };
+        for (const std::size_t split :
+             {std::size_t{0}, snapshots.size() / 3, snapshots.size()}) {
+            SCOPED_TRACE("n=" + std::to_string(sc.n) + " split=" + std::to_string(split));
+            TemporalReachability first;
+            std::vector<MinimalTrip> got;
+            first.begin(series.num_nodes());
+            relax_forward(first, 0, split, got);
+
+            TemporalReachability resumed;
+            resumed.restore_state(series.num_nodes(), first.state_rows());
+            std::vector<MinimalTrip> got_resumed = got;
+            relax_forward(first, split, snapshots.size(), got);
+            relax_forward(resumed, split, snapshots.size(), got_resumed);
+            EXPECT_EQ(got, expected);
+            EXPECT_EQ(got_resumed, expected);
+            EXPECT_EQ(first.state_rows(), sparse.state_rows());
+            EXPECT_EQ(resumed.state_rows(), sparse.state_rows());
+        }
     }
 }
 
