@@ -4,7 +4,7 @@
 #include "graph/metrics.hpp"
 #include "linkstream/aggregation.hpp"
 #include "temporal/distance_stats.hpp"
-#include "temporal/reachability.hpp"
+#include "temporal/reachability_backend.hpp"
 #include "util/contracts.hpp"
 #include "util/math.hpp"
 
@@ -44,8 +44,8 @@ ClassicalPoint classical_properties(const LinkStream& stream, Time delta, bool w
     if (with_distances) {
         DistanceAccumulator accumulator;
         ReachabilityOptions options;
-        options.distances = &accumulator;
-        TemporalReachability engine;
+        options.distances = &accumulator;  // select_backend keeps this scan dense
+        ReachabilityEngine engine;
         engine.scan_series(series, [](const MinimalTrip&) {}, options);
         const DistanceStats& stats = accumulator.stats();
         point.mean_dtime_windows = stats.mean_dtime_windows();

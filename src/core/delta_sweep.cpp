@@ -16,6 +16,19 @@ DeltaPoint score_delta_point(Time delta, const Histogram01& histogram,
     return point;
 }
 
+std::size_t argmax_point(std::span<const DeltaPoint> points, UniformityMetric metric) {
+    std::size_t best = 0;
+    double best_score = -1.0;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const double score = score_of(points[i].scores, metric);
+        if (score > best_score) {
+            best_score = score;
+            best = i;
+        }
+    }
+    return best;
+}
+
 DeltaSweepEngine::DeltaSweepEngine(const LinkStream& stream, DeltaSweepOptions options)
     : stream_(&stream), options_(options) {}
 

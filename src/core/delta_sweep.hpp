@@ -57,6 +57,12 @@ struct DeltaPoint {
 DeltaPoint score_delta_point(Time delta, const Histogram01& histogram,
                              std::size_t shannon_slots);
 
+/// Index of the point with the highest `metric` score in a delta-sorted
+/// list, the first maximum winning ties; 0 for an empty list.  This is THE
+/// gamma argmax: the batch search (core/saturation) and the online engine
+/// both pick gamma with it, so they agree on every tie.
+std::size_t argmax_point(std::span<const DeltaPoint> points, UniformityMetric metric);
+
 struct DeltaSweepOptions {
     /// Occupancy histogram resolution.
     std::size_t histogram_bins = Histogram01::kDefaultBins;

@@ -12,16 +12,7 @@
 namespace natscale {
 
 Time SaturationResult::gamma_for(UniformityMetric which) const {
-    Time best_delta = 0;
-    double best_score = -1.0;
-    for (const auto& point : curve) {
-        const double score = score_of(point.scores, which);
-        if (score > best_score) {
-            best_score = score;
-            best_delta = point.delta;
-        }
-    }
-    return best_delta;
+    return curve.empty() ? 0 : curve[argmax_point(curve, which)].delta;
 }
 
 DeltaSweepOptions sweep_options_of(const SweepConfig& options) {
@@ -34,36 +25,39 @@ DeltaSweepOptions sweep_options_of(const SweepConfig& options) {
 
 DeltaPoint evaluate_delta(const LinkStream& stream, Time delta,
                           const SweepConfig& options, Histogram01* histogram_out) {
-    DeltaPoint point;
-    point.delta = delta;
     Histogram01 hist = occupancy_histogram(stream, delta, options.histogram_bins);
-    point.scores = compute_all_metrics(hist, options.shannon_slots);
-    point.num_trips = hist.total();
-    point.occupancy_mean = hist.mean();
+    DeltaPoint point = score_delta_point(delta, hist, options.shannon_slots);
     if (histogram_out != nullptr) *histogram_out = std::move(hist);
     return point;
 }
 
 namespace {
 
-/// Curve point plus the histogram it was computed from (retained so the
-/// gamma histogram needs no extra sweep at the end of the search).
-struct CurvePoint {
-    DeltaPoint point;
-    Histogram01 histogram{Histogram01::kDefaultBins};
+/// The evaluated curve: points sorted by delta, each with the histogram it
+/// was scored from (retained so the gamma histogram needs no extra sweep at
+/// the end of the search).
+struct Curve {
+    std::vector<DeltaPoint> points;
+    std::vector<Histogram01> histograms;
+
+    /// Position of `delta` in the sorted points.
+    std::size_t position(Time delta) const {
+        return static_cast<std::size_t>(
+            std::lower_bound(points.begin(), points.end(), delta,
+                             [](const DeltaPoint& p, Time d) { return p.delta < d; }) -
+            points.begin());
+    }
 };
 
 /// Batch-evaluates every delta of `grid` not present in `curve` yet and
 /// inserts the results in delta order.
 void evaluate_grid(const GridEvaluator& evaluate, const std::vector<Time>& grid,
-                   std::vector<CurvePoint>& curve) {
+                   Curve& curve) {
     std::vector<Time> missing;
     missing.reserve(grid.size());
     for (Time delta : grid) {
-        const auto it = std::lower_bound(
-            curve.begin(), curve.end(), delta,
-            [](const CurvePoint& p, Time d) { return p.point.delta < d; });
-        if (it != curve.end() && it->point.delta == delta) continue;
+        const std::size_t at = curve.position(delta);
+        if (at < curve.points.size() && curve.points[at].delta == delta) continue;
         missing.push_back(delta);
     }
     if (missing.empty()) return;
@@ -71,24 +65,10 @@ void evaluate_grid(const GridEvaluator& evaluate, const std::vector<Time>& grid,
     std::vector<Histogram01> histograms;
     std::vector<DeltaPoint> points = evaluate(missing, &histograms);
     for (std::size_t i = 0; i < points.size(); ++i) {
-        const auto it = std::lower_bound(
-            curve.begin(), curve.end(), points[i].delta,
-            [](const CurvePoint& p, Time d) { return p.point.delta < d; });
-        curve.insert(it, CurvePoint{points[i], std::move(histograms[i])});
+        const auto at = static_cast<std::ptrdiff_t>(curve.position(points[i].delta));
+        curve.points.insert(curve.points.begin() + at, points[i]);
+        curve.histograms.insert(curve.histograms.begin() + at, std::move(histograms[i]));
     }
-}
-
-std::size_t argmax_index(const std::vector<CurvePoint>& curve, UniformityMetric metric) {
-    std::size_t best = 0;
-    double best_score = -1.0;
-    for (std::size_t i = 0; i < curve.size(); ++i) {
-        const double score = score_of(curve[i].point.scores, metric);
-        if (score > best_score) {
-            best_score = score;
-            best = i;
-        }
-    }
-    return best;
 }
 
 }  // namespace
@@ -101,7 +81,7 @@ SaturationResult find_saturation_scale_with(const GridEvaluator& evaluate, Time 
     SaturationResult result;
     result.metric = options.metric;
 
-    std::vector<CurvePoint> curve;
+    Curve curve;
     {
         obs::Span span("saturation.coarse_grid");
         span.attr("points", static_cast<std::uint64_t>(options.coarse_points));
@@ -110,11 +90,11 @@ SaturationResult find_saturation_scale_with(const GridEvaluator& evaluate, Time 
 
     static obs::Counter& rounds_run = obs::counter("saturation.refine_rounds");
     for (std::size_t round = 0; round < options.refine_rounds; ++round) {
-        const std::size_t best = argmax_index(curve, options.metric);
-        const Time bracket_lo = best == 0 ? curve.front().point.delta
-                                          : curve[best - 1].point.delta;
-        const Time bracket_hi = best + 1 >= curve.size() ? curve.back().point.delta
-                                                         : curve[best + 1].point.delta;
+        const std::vector<DeltaPoint>& points = curve.points;
+        const std::size_t best = argmax_point(points, options.metric);
+        const Time bracket_lo = best == 0 ? points.front().delta : points[best - 1].delta;
+        const Time bracket_hi =
+            best + 1 >= points.size() ? points.back().delta : points[best + 1].delta;
         if (bracket_hi - bracket_lo <= 2) break;  // already at tick resolution
         obs::Span span("saturation.round");
         if (span.active()) {
@@ -129,12 +109,11 @@ SaturationResult find_saturation_scale_with(const GridEvaluator& evaluate, Time 
                       curve);
     }
 
-    const std::size_t best = argmax_index(curve, options.metric);
-    result.at_gamma = curve[best].point;
+    const std::size_t best = argmax_point(curve.points, options.metric);
+    result.at_gamma = curve.points[best];
     result.gamma = result.at_gamma.delta;
-    result.gamma_histogram = std::move(curve[best].histogram);
-    result.curve.reserve(curve.size());
-    for (const auto& entry : curve) result.curve.push_back(entry.point);
+    result.gamma_histogram = std::move(curve.histograms[best]);
+    result.curve = std::move(curve.points);
     return result;
 }
 

@@ -71,18 +71,17 @@ constexpr std::uint32_t kFlagDirected = 1u << 0;
 constexpr std::uint32_t kFlagLabels = 1u << 1;
 
 std::vector<std::byte> encode_header(const NatbinHeader& h) {
-    std::vector<std::byte> bytes(kNatbinHeaderBytes);
-    std::memcpy(bytes.data(), kNatbinMagic, sizeof(kNatbinMagic));
-    put_u32(bytes.data() + 8, 1);
-    put_u32(bytes.data() + 12, (h.directed ? kFlagDirected : 0u) |
-                                   (h.has_labels ? kFlagLabels : 0u));
-    put_u64(bytes.data() + 16, h.num_nodes);
-    put_u64(bytes.data() + 24, static_cast<std::uint64_t>(h.period_end));
-    put_u64(bytes.data() + 32, h.num_events);
-    put_u64(bytes.data() + 40, h.events_offset);
-    put_u64(bytes.data() + 48, h.label_bytes);
-    put_u64(bytes.data() + 56, 0);
-    return bytes;
+    wire::Writer out;
+    out.raw(kNatbinMagic, sizeof(kNatbinMagic));
+    out.u32(1);
+    out.u32((h.directed ? kFlagDirected : 0u) | (h.has_labels ? kFlagLabels : 0u));
+    out.u64(h.num_nodes);
+    out.i64(h.period_end);
+    out.u64(h.num_events);
+    out.u64(h.events_offset);
+    out.u64(h.label_bytes);
+    out.u64(0);  // reserved
+    return std::move(out.bytes());
 }
 
 /// Parses and cross-checks the fixed header against the file size.  Every
@@ -92,90 +91,75 @@ std::vector<std::byte> encode_header(const NatbinHeader& h) {
 /// disk until the writer's finish(), and a trailing partial record is a
 /// writer mid-append — the caller derives the complete-record count from
 /// the file size instead.
-NatbinHeader parse_header(const std::string& path, const std::byte* data, std::size_t size,
+NatbinHeader parse_header(const std::string& path, std::span<const std::byte> file,
                           bool tail = false) {
+    const std::size_t size = file.size();
+    wire::Reader in(file.first(std::min(size, kNatbinHeaderBytes)), "natbin header", path,
+                    throw_io_error);
     if (size < kNatbinHeaderBytes) {
-        throw io_error(path, "truncated natbin header (" + std::to_string(size) +
-                                 " bytes, need " + std::to_string(kNatbinHeaderBytes) + ")");
+        in.fail("truncated natbin header (" + std::to_string(size) + " bytes, need " +
+                std::to_string(kNatbinHeaderBytes) + ")");
     }
-    if (std::memcmp(data, kNatbinMagic, sizeof(kNatbinMagic)) != 0) {
-        throw io_error(path, "not a natbin file (bad magic)");
+    if (std::memcmp(in.take(sizeof(kNatbinMagic)), kNatbinMagic, sizeof(kNatbinMagic)) != 0) {
+        in.fail("not a natbin file (bad magic)");
     }
-    const std::uint32_t version = get_u32(data + 8);
-    if (version != 1) {
-        throw io_error(path, "unsupported natbin version " + std::to_string(version));
-    }
-    const std::uint32_t flags = get_u32(data + 12);
-    if ((flags & ~(kFlagDirected | kFlagLabels)) != 0) {
-        throw io_error(path, "unknown natbin flags");
-    }
+    const std::uint32_t version = in.u32();
+    if (version != 1) in.fail("unsupported natbin version " + std::to_string(version));
+    const std::uint32_t flags = in.u32();
+    if ((flags & ~(kFlagDirected | kFlagLabels)) != 0) in.fail("unknown natbin flags");
     NatbinHeader h;
     h.directed = (flags & kFlagDirected) != 0;
     h.has_labels = (flags & kFlagLabels) != 0;
-    const std::uint64_t nodes = get_u64(data + 16);
+    const std::uint64_t nodes = in.u64();
     if (nodes > std::numeric_limits<NodeId>::max()) {
-        throw io_error(path, "node count " + std::to_string(nodes) + " exceeds NodeId range");
+        in.fail("node count " + std::to_string(nodes) + " exceeds NodeId range");
     }
     h.num_nodes = static_cast<NodeId>(nodes);
-    const std::uint64_t period = get_u64(data + 24);
+    const std::uint64_t period = in.u64();
     if (period == 0 || period > std::uint64_t(std::numeric_limits<Time>::max())) {
-        throw io_error(path, "bad period_end");
+        in.fail("bad period_end");
     }
     h.period_end = static_cast<Time>(period);
-    h.num_events = get_u64(data + 32);
-    h.events_offset = get_u64(data + 40);
-    h.label_bytes = get_u64(data + 48);
-    if (get_u64(data + 56) != 0) {
-        throw io_error(path, "nonzero reserved header field");
-    }
-    if (h.label_bytes != 0 && !h.has_labels) {
-        throw io_error(path, "label bytes without label flag");
-    }
+    h.num_events = in.u64();
+    h.events_offset = in.u64();
+    h.label_bytes = in.u64();
+    if (in.u64() != 0) in.fail("nonzero reserved header field");
+    if (h.label_bytes != 0 && !h.has_labels) in.fail("label bytes without label flag");
     if (h.label_bytes > size - kNatbinHeaderBytes ||
         h.events_offset < kNatbinHeaderBytes + h.label_bytes || h.events_offset > size ||
         h.events_offset % kNatbinRecordBytes != 0) {
-        throw io_error(path, "bad natbin section offsets");
+        in.fail("bad natbin section offsets");
     }
     if (!tail) {
         if (h.num_events > (size - h.events_offset) / kNatbinRecordBytes) {
-            throw io_error(path, "truncated natbin event records (" +
-                                     std::to_string(h.num_events) + " declared, file holds " +
-                                     std::to_string((size - h.events_offset) /
-                                                    kNatbinRecordBytes) +
-                                     ")");
+            in.fail("truncated natbin event records (" + std::to_string(h.num_events) +
+                    " declared, file holds " +
+                    std::to_string((size - h.events_offset) / kNatbinRecordBytes) + ")");
         }
         if (h.events_offset + h.num_events * kNatbinRecordBytes != size) {
-            throw io_error(path, "trailing bytes after natbin event records");
+            in.fail("trailing bytes after natbin event records");
         }
     }
     return h;
 }
 
 std::vector<std::string> parse_labels(const std::string& path, const NatbinHeader& h,
-                                      const std::byte* data) {
+                                      std::span<const std::byte> file) {
     std::vector<std::string> labels;
     if (!h.has_labels) return labels;
+    wire::Reader in(file.subspan(kNatbinHeaderBytes, h.label_bytes), "natbin label table",
+                    path, throw_io_error);
     // Cheap consistency gate before any allocation: every label costs at
     // least its 4 length bytes, so a hostile num_nodes can never drive a
     // huge reserve (fuzzed: a 4-billion-node header with a 15-byte table
     // must throw here, not OOM below).
-    if (h.label_bytes / 4 < h.num_nodes) {
-        throw io_error(path, "truncated natbin label table");
-    }
+    in.require_items(h.num_nodes, 4);
     labels.reserve(h.num_nodes);
-    const std::byte* cursor = data + kNatbinHeaderBytes;
-    std::uint64_t remaining = h.label_bytes;
     for (NodeId i = 0; i < h.num_nodes; ++i) {
-        if (remaining < 4) throw io_error(path, "truncated natbin label table");
-        const std::uint32_t len = get_u32(cursor);
-        cursor += 4;
-        remaining -= 4;
-        if (len > remaining) throw io_error(path, "truncated natbin label table");
-        labels.emplace_back(reinterpret_cast<const char*>(cursor), len);
-        cursor += len;
-        remaining -= len;
+        const std::uint32_t len = in.u32();
+        labels.emplace_back(reinterpret_cast<const char*>(in.take(len)), len);
     }
-    if (remaining != 0) throw io_error(path, "trailing bytes in natbin label table");
+    in.done();
     return labels;
 }
 
@@ -236,6 +220,14 @@ EventSource record_source(const std::shared_ptr<const MappedFile>& file, const N
 
 }  // namespace
 
+void put_record(wire::Writer& out, const Event& event) {
+    std::byte record[kNatbinRecordBytes];
+    encode_event(record, event);
+    out.raw(record, kNatbinRecordBytes);
+}
+
+Event get_record(wire::Reader& in) { return decode_event(in.take(kNatbinRecordBytes)); }
+
 void save_natbin(const std::string& path, const LinkStream& stream,
                  const std::vector<std::string>& node_labels) {
     NATSCALE_EXPECTS(node_labels.empty() || node_labels.size() >= stream.num_nodes());
@@ -260,17 +252,15 @@ NatbinWriter::NatbinWriter(const std::string& path, NodeId num_nodes, Time perio
     h.num_nodes = num_nodes;
     h.period_end = period_end;
     h.num_events = 0;  // patched by finish()
-    std::vector<std::byte> label_blob;
+    wire::Writer labels;
     if (h.has_labels) {
         for (NodeId i = 0; i < num_nodes; ++i) {
             const std::string& label = node_labels[i];
-            std::byte len[4];
-            put_u32(len, static_cast<std::uint32_t>(label.size()));
-            label_blob.insert(label_blob.end(), len, len + 4);
-            const auto* bytes = reinterpret_cast<const std::byte*>(label.data());
-            label_blob.insert(label_blob.end(), bytes, bytes + label.size());
+            labels.u32(static_cast<std::uint32_t>(label.size()));
+            labels.raw(label.data(), label.size());
         }
     }
+    const std::vector<std::byte>& label_blob = labels.bytes();
     h.label_bytes = label_blob.size();
     const std::uint64_t unpadded = kNatbinHeaderBytes + h.label_bytes;
     h.events_offset = (unpadded + kNatbinRecordBytes - 1) / kNatbinRecordBytes *
@@ -358,8 +348,9 @@ namespace {
 
 LoadedStream load_impl(const std::string& path, bool prefer_mmap) {
     auto file = std::make_shared<const MappedFile>(MappedFile::open(path));
-    const NatbinHeader h = parse_header(path, file->data(), file->size());
-    std::vector<std::string> labels = parse_labels(path, h, file->data());
+    const std::span<const std::byte> bytes(file->data(), file->size());
+    const NatbinHeader h = parse_header(path, bytes);
+    std::vector<std::string> labels = parse_labels(path, h, bytes);
     if (h.num_events == 0) throw std::runtime_error(path + ": no events");
 
     EventSource source = record_source(file, h, h.num_events, prefer_mmap);
@@ -377,7 +368,8 @@ LoadedStream load_natbin(const std::string& path) { return load_impl(path, false
 
 NatbinTail open_natbin_tail(const std::string& path, const NatbinTailCursor& cursor) {
     auto file = std::make_shared<const MappedFile>(MappedFile::open(path));
-    const NatbinHeader h = parse_header(path, file->data(), file->size(), /*tail=*/true);
+    const NatbinHeader h =
+        parse_header(path, {file->data(), file->size()}, /*tail=*/true);
 
     NatbinTail tail;
     tail.num_nodes = h.num_nodes;

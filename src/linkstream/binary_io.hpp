@@ -27,9 +27,12 @@
 // bounds) in one sequential pass that releases pages behind itself, so
 // opening a multi-GB trace never holds more than a sliding window resident.
 //
-// All malformed-input paths (wrong magic, short header, truncated records,
-// label table overruns, order violations) throw io_error; nothing is ever
-// read out of bounds (fuzzed in tests/test_binary_io.cpp under ASan).
+// The header and label table are read through the one bounds-checked
+// wire::Reader (util/wire.hpp); the event records keep their zero-copy
+// memcpy path.  All malformed-input paths (wrong magic, short header,
+// truncated records, label table overruns, order violations) throw
+// io_error; nothing is ever read out of bounds (fuzzed in
+// tests/test_binary_io.cpp under ASan).
 #pragma once
 
 #include <cstdint>
@@ -41,12 +44,18 @@
 
 #include "linkstream/io.hpp"
 #include "linkstream/link_stream.hpp"
+#include "util/wire.hpp"
 
 namespace natscale {
 
 inline constexpr char kNatbinMagic[8] = {'N', 'A', 'T', 'B', 'I', 'N', '0', '1'};
 inline constexpr std::size_t kNatbinHeaderBytes = 64;
 inline constexpr std::size_t kNatbinRecordBytes = 16;
+
+/// One event record: the natbin layout above, which session snapshots
+/// (natscale/session) and ingest frames (service/protocol) share.
+void put_record(wire::Writer& out, const Event& event);
+Event get_record(wire::Reader& in);
 
 /// Writes `stream` (with an optional label table) as .natbin.
 /// Precondition: node_labels empty or >= num_nodes entries.

@@ -41,6 +41,12 @@ public:
     std::size_t line_number;
 };
 
+/// The wire::Reader failure hook (util/wire.hpp) of the binary files and
+/// snapshots: natbin, checkpoints, session snapshots and daemon state.
+[[noreturn]] inline void throw_io_error(const std::string& source, const std::string& what) {
+    throw io_error(source, what);
+}
+
 struct CsvFormat {
     /// Column layout: a string over {u, v, t, _} with exactly one 'u', one
     /// 'v' and one 't'; '_' skips a column (e.g. weights).  Rows may carry

@@ -1,11 +1,11 @@
 #include "natscale/session.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <utility>
 
 #include "core/delta_grid.hpp"
+#include "linkstream/binary_io.hpp"
 #include "linkstream/io.hpp"
 #include "online/checkpoint.hpp"
 #include "util/contracts.hpp"
@@ -15,8 +15,6 @@ namespace natscale {
 
 namespace {
 
-constexpr char kSessionMagic[8] = {'N', 'A', 'T', 'S', 'S', 'E', 'S', '1'};
-constexpr std::uint32_t kSessionVersion = 1;
 constexpr std::uint32_t kFlagDirected = 1u << 0;
 constexpr std::uint32_t kFlagClosed = 1u << 1;
 constexpr std::uint32_t kFlagDropDuplicates = 1u << 2;
@@ -24,42 +22,8 @@ constexpr std::uint32_t kFlagRejectLate = 1u << 3;
 constexpr std::uint32_t kKnownFlags =
     kFlagDirected | kFlagClosed | kFlagDropDuplicates | kFlagRejectLate;
 constexpr std::size_t kFixedHeaderBytes = 72;
-constexpr std::size_t kEventBytes = 16;  // u u32, v u32, t i64
-
-/// Bounds-checked forward reader over the snapshot payload (same shape as
-/// the checkpoint reader; failures name the snapshot's source).
-class Reader {
-public:
-    Reader(const std::string& context, const std::byte* data, std::size_t size)
-        : context_(&context), data_(data), size_(size) {}
-
-    std::uint32_t u32() { return wire::get_u32(take(4)); }
-    std::uint64_t u64() { return wire::get_u64(take(8)); }
-    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-
-    const std::byte* take(std::size_t count) {
-        if (count > size_ - pos_) throw io_error(*context_, "truncated session snapshot");
-        const std::byte* at = data_ + pos_;
-        pos_ += count;
-        return at;
-    }
-
-    /// Remaining payload can hold `count` items of `item_bytes` each —
-    /// checked BEFORE any allocation sized from an untrusted count.
-    void require_items(std::uint64_t count, std::size_t item_bytes) const {
-        if (count > (size_ - pos_) / item_bytes) {
-            throw io_error(*context_, "truncated session snapshot");
-        }
-    }
-
-    std::size_t position() const { return pos_; }
-
-private:
-    const std::string* context_;
-    const std::byte* data_;
-    std::size_t size_;
-    std::size_t pos_ = 0;
-};
+constexpr wire::Envelope kSessionFormat{"NATSSES1", 1, "session snapshot",
+                                        kFixedHeaderBytes + 8};
 
 OnlineSweepOptions engine_options_of(const SessionOptions& options,
                                      std::vector<Time> grid) {
@@ -111,9 +75,7 @@ Histogram01 StreamSession::histogram_at(Time delta, bool sealed_only) {
 
 std::vector<std::byte> StreamSession::serialize() {
     sync();  // fold sealed windows so the embedded checkpoint is current
-    wire::Writer out;
-    out.raw(kSessionMagic, sizeof(kSessionMagic));
-    out.u32(kSessionVersion);
+    wire::Writer out(kSessionFormat);
     std::uint32_t flags = 0;
     if (ingestor_.directed()) flags |= kFlagDirected;
     if (ingestor_.closed()) flags |= kFlagClosed;
@@ -130,53 +92,28 @@ std::vector<std::byte> StreamSession::serialize() {
     out.u64(counters.late_dropped);
     const std::vector<Event> events = ingestor_.snapshot_events();
     out.u64(events.size());
-    for (const Event& event : events) {
-        out.u32(event.u);
-        out.u32(event.v);
-        out.i64(event.t);
-    }
+    for (const Event& event : events) put_record(out, event);
     const std::vector<std::byte> checkpoint = serialize_checkpoint(engine_);
     out.u64(checkpoint.size());
     out.raw(checkpoint.data(), checkpoint.size());
-    out.u64(wire::fnv1a64(out.bytes().data(), out.bytes().size()));
-    return std::move(out.bytes());
+    return wire::seal(out);
 }
 
 StreamSession StreamSession::restore(std::span<const std::byte> bytes,
                                      const std::string& context) {
-    const std::size_t size = bytes.size();
-    if (size < kFixedHeaderBytes + 8) {
-        throw io_error(context, "truncated session snapshot header");
-    }
-    const std::uint64_t declared = wire::get_u64(bytes.data() + size - 8);
-    if (declared != wire::fnv1a64(bytes.data(), size - 8)) {
-        throw io_error(context, "session snapshot checksum mismatch");
-    }
-
-    Reader in(context, bytes.data(), size - 8);
-    if (std::memcmp(in.take(sizeof(kSessionMagic)), kSessionMagic,
-                    sizeof(kSessionMagic)) != 0) {
-        throw io_error(context, "not a natscale session snapshot (bad magic)");
-    }
-    const std::uint32_t version = in.u32();
-    if (version != kSessionVersion) {
-        throw io_error(context,
-                       "unsupported session snapshot version " + std::to_string(version));
-    }
+    wire::Reader in = wire::unseal(bytes, kSessionFormat, context, throw_io_error);
     const std::uint32_t flags = in.u32();
-    if ((flags & ~kKnownFlags) != 0) {
-        throw io_error(context, "unknown session snapshot flags");
-    }
+    if ((flags & ~kKnownFlags) != 0) in.fail("unknown session snapshot flags");
     const std::uint64_t nodes = in.u64();
     if (nodes < 2 || nodes > std::numeric_limits<NodeId>::max()) {
-        throw io_error(context, "bad session snapshot node count");
+        in.fail("bad session snapshot node count");
     }
 
     SessionOptions options;
     options.ingest.period_end = in.i64();
     options.ingest.reorder_horizon = in.i64();
     if (options.ingest.period_end < 0 || options.ingest.reorder_horizon < 0) {
-        throw io_error(context, "bad session snapshot ingest options");
+        in.fail("bad session snapshot ingest options");
     }
     options.ingest.duplicates = (flags & kFlagDropDuplicates) != 0
                                     ? DuplicatePolicy::drop
@@ -191,19 +128,14 @@ StreamSession StreamSession::restore(std::span<const std::byte> bytes,
     counters.late_dropped = in.u64();
 
     const std::uint64_t event_count = in.u64();
-    if (counters.accepted < event_count) {
-        throw io_error(context, "session snapshot counters disagree with events");
-    }
-    in.require_items(event_count, kEventBytes);
+    if (counters.accepted < event_count) in.fail("session snapshot counters disagree with events");
+    in.require_items(event_count, kNatbinRecordBytes);
     std::vector<Event> events;
     events.reserve(static_cast<std::size_t>(event_count));
     for (std::uint64_t i = 0; i < event_count; ++i) {
-        Event event;
-        event.u = in.u32();
-        event.v = in.u32();
-        event.t = in.i64();
+        const Event event = get_record(in);
         if (!events.empty() && event < events.back()) {
-            throw io_error(context, "session snapshot events out of canonical order");
+            in.fail("session snapshot events out of canonical order");
         }
         events.push_back(event);
     }
@@ -211,16 +143,14 @@ StreamSession StreamSession::restore(std::span<const std::byte> bytes,
     const std::uint64_t checkpoint_bytes = in.u64();
     in.require_items(checkpoint_bytes, 1);
     const std::byte* checkpoint = in.take(static_cast<std::size_t>(checkpoint_bytes));
-    if (in.position() != size - 8) {
-        throw io_error(context, "trailing bytes in session snapshot");
-    }
+    in.done();
 
     OnlineSweepEngine engine = restore_checkpoint(
         std::span<const std::byte>(checkpoint, static_cast<std::size_t>(checkpoint_bytes)),
         context);
     if (engine.num_nodes() != nodes ||
         engine.directed() != ((flags & kFlagDirected) != 0)) {
-        throw io_error(context, "session snapshot engine does not match the stream");
+        in.fail("session snapshot engine does not match the stream");
     }
     options.grid.assign(engine.grid().begin(), engine.grid().end());
     options.config.metric = engine.options().metric;
@@ -237,12 +167,12 @@ StreamSession StreamSession::restore(std::span<const std::byte> bytes,
         ingestor.append(events);
         if ((flags & kFlagClosed) != 0) ingestor.close();
     } catch (const contract_error&) {
-        throw io_error(context, "session snapshot events violate the stream contract");
+        in.fail("session snapshot events violate the stream contract");
     }
     ingestor.counters_ = counters;
 
     if (engine.synced_events() > ingestor.finalized().size()) {
-        throw io_error(context, "session snapshot engine is ahead of the sealed prefix");
+        in.fail("session snapshot engine is ahead of the sealed prefix");
     }
     return StreamSession(std::move(options), std::move(ingestor), std::move(engine));
 }

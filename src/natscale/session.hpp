@@ -36,9 +36,12 @@
 //                 grid, metric, histogram resolution and frozen state)
 //   end-8   8     FNV-1a 64 checksum of everything before it
 //
-// All counts are validated against the buffer size before allocation; a
-// truncated or corrupted snapshot throws io_error and never yields a
-// half-restored session.
+// The envelope (magic, version, checksum) is util/wire.hpp's seal /
+// unseal, the events are linkstream/binary_io's 16-byte records, and the
+// payload is read through the one bounds-checked wire::Reader.  All counts
+// are validated against the buffer size before allocation; a truncated or
+// corrupted snapshot throws io_error and never yields a half-restored
+// session.
 #pragma once
 
 #include <cstddef>

@@ -37,9 +37,12 @@
 //                 strictly increasing v < num_nodes
 //   end-8   8     FNV-1a 64 checksum of everything before it
 //
-// All counts are cross-checked against the file size before any allocation
-// sized from them; a truncated or corrupted file throws io_error, never
-// reads out of bounds, and never restores a half-consistent engine.
+// The magic, version and checksum are the envelope every checksummed
+// format shares (util/wire.hpp: seal / unseal), and the payload is read
+// through the one bounds-checked wire::Reader.  All counts are cross-checked
+// against the file size before any allocation sized from them; a truncated
+// or corrupted file throws io_error, never reads out of bounds, and never
+// restores a half-consistent engine.
 #pragma once
 
 #include <cstddef>

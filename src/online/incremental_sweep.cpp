@@ -195,17 +195,7 @@ OnlineReport OnlineSweepEngine::refresh(std::span<const Event> events,
         if (histograms_out != nullptr) (*histograms_out)[index] = std::move(histogram);
     });
 
-    // argmax in ascending-delta order, first maximum wins: the exact tie
-    // rule of the batch search (core/saturation's argmax_index over the
-    // delta-sorted curve).
-    double best_score = -1.0;
-    for (std::size_t g = 0; g < report.points.size(); ++g) {
-        const double score = score_of(report.points[g].scores, options_.metric);
-        if (score > best_score) {
-            best_score = score;
-            report.best_index = g;
-        }
-    }
+    report.best_index = argmax_point(report.points, options_.metric);
     report.at_gamma = report.points[report.best_index];
     report.gamma = report.at_gamma.delta;
     refresh_ns.record(obs::TraceSink::now_ns() - refresh_start);

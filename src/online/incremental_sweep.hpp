@@ -174,8 +174,6 @@ public:
     }
 
 private:
-    friend void save_checkpoint(const std::string& path, const OnlineSweepEngine& engine);
-    friend OnlineSweepEngine load_checkpoint(const std::string& path);
     friend std::vector<std::byte> serialize_checkpoint(const OnlineSweepEngine& engine);
     friend OnlineSweepEngine restore_checkpoint(std::span<const std::byte> bytes,
                                                 const std::string& context);

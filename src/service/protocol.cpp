@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "linkstream/binary_io.hpp"
 #include "util/contracts.hpp"
 #include "util/wire.hpp"
 
@@ -9,59 +10,29 @@ namespace natscale::service {
 
 namespace {
 
-/// Bounds-checked forward reader over one frame payload.
-class Cursor {
-public:
-    explicit Cursor(std::span<const std::byte> payload) : payload_(payload) {}
+[[noreturn]] void throw_bad_frame(const std::string& /*source*/, const std::string& what) {
+    throw protocol_error(ErrorCode::bad_frame, what);
+}
 
-    std::uint32_t u32() { return wire::get_u32(take(4)); }
-    std::uint64_t u64() { return wire::get_u64(take(8)); }
-    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
+/// Every parser reads its payload through this reader and ends with
+/// done(): trailing bytes mean a framing bug (or an attack), not a benign
+/// extension.
+wire::Reader payload_reader(std::span<const std::byte> payload) {
+    static const std::string source = "frame";
+    return wire::Reader(payload, "payload", source, throw_bad_frame);
+}
 
-    bool boolean() {
-        const std::uint32_t value = u32();
-        if (value > 1) throw protocol_error(ErrorCode::bad_frame, "bad boolean field");
-        return value != 0;
-    }
+bool get_bool(wire::Reader& in) {
+    const std::uint32_t value = in.u32();
+    if (value > 1) in.fail("bad boolean field");
+    return value != 0;
+}
 
-    std::string string() {
-        const std::uint32_t length = u32();
-        if (length > kMaxStringBytes) {
-            throw protocol_error(ErrorCode::bad_frame, "string field too long");
-        }
-        const std::byte* at = take(length);
-        return std::string(reinterpret_cast<const char*>(at), length);
-    }
-
-    const std::byte* take(std::size_t count) {
-        if (count > payload_.size() - pos_) {
-            throw protocol_error(ErrorCode::bad_frame, "truncated payload");
-        }
-        const std::byte* at = payload_.data() + pos_;
-        pos_ += count;
-        return at;
-    }
-
-    /// Remaining payload can hold `count` items of `item_bytes` each —
-    /// checked BEFORE any allocation sized from the untrusted count.
-    void require_items(std::uint64_t count, std::size_t item_bytes) const {
-        if (count > (payload_.size() - pos_) / item_bytes) {
-            throw protocol_error(ErrorCode::bad_frame, "truncated payload");
-        }
-    }
-
-    /// Every parser ends with this: trailing bytes mean a framing bug (or
-    /// an attack), not a benign extension — reject them.
-    void done() const {
-        if (pos_ != payload_.size()) {
-            throw protocol_error(ErrorCode::bad_frame, "trailing payload bytes");
-        }
-    }
-
-private:
-    std::span<const std::byte> payload_;
-    std::size_t pos_ = 0;
-};
+std::string get_string(wire::Reader& in) {
+    const std::uint32_t length = in.u32();
+    if (length > kMaxStringBytes) in.fail("string field too long");
+    return std::string(reinterpret_cast<const char*>(in.take(length)), length);
+}
 
 void put_string(wire::Writer& out, const std::string& text) {
     NATSCALE_EXPECTS(text.size() <= kMaxStringBytes);
@@ -118,10 +89,10 @@ std::vector<std::byte> encode_hello(const Hello& hello) {
 }
 
 Hello parse_hello(std::span<const std::byte> payload) {
-    Cursor in(payload);
+    wire::Reader in = payload_reader(payload);
     if (std::memcmp(in.take(sizeof(kServiceMagic)), kServiceMagic,
                     sizeof(kServiceMagic)) != 0) {
-        throw protocol_error(ErrorCode::bad_frame, "bad service magic");
+        in.fail("bad service magic");
     }
     Hello hello;
     hello.version = in.u32();
@@ -141,14 +112,14 @@ std::vector<std::byte> encode_error(const ErrorMessage& error) {
 }
 
 ErrorMessage parse_error(std::span<const std::byte> payload) {
-    Cursor in(payload);
+    wire::Reader in = payload_reader(payload);
     ErrorMessage error;
     const std::uint32_t code = in.u32();
     if (code < 1 || code > static_cast<std::uint32_t>(ErrorCode::internal)) {
-        throw protocol_error(ErrorCode::bad_frame, "bad error code");
+        in.fail("bad error code");
     }
     error.code = static_cast<ErrorCode>(code);
-    error.message = in.string();
+    error.message = get_string(in);
     in.done();
     return error;
 }
@@ -172,22 +143,20 @@ std::vector<std::byte> encode_register_stream(const RegisterStream& msg) {
 }
 
 RegisterStream parse_register_stream(std::span<const std::byte> payload) {
-    Cursor in(payload);
+    wire::Reader in = payload_reader(payload);
     RegisterStream msg;
-    msg.name = in.string();
-    if (msg.name.empty()) {
-        throw protocol_error(ErrorCode::bad_frame, "empty stream name");
-    }
+    msg.name = get_string(in);
+    if (msg.name.empty()) in.fail("empty stream name");
     msg.num_nodes = in.u64();
-    msg.directed = in.boolean();
+    msg.directed = get_bool(in);
     msg.period_end = in.i64();
     msg.grid_points = in.u32();
     msg.metric = in.u32();
     msg.histogram_bins = in.u32();
     msg.shannon_slots = in.u32();
     msg.reorder_horizon = in.i64();
-    msg.drop_duplicates = in.boolean();
-    msg.reject_late = in.boolean();
+    msg.drop_duplicates = get_bool(in);
+    msg.reject_late = get_bool(in);
     in.done();
     return msg;
 }
@@ -202,9 +171,9 @@ std::vector<std::byte> encode_attach_stream(const AttachStream& msg) {
 }
 
 AttachStream parse_attach_stream(std::span<const std::byte> payload) {
-    Cursor in(payload);
+    wire::Reader in = payload_reader(payload);
     AttachStream msg;
-    msg.name = in.string();
+    msg.name = get_string(in);
     msg.resume_token = in.u64();
     in.done();
     return msg;
@@ -225,9 +194,9 @@ std::vector<std::byte> encode_stream_ack(const StreamAck& msg) {
 }
 
 StreamAck parse_stream_ack(std::span<const std::byte> payload) {
-    Cursor in(payload);
+    wire::Reader in = payload_reader(payload);
     StreamAck msg;
-    msg.name = in.string();
+    msg.name = get_string(in);
     msg.stream_id = in.u64();
     msg.resume_token = in.u64();
     msg.acked_seq = in.u64();
@@ -242,35 +211,24 @@ StreamAck parse_stream_ack(std::span<const std::byte> payload) {
 
 std::vector<std::byte> encode_ingest(const Ingest& msg) {
     wire::Writer out;
+    out.bytes().reserve(3 * 8 + msg.events.size() * kNatbinRecordBytes);
     out.u64(msg.stream_id);
     out.u64(msg.first_seq);
     out.u64(msg.events.size());
-    for (const Event& event : msg.events) {
-        out.u32(event.u);
-        out.u32(event.v);
-        out.i64(event.t);
-    }
+    for (const Event& event : msg.events) put_record(out, event);
     return std::move(out.bytes());
 }
 
 Ingest parse_ingest(std::span<const std::byte> payload) {
-    Cursor in(payload);
+    wire::Reader in = payload_reader(payload);
     Ingest msg;
     msg.stream_id = in.u64();
     msg.first_seq = in.u64();
-    if (msg.first_seq == 0) {
-        throw protocol_error(ErrorCode::bad_frame, "ingest sequence is 1-based");
-    }
+    if (msg.first_seq == 0) in.fail("ingest sequence is 1-based");
     const std::uint64_t count = in.u64();
-    in.require_items(count, 16);
+    in.require_items(count, kNatbinRecordBytes);
     msg.events.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-        Event event;
-        event.u = in.u32();
-        event.v = in.u32();
-        event.t = in.i64();
-        msg.events.push_back(event);
-    }
+    for (std::uint64_t i = 0; i < count; ++i) msg.events.push_back(get_record(in));
     in.done();
     return msg;
 }
@@ -288,7 +246,7 @@ std::vector<std::byte> encode_ingest_ack(const IngestAck& msg) {
 }
 
 IngestAck parse_ingest_ack(std::span<const std::byte> payload) {
-    Cursor in(payload);
+    wire::Reader in = payload_reader(payload);
     IngestAck msg;
     msg.stream_id = in.u64();
     msg.acked_seq = in.u64();
@@ -308,7 +266,7 @@ std::vector<std::byte> encode_close_stream(const CloseStream& msg) {
 }
 
 CloseStream parse_close_stream(std::span<const std::byte> payload) {
-    Cursor in(payload);
+    wire::Reader in = payload_reader(payload);
     CloseStream msg;
     msg.stream_id = in.u64();
     in.done();
@@ -327,15 +285,13 @@ std::vector<std::byte> encode_query(const Query& msg) {
 }
 
 Query parse_query(std::span<const std::byte> payload) {
-    Cursor in(payload);
+    wire::Reader in = payload_reader(payload);
     Query msg;
     msg.stream_id = in.u64();
     const std::uint32_t kind = in.u32();
-    if (kind < 1 || kind > static_cast<std::uint32_t>(QueryKind::status)) {
-        throw protocol_error(ErrorCode::bad_frame, "bad query kind");
-    }
+    if (kind < 1 || kind > static_cast<std::uint32_t>(QueryKind::status)) in.fail("bad query kind");
     msg.kind = static_cast<QueryKind>(kind);
-    msg.sealed_only = in.boolean();
+    msg.sealed_only = get_bool(in);
     msg.delta = in.i64();
     in.done();
     return msg;
@@ -354,17 +310,14 @@ std::vector<std::byte> encode_query_result(const QueryResult& msg) {
 }
 
 QueryResult parse_query_result(std::span<const std::byte> payload) {
-    Cursor in(payload);
+    wire::Reader in = payload_reader(payload);
     QueryResult msg;
     msg.stream_id = in.u64();
     const std::uint32_t kind = in.u32();
-    if (kind < 1 || kind > static_cast<std::uint32_t>(QueryKind::status)) {
-        throw protocol_error(ErrorCode::bad_frame, "bad query kind");
-    }
+    if (kind < 1 || kind > static_cast<std::uint32_t>(QueryKind::status)) in.fail("bad query kind");
     msg.kind = static_cast<QueryKind>(kind);
-    const std::size_t remaining = payload.size() - (8 + 4);
-    const std::byte* body = in.take(remaining);
-    msg.json = std::string(reinterpret_cast<const char*>(body), remaining);
+    const std::size_t remaining = in.remaining();
+    msg.json = std::string(reinterpret_cast<const char*>(in.take(remaining)), remaining);
     in.done();
     return msg;
 }
@@ -379,12 +332,12 @@ std::vector<std::byte> encode_stream_list(const StreamList& msg) {
 }
 
 StreamList parse_stream_list(std::span<const std::byte> payload) {
-    Cursor in(payload);
+    wire::Reader in = payload_reader(payload);
     StreamList msg;
     const std::uint64_t count = in.u64();
     in.require_items(count, 4);  // every name costs at least its length field
     msg.names.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) msg.names.push_back(in.string());
+    for (std::uint64_t i = 0; i < count; ++i) msg.names.push_back(get_string(in));
     in.done();
     return msg;
 }
@@ -400,11 +353,8 @@ std::vector<std::byte> encode_stats_result(const StatsResult& msg) {
 }
 
 StatsResult parse_stats_result(std::span<const std::byte> payload) {
-    Cursor in(payload);
     StatsResult msg;
-    const std::byte* body = in.take(payload.size());
-    msg.json = std::string(reinterpret_cast<const char*>(body), payload.size());
-    in.done();
+    msg.json = std::string(reinterpret_cast<const char*>(payload.data()), payload.size());
     return msg;
 }
 

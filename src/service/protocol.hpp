@@ -14,7 +14,9 @@
 // interleave replies to different requests (replies carry the stream id
 // they answer about).  Integers are little-endian, strings are a u32
 // length followed by raw bytes (no terminator), events are the natbin
-// record layout (u u32, v u32, t i64).
+// record layout (u u32, v u32, t i64; linkstream/binary_io's put_record /
+// get_record).  Every payload is parsed by the one bounds-checked
+// wire::Reader (util/wire.hpp), whose failures throw protocol_error.
 //
 // Resumable ingestion.  Every ingested event carries an implicit sequence
 // number (1-based position in the client's send order); an ingest frame

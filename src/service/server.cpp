@@ -16,7 +16,6 @@
 #include <cstring>
 #include <deque>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <limits>
 #include <mutex>
@@ -42,9 +41,11 @@ namespace natscale::service {
 
 namespace {
 
-constexpr char kStateMagic[8] = {'N', 'A', 'T', 'S', 'S', 'R', 'V', '1'};
-constexpr std::uint32_t kStateVersion = 1;
 constexpr std::size_t kMaxStreamName = 128;
+/// Smallest state file: envelope header, reserved, resume token, acked_seq,
+/// empty name, snapshot length and checksum.
+constexpr wire::Envelope kStateFormat{"NATSSRV1", 1, "daemon state file",
+                                      8 + 4 + 4 + 8 + 8 + 4 + 8 + 8};
 constexpr std::size_t kReadChunk = 64 * 1024;
 
 [[noreturn]] void throw_errno(const std::string& what) {
@@ -937,9 +938,7 @@ struct Server::Impl {
     /// rename + dirsync), so neither a crash mid-write nor power loss right
     /// after the save can corrupt or lose the previous snapshot.
     void persist(StreamState& stream) {
-        wire::Writer out;
-        out.raw(kStateMagic, sizeof(kStateMagic));
-        out.u32(kStateVersion);
+        wire::Writer out(kStateFormat);
         out.u32(0);  // reserved
         out.u64(stream.resume_token);
         out.u64(stream.acked_seq);
@@ -948,9 +947,7 @@ struct Server::Impl {
         const std::vector<std::byte> snapshot = stream.session->serialize();
         out.u64(snapshot.size());
         out.raw(snapshot.data(), snapshot.size());
-        out.u64(wire::fnv1a64(out.bytes().data(), out.bytes().size()));
-
-        atomic_write_file(state_path(stream.name).string(), out.bytes());
+        atomic_write_file(state_path(stream.name).string(), wire::seal(out));
     }
 
     /// Exit path, after the workers joined (exclusive session access).
@@ -977,57 +974,20 @@ struct Server::Impl {
     }
 
     void load_state_file(const std::filesystem::path& path) {
-        std::ifstream is(path, std::ios::binary | std::ios::ate);
-        if (!is) throw std::runtime_error("cannot open " + path.string());
-        const auto size = static_cast<std::size_t>(is.tellg());
-        std::vector<std::byte> bytes(size);
-        is.seekg(0);
-        is.read(reinterpret_cast<char*>(bytes.data()), static_cast<std::streamsize>(size));
-        if (!is) throw std::runtime_error("cannot read " + path.string());
-
         const std::string context = path.string();
-        if (size < 8 + 4 + 4 + 8 + 8 + 4 + 8 + 8) {
-            throw io_error(context, "truncated daemon state file");
-        }
-        const std::uint64_t declared = wire::get_u64(bytes.data() + size - 8);
-        if (declared != wire::fnv1a64(bytes.data(), size - 8)) {
-            throw io_error(context, "daemon state checksum mismatch");
-        }
-        std::size_t pos = 0;
-        auto take = [&](std::size_t count) {
-            if (count > (size - 8) - pos) {
-                throw io_error(context, "truncated daemon state file");
-            }
-            const std::byte* at = bytes.data() + pos;
-            pos += count;
-            return at;
-        };
-        if (std::memcmp(take(8), kStateMagic, 8) != 0) {
-            throw io_error(context, "not a natscaled state file (bad magic)");
-        }
-        const std::uint32_t version = wire::get_u32(take(4));
-        if (version != kStateVersion) {
-            throw io_error(context,
-                           "unsupported daemon state version " + std::to_string(version));
-        }
-        if (wire::get_u32(take(4)) != 0) {
-            throw io_error(context, "nonzero reserved daemon state field");
-        }
+        const std::vector<std::byte> bytes = read_file(context);
+        wire::Reader in = wire::unseal(bytes, kStateFormat, context, throw_io_error);
+        if (in.u32() != 0) in.fail("nonzero reserved daemon state field");
         auto stream = std::make_shared<StreamState>();
-        stream->resume_token = wire::get_u64(take(8));
-        stream->acked_seq = wire::get_u64(take(8));
-        const std::uint32_t name_length = wire::get_u32(take(4));
-        if (name_length > kMaxStreamName) {
-            throw io_error(context, "daemon state stream name too long");
-        }
-        stream->name.assign(reinterpret_cast<const char*>(take(name_length)),
-                            name_length);
-        if (!valid_stream_name(stream->name)) {
-            throw io_error(context, "daemon state stream name invalid");
-        }
-        const std::uint64_t snapshot_bytes = wire::get_u64(take(8));
-        const std::byte* snapshot = take(static_cast<std::size_t>(snapshot_bytes));
-        if (pos != size - 8) throw io_error(context, "trailing bytes in daemon state");
+        stream->resume_token = in.u64();
+        stream->acked_seq = in.u64();
+        const std::uint32_t name_length = in.u32();
+        if (name_length > kMaxStreamName) in.fail("daemon state stream name too long");
+        stream->name.assign(reinterpret_cast<const char*>(in.take(name_length)), name_length);
+        if (!valid_stream_name(stream->name)) in.fail("daemon state stream name invalid");
+        const std::uint64_t snapshot_bytes = in.u64();
+        const std::byte* snapshot = in.take(static_cast<std::size_t>(snapshot_bytes));
+        in.done();
         stream->session = std::make_unique<StreamSession>(StreamSession::restore(
             std::span<const std::byte>(snapshot,
                                        static_cast<std::size_t>(snapshot_bytes)),

@@ -41,7 +41,22 @@
 // StreamSession snapshot — to <state_dir>/<name>.natstream, written
 // atomically (tmp + rename).  At startup the directory is reloaded, so a
 // restarted daemon answers bit-identically to one that never stopped, and
-// ingestors resume from the checkpointed acked_seq.
+// ingestors resume from the checkpointed acked_seq.  A state file is
+// little-endian, in util/wire.hpp's checksummed envelope ("NATSSRV1",
+// version 1), and read through its one bounds-checked wire::Reader:
+//
+//   offset  size  field
+//   0       8     magic "NATSSRV1"
+//   8       4     version (u32) = 1
+//   12      4     reserved = 0
+//   16      8     resume token (u64)
+//   24      8     acked_seq (u64)
+//   32      4     name length (u32, <= 128), then the name's bytes
+//   ...     8     session snapshot length (u64), then the snapshot
+//                 (natscale/session.hpp)
+//   end-8   8     FNV-1a 64 checksum of everything before it
+//
+// A truncated or corrupted file makes construction throw io_error.
 #pragma once
 
 #include <cstdint>
@@ -79,8 +94,9 @@ struct ServerOptions {
 class Server {
 public:
     /// Throws std::runtime_error when a listener cannot be bound or the
-    /// state directory cannot be read.  Preconditions: at least one
-    /// listener configured; workers >= 1.
+    /// state directory cannot be read, io_error when a state file is
+    /// malformed.  Preconditions: at least one listener configured;
+    /// workers >= 1.
     explicit Server(ServerOptions options);
     ~Server();
 

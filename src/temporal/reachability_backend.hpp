@@ -13,6 +13,10 @@
 //     core/segmentation, via scan_periods in temporal/sharded_scan, which
 //     applies the same rule per period when it splits a narrow period list
 //     into column shards;
+//   * the stream analyses: temporal/transitions (lost_transitions_curve),
+//     temporal/trip_store (elongation_curve's stream side),
+//     temporal/reachability_stats (reachability_census) and the distance
+//     scan of core/classical_properties;
 //   * the online engine (online/incremental_sweep, under `watch` and
 //     `natscaled`): one facade per grid period, driven through the
 //     resumable time-reversed form below.  All its periods are held at

@@ -1,14 +1,14 @@
 #include "temporal/reachability_stats.hpp"
 
 #include "linkstream/aggregation.hpp"
-#include "temporal/reachability.hpp"
+#include "temporal/reachability_backend.hpp"
 #include "util/contracts.hpp"
 
 namespace natscale {
 
 namespace {
 
-ReachabilityCensus census_from_engine(const TemporalReachability& engine, NodeId n) {
+ReachabilityCensus census_from_engine(const ReachabilityEngine& engine, NodeId n) {
     ReachabilityCensus census;
     census.out_reach.assign(n, 0);
     for (NodeId u = 0; u < n; ++u) {
@@ -29,13 +29,13 @@ ReachabilityCensus census_from_engine(const TemporalReachability& engine, NodeId
 }  // namespace
 
 ReachabilityCensus reachability_census(const GraphSeries& series) {
-    TemporalReachability engine;
+    ReachabilityEngine engine;
     engine.scan_series(series, [](const MinimalTrip&) {});
     return census_from_engine(engine, series.num_nodes());
 }
 
 ReachabilityCensus reachability_census(const LinkStream& stream) {
-    TemporalReachability engine;
+    ReachabilityEngine engine;
     engine.scan_stream(stream, [](const MinimalTrip&) {});
     return census_from_engine(engine, stream.num_nodes());
 }

@@ -1,13 +1,13 @@
 #include "temporal/transitions.hpp"
 
 #include "linkstream/aggregation.hpp"
-#include "temporal/reachability.hpp"
+#include "temporal/reachability_backend.hpp"
 #include "util/contracts.hpp"
 
 namespace natscale {
 
 ShortestTransitionSet::ShortestTransitionSet(const LinkStream& stream) {
-    TemporalReachability engine;
+    ReachabilityEngine engine;
     engine.scan_stream(stream, [&](const MinimalTrip& trip) {
         if (trip.hops == 2) {
             hop_times_.emplace_back(trip.dep, trip.arr);

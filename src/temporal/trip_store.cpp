@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "temporal/reachability.hpp"
+#include "temporal/reachability_backend.hpp"
 #include "util/contracts.hpp"
 
 namespace natscale {
@@ -17,7 +17,7 @@ StreamTripStore::StreamTripStore(const LinkStream& stream, const Options& option
         Time arr;
     };
     std::vector<Row> rows;
-    TemporalReachability engine;
+    ReachabilityEngine engine;
     ReachabilityOptions scan_options;
     scan_options.pair_sample_divisor = divisor_;
     engine.scan_stream(stream, [&](const MinimalTrip& trip) {
@@ -89,7 +89,7 @@ std::pair<std::span<const Time>, std::span<const Time>> StreamTripStore::trips_o
 
 std::uint64_t StreamTripStore::count_trips(const LinkStream& stream,
                                            std::uint64_t pair_sample_divisor) {
-    TemporalReachability engine;
+    ReachabilityEngine engine;
     ReachabilityOptions options;
     options.pair_sample_divisor = pair_sample_divisor;
     std::uint64_t count = 0;

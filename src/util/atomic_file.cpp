@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <stdexcept>
 #include <string_view>
 #include <system_error>
@@ -119,6 +120,19 @@ void atomic_write_file(const std::string& path, std::span<const std::byte> bytes
         throw_errno("rename " + tmp + " -> " + path);
     }
     fsync_parent_dir(std::filesystem::path(path));
+}
+
+std::vector<std::byte> read_file(const std::string& path) {
+    std::ifstream is(path, std::ios::binary);
+    if (!is) throw std::runtime_error("cannot open '" + path + "'");
+    std::vector<std::byte> bytes;
+    char chunk[64 * 1024];
+    while (is.read(chunk, sizeof(chunk)) || is.gcount() > 0) {
+        const auto* data = reinterpret_cast<const std::byte*>(chunk);
+        bytes.insert(bytes.end(), data, data + is.gcount());
+    }
+    if (is.bad()) throw std::runtime_error("cannot read '" + path + "'");
+    return bytes;
 }
 
 }  // namespace natscale

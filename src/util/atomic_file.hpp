@@ -1,4 +1,5 @@
-// Durable atomic file replacement: write-temp, fsync, rename, fsync-dir.
+// Whole-file binary I/O: durable atomic replacement (write-temp, fsync,
+// rename, fsync-dir) and the matching whole-file read.
 //
 // A bare `ofstream << rename` is atomic against concurrent *readers* but
 // not against power loss: the rename can reach the directory before the
@@ -12,7 +13,7 @@
 //
 // so at every instant `path` is either the complete old file or the
 // complete new one — torn snapshots are impossible, crash or no crash.
-// This is the single definition used by the online-engine checkpoints
+// This pair is the single definition used by the online-engine checkpoints
 // (online/checkpoint) and the daemon's --state-dir persistence
 // (service/server).
 //
@@ -28,6 +29,7 @@
 #include <cstddef>
 #include <span>
 #include <string>
+#include <vector>
 
 namespace natscale {
 
@@ -35,5 +37,9 @@ namespace natscale {
 /// sequence above.  Throws std::runtime_error (with errno detail) on any
 /// failure; the temp file is removed on the error paths that leave one.
 void atomic_write_file(const std::string& path, std::span<const std::byte> bytes);
+
+/// The whole content of `path`.  Throws std::runtime_error when the file
+/// cannot be opened or read.
+std::vector<std::byte> read_file(const std::string& path);
 
 }  // namespace natscale

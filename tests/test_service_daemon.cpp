@@ -10,15 +10,20 @@
 
 #include <cstddef>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "linkstream/io.hpp"
 #include "natscale/api.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
 #include "testing/temp_files.hpp"
 #include "util/rng.hpp"
+#include "util/wire.hpp"
 
 namespace natscale::service {
 namespace {
@@ -41,6 +46,16 @@ std::vector<Event> random_events(std::uint64_t seed, NodeId n, Time period,
         events.push_back({u, v, t});
     }
     return events;
+}
+
+std::string read_bytes(const std::string& path) {
+    std::ifstream is(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << bytes;
 }
 
 /// In-process daemon on a scratch Unix socket; run() on its own thread.
@@ -307,6 +322,14 @@ TEST(ServiceDaemon, CheckpointRestartAnswersBitIdentically) {
         query.kind = QueryKind::curve;
         EXPECT_EQ(client.query(query).json, before);
 
+        // With no new events, a checkpoint rewrites the state file byte for
+        // byte: the reload lost nothing the file holds.
+        const std::string state_file = state_dir + "/durable.natstream";
+        const std::string persisted = read_bytes(state_file);
+        ASSERT_FALSE(persisted.empty());
+        client.checkpoint();
+        EXPECT_EQ(read_bytes(state_file), persisted);
+
         // Ingestion resumes against the restored session; final state
         // matches an uninterrupted local run.
         StreamSession mirror = mirror_session(spec);
@@ -316,6 +339,56 @@ TEST(ServiceDaemon, CheckpointRestartAnswersBitIdentically) {
         client.close_stream(ack.stream_id);
         mirror.close();
         EXPECT_EQ(client.query(query).json, expected_curve(mirror, "durable"));
+    }
+    std::filesystem::remove_all(state_dir);
+}
+
+TEST(ServiceDaemon, CorruptStateFilesFailStartup) {
+    // A damaged .natstream must stop the daemon from starting with io_error,
+    // never load a quietly wrong stream.
+    const std::string state_dir = testing::temp_path("natscaled_corrupt_state");
+    std::filesystem::remove_all(state_dir);
+    {
+        Daemon daemon(state_dir);
+        Client client = daemon.connect();
+        const StreamAck ack = client.register_stream(stream_spec("fragile", 12, 200));
+        client.ingest(ack.stream_id, 1, random_events(53, 12, 200, 120));
+        daemon.stop();  // graceful: persists the stream
+    }
+    const std::string state_file = state_dir + "/fragile.natstream";
+    const std::string image = read_bytes(state_file);
+    ASSERT_GT(image.size(), 100u);
+
+    const std::string socket_path = testing::temp_path("natscaled_corrupt.sock");
+    const auto start_with = [&](const std::string& bytes) {
+        write_bytes(state_file, bytes);
+        ServerOptions options;
+        options.unix_path = socket_path;
+        options.state_dir = state_dir;
+        Server server(options);
+    };
+    EXPECT_NO_THROW(start_with(image));
+
+    const std::size_t step = image.size() / 64 + 1;
+    for (std::size_t cut = 0; cut < image.size(); cut += step) {
+        EXPECT_THROW(start_with(image.substr(0, cut)), io_error) << "cut=" << cut;
+    }
+
+    // A byte flipped inside the embedded session snapshot, with the outer
+    // checksum recomputed: the snapshot's own checks must catch it.  The
+    // snapshot follows magic, version, reserved, token, acked_seq and the
+    // length-prefixed name, then its own u64 length.
+    const std::size_t snapshot_begin = 8 + 4 + 4 + 8 + 8 + 4 + std::string("fragile").size() + 8;
+    const std::size_t snapshot_end = image.size() - 8;
+    for (const std::size_t at : {snapshot_begin, snapshot_begin + 40,
+                                 (snapshot_begin + snapshot_end) / 2, snapshot_end - 1}) {
+        std::string flipped = image;
+        flipped[at] = static_cast<char>(flipped[at] ^ 0x5a);
+        std::byte checksum[8];
+        wire::put_u64(checksum, wire::fnv1a64(reinterpret_cast<const std::byte*>(flipped.data()),
+                                              snapshot_end));
+        flipped.replace(snapshot_end, 8, reinterpret_cast<const char*>(checksum), 8);
+        EXPECT_THROW(start_with(flipped), io_error) << "flip at " << at;
     }
     std::filesystem::remove_all(state_dir);
 }

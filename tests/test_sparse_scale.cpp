@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 
 #include "core/occupancy.hpp"
+#include "core/validation.hpp"
 #include "linkstream/aggregation.hpp"
 #include "temporal/reachability_backend.hpp"
+#include "temporal/reachability_stats.hpp"
+#include "temporal/transitions.hpp"
+#include "temporal/trip_store.hpp"
 #include "testing/temp_files.hpp"  // NATSCALE_SANITIZED
 #include "util/proc_rss.hpp"
 #include "util/rng.hpp"
@@ -43,6 +47,71 @@ LinkStream large_sparse_stream() {
         events.push_back({u, v, rng.uniform_int(0, kPeriod - 1)});
     }
     return LinkStream(std::move(events), kNodes, kPeriod, false);
+}
+
+/// The same ring shape at n = 8192, 2.5 events per node: select_backend
+/// picks sparse, while the dense table would take n^2 x 8 B = 512 MiB.
+LinkStream ring_stream_8k() {
+    constexpr NodeId kNodes = 8192;
+    constexpr std::size_t kEvents = 20'480;
+    constexpr Time kPeriod = 100'000;
+    Rng rng(42);
+    std::vector<Event> events;
+    events.reserve(kEvents);
+    for (std::size_t i = 0; i < kEvents; ++i) {
+        const NodeId u = static_cast<NodeId>(rng.uniform_index(kNodes));
+        events.push_back({u, (u + 1) % kNodes, rng.uniform_int(0, kPeriod - 1)});
+    }
+    return LinkStream(std::move(events), kNodes, kPeriod, false);
+}
+
+/// The stream analyses scan through the backend rule too: on the 8192-node
+/// ring each stays far below the dense table's 512 MiB.  One TEST per
+/// analysis, since peak RSS is per process.
+void expect_sparse_footprint(const LinkStream& stream) {
+    ASSERT_EQ(select_backend(stream.num_nodes(), stream.num_events(), {}),
+              ReachabilityBackend::sparse);
+    const double rss = bounded_peak_rss_mib();
+    if (rss > 0.0) {
+        EXPECT_LT(rss, 128.0) << "peak RSS " << rss << " MiB: a dense table was allocated";
+    }
+}
+
+TEST(SparseScale, ShortestTransitionsAt8kNodesStaySparse) {
+    const auto stream = ring_stream_8k();
+    const ShortestTransitionSet transitions(stream);
+    EXPECT_EQ(transitions.size(), 16'429u);
+    expect_sparse_footprint(stream);
+}
+
+TEST(SparseScale, StreamTripStoreAt8kNodesStaysSparse) {
+    const auto stream = ring_stream_8k();
+    const StreamTripStore store(stream);
+    EXPECT_EQ(store.size(), 72'726u);
+    EXPECT_EQ(StreamTripStore::count_trips(stream), store.size());
+    EXPECT_EQ(StreamTripStore::count_trips(stream, 3), 24'182u);
+    expect_sparse_footprint(stream);
+}
+
+TEST(SparseScale, ReachabilityCensusAt8kNodesStaysSparse) {
+    const auto stream = ring_stream_8k();
+    const ReachabilityCensus census = reachability_census(stream);
+    EXPECT_EQ(census.reachable_pairs, 40'881u);
+    EXPECT_EQ(census.max_out_reach, 17u);
+    const ReachabilityCensus aggregated = reachability_census(aggregate(stream, 1000));
+    EXPECT_EQ(aggregated.reachable_pairs, 40'257u);
+    expect_sparse_footprint(stream);
+}
+
+TEST(SparseScale, ElongationCurveAt8kNodesStaysSparse) {
+    const auto stream = ring_stream_8k();
+    SweepConfig options;
+    options.num_threads = 2;
+    const auto curve = elongation_curve(stream, {100, 1000}, options);
+    ASSERT_EQ(curve.size(), 2u);
+    EXPECT_EQ(curve[0].measured_trips, 31'697u);
+    EXPECT_EQ(curve[1].measured_trips, 30'989u);
+    expect_sparse_footprint(stream);
 }
 
 TEST(SparseScale, OccupancyHistogramAt200kNodesUnder2GiB) {
