@@ -50,7 +50,7 @@ std::vector<DeltaPoint> DeltaSweepEngine::evaluate(std::span<const Time> grid,
                                                    std::vector<Histogram01>* histograms_out) {
     std::vector<Histogram01> hists = scan_periods(
         pool(), grid.size(), [&](std::size_t index) { return aggregate(grid[index]); },
-        Histogram01(options_.histogram_bins), {},
+        Histogram01(options_.histogram_bins),
         [](Histogram01& hist, const GraphSeries&) { return OccupancyTally(hist); });
     std::vector<DeltaPoint> points(grid.size());
     for (std::size_t g = 0; g < grid.size(); ++g) {

@@ -81,19 +81,20 @@ ElongationPoint point_of(Time delta, const ElongationPartial& partial) {
 }
 
 /// Elongation points of every period of `deltas`, scanned on `pool` by
-/// scan_periods (temporal/sharded_scan) against the stream trip store, whose
-/// sampling divisor the series scans reuse.
+/// scan_periods (temporal/sharded_scan) against the stream trip store.  The
+/// series sinks keep the pairs the store keeps, so both sides see the same
+/// pairs.
 std::vector<ElongationPoint> elongation_points(const LinkStream& stream,
                                                std::span<const Time> deltas,
                                                const StreamTripStore& store, ThreadPool& pool) {
-    ReachabilityOptions scan_options;
-    scan_options.pair_sample_divisor = store.pair_sample_divisor();
     const std::vector<ElongationPartial> partials = scan_periods(
         pool, deltas.size(), [&](std::size_t index) { return aggregate(stream, deltas[index]); },
-        ElongationPartial{}, scan_options,
-        [&store](ElongationPartial& partial, const GraphSeries& series) {
-            return [&partial, &store, delta = series.delta()](const MinimalTrip& trip) {
-                accumulate_elongation(trip, delta, store, partial);
+        ElongationPartial{}, [&store](ElongationPartial& partial, const GraphSeries& series) {
+            return [&partial, &store, n = series.num_nodes(), delta = series.delta(),
+                    divisor = store.pair_sample_divisor()](const MinimalTrip& trip) {
+                if (keeps_pair(n, trip.u, trip.v, divisor)) {
+                    accumulate_elongation(trip, delta, store, partial);
+                }
             };
         });
     std::vector<ElongationPoint> curve(deltas.size());

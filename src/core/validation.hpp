@@ -55,8 +55,8 @@ std::vector<ElongationPoint> elongation_curve(const LinkStream& stream,
                                               const std::vector<Time>& deltas,
                                               const SweepConfig& options = {});
 
-/// Single-period elongation against a prebuilt trip store (whose sampling
-/// divisor is reused for the series scan): the same fan-out on one thread.
+/// Single-period elongation against a prebuilt trip store (the series sink
+/// keeps the pairs the store keeps): the same fan-out on one thread.
 ElongationPoint elongation_at(const LinkStream& stream, Time delta,
                               const StreamTripStore& store);
 

@@ -20,14 +20,13 @@
 #include "temporal/minimal_trip.hpp"
 #include "temporal/reachability.hpp"
 #include "util/contracts.hpp"
-#include "util/rng.hpp"
 #include "util/types.hpp"
 
 namespace natscale {
 
 /// The 12 B/pair scalar sweep engine: same contract and same emission order
-/// as TemporalReachability, including distance accumulation and pair
-/// sampling.
+/// as TemporalReachability, including distance accumulation in series
+/// scans.
 class LegacyTemporalReachability {
 public:
     template <typename Sink>
@@ -46,12 +45,10 @@ public:
     }
 
     template <typename Sink>
-    void scan_stream(const LinkStream& stream, Sink&& sink,
-                     const ReachabilityOptions& options = {}) {
-        NATSCALE_EXPECTS(options.distances == nullptr);  // series mode only
+    void scan_stream(const LinkStream& stream, Sink&& sink) {
         prepare(stream.num_nodes());
         detail::for_each_instant_backward(stream.events(), stream.directed(), arcs_,
-                                          [&](Time t) { process_instant(t, sink, options); });
+                                          [&](Time t) { process_instant(t, sink, {}); });
     }
 
     Time arrival(NodeId u, NodeId v) const {
@@ -146,8 +143,7 @@ private:
                     options.distances->record_change(u, static_cast<NodeId>(v), label,
                                                      old_a[v], old_h[v]);
                 }
-                if (row_a[v] < old_a[v] && keep_pair(u, static_cast<NodeId>(v),
-                                                     options.pair_sample_divisor)) {
+                if (row_a[v] < old_a[v]) {
                     sink(MinimalTrip{u, static_cast<NodeId>(v), label, row_a[v], row_h[v]});
                 }
             }
@@ -155,11 +151,6 @@ private:
 
         // 5. Release scratch slots.
         for (NodeId x : active_) slot_[x] = -1;
-    }
-
-    bool keep_pair(NodeId u, NodeId v, std::uint64_t divisor) const {
-        return divisor <= 1 ||
-               hash64(static_cast<std::uint64_t>(u) * n_ + v) % divisor == 0;
     }
 
     NodeId n_ = 0;

@@ -50,7 +50,7 @@
 //
 // The DP decomposes exactly by destination column: cell (u, v) is only ever
 // written from cell (w, v) of a neighbor row (continuation) or by the direct
-// candidate for column w — never from another column.  scan_*_columns()
+// candidate for column w — never from another column.  scan_series_columns()
 // therefore runs the identical sweep restricted to destinations in
 // [col_begin, col_end) using n x width state, and the union of the
 // restricted scans over a partition of [0, n) produces the exact same trip
@@ -61,8 +61,9 @@
 // accumulators downstream are split-invariant — see stats/histogram01.hpp).
 //
 // The same sweep optionally drives a DistanceAccumulator (mean d_time /
-// d_hops over all start windows, Fig. 2) and supports deterministic pair
-// sampling for the expensive elongation validation of Section 8.
+// d_hops over all start windows, Fig. 2).  Every scan emits every minimal
+// trip; a sink that wants a subset filters its own (the pair sampling of the
+// elongation validation, temporal/trip_store.hpp).
 //
 // --- Resumable time-reversed form ------------------------------------------
 //
@@ -90,7 +91,6 @@
 #include "temporal/distance_stats.hpp"
 #include "temporal/minimal_trip.hpp"
 #include "util/contracts.hpp"
-#include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/types.hpp"
 
@@ -110,15 +110,9 @@ enum class ReachabilityBackend {
 
 struct ReachabilityOptions {
     /// If non-null, fed with every value change so that mean d_time/d_hops
-    /// over all (u, v, t) can be computed exactly.  Series mode only, full
-    /// column range only.
+    /// over all (u, v, t) can be computed exactly.  Only series scans take
+    /// options (the sparse kernel takes none), full column range only.
     DistanceAccumulator* distances = nullptr;
-
-    /// Deterministic pair sampling: minimal trips of ordered pair (u, v) are
-    /// reported only when hash64(u * n + v) % pair_sample_divisor == 0.
-    /// 1 (default) reports every trip.  Sampling selects whole pairs, so the
-    /// per-pair trip structure needed by the elongation measure is preserved.
-    std::uint64_t pair_sample_divisor = 1;
 };
 
 /// One finite cell of a sweep state: from its row's source, the earliest
@@ -201,25 +195,15 @@ public:
 
     /// Enumerates all minimal trips of the raw link stream (each distinct
     /// timestamp is its own instant; dep/arr are the original timestamps —
-    /// rank compression is internal).  Distance accumulation is not
-    /// supported in stream mode.
+    /// rank compression is internal), over the full column range.
     template <typename Sink>
-    void scan_stream(const LinkStream& stream, Sink&& sink,
-                     const ReachabilityOptions& options = {}) {
-        scan_stream_columns(stream, 0, stream.num_nodes(), std::forward<Sink>(sink),
-                            options);
-    }
-
-    /// Column-restricted stream scan; see scan_series_columns.
-    template <typename Sink>
-    void scan_stream_columns(const LinkStream& stream, NodeId col_begin, NodeId col_end,
-                             Sink&& sink, const ReachabilityOptions& options = {});
+    void scan_stream(const LinkStream& stream, Sink&& sink);
 
     /// Final earliest-arrival state of the last scan: arr(u, v) is the
     /// earliest arrival over paths departing at any time (>= 1 / >= first
-    /// timestamp), decoded back to original labels.  Exposed for tests and
-    /// for reachability analyses.  Preconditions: v inside the column range
-    /// of the last scan.
+    /// timestamp), decoded back to original labels.  Exposed for tests; the
+    /// analyses read state_rows().  Preconditions: v inside the column
+    /// range of the last scan.
     Time arrival(NodeId u, NodeId v) const;
     Hops hop_count(NodeId u, NodeId v) const;
 
@@ -248,8 +232,9 @@ public:
     }
 
     /// The finite cells, decoded: row u lists (v, hops, arr) for every v
-    /// reachable from u, in increasing v — after the same windows, exactly
-    /// SparseTemporalReachability::state_rows().  Full column range only.
+    /// reachable from u, in increasing v — after the same instants (batch
+    /// or reversed), exactly SparseTemporalReachability::state_rows().
+    /// Full column range only.
     std::vector<ReachRow> state_rows() const;
 
     /// True when every arrival of `rows` is the label of a window the
@@ -298,11 +283,6 @@ private:
     /// DistanceAccumulator::finish.  Full column range only.
     void decode_tables();
 
-    bool keep_pair(NodeId u, NodeId v, std::uint64_t divisor) const {
-        return divisor <= 1 ||
-               hash64(static_cast<std::uint64_t>(u) * n_ + v) % divisor == 0;
-    }
-
     NodeId n_ = 0;
     NodeId col_begin_ = 0;
     NodeId col_end_ = 0;
@@ -345,11 +325,8 @@ void TemporalReachability::scan_series_columns(const GraphSeries& series, NodeId
 }
 
 template <typename Sink>
-void TemporalReachability::scan_stream_columns(const LinkStream& stream, NodeId col_begin,
-                                               NodeId col_end, Sink&& sink,
-                                               const ReachabilityOptions& options) {
-    NATSCALE_EXPECTS(options.distances == nullptr);  // series mode only
-    prepare(stream.num_nodes(), col_begin, col_end);
+void TemporalReachability::scan_stream(const LinkStream& stream, Sink&& sink) {
+    prepare(stream.num_nodes(), 0, stream.num_nodes());
     const std::size_t distinct = stream.num_distinct_timestamps();
     NATSCALE_EXPECTS(distinct < kUnreachableRank);
     labels_.resize(distinct);
@@ -365,7 +342,7 @@ void TemporalReachability::scan_stream_columns(const LinkStream& stream, NodeId 
                                           const auto rank =
                                               static_cast<std::uint32_t>(--next_rank);
                                           labels_[rank] = t;
-                                          process_instant<false>(rank, t, sink, options);
+                                          process_instant<false>(rank, t, sink, {});
                                       });
     NATSCALE_ENSURES(next_rank == 0);
 }
@@ -467,7 +444,7 @@ void TemporalReachability::process_instant(std::uint32_t rank, Time label, Sink&
                                           : static_cast<Hops>(static_cast<std::uint32_t>(before));
                 options.distances->record_change(u, v, label, old_arr, old_hops);
             }
-            if (new_rank < old_rank && keep_pair(u, v, options.pair_sample_divisor)) {
+            if (new_rank < old_rank) {
                 sink(MinimalTrip{u, v, label, decode(new_rank),
                                  static_cast<Hops>(static_cast<std::uint32_t>(now))});
             }

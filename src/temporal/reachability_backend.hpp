@@ -72,6 +72,8 @@ ReachabilityBackend select_backend(NodeId num_nodes, std::size_t total_arcs,
 /// The facade: scans with whichever backend select_backend picks.
 class ReachabilityEngine {
 public:
+    /// A scan that accumulates distances resolves dense (rule 1), the one
+    /// kernel that takes options.
     template <typename Sink>
     void scan_series(const GraphSeries& series, Sink&& sink,
                      const ReachabilityOptions& options = {}) {
@@ -79,29 +81,18 @@ public:
         if (last_ == ReachabilityBackend::dense) {
             dense_.scan_series(series, std::forward<Sink>(sink), options);
         } else {
-            sparse_.scan_series(series, std::forward<Sink>(sink), options);
+            sparse_.scan_series(series, std::forward<Sink>(sink));
         }
     }
 
     template <typename Sink>
-    void scan_stream(const LinkStream& stream, Sink&& sink,
-                     const ReachabilityOptions& options = {}) {
-        last_ = select_backend(stream.num_nodes(), stream.num_events(), options);
+    void scan_stream(const LinkStream& stream, Sink&& sink) {
+        last_ = select_backend(stream.num_nodes(), stream.num_events(), {});
         if (last_ == ReachabilityBackend::dense) {
-            dense_.scan_stream(stream, std::forward<Sink>(sink), options);
+            dense_.scan_stream(stream, std::forward<Sink>(sink));
         } else {
-            sparse_.scan_stream(stream, std::forward<Sink>(sink), options);
+            sparse_.scan_stream(stream, std::forward<Sink>(sink));
         }
-    }
-
-    /// Final earliest-arrival state of the last scan, whichever backend ran.
-    Time arrival(NodeId u, NodeId v) const {
-        return last_ == ReachabilityBackend::dense ? dense_.arrival(u, v)
-                                                   : sparse_.arrival(u, v);
-    }
-    Hops hop_count(NodeId u, NodeId v) const {
-        return last_ == ReachabilityBackend::dense ? dense_.hop_count(u, v)
-                                                   : sparse_.hop_count(u, v);
     }
 
     /// Backend used by the most recent scan, or holding the current
@@ -142,8 +133,8 @@ public:
         }
     }
 
-    /// The reversed sweep's state as kernel-independent rows: identical for
-    /// both backends after the same windows.
+    /// The state of the last scan or reversed sweep as kernel-independent
+    /// rows: identical for both backends after the same instants.
     std::vector<ReachRow> state_rows() const {
         return last_ == ReachabilityBackend::dense ? dense_.state_rows()
                                                    : sparse_.state_rows();

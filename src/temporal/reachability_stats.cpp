@@ -8,14 +8,15 @@ namespace natscale {
 
 namespace {
 
+/// Counts the finite entries of the last scan's rows: O(reachable pairs)
+/// on the sparse backend, O(n^2) on the dense one.
 ReachabilityCensus census_from_engine(const ReachabilityEngine& engine, NodeId n) {
     ReachabilityCensus census;
     census.out_reach.assign(n, 0);
+    const std::vector<ReachRow> rows = engine.state_rows();
     for (NodeId u = 0; u < n; ++u) {
-        for (NodeId v = 0; v < n; ++v) {
-            if (u != v && engine.arrival(u, v) != kInfiniteTime) {
-                ++census.out_reach[u];
-            }
+        for (const ReachEntry& entry : rows[u]) {
+            if (entry.v != u) ++census.out_reach[u];
         }
         census.reachable_pairs += census.out_reach[u];
         if (census.out_reach[u] > census.max_out_reach) {

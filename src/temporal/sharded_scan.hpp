@@ -36,9 +36,11 @@ namespace natscale {
 ///     order-independent (e.g. Histogram01).
 ///   * `sink_of(partial, series)` returns the per-trip sink that
 ///     accumulates one scan (or one column shard of it) of `series` into
-///     `partial`.  The sink is called as a non-const lvalue and destroyed
-///     right after its scan, before any merge, so it may buffer trips and
-///     complete `partial` in its destructor (OccupancyTally does).
+///     `partial`.  The scans emit every minimal trip; a sink that samples
+///     filters its own (elongation_points does).  The sink is called as a
+///     non-const lvalue and destroyed right after its scan, before any
+///     merge, so it may buffer trips and complete `partial` in its
+///     destructor (OccupancyTally does).
 /// Every period adds one to `sweep.deltas_evaluated` and to
 /// `sweep.dense_deltas` or `sweep.sparse_deltas`, after the backend
 /// select_backend picks for its series; whole-period tasks open a
@@ -46,8 +48,7 @@ namespace natscale {
 /// `sweep.shard` span and add to `sweep.shards_scanned`.
 template <typename Partial, typename SeriesOf, typename SinkOf>
 std::vector<Partial> scan_periods(ThreadPool& pool, std::size_t count, SeriesOf&& series_of,
-                                  const Partial& empty, const ReachabilityOptions& options,
-                                  SinkOf&& sink_of) {
+                                  const Partial& empty, SinkOf&& sink_of) {
     static obs::Counter& deltas_evaluated = obs::counter("sweep.deltas_evaluated");
     static obs::Counter& dense_deltas = obs::counter("sweep.dense_deltas");
     static obs::Counter& sparse_deltas = obs::counter("sweep.sparse_deltas");
@@ -68,7 +69,7 @@ std::vector<Partial> scan_periods(ThreadPool& pool, std::size_t count, SeriesOf&
             obs::Span span("sweep.delta");
             const std::uint64_t scan_start = obs::TraceSink::now_ns();
             const GraphSeries series = series_of(index);
-            engines[worker].scan_series(series, sink_of(merged[index], series), options);
+            engines[worker].scan_series(series, sink_of(merged[index], series));
             const bool dense = engines[worker].last_backend() == ReachabilityBackend::dense;
             if (span.active()) {
                 span.attr("delta", static_cast<std::int64_t>(series.delta()));
@@ -96,8 +97,8 @@ std::vector<Partial> scan_periods(ThreadPool& pool, std::size_t count, SeriesOf&
     std::vector<Task> tasks;
     for (std::size_t period = 0; period < count; ++period) {
         const GraphSeries& s = *series[period];
-        const bool dense = select_backend(s.num_nodes(), s.total_edges(), options) ==
-                           ReachabilityBackend::dense;
+        const bool dense =
+            select_backend(s.num_nodes(), s.total_edges(), {}) == ReachabilityBackend::dense;
         count_period(dense);
         if (!dense) {
             tasks.push_back({period, 0, s.num_nodes(), false});
@@ -126,10 +127,9 @@ std::vector<Partial> scan_periods(ThreadPool& pool, std::size_t count, SeriesOf&
         shards_scanned.add();
         auto sink = sink_of(partials[index], s);
         if (task.dense) {
-            dense_engines[worker].scan_series_columns(s, task.col_begin, task.col_end, sink,
-                                                      options);
+            dense_engines[worker].scan_series_columns(s, task.col_begin, task.col_end, sink);
         } else {
-            sparse_engines[worker].scan_series(s, sink, options);
+            sparse_engines[worker].scan_series(s, sink);
         }
     });
     for (std::size_t t = 0; t < tasks.size(); ++t) merged[tasks[t].period].merge(partials[t]);

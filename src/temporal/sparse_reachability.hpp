@@ -26,10 +26,11 @@
 //     every float accumulation (histogram moments, Kahan sums) is performed
 //     in the identical order.
 //
-// Distance accumulation (ReachabilityOptions::distances) is not supported:
-// the accumulator itself keeps an n^2 table, which defeats the point.
-// Backend selection routes distance-accumulating scans to the dense engine
-// (see temporal/reachability_backend.hpp).
+// The scans take no ReachabilityOptions.  Distance accumulation keeps an
+// n^2 table of its own, which defeats the point, so backend selection routes
+// distance-accumulating scans to the dense engine (see
+// temporal/reachability_backend.hpp).  Like the dense engine, every scan
+// emits every minimal trip.
 #pragma once
 
 #include <algorithm>
@@ -68,16 +69,13 @@ public:
 
     /// Enumerates all minimal trips of the series; same contract and same
     /// emission order as TemporalReachability::scan_series.
-    /// Precondition: options.distances == nullptr (dense-only feature).
     template <typename Sink>
-    void scan_series(const GraphSeries& series, Sink&& sink,
-                     const ReachabilityOptions& options = {});
+    void scan_series(const GraphSeries& series, Sink&& sink);
 
     /// Enumerates all minimal trips of the raw link stream; same contract
     /// and same emission order as TemporalReachability::scan_stream.
     template <typename Sink>
-    void scan_stream(const LinkStream& stream, Sink&& sink,
-                     const ReachabilityOptions& options = {});
+    void scan_stream(const LinkStream& stream, Sink&& sink);
 
     // --- resumable (instant-at-a-time) form ---------------------------------
     //
@@ -106,11 +104,9 @@ public:
     /// begin()/restore_state() session; trips are emitted exactly as the
     /// batch scans emit them.
     template <typename Sink>
-    void relax_instant(std::span<const Edge> edges, bool directed, Time label, Sink&& sink,
-                       const ReachabilityOptions& options = {}) {
-        NATSCALE_EXPECTS(options.distances == nullptr);  // dense backend only
+    void relax_instant(std::span<const Edge> edges, bool directed, Time label, Sink&& sink) {
         detail::build_instant_arcs(arcs_, edges, directed);
-        process_instant(label, sink, options);
+        process_instant(label, sink);
     }
 
     /// The whole sweep state, row per source.  With the entries of each row
@@ -136,12 +132,7 @@ private:
     void prepare(NodeId n);
 
     template <typename Sink>
-    void process_instant(Time label, Sink& sink, const ReachabilityOptions& options);
-
-    bool keep_pair(NodeId u, NodeId v, std::uint64_t divisor) const {
-        return divisor <= 1 ||
-               hash64(static_cast<std::uint64_t>(u) * n_ + v) % divisor == 0;
-    }
+    void process_instant(Time label, Sink& sink);
 
     NodeId n_ = 0;
     std::vector<Row> rows_;        // per-source sorted-by-v finite entries
@@ -156,29 +147,24 @@ private:
 // --- implementation --------------------------------------------------------
 
 template <typename Sink>
-void SparseTemporalReachability::scan_series(const GraphSeries& series, Sink&& sink,
-                                             const ReachabilityOptions& options) {
-    NATSCALE_EXPECTS(options.distances == nullptr);  // dense backend only
+void SparseTemporalReachability::scan_series(const GraphSeries& series, Sink&& sink) {
     prepare(series.num_nodes());
     const auto snapshots = series.snapshots();
     for (auto it = snapshots.rbegin(); it != snapshots.rend(); ++it) {
         detail::build_instant_arcs(arcs_, it->edges, series.directed());
-        process_instant(it->k, sink, options);
+        process_instant(it->k, sink);
     }
 }
 
 template <typename Sink>
-void SparseTemporalReachability::scan_stream(const LinkStream& stream, Sink&& sink,
-                                             const ReachabilityOptions& options) {
-    NATSCALE_EXPECTS(options.distances == nullptr);  // dense backend only
+void SparseTemporalReachability::scan_stream(const LinkStream& stream, Sink&& sink) {
     prepare(stream.num_nodes());
     detail::for_each_instant_backward(stream.events(), stream.directed(), arcs_,
-                                      [&](Time t) { process_instant(t, sink, options); });
+                                      [&](Time t) { process_instant(t, sink); });
 }
 
 template <typename Sink>
-void SparseTemporalReachability::process_instant(Time label, Sink& sink,
-                                                 const ReachabilityOptions& options) {
+void SparseTemporalReachability::process_instant(Time label, Sink& sink) {
     // 1. Assign snapshot slots to every node touched at this instant.
     active_.clear();
     auto ensure_slot = [&](NodeId x) {
@@ -265,17 +251,13 @@ void SparseTemporalReachability::process_instant(Time label, Sink& sink,
                 const bool improves =
                     best.arr < old.arr || (best.arr == old.arr && best.hops < old.hops);
                 merged_.push_back(improves ? best : old);
-                if (!improves) continue;
-                if (best.arr < old.arr &&
-                    keep_pair(u, best.v, options.pair_sample_divisor)) {
+                if (best.arr < old.arr) {
                     sink(MinimalTrip{u, best.v, label, best.arr, best.hops});
                 }
             } else {
                 // Previously unreachable pair: always a strict improvement.
                 merged_.push_back(best);
-                if (keep_pair(u, best.v, options.pair_sample_divisor)) {
-                    sink(MinimalTrip{u, best.v, label, best.arr, best.hops});
-                }
+                sink(MinimalTrip{u, best.v, label, best.arr, best.hops});
             }
         }
         rows_[u].swap(merged_);

@@ -18,11 +18,10 @@ StreamTripStore::StreamTripStore(const LinkStream& stream, const Options& option
     };
     std::vector<Row> rows;
     ReachabilityEngine engine;
-    ReachabilityOptions scan_options;
-    scan_options.pair_sample_divisor = divisor_;
     engine.scan_stream(stream, [&](const MinimalTrip& trip) {
+        if (!keeps_pair(n_, trip.u, trip.v, divisor_)) return;
         rows.push_back({static_cast<std::uint64_t>(trip.u) * n_ + trip.v, trip.dep, trip.arr});
-    }, scan_options);
+    });
 
     std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
         if (a.key != b.key) return a.key < b.key;
@@ -90,10 +89,11 @@ std::pair<std::span<const Time>, std::span<const Time>> StreamTripStore::trips_o
 std::uint64_t StreamTripStore::count_trips(const LinkStream& stream,
                                            std::uint64_t pair_sample_divisor) {
     ReachabilityEngine engine;
-    ReachabilityOptions options;
-    options.pair_sample_divisor = pair_sample_divisor;
+    const NodeId n = stream.num_nodes();
     std::uint64_t count = 0;
-    engine.scan_stream(stream, [&](const MinimalTrip&) { ++count; }, options);
+    engine.scan_stream(stream, [&](const MinimalTrip& trip) {
+        if (keeps_pair(n, trip.u, trip.v, pair_sample_divisor)) ++count;
+    });
     return count;
 }
 

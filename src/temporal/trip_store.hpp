@@ -9,9 +9,11 @@
 // [A, B]" is a binary search plus a short scan.
 //
 // Real traces can hold tens of millions of stream minimal trips; the store
-// therefore supports the same deterministic pair sampling as the
-// reachability engine (whole pairs kept or dropped), which keeps the
-// elongation mean unbiased while bounding memory.
+// therefore supports deterministic pair sampling (keeps_pair below: whole
+// pairs kept or dropped), which keeps the elongation mean unbiased while
+// bounding memory.  The reachability kernels emit every trip; the store,
+// count_trips and the series side of the elongation validation each filter
+// with the same predicate.
 #pragma once
 
 #include <cstdint>
@@ -20,16 +22,25 @@
 #include <vector>
 
 #include "linkstream/link_stream.hpp"
+#include "util/rng.hpp"
 #include "util/types.hpp"
 
 namespace natscale {
 
+/// Deterministic pair sampling: ordered pair (u, v) of an n-node stream is
+/// kept iff hash64(u * n + v) % divisor == 0; a divisor of 1 keeps every
+/// pair.  Whole pairs are kept or dropped, so every kept pair keeps its
+/// whole minimal-trip staircase.
+inline bool keeps_pair(NodeId n, NodeId u, NodeId v, std::uint64_t divisor) {
+    return divisor <= 1 || hash64(static_cast<std::uint64_t>(u) * n + v) % divisor == 0;
+}
+
 class StreamTripStore {
 public:
     struct Options {
-        /// Keep ordered pair (u, v) iff hash64(u*n+v) % divisor == 0; must
-        /// match the divisor used when scanning aggregated series so both
-        /// sides see the same pairs.
+        /// Keep ordered pair (u, v) iff keeps_pair(n, u, v, divisor); the
+        /// series side of the elongation validation filters with the same
+        /// divisor, so both sides see the same pairs.
         std::uint64_t pair_sample_divisor = 1;
     };
 

@@ -9,6 +9,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "gen/activity_model.hpp"
 #include "gen/registry.hpp"
@@ -17,6 +18,7 @@
 #include "gen/uniform_stream.hpp"
 #include "linkstream/stream_stats.hpp"
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 
 namespace natscale {
 namespace {
@@ -327,6 +329,34 @@ TEST(ReplicaModel, PairsRepeatLikeRealCorrespondents) {
     std::set<std::pair<NodeId, NodeId>> distinct;
     for (const auto& e : stream.events()) distinct.insert({e.u, e.v});
     EXPECT_LT(distinct.size(), stream.num_events() / 2);
+
+    // Every replica passes its own report at full scale, the sparsest one
+    // (facebook, under two messages per pair) included.
+    for (const char* dataset : {"irvine", "facebook", "enron", "manufacturing"}) {
+        const auto generated = generate_stream(std::string("replica:dataset=") + dataset);
+        const auto violations = generated.truth.verify(generated.stream);
+        EXPECT_TRUE(violations.empty()) << dataset << ": " << ::testing::PrintToString(violations);
+    }
+
+    // A stream of facebook's shape that draws a fresh random pair for every
+    // message repeats almost no pair, and the invariant rejects it.
+    const auto facebook = generate_stream("replica:dataset=facebook");
+    const LinkStream& real = facebook.stream;
+    Rng rng(5);
+    std::vector<Event> events;
+    for (std::size_t i = 0; i < real.num_events(); ++i) {
+        const auto u = static_cast<NodeId>(rng.uniform_index(real.num_nodes()));
+        auto v = static_cast<NodeId>(rng.uniform_index(real.num_nodes() - 1));
+        if (v >= u) ++v;
+        events.push_back({u, v, rng.uniform_int(0, real.period_end() - 1)});
+    }
+    const LinkStream fresh(std::move(events), real.num_nodes(), real.period_end(),
+                           real.directed());
+    const auto violations = facebook.truth.verify(fresh);
+    ASSERT_EQ(violations.size(), 1u);
+    EXPECT_EQ(violations.front().rfind("invariant 'pairs_repeat_like_real_correspondents'", 0),
+              0u)
+        << violations.front();
 }
 
 // --- golden parity with the pre-factory generators -------------------------

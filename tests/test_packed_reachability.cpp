@@ -36,18 +36,16 @@ LinkStream random_stream(std::uint64_t seed, NodeId n, std::size_t num_events, T
 }
 
 template <typename Engine, typename Input>
-std::vector<MinimalTrip> series_trips(Engine& engine, const Input& input,
-                                      const ReachabilityOptions& options = {}) {
+std::vector<MinimalTrip> series_trips(Engine& engine, const Input& input) {
     std::vector<MinimalTrip> trips;
-    engine.scan_series(input, [&](const MinimalTrip& t) { trips.push_back(t); }, options);
+    engine.scan_series(input, [&](const MinimalTrip& t) { trips.push_back(t); });
     return trips;
 }
 
 template <typename Engine>
-std::vector<MinimalTrip> stream_trips(Engine& engine, const LinkStream& stream,
-                                      const ReachabilityOptions& options = {}) {
+std::vector<MinimalTrip> stream_trips(Engine& engine, const LinkStream& stream) {
     std::vector<MinimalTrip> trips;
-    engine.scan_stream(stream, [&](const MinimalTrip& t) { trips.push_back(t); }, options);
+    engine.scan_stream(stream, [&](const MinimalTrip& t) { trips.push_back(t); });
     return trips;
 }
 
@@ -97,17 +95,6 @@ TEST(PackedReachability, FinalStateDecodesIdenticallyToLegacy) {
             ASSERT_EQ(packed.hop_count(u, v), legacy.hop_count(u, v)) << u << "," << v;
         }
     }
-}
-
-TEST(PackedReachability, PairSamplingIdenticalToLegacy) {
-    const auto stream = random_stream(13, 30, 300, 2'000, false);
-    const auto series = aggregate(stream, 100);
-    ReachabilityOptions options;
-    options.pair_sample_divisor = 3;
-    TemporalReachability packed;
-    LegacyTemporalReachability legacy;
-    expect_same_sequence(series_trips(packed, series, options),
-                         series_trips(legacy, series, options), "sampled");
 }
 
 TEST(PackedReachability, DistanceAccumulationIdenticalToLegacy) {
@@ -300,29 +287,6 @@ TEST(PackedReachability, ColumnScanStateMatchesFullScan) {
             ASSERT_EQ(restricted.hop_count(u, v), full.hop_count(u, v)) << u << "," << v;
         }
     }
-}
-
-TEST(PackedReachability, StreamColumnScansPartitionTheFullScan) {
-    const auto stream = random_stream(41, 40, 350, 2'500, false);
-    TemporalReachability full_engine;
-    const auto full = stream_trips(full_engine, stream);
-    std::vector<MinimalTrip> stitched;
-    for (const auto& shard : std::vector<ColumnShard>{{0, 13}, {13, 40}}) {
-        TemporalReachability engine;
-        engine.scan_stream_columns(stream, shard.begin, shard.end,
-                                   [&](const MinimalTrip& t) { stitched.push_back(t); });
-    }
-    ASSERT_EQ(stitched.size(), full.size());
-    // Same multiset: sort both by (dep desc, u, v) — a total order here.
-    auto key = [](const MinimalTrip& t) {
-        return std::make_tuple(-t.dep, t.u, t.v, t.arr, t.hops);
-    };
-    std::sort(stitched.begin(), stitched.end(),
-              [&](const MinimalTrip& a, const MinimalTrip& b) { return key(a) < key(b); });
-    auto expected = full;
-    std::sort(expected.begin(), expected.end(),
-              [&](const MinimalTrip& a, const MinimalTrip& b) { return key(a) < key(b); });
-    for (std::size_t i = 0; i < expected.size(); ++i) ASSERT_EQ(stitched[i], expected[i]);
 }
 
 TEST(PackedReachability, ColumnScanRejectsDistanceAccumulation) {

@@ -10,11 +10,10 @@
 namespace natscale {
 namespace {
 
-std::vector<MinimalTrip> collect_series_trips(const GraphSeries& series,
-                                              const ReachabilityOptions& options = {}) {
+std::vector<MinimalTrip> collect_series_trips(const GraphSeries& series) {
     std::vector<MinimalTrip> trips;
     TemporalReachability engine;
-    engine.scan_series(series, [&](const MinimalTrip& t) { trips.push_back(t); }, options);
+    engine.scan_series(series, [&](const MinimalTrip& t) { trips.push_back(t); });
     std::sort(trips.begin(), trips.end(), [](const MinimalTrip& x, const MinimalTrip& y) {
         return std::tie(x.u, x.v, x.dep, x.arr) < std::tie(y.u, y.v, y.dep, y.arr);
     });
@@ -212,20 +211,6 @@ TEST(Reachability, FullAggregationMakesAllTripsSingleHop) {
         ++count;
     });
     EXPECT_EQ(count, 8u);  // 4 undirected edges, both directions
-}
-
-TEST(Reachability, PairSamplingFiltersDeterministically) {
-    LinkStream stream({{0, 1, 0}, {1, 2, 10}, {2, 3, 20}, {3, 4, 30}, {0, 4, 40}}, 5, 50);
-    const auto series = aggregate(stream, 10);
-    const auto all = collect_series_trips(series);
-    ReachabilityOptions options;
-    options.pair_sample_divisor = 2;
-    const auto sampled = collect_series_trips(series, options);
-    EXPECT_LT(sampled.size(), all.size());
-    // Sampled trips are a subset, and the same pairs are kept on re-run.
-    for (const auto& t : sampled) EXPECT_TRUE(contains_trip(all, t));
-    const auto sampled_again = collect_series_trips(series, options);
-    EXPECT_EQ(sampled.size(), sampled_again.size());
 }
 
 TEST(Reachability, EngineReusableAcrossScans) {

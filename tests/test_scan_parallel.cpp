@@ -2,9 +2,9 @@
 // histograms, batched Delta sweeps, the full saturation search, and the
 // elongation validation must be bit-identical — trips counted, gamma, every
 // curve score, histogram bins AND moments — to the sequential pre-packed
-// reference across {1, N} threads x series/stream modes.  Grids narrower
-// than an N-thread pool run as (period, column shard) tasks, so the
-// N-thread legs exercise the sharded path.  The small streams resolve to
+// reference across {1, N} threads.  Grids narrower than an N-thread pool
+// run as (period, column shard) tasks, so the N-thread legs exercise the
+// sharded path.  The small streams resolve to
 // the dense backend; a large sparse stream drives the sparse-resolved
 // periods (whole tasks on both paths) and period lists mixing the two, for
 // the sweep against a direct dense-engine reference and for the elongation
@@ -122,32 +122,6 @@ TEST(ScanParallel, OccupancyHistogramBitIdenticalToPrePackedSequentialScan) {
         ASSERT_EQ(hists.size(), 1u);
         expect_identical_histograms(hists.front(), reference);
     }
-}
-
-TEST(ScanParallel, StreamModeShardedScanBitIdenticalToPrePackedScan) {
-    // Stream-mode parity: the column shards of a raw-stream scan must
-    // reproduce the legacy kernel's per-trip stream exactly (here reduced
-    // through the split-invariant histogram of stream occupancies).
-    const auto stream = random_stream(53, 300, 1'200, 10'000);
-    const auto add_occ = [](Histogram01& hist, const MinimalTrip& trip) {
-        const Time duration = stream_duration(trip);
-        if (duration > 0) {
-            hist.add(static_cast<double>(trip.hops) / static_cast<double>(duration));
-        }
-    };
-    Histogram01 reference(360);
-    LegacyTemporalReachability legacy;
-    legacy.scan_stream(stream, [&](const MinimalTrip& t) { add_occ(reference, t); });
-
-    Histogram01 sharded(360);
-    TemporalReachability packed;
-    for (const ColumnShard& shard : column_shards(stream.num_nodes())) {
-        Histogram01 partial(360);
-        packed.scan_stream_columns(stream, shard.begin, shard.end,
-                                   [&](const MinimalTrip& t) { add_occ(partial, t); });
-        sharded.merge(partial);
-    }
-    expect_identical_histograms(sharded, reference);
 }
 
 TEST(ScanParallel, DeltaSweepNarrowGridShardedPathBitIdenticalToOuterPath) {

@@ -214,17 +214,13 @@ TEST(SimdScan, WidthZeroAndWidthOneColumnShardsOnEveryIsa) {
     const auto stream = random_stream(23, 40, 500, 5'000);
     const auto series = aggregate(stream, 200);
 
-    // Scalar-dispatch full scans are the reference for both modes.
+    // The scalar-dispatch full scan is the reference.
     ASSERT_TRUE(set_simd_isa(SimdIsa::scalar));
     std::vector<MinimalTrip> series_reference;
-    std::vector<MinimalTrip> stream_reference;
     {
         TemporalReachability dense;
         dense.scan_series(series, [&](const MinimalTrip& t) {
             series_reference.push_back(t);
-        });
-        dense.scan_stream(stream, [&](const MinimalTrip& t) {
-            stream_reference.push_back(t);
         });
     }
 
@@ -237,21 +233,14 @@ TEST(SimdScan, WidthZeroAndWidthOneColumnShardsOnEveryIsa) {
                                   [&](const MinimalTrip&) { FAIL() << "empty shard"; });
         dense.scan_series_columns(series, series.num_nodes(), series.num_nodes(),
                                   [&](const MinimalTrip&) { FAIL() << "empty shard"; });
-        dense.scan_stream_columns(stream, 5, 5,
-                                  [&](const MinimalTrip&) { FAIL() << "empty shard"; });
 
         // Width-1 shards: n single-column scans concatenate (in ascending
         // column order) to a permutation-free exact cover of the full scan.
         std::vector<MinimalTrip> series_cols;
-        std::vector<MinimalTrip> stream_cols;
         for (NodeId c = 0; c < series.num_nodes(); ++c) {
             dense.scan_series_columns(series, c, c + 1, [&](const MinimalTrip& t) {
                 EXPECT_EQ(t.v, c);
                 series_cols.push_back(t);
-            });
-            dense.scan_stream_columns(stream, c, c + 1, [&](const MinimalTrip& t) {
-                EXPECT_EQ(t.v, c);
-                stream_cols.push_back(t);
             });
         }
         const auto sort_key = [](const MinimalTrip& t) {
@@ -261,18 +250,11 @@ TEST(SimdScan, WidthZeroAndWidthOneColumnShardsOnEveryIsa) {
             return sort_key(x) < sort_key(y);
         };
         auto sorted_series_ref = series_reference;
-        auto sorted_stream_ref = stream_reference;
         std::sort(sorted_series_ref.begin(), sorted_series_ref.end(), by_key);
-        std::sort(sorted_stream_ref.begin(), sorted_stream_ref.end(), by_key);
         std::sort(series_cols.begin(), series_cols.end(), by_key);
-        std::sort(stream_cols.begin(), stream_cols.end(), by_key);
         ASSERT_EQ(series_cols.size(), sorted_series_ref.size()) << to_string(isa);
-        ASSERT_EQ(stream_cols.size(), sorted_stream_ref.size()) << to_string(isa);
         for (std::size_t i = 0; i < series_cols.size(); ++i) {
             ASSERT_EQ(series_cols[i], sorted_series_ref[i]) << to_string(isa);
-        }
-        for (std::size_t i = 0; i < stream_cols.size(); ++i) {
-            ASSERT_EQ(stream_cols[i], sorted_stream_ref[i]) << to_string(isa);
         }
     }
 }

@@ -6,6 +6,9 @@
 // in CI with the rest of the suite.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/occupancy.hpp"
 #include "core/validation.hpp"
 #include "linkstream/aggregation.hpp"
@@ -111,6 +114,20 @@ TEST(SparseScale, ElongationCurveAt8kNodesStaysSparse) {
     ASSERT_EQ(curve.size(), 2u);
     EXPECT_EQ(curve[0].measured_trips, 31'697u);
     EXPECT_EQ(curve[1].measured_trips, 30'989u);
+
+    // The sampled path: a 30,000-trip budget over the ring's 72,726 stream
+    // trips keeps the pairs with hash % 3 == 0, on both the store and the
+    // series side.  Few ring trips carry most of the elongation sum, so the
+    // sampled means sit far from the full ones; they are pinned to the bit.
+    options.max_stored_trips = 30'000;
+    const auto sampled = elongation_curve(stream, {100, 1000}, options);
+    ASSERT_EQ(sampled.size(), 2u);
+    EXPECT_EQ(sampled[0].measured_trips, 10'461u);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sampled[0].mean_elongation),
+              0x3ff9b10e2e2d70e2u);  // 1.6057264140900362
+    EXPECT_EQ(sampled[1].measured_trips, 10'214u);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sampled[1].mean_elongation),
+              0x4009bf5ef6e3ce8bu);  // 3.2184428489943619
     expect_sparse_footprint(stream);
 }
 
