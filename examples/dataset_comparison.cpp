@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
         if (arg == "--full") {
             full = true;
         } else if (arg.rfind("--threads=", 0) == 0) {
-            num_threads = examples::parse_count(arg, "--threads=");
+            num_threads = examples::parse_thread_count(arg, "--threads=");
         } else {
             std::fprintf(stderr,
                          "unknown option '%s'\nusage: dataset_comparison [--full] [--threads=N]\n",

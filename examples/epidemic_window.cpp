@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--threads=", 0) == 0) {
-            options.num_threads = examples::parse_count(arg, "--threads=");
+            options.num_threads = examples::parse_thread_count(arg, "--threads=");
         } else {
             std::fprintf(stderr, "unknown option '%s'\nusage: epidemic_window [--threads=N]\n",
                          arg.c_str());

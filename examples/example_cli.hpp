@@ -18,6 +18,7 @@
 #include <utility>
 
 #include "stats/uniformity.hpp"
+#include "util/thread_pool.hpp"
 
 namespace natscale::examples {
 
@@ -52,6 +53,26 @@ inline std::size_t parse_count(const std::string& arg, const std::string& flag) 
     } catch (const std::exception&) {
         invalid_value(flag, value, "a non-negative integer");
     }
+}
+
+/// Thread count of `--threads=` / `--workers=` / `--engine-threads=`: a
+/// count as parse_count reads it, at most ThreadPool::kMaxThreads.  A larger
+/// one exits 2 naming the flag, before any thread starts.
+inline std::size_t parse_thread_count(const std::string& arg, const std::string& flag) {
+    const std::size_t count = parse_count(arg, flag);
+    if (count > ThreadPool::kMaxThreads) {
+        invalid_value(flag, option_value(arg, flag),
+                      ("at most " + std::to_string(ThreadPool::kMaxThreads)).c_str());
+    }
+    return count;
+}
+
+/// `--points=` of a geometric Δ grid: a count of at least 2, since the grid
+/// spans two ends; exits 2 naming the flag otherwise.
+inline std::size_t parse_grid_points(const std::string& arg, const std::string& flag) {
+    const std::size_t points = parse_count(arg, flag);
+    if (points < 2) invalid_value(flag, option_value(arg, flag), "at least 2");
+    return points;
 }
 
 /// `--metric=mk|stddev|shannon|cre`; exits 2 on anything else.

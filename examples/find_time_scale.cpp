@@ -91,7 +91,9 @@ using namespace natscale;
 using examples::FormatChoice;
 using examples::parse_count;
 using examples::parse_format;
+using examples::parse_grid_points;
 using examples::parse_metric;
+using examples::parse_thread_count;
 
 namespace {
 
@@ -438,11 +440,11 @@ int run_watch(int argc, char** argv) {
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--points=", 0) == 0) {
-            points = parse_count(arg, "--points=");
+            points = parse_grid_points(arg, "--points=");
         } else if (arg.rfind("--metric=", 0) == 0) {
             metric = parse_metric(arg, "--metric=");
         } else if (arg.rfind("--threads=", 0) == 0) {
-            threads = parse_count(arg, "--threads=");
+            threads = parse_thread_count(arg, "--threads=");
         } else if (arg.rfind("--every-events=", 0) == 0) {
             every_events = parse_count(arg, "--every-events=");
         } else if (arg.rfind("--every-seconds=", 0) == 0) {
@@ -465,7 +467,7 @@ int run_watch(int argc, char** argv) {
             return 2;
         }
     }
-    if (path.empty() || points < 2) {
+    if (path.empty()) {
         usage();
         return 2;
     }
@@ -643,7 +645,7 @@ int main(int argc, char** argv) {
         } else if (arg.rfind("--metric=", 0) == 0) {
             options.metric = parse_metric(arg, "--metric=");
         } else if (arg.rfind("--points=", 0) == 0) {
-            options.coarse_points = parse_count(arg, "--points=");
+            options.coarse_points = parse_grid_points(arg, "--points=");
         } else if (arg.rfind("--refine-rounds=", 0) == 0) {
             // Linear refinement rounds around the running optimum; 0 keeps
             // the coarse geometric grid only — the mode whose output the
@@ -653,7 +655,7 @@ int main(int argc, char** argv) {
             // The Delta grid is swept in parallel, a grid narrower than the
             // pool by column shards; the result is identical for every
             // thread count (0 = all hardware threads).
-            options.num_threads = parse_count(arg, "--threads=");
+            options.num_threads = parse_thread_count(arg, "--threads=");
         } else if (arg.rfind("--format=", 0) == 0) {
             // Input encoding: auto sniffs the magic bytes; natbin streams
             // are mmap'd (analyzed out-of-core), text is parsed into RAM.

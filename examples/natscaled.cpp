@@ -166,10 +166,10 @@ int main(int argc, char** argv) {
         } else if (arg.rfind("--trace-out=", 0) == 0) {
             trace_out = natscale::examples::option_value(arg, "--trace-out=");
         } else if (arg.rfind("--workers=", 0) == 0) {
-            options.workers = natscale::examples::parse_count(arg, "--workers=");
+            options.workers = natscale::examples::parse_thread_count(arg, "--workers=");
         } else if (arg.rfind("--engine-threads=", 0) == 0) {
             options.engine_threads =
-                natscale::examples::parse_count(arg, "--engine-threads=");
+                natscale::examples::parse_thread_count(arg, "--engine-threads=");
         } else if (arg == "--help" || arg == "-h") {
             usage();
             return 0;

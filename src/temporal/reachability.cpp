@@ -13,6 +13,11 @@ void TemporalReachability::prepare(NodeId n, NodeId col_begin, NodeId col_end) {
     const std::size_t cells =
         static_cast<std::size_t>(n) * (col_end - col_begin);
     state_.assign(cells, kUnreachablePacked);
+    const std::size_t mask_words = (static_cast<std::size_t>(col_end - col_begin) + 63) / 64;
+    if (improved_.size() < mask_words) {
+        improved_.resize(mask_words);
+        changed_.resize(mask_words);
+    }
     if (slot_.size() < n) slot_.assign(n, -1);
     std::fill(slot_.begin(), slot_.end(), -1);
     active_.clear();

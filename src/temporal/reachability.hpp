@@ -289,6 +289,8 @@ private:
     bool reversed_ = false;             // ranks decode arithmetically, not via labels_
     std::vector<PackedState> state_;    // n_ rows x (col_end_ - col_begin_) columns
     std::vector<PackedState> scratch_;  // pre-instant rows of active nodes
+    std::vector<std::uint64_t> improved_;  // step 4, one bit per column: rank dropped
+    std::vector<std::uint64_t> changed_;   // step 4, one bit per column: cell changed
     std::vector<Time> labels_;          // rank -> original instant label
     std::vector<std::int32_t> slot_;    // node -> scratch slot, -1 when inactive
     std::vector<NodeId> active_;        // nodes with a scratch slot this instant
@@ -363,8 +365,8 @@ void TemporalReachability::process_instant(std::uint32_t rank, Time label, Sink&
     // emitted, and state_ is empty, so taking row pointers below would be
     // out of bounds.
     if (width == 0) return;
-    // The relaxation dispatch, resolved once per instant (the ISA cannot
-    // change mid-scan; see util/simd.hpp).
+    // The SIMD dispatch of steps 3 and 4, resolved once per instant (the ISA
+    // cannot change mid-scan; see util/simd.hpp).
     const simd::Ops& vec = simd::ops();
 
     // 1. Assign scratch slots to every node touched at this instant.
@@ -423,35 +425,37 @@ void TemporalReachability::process_instant(std::uint32_t rank, Time label, Sink&
 
         // 4. Every strict arrival improvement is a minimal trip departing at
         //    this instant; any value change feeds the distance accumulator.
-        //    Most cells survive a relaxation unchanged, so the dispatched
-        //    next_mismatch skips equal runs a whole SIMD register at a time;
-        //    consecutive changed cells are consumed by the inner inline loop
-        //    so dense change bursts pay one indirect call per run, not per
-        //    cell.
+        //    One dispatched pass compares the relaxed row with its
+        //    pre-instant copy and marks both kinds of cell, 64 columns per
+        //    word (bit j is column col_begin_ + j); the set bits are then
+        //    walked in increasing v.
         const PackedState* old_row = &scratch_[static_cast<std::size_t>(slot_[u]) * width];
-        std::size_t j = vec.next_mismatch(row, old_row, 0, width);
-        while (j < width) {
-            const PackedState now = row[j];
-            const PackedState before = old_row[j];
-            const NodeId v = col_begin_ + static_cast<NodeId>(j);
-            const auto new_rank = static_cast<std::uint32_t>(now >> 32);
-            const auto old_rank = static_cast<std::uint32_t>(before >> 32);
-            if (options.distances != nullptr) {
-                const Time old_arr =
-                    old_rank == kUnreachableRank ? kInfiniteTime : decode(old_rank);
-                const Hops old_hops = old_rank == kUnreachableRank
-                                          ? kInfiniteHops
-                                          : static_cast<Hops>(static_cast<std::uint32_t>(before));
-                options.distances->record_change(u, v, label, old_arr, old_hops);
+        vec.diff_masks(row, old_row, width, improved_.data(), changed_.data());
+        const std::uint64_t* walk = options.distances != nullptr ? changed_.data()
+                                                                 : improved_.data();
+        for (std::size_t word = 0; word * 64 < width; ++word) {
+            const std::uint64_t improved = improved_[word];
+            for (std::uint64_t bits = walk[word]; bits != 0; bits &= bits - 1) {
+                const auto bit = static_cast<unsigned>(__builtin_ctzll(bits));
+                const std::size_t j = word * 64 + bit;
+                const NodeId v = col_begin_ + static_cast<NodeId>(j);
+                if (options.distances != nullptr) {
+                    const PackedState before = old_row[j];
+                    const auto old_rank = static_cast<std::uint32_t>(before >> 32);
+                    const Time old_arr =
+                        old_rank == kUnreachableRank ? kInfiniteTime : decode(old_rank);
+                    const Hops old_hops =
+                        old_rank == kUnreachableRank
+                            ? kInfiniteHops
+                            : static_cast<Hops>(static_cast<std::uint32_t>(before));
+                    options.distances->record_change(u, v, label, old_arr, old_hops);
+                }
+                if ((improved >> bit) & 1u) {
+                    const PackedState now = row[j];
+                    sink(MinimalTrip{u, v, label, decode(static_cast<std::uint32_t>(now >> 32)),
+                                     static_cast<Hops>(static_cast<std::uint32_t>(now))});
+                }
             }
-            if (new_rank < old_rank) {
-                sink(MinimalTrip{u, v, label, decode(new_rank),
-                                 static_cast<Hops>(static_cast<std::uint32_t>(now))});
-            }
-            ++j;
-            if (j < width && row[j] != old_row[j]) continue;
-            if (j >= width) break;
-            j = vec.next_mismatch(row, old_row, j + 1, width);
         }
     }
 

@@ -36,12 +36,25 @@ void copy_bump_scalar(std::byte* dst, const std::byte* src, std::size_t count) {
     }
 }
 
-std::size_t next_mismatch_scalar(const std::uint64_t* a, const std::uint64_t* b,
-                                 std::size_t begin, std::size_t width) {
-    for (std::size_t j = begin; j < width; ++j) {
-        if (a[j] != b[j]) return j;
+/// Sets bit k of the two mask words for one (now, before) cell pair.
+inline void mark_cell(std::uint64_t now, std::uint64_t before, std::size_t k,
+                      std::uint64_t& improved, std::uint64_t& changed) {
+    improved |= static_cast<std::uint64_t>((now >> 32) < (before >> 32)) << k;
+    changed |= static_cast<std::uint64_t>(now != before) << k;
+}
+
+void diff_masks_scalar(const std::uint64_t* now, const std::uint64_t* before,
+                       std::size_t width, std::uint64_t* improved, std::uint64_t* changed) {
+    for (std::size_t base = 0; base < width; base += 64) {
+        const std::size_t cells = width - base < 64 ? width - base : 64;
+        std::uint64_t imp = 0;
+        std::uint64_t chg = 0;
+        for (std::size_t k = 0; k < cells; ++k) {
+            mark_cell(now[base + k], before[base + k], k, imp, chg);
+        }
+        improved[base / 64] = imp;
+        changed[base / 64] = chg;
     }
-    return width;
 }
 
 #if NATSCALE_SIMD_X86
@@ -94,25 +107,39 @@ __attribute__((target("avx2"))) void copy_bump_avx2(std::byte* dst, const std::b
     }
 }
 
-__attribute__((target("avx2"))) std::size_t next_mismatch_avx2(const std::uint64_t* a,
-                                                               const std::uint64_t* b,
-                                                               std::size_t begin,
-                                                               std::size_t width) {
-    std::size_t j = begin;
-    for (; j + 4 <= width; j += 4) {
-        const __m256i eq = _mm256_cmpeq_epi64(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + j)),
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j)));
-        const unsigned lanes_equal =
-            static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(eq)));
-        if (lanes_equal != 0xFu) {
-            return j + static_cast<std::size_t>(__builtin_ctz(~lanes_equal & 0xFu));
+// A shifted rank fits in 32 bits, so the signed vpcmpgtq orders it without
+// the sign flip the relaxation needs.  Four cells per register, sixteen
+// registers per bitmap word; a tail of fewer than four cells runs the
+// scalar loop.
+__attribute__((target("avx2"))) void diff_masks_avx2(const std::uint64_t* now,
+                                                     const std::uint64_t* before,
+                                                     std::size_t width,
+                                                     std::uint64_t* improved,
+                                                     std::uint64_t* changed) {
+    for (std::size_t base = 0; base < width; base += 64) {
+        const std::size_t cells = width - base < 64 ? width - base : 64;
+        std::uint64_t imp = 0;
+        std::uint64_t chg = 0;
+        std::size_t k = 0;
+        for (; k + 4 <= cells; k += 4) {
+            const __m256i a =
+                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(now + base + k));
+            const __m256i b =
+                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(before + base + k));
+            const __m256i dropped =
+                _mm256_cmpgt_epi64(_mm256_srli_epi64(b, 32), _mm256_srli_epi64(a, 32));
+            const __m256i equal = _mm256_cmpeq_epi64(a, b);
+            imp |= static_cast<std::uint64_t>(
+                       _mm256_movemask_pd(_mm256_castsi256_pd(dropped)))
+                   << k;
+            chg |= static_cast<std::uint64_t>(
+                       ~_mm256_movemask_pd(_mm256_castsi256_pd(equal)) & 0xF)
+                   << k;
         }
+        for (; k < cells; ++k) mark_cell(now[base + k], before[base + k], k, imp, chg);
+        improved[base / 64] = imp;
+        changed[base / 64] = chg;
     }
-    for (; j < width; ++j) {
-        if (a[j] != b[j]) return j;
-    }
-    return width;
 }
 
 // --- AVX-512 ---------------------------------------------------------------
@@ -166,24 +193,41 @@ __attribute__((target("avx512f"))) void copy_bump_avx512(std::byte* dst,
     }
 }
 
-__attribute__((target("avx512f"))) std::size_t next_mismatch_avx512(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t begin,
-    std::size_t width) {
-    std::size_t j = begin;
-    for (; j + 8 <= width; j += 8) {
-        const __mmask8 ne = _mm512_cmpneq_epu64_mask(_mm512_loadu_si512(a + j),
-                                                     _mm512_loadu_si512(b + j));
-        if (ne != 0) return j + static_cast<std::size_t>(__builtin_ctz(ne));
+// Eight cells per register, eight registers per bitmap word; the last
+// register of a row is a masked load and a masked compare, so no bit past
+// width can be set.
+__attribute__((target("avx512f"))) void diff_masks_avx512(const std::uint64_t* now,
+                                                          const std::uint64_t* before,
+                                                          std::size_t width,
+                                                          std::uint64_t* improved,
+                                                          std::uint64_t* changed) {
+    for (std::size_t base = 0; base < width; base += 64) {
+        const std::size_t cells = width - base < 64 ? width - base : 64;
+        std::uint64_t imp = 0;
+        std::uint64_t chg = 0;
+        std::size_t k = 0;
+        for (; k + 8 <= cells; k += 8) {
+            const __m512i a = _mm512_loadu_si512(now + base + k);
+            const __m512i b = _mm512_loadu_si512(before + base + k);
+            imp |= static_cast<std::uint64_t>(_mm512_cmplt_epu64_mask(
+                       _mm512_srli_epi64(a, 32), _mm512_srli_epi64(b, 32)))
+                   << k;
+            chg |= static_cast<std::uint64_t>(_mm512_cmpneq_epu64_mask(a, b)) << k;
+        }
+        if (k < cells) {
+            const __mmask8 m = static_cast<__mmask8>((1u << (cells - k)) - 1);
+            const __m512i a =
+                _mm512_mask_loadu_epi64(_mm512_setzero_si512(), m, now + base + k);
+            const __m512i b =
+                _mm512_mask_loadu_epi64(_mm512_setzero_si512(), m, before + base + k);
+            imp |= static_cast<std::uint64_t>(_mm512_mask_cmplt_epu64_mask(
+                       m, _mm512_srli_epi64(a, 32), _mm512_srli_epi64(b, 32)))
+                   << k;
+            chg |= static_cast<std::uint64_t>(_mm512_mask_cmpneq_epu64_mask(m, a, b)) << k;
+        }
+        improved[base / 64] = imp;
+        changed[base / 64] = chg;
     }
-    const std::size_t rem = width - j;
-    if (rem != 0) {
-        const __mmask8 m = static_cast<__mmask8>((1u << rem) - 1);
-        const __mmask8 ne = _mm512_mask_cmpneq_epu64_mask(
-            m, _mm512_mask_loadu_epi64(_mm512_setzero_si512(), m, a + j),
-            _mm512_mask_loadu_epi64(_mm512_setzero_si512(), m, b + j));
-        if (ne != 0) return j + static_cast<std::size_t>(__builtin_ctz(ne));
-    }
-    return width;
 }
 
 #if defined(__GNUC__) && !defined(__clang__)
@@ -218,32 +262,20 @@ void copy_bump_neon(std::byte* dst, const std::byte* src, std::size_t count) {
     }
 }
 
-std::size_t next_mismatch_neon(const std::uint64_t* a, const std::uint64_t* b,
-                               std::size_t begin, std::size_t width) {
-    std::size_t j = begin;
-    for (; j + 2 <= width; j += 2) {
-        const uint64x2_t eq = vceqq_u64(vld1q_u64(a + j), vld1q_u64(b + j));
-        if (vminvq_u32(vreinterpretq_u32_u64(eq)) != 0xFFFFFFFFu) {
-            return vgetq_lane_u64(eq, 0) == 0 ? j : j + 1;
-        }
-    }
-    if (j < width && a[j] != b[j]) return j;
-    return width;
-}
-
 #endif  // NATSCALE_SIMD_NEON
 
 simd::Ops ops_for(SimdIsa isa) {
     switch (isa) {
 #if NATSCALE_SIMD_X86
         case SimdIsa::avx2:
-            return {&packed_min_add1_avx2, &copy_bump_avx2, &next_mismatch_avx2};
+            return {&packed_min_add1_avx2, &copy_bump_avx2, &diff_masks_avx2};
         case SimdIsa::avx512:
-            return {&packed_min_add1_avx512, &copy_bump_avx512, &next_mismatch_avx512};
+            return {&packed_min_add1_avx512, &copy_bump_avx512, &diff_masks_avx512};
 #endif
 #if NATSCALE_SIMD_NEON
         case SimdIsa::neon:
-            return {&packed_min_add1_neon, &copy_bump_neon, &next_mismatch_neon};
+            // The mask op runs the portable loop (docs/simd.md).
+            return {&packed_min_add1_neon, &copy_bump_neon, &diff_masks_scalar};
 #endif
         default:
             return simd::kScalarOps;
@@ -355,8 +387,7 @@ bool set_simd_isa(SimdIsa isa) {
 
 namespace simd {
 
-const Ops kScalarOps = {&packed_min_add1_scalar, &copy_bump_scalar,
-                        &next_mismatch_scalar};
+const Ops kScalarOps = {&packed_min_add1_scalar, &copy_bump_scalar, &diff_masks_scalar};
 
 const Ops& ops() { return dispatch().ops; }
 

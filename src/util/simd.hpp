@@ -1,15 +1,18 @@
 // Runtime-dispatched SIMD kernels for the packed reachability hot loops.
 //
 // The dense backward DP (temporal/reachability.hpp) spends almost all of its
-// time in one data-parallel statement — `row[j] = min(row[j], wrow[j] + 1)`
-// over a contiguous span of packed uint64 (arrival_rank << 32 | hops) cells —
-// and the sparse backend's candidate generation is a 16-byte-record copy that
-// adds 1 to the hops lane.  Both are pure unsigned integer operations, so a
-// vector implementation is bit-identical to the scalar loop by construction:
-// there is no floating point, no reassociation, no per-lane control flow.
+// time in two data-parallel steps over a contiguous span of packed uint64
+// (arrival_rank << 32 | hops) cells: the relaxation
+// `row[j] = min(row[j], wrow[j] + 1)`, and the comparison of each relaxed
+// row with its pre-instant copy that finds the cells the relaxation improved
+// (each one a minimal trip).  The sparse backend's candidate generation is a
+// 16-byte-record copy that adds 1 to the hops lane.  All three are pure
+// unsigned integer operations, so a vector implementation is bit-identical
+// to the scalar loop by construction: there is no floating point, no
+// reassociation, no per-lane control flow.
 //
-// This header exposes those two operations behind one function-pointer table
-// resolved once per process:
+// This header exposes those three operations behind one function-pointer
+// table resolved once per process:
 //
 //   isa        packed u64 min            availability
 //   ---------  ------------------------  -----------------------------------
@@ -19,7 +22,12 @@
 //                                        signed domain after XOR 1<<63)
 //   avx512     vpminuq (512-bit)         x86-64 with AVX-512F (masked tail,
 //                                        no scalar remainder loop at all)
-//   neon       vcgtq_u64 + vbslq_u64     AArch64 (NEON is baseline there)
+//   neon       vcgtq_u64 + vbslq_u64     AArch64 (NEON is baseline there;
+//                                        the mask op runs the portable loop)
+//
+// The mask op compares arrival ranks after a 32-bit right shift.  A shifted
+// rank fits in 32 bits, so AVX2's signed vpcmpgtq needs no sign flip there;
+// AVX-512 compares straight into mask registers.
 //
 // Selection order: NATSCALE_SIMD environment variable if set
 // (auto|scalar|avx2|avx512|neon), else the strongest ISA the CPU reports
@@ -78,7 +86,7 @@ bool set_simd_isa(SimdIsa isa);
 
 namespace simd {
 
-/// The two hot operations, one pointer each.  All implementations are
+/// The three hot operations, one pointer each.  All implementations are
 /// bit-exact; the table only changes which instructions compute the result.
 struct Ops {
     /// row[j] = min(row[j], wrow[j] + 1) over width unsigned 64-bit cells
@@ -93,12 +101,16 @@ struct Ops {
     void (*copy_bump_second_u32)(std::byte* dst, const std::byte* src,
                                  std::size_t count);
 
-    /// Smallest j in [begin, width) with a[j] != b[j], or width when the
-    /// ranges agree (the dense DP's trip-emission scan: most cells are
-    /// unchanged after a relaxation, so the vector paths skip runs of equal
-    /// cells a whole register at a time).  Precondition: begin <= width.
-    std::size_t (*next_mismatch)(const std::uint64_t* a, const std::uint64_t* b,
-                                 std::size_t begin, std::size_t width);
+    /// Compares a relaxed row with its pre-instant copy, one bit per cell:
+    /// bit j % 64 of word j / 64 of `improved` is set when
+    /// (now[j] >> 32) < (before[j] >> 32) — the arrival rank strictly
+    /// dropped, so the dense DP emits a minimal trip for cell j — and of
+    /// `changed` when now[j] != before[j] (the distance accumulator also
+    /// records changes in hops alone).  Writes exactly ceil(width / 64)
+    /// words of each bitmap; bits at or past width are 0.
+    void (*diff_masks)(const std::uint64_t* now, const std::uint64_t* before,
+                       std::size_t width, std::uint64_t* improved,
+                       std::uint64_t* changed);
 };
 
 /// The table for the active ISA.  Resolved (environment override applied)

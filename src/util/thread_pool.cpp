@@ -3,12 +3,15 @@
 #include <algorithm>
 
 #include "obs/trace.hpp"
+#include "util/contracts.hpp"
 
 namespace natscale {
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
+    NATSCALE_EXPECTS(num_threads <= kMaxThreads);
     if (num_threads == 0) {
-        num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+        num_threads =
+            std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1, kMaxThreads);
     }
     workers_.reserve(num_threads - 1);
     for (std::size_t worker = 1; worker < num_threads; ++worker) {

@@ -27,8 +27,15 @@ namespace natscale {
 
 class ThreadPool {
 public:
+    /// Largest concurrency a pool takes.  Results are identical at every
+    /// count, so the ceiling only keeps a mistyped count from starting that
+    /// many OS threads; the command-line thread flags reject counts above it
+    /// while parsing (examples/example_cli.hpp).
+    static constexpr std::size_t kMaxThreads = 1024;
+
     /// `num_threads` is the total concurrency, counting the calling thread
-    /// of parallel_for; 0 picks the hardware concurrency (at least 1).
+    /// of parallel_for; 0 picks the hardware concurrency (at least 1, at
+    /// most kMaxThreads).  Precondition: num_threads <= kMaxThreads.
     explicit ThreadPool(std::size_t num_threads = 0);
     ~ThreadPool();
 

@@ -97,6 +97,29 @@ TEST(ExampleCliDeath, KeyValueWithoutEqualsOrKeyNamesTheFlag) {
                 ::testing::ExitedWithCode(2), "'=40' for option '--param'");
 }
 
+TEST(ExampleCliParsers, ThreadCountsUpToTheCeilingAndGridPointsFromTwo) {
+    EXPECT_EQ(parse_thread_count("--threads=0", "--threads="), 0u);
+    EXPECT_EQ(parse_thread_count("--workers=1024", "--workers="), ThreadPool::kMaxThreads);
+    EXPECT_EQ(parse_grid_points("--points=2", "--points="), 2u);
+}
+
+TEST(ExampleCliDeath, ThreadCountAboveTheCeilingNamesTheFlag) {
+    EXPECT_EXIT(parse_thread_count("--threads=1025", "--threads="),
+                ::testing::ExitedWithCode(2),
+                "'1025' for option '--threads' \\(expected at most 1024\\)");
+    EXPECT_EXIT(parse_thread_count("--engine-threads=99999999999", "--engine-threads="),
+                ::testing::ExitedWithCode(2), "'99999999999' for option '--engine-threads'");
+    EXPECT_EXIT(parse_thread_count("--workers=-2", "--workers="),
+                ::testing::ExitedWithCode(2), "'-2' for option '--workers'");
+}
+
+TEST(ExampleCliDeath, GridPointsBelowTwoNameTheFlag) {
+    EXPECT_EXIT(parse_grid_points("--points=1", "--points="), ::testing::ExitedWithCode(2),
+                "'1' for option '--points' \\(expected at least 2\\)");
+    EXPECT_EXIT(parse_grid_points("--points=0", "--points="), ::testing::ExitedWithCode(2),
+                "'0' for option '--points'");
+}
+
 TEST(ExampleCliParsers, ParseDelimiterNamesAndLiterals) {
     EXPECT_EQ(parse_delimiter("--delimiter=tab", "--delimiter="), '\t');
     EXPECT_EQ(parse_delimiter("--delimiter=space", "--delimiter="), ' ');

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "linkstream/aggregation.hpp"
@@ -16,6 +17,7 @@
 #include "temporal/legacy_reachability.hpp"
 #include "temporal/minimal_trip.hpp"
 #include "temporal/reachability.hpp"
+#include "temporal/sparse_reachability.hpp"
 #include "util/rng.hpp"
 
 namespace natscale {
@@ -287,6 +289,120 @@ TEST(PackedReachability, ColumnScanStateMatchesFullScan) {
             ASSERT_EQ(restricted.hop_count(u, v), full.hop_count(u, v)) << u << "," << v;
         }
     }
+}
+
+// --- rows spanning several 64-cell words -------------------------------------
+//
+// The dense kernel finds the improved cells of a relaxed row 64 columns at a
+// time; the cases below put columns past the first word (and, from n = 130,
+// past the second) under every entry point.
+
+/// True when some trip reaches a column past the first `words` 64-cell words,
+/// so a comparison over `trips` is not vacuous for the later words.
+bool reaches_word(const std::vector<MinimalTrip>& trips, NodeId words) {
+    return std::any_of(trips.begin(), trips.end(),
+                       [&](const MinimalTrip& t) { return t.v >= 64 * words; });
+}
+
+TEST(PackedReachability, MultiWordSeriesTripSequenceIdenticalToLegacy) {
+    for (const NodeId n : {65u, 130u, 200u}) {
+        for (const bool directed : {false, true}) {
+            const auto stream = random_stream(n + 5, n, 10 * n, 5'000, directed);
+            for (const Time delta : {1, 50, 500}) {
+                SCOPED_TRACE("n=" + std::to_string(n) + " directed=" +
+                             std::to_string(directed) + " delta=" + std::to_string(delta));
+                const auto series = aggregate(stream, delta);
+                TemporalReachability packed;
+                LegacyTemporalReachability legacy;
+                const auto expected = series_trips(legacy, series);
+                ASSERT_TRUE(reaches_word(expected, (n - 1) / 64));
+                expect_same_sequence(series_trips(packed, series), expected, "series");
+            }
+        }
+    }
+}
+
+TEST(PackedReachability, MultiWordStreamTripSequenceIdenticalToLegacy) {
+    const auto stream = random_stream(61, 130, 900, 3'000, false);
+    TemporalReachability packed;
+    LegacyTemporalReachability legacy;
+    const auto expected = stream_trips(legacy, stream);
+    ASSERT_TRUE(reaches_word(expected, 2));
+    expect_same_sequence(stream_trips(packed, stream), expected, "stream");
+}
+
+TEST(PackedReachability, MultiWordDistanceAccumulationIdenticalToLegacy) {
+    const auto stream = random_stream(67, 130, 1'300, 4'000, false);
+    const auto series = aggregate(stream, 40);
+    DistanceAccumulator packed_distances;
+    DistanceAccumulator legacy_distances;
+    ReachabilityOptions packed_options;
+    packed_options.distances = &packed_distances;
+    ReachabilityOptions legacy_options;
+    legacy_options.distances = &legacy_distances;
+    TemporalReachability packed;
+    LegacyTemporalReachability legacy;
+    std::vector<MinimalTrip> packed_trips;
+    std::vector<MinimalTrip> legacy_trips;
+    packed.scan_series(series, [&](const MinimalTrip& t) { packed_trips.push_back(t); },
+                       packed_options);
+    legacy.scan_series(series, [&](const MinimalTrip& t) { legacy_trips.push_back(t); },
+                       legacy_options);
+    ASSERT_TRUE(reaches_word(legacy_trips, 2));
+    expect_same_sequence(packed_trips, legacy_trips, "distances");
+    EXPECT_EQ(packed_distances.stats().dtime_sum, legacy_distances.stats().dtime_sum);
+    EXPECT_EQ(packed_distances.stats().dhops_sum, legacy_distances.stats().dhops_sum);
+    EXPECT_EQ(packed_distances.stats().finite_count, legacy_distances.stats().finite_count);
+}
+
+TEST(PackedReachability, MultiWordColumnShardsMatchLegacyFullScan) {
+    // Shards of width 1, 62, 67 and 70, starting inside, at the end of and
+    // past the first word: each shard's first column is its bit 0.
+    for (const bool directed : {false, true}) {
+        const auto stream = random_stream(71, 200, 2'000, 5'000, directed);
+        const auto series = aggregate(stream, 50);
+        LegacyTemporalReachability legacy;
+        const auto full = series_trips(legacy, series);
+        ASSERT_TRUE(reaches_word(full, 3));
+        const std::vector<ColumnShard> partition = {{0, 1}, {1, 63}, {63, 130}, {130, 200}};
+        TemporalReachability engine;  // reused across shards on purpose
+        std::size_t stitched = 0;
+        for (const auto& shard : partition) {
+            std::vector<MinimalTrip> shard_trips;
+            engine.scan_series_columns(series, shard.begin, shard.end,
+                                       [&](const MinimalTrip& t) { shard_trips.push_back(t); });
+            std::vector<MinimalTrip> expected;
+            for (const auto& t : full) {
+                if (t.v >= shard.begin && t.v < shard.end) expected.push_back(t);
+            }
+            ASSERT_FALSE(expected.empty()) << shard.begin;
+            expect_same_sequence(shard_trips, expected, "shard");
+            stitched += shard_trips.size();
+        }
+        EXPECT_EQ(stitched, full.size());
+    }
+}
+
+TEST(PackedReachability, MultiWordRelaxWindowMatchesSparseRelaxInstant) {
+    // The reversed form `watch` and `natscaled` run: window k of the dense
+    // kernel against the sparse kernel's instant labelled -k.
+    const auto stream = random_stream(73, 130, 1'300, 4'000, false);
+    const auto series = aggregate(stream, 40);
+    SparseTemporalReachability sparse;
+    TemporalReachability dense;
+    std::vector<MinimalTrip> expected;
+    std::vector<MinimalTrip> got;
+    sparse.begin(series.num_nodes());
+    dense.begin(series.num_nodes());
+    for (const auto& snapshot : series.snapshots()) {
+        sparse.relax_instant(snapshot.edges, series.directed(), -snapshot.k,
+                             [&](const MinimalTrip& t) { expected.push_back(t); });
+        dense.relax_window(snapshot.edges, series.directed(), snapshot.k,
+                           [&](const MinimalTrip& t) { got.push_back(t); });
+    }
+    ASSERT_TRUE(reaches_word(expected, 2));
+    expect_same_sequence(got, expected, "reversed");
+    EXPECT_EQ(dense.state_rows(), sparse.state_rows());
 }
 
 TEST(PackedReachability, ColumnScanRejectsDistanceAccumulation) {

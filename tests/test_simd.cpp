@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/delta_grid.hpp"
@@ -96,7 +97,7 @@ TEST(SimdDispatch, SetSwitchesTheTableAndRejectsUnsupported) {
     EXPECT_EQ(active_simd_isa(), SimdIsa::scalar);
     EXPECT_EQ(simd::ops().packed_min_add1, simd::kScalarOps.packed_min_add1);
     EXPECT_EQ(simd::ops().copy_bump_second_u32, simd::kScalarOps.copy_bump_second_u32);
-    EXPECT_EQ(simd::ops().next_mismatch, simd::kScalarOps.next_mismatch);
+    EXPECT_EQ(simd::ops().diff_masks, simd::kScalarOps.diff_masks);
     for (const SimdIsa isa :
          {SimdIsa::scalar, SimdIsa::avx2, SimdIsa::avx512, SimdIsa::neon}) {
         if (simd_isa_supported(isa)) {
@@ -149,45 +150,84 @@ TEST(SimdKernels, CopyBumpSecondU32MatchesScalarAtEveryCount) {
     }
 }
 
-TEST(SimdKernels, NextMismatchMatchesScalarForEveryBeginAndPosition) {
+/// One (now, before) row pair of the mask op's test: every cell is one of
+/// the cases the dense kernel meets, picked at random.
+struct MaskRows {
+    std::vector<std::uint64_t> now;
+    std::vector<std::uint64_t> before;
+};
+
+MaskRows mask_rows(Rng& rng, std::size_t width) {
+    constexpr std::uint64_t kUnreachable = 0xFFFFFFFF00000000ULL;
+    constexpr std::uint64_t kRankOne = 1ULL << 32;
+    MaskRows rows{random_packed(rng, width), random_packed(rng, width)};
+    for (std::size_t j = 0; j < width; ++j) {
+        std::uint64_t& now = rows.now[j];
+        std::uint64_t& before = rows.before[j];
+        switch (rng.uniform_index(7)) {
+            case 0:  // equal
+                now = before;
+                break;
+            case 1:  // hops alone changed: changed, not improved
+                now = before ^ 1;
+                break;
+            case 2:  // arrival rank decreased
+                before |= kRankOne;
+                now = before - kRankOne;
+                break;
+            case 3:  // unreachable -> reachable
+                before = kUnreachable;
+                break;
+            case 4:  // ranks straddling 2^31: an unsigned compare is needed
+                before = (0x80000000ULL << 32) | 5;
+                now = (0x7FFFFFFFULL << 32) | 9;
+                if (rng.uniform_index(2) == 0) std::swap(now, before);
+                break;
+            default:  // independent random cells
+                break;
+        }
+    }
+    return rows;
+}
+
+TEST(SimdKernels, DiffMasksMatchesScalarAtEveryWidth) {
     IsaGuard guard;
+    // Written after the ceil(width / 64) output words of each bitmap; the
+    // op must leave it alone.
+    constexpr std::uint64_t kCanary = 0xC0FFEE0DDBA11F00ULL;
+    Rng rng(19);
     for (const SimdIsa isa : supported_simd_isas()) {
         ASSERT_TRUE(set_simd_isa(isa));
         const simd::Ops& vec = simd::ops();
-        // Exhaustive: every single-mismatch position x every begin, plus the
-        // all-equal row, at widths straddling both register sizes.
-        for (const std::size_t width : {std::size_t{0}, std::size_t{1}, std::size_t{7},
-                                        std::size_t{8}, std::size_t{9}, std::size_t{17},
-                                        std::size_t{33}}) {
-            std::vector<std::uint64_t> a(width, 42), b(width, 42);
-            for (std::size_t begin = 0; begin <= width; ++begin) {
-                ASSERT_EQ(vec.next_mismatch(a.data(), b.data(), begin, width), width)
-                    << "isa=" << to_string(isa) << " width=" << width;
-            }
-            for (std::size_t pos = 0; pos < width; ++pos) {
-                b[pos] = 7;
-                for (std::size_t begin = 0; begin <= width; ++begin) {
-                    const std::size_t expected = begin <= pos ? pos : width;
-                    ASSERT_EQ(vec.next_mismatch(a.data(), b.data(), begin, width), expected)
-                        << "isa=" << to_string(isa) << " width=" << width
-                        << " pos=" << pos << " begin=" << begin;
-                }
-                b[pos] = 42;
-            }
-        }
-        // Randomized multi-mismatch rows against the scalar reference.
-        Rng rng(17);
         for (const std::size_t width : kWidths) {
-            auto a = random_packed(rng, width);
-            auto b = a;
-            for (std::size_t k = 0; k < width / 3 + 1 && width > 0; ++k) {
-                b[rng.uniform_index(width)] ^= 1;
-            }
-            for (std::size_t begin = 0; begin <= width; ++begin) {
-                ASSERT_EQ(vec.next_mismatch(a.data(), b.data(), begin, width),
-                          simd::kScalarOps.next_mismatch(a.data(), b.data(), begin, width))
-                    << "isa=" << to_string(isa) << " width=" << width
-                    << " begin=" << begin;
+            const std::size_t words = (width + 63) / 64;
+            for (int round = 0; round < 4; ++round) {
+                const MaskRows rows = mask_rows(rng, width);
+                std::vector<std::uint64_t> want_improved(words + 1, kCanary);
+                std::vector<std::uint64_t> want_changed(words + 1, kCanary);
+                simd::kScalarOps.diff_masks(rows.now.data(), rows.before.data(), width,
+                                            want_improved.data(), want_changed.data());
+                // The scalar reference against the definition, bit by bit.
+                for (std::size_t j = 0; j < words * 64; ++j) {
+                    const bool improved =
+                        j < width && (rows.now[j] >> 32) < (rows.before[j] >> 32);
+                    const bool changed = j < width && rows.now[j] != rows.before[j];
+                    ASSERT_EQ((want_improved[j / 64] >> (j % 64)) & 1, improved ? 1u : 0u)
+                        << "width=" << width << " j=" << j;
+                    ASSERT_EQ((want_changed[j / 64] >> (j % 64)) & 1, changed ? 1u : 0u)
+                        << "width=" << width << " j=" << j;
+                }
+                ASSERT_EQ(want_improved[words], kCanary);
+                ASSERT_EQ(want_changed[words], kCanary);
+
+                std::vector<std::uint64_t> improved(words + 1, kCanary);
+                std::vector<std::uint64_t> changed(words + 1, kCanary);
+                vec.diff_masks(rows.now.data(), rows.before.data(), width, improved.data(),
+                               changed.data());
+                ASSERT_EQ(improved, want_improved)
+                    << "isa=" << to_string(isa) << " width=" << width;
+                ASSERT_EQ(changed, want_changed)
+                    << "isa=" << to_string(isa) << " width=" << width;
             }
         }
     }

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/contracts.hpp"
 #include "util/thread_pool.hpp"
 
 namespace natscale {
@@ -113,6 +114,12 @@ TEST(ThreadPool, MaxWorkersCapsParticipation) {
 TEST(ThreadPool, ResolveConcurrencyRule) {
     EXPECT_EQ(ThreadPool(3).concurrency(), 3u);
     EXPECT_GE(ThreadPool(0).concurrency(), 1u);
+}
+
+TEST(ThreadPool, RejectsCountsAboveTheCeilingBeforeStartingThreads) {
+    // The check runs first, so no thread of the refused pool ever starts.
+    EXPECT_THROW(ThreadPool(ThreadPool::kMaxThreads + 1), contract_error);
+    EXPECT_LE(ThreadPool(0).concurrency(), ThreadPool::kMaxThreads);
 }
 
 }  // namespace
