@@ -18,7 +18,7 @@
 // (`--benchmark_filter=PackedVsLegacy|ColumnScaling|ScalarVsSimd`):
 // the packed 8 B/pair kernel against the retired 12 B scalar kernel on the
 // same workloads, a one-period DeltaSweepEngine grid (column-sharded over
-// the pool) at 1/2/4/8 threads, and the same dense/sparse scans under every SIMD
+// the pool) at 1/2/4/8 threads, and the same dense scan under every SIMD
 // dispatch (one row per ISA; rows for ISAs this machine cannot execute run
 // the strongest supported path instead and say so via the supported/fallback
 // counters — see docs/simd.md for how to read them).  CI uploads both from
@@ -258,39 +258,6 @@ BENCHMARK_CAPTURE(BM_ScalarVsSimd_DenseSeries, scalar, SimdIsa::scalar)
 BENCHMARK_CAPTURE(BM_ScalarVsSimd_DenseSeries, avx2, SimdIsa::avx2)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ScalarVsSimd_DenseSeries, avx512, SimdIsa::avx512)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ScalarVsSimd_DenseSeries, neon, SimdIsa::neon)
-    ->Unit(benchmark::kMillisecond);
-
-/// Sparse-backend counterpart: candidate generation (copy_bump_second_u32)
-/// is the vectorized stage there; n = 4096 keeps the scan in the sparse
-/// regime of the crossover sweep.
-void BM_ScalarVsSimd_SparseSeries(benchmark::State& state, SimdIsa isa) {
-    const bool supported = simd_isa_supported(isa);
-    const SimdIsa previous = active_simd_isa();
-    set_simd_isa(supported ? isa : detect_simd_isa());
-    const auto series = crossover_series(4096);
-    SparseTemporalReachability engine;
-    std::uint64_t trips = 0;
-    for (auto _ : state) {
-        trips = 0;
-        engine.scan_series(series, [&](const MinimalTrip&) { ++trips; });
-        benchmark::DoNotOptimize(trips);
-    }
-    state.counters["supported"] = supported ? 1.0 : 0.0;
-    state.counters["fallback"] = supported ? 0.0 : 1.0;
-    state.counters["n"] = 4096.0;
-    state.counters["M"] = static_cast<double>(series.total_edges());
-    state.counters["trips"] = static_cast<double>(trips);
-    set_simd_isa(previous);
-}
-BENCHMARK_CAPTURE(BM_ScalarVsSimd_SparseSeries, scalar, SimdIsa::scalar)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ScalarVsSimd_SparseSeries, avx2, SimdIsa::avx2)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ScalarVsSimd_SparseSeries, avx512, SimdIsa::avx512)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ScalarVsSimd_SparseSeries, neon, SimdIsa::neon)
     ->Unit(benchmark::kMillisecond);
 
 /// Intra-scan thread scaling: the crossover period of the n = 1024 stream

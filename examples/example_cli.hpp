@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -55,24 +56,33 @@ inline std::size_t parse_count(const std::string& arg, const std::string& flag) 
     }
 }
 
-/// Thread count of `--threads=` / `--workers=` / `--engine-threads=`: a
-/// count as parse_count reads it, at most ThreadPool::kMaxThreads.  A larger
-/// one exits 2 naming the flag, before any thread starts.
-inline std::size_t parse_thread_count(const std::string& arg, const std::string& flag) {
+/// A count as parse_count reads it, within [min, max]; exits 2 naming the
+/// flag and the bound it broke otherwise.  Callers that narrow the result
+/// (to std::uint32_t, to Time) pass the target type's maximum, so no value
+/// wraps on the way.
+inline std::size_t parse_bounded_count(const std::string& arg, const std::string& flag,
+                                       std::size_t min, std::size_t max) {
     const std::size_t count = parse_count(arg, flag);
-    if (count > ThreadPool::kMaxThreads) {
-        invalid_value(flag, option_value(arg, flag),
-                      ("at most " + std::to_string(ThreadPool::kMaxThreads)).c_str());
+    if (count < min) {
+        invalid_value(flag, option_value(arg, flag), ("at least " + std::to_string(min)).c_str());
+    }
+    if (count > max) {
+        invalid_value(flag, option_value(arg, flag), ("at most " + std::to_string(max)).c_str());
     }
     return count;
+}
+
+/// Thread count of `--threads=` / `--workers=` / `--engine-threads=`: at
+/// most ThreadPool::kMaxThreads.  A larger one exits 2 naming the flag,
+/// before any thread starts.
+inline std::size_t parse_thread_count(const std::string& arg, const std::string& flag) {
+    return parse_bounded_count(arg, flag, 0, ThreadPool::kMaxThreads);
 }
 
 /// `--points=` of a geometric Δ grid: a count of at least 2, since the grid
 /// spans two ends; exits 2 naming the flag otherwise.
 inline std::size_t parse_grid_points(const std::string& arg, const std::string& flag) {
-    const std::size_t points = parse_count(arg, flag);
-    if (points < 2) invalid_value(flag, option_value(arg, flag), "at least 2");
-    return points;
+    return parse_bounded_count(arg, flag, 2, std::numeric_limits<std::size_t>::max());
 }
 
 /// `--metric=mk|stddev|shannon|cre`; exits 2 on anything else.

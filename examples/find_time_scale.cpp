@@ -89,6 +89,7 @@
 
 using namespace natscale;
 using examples::FormatChoice;
+using examples::parse_bounded_count;
 using examples::parse_count;
 using examples::parse_format;
 using examples::parse_grid_points;
@@ -120,7 +121,7 @@ void usage() {
                  "every subcommand also accepts --trace-out=FILE (Chrome-trace-format\n"
                  "spans, loadable in Perfetto) and --metrics-out=FILE (final\n"
                  "metrics_snapshot JSON line; '-' for stdout); results are bit-identical\n"
-                 "with and without either sink.  NATSCALE_SIMD=scalar|avx2|avx512|neon\n"
+                 "with and without either sink.  NATSCALE_SIMD=scalar|avx2|avx512\n"
                  "overrides the kernel dispatch (same results on every path)\n");
 }
 
@@ -450,7 +451,11 @@ int run_watch(int argc, char** argv) {
         } else if (arg.rfind("--every-seconds=", 0) == 0) {
             every_seconds = static_cast<double>(parse_count(arg, "--every-seconds="));
         } else if (arg.rfind("--poll-ms=", 0) == 0) {
-            poll_ms = parse_count(arg, "--poll-ms=");
+            // At 0 the writer's grace below never runs out and every poll
+            // spins; past milliseconds' range the interval wraps negative.
+            poll_ms = parse_bounded_count(
+                arg, "--poll-ms=", 1,
+                static_cast<std::size_t>(std::chrono::milliseconds::max().count()));
         } else if (arg.rfind("--max-reports=", 0) == 0) {
             max_reports = parse_count(arg, "--max-reports=");
         } else if (arg.rfind("--checkpoint=", 0) == 0) {

@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -35,6 +36,7 @@
 using namespace natscale;
 using examples::invalid_value;
 using examples::option_value;
+using examples::parse_bounded_count;
 using examples::parse_count;
 using examples::parse_metric;
 using service::Client;
@@ -143,20 +145,20 @@ int run_ingest(Client& client, const std::string& name, int argc, char** argv,
         if (arg.rfind("--token-file=", 0) == 0) {
             token_file = option_value(arg, "--token-file=");
         } else if (arg.rfind("--batch=", 0) == 0) {
-            batch = parse_count(arg, "--batch=");
-            if (batch == 0) invalid_value("--batch=", "0", "at least 1");
+            batch = parse_bounded_count(arg, "--batch=", 1,
+                                        std::numeric_limits<std::size_t>::max());
         } else if (arg.rfind("--abort-after=", 0) == 0) {
             abort_after = parse_count(arg, "--abort-after=");
         } else if (arg == "--close") {
             close_at_end = true;
         } else if (arg.rfind("--points=", 0) == 0) {
-            reg.grid_points =
-                static_cast<std::uint32_t>(parse_count(arg, "--points="));
+            reg.grid_points = static_cast<std::uint32_t>(parse_bounded_count(
+                arg, "--points=", 2, std::numeric_limits<std::uint32_t>::max()));
         } else if (arg.rfind("--metric=", 0) == 0) {
             reg.metric = static_cast<std::uint32_t>(parse_metric(arg, "--metric="));
         } else if (arg.rfind("--horizon=", 0) == 0) {
-            reg.reorder_horizon =
-                static_cast<Time>(parse_count(arg, "--horizon="));
+            reg.reorder_horizon = static_cast<Time>(parse_bounded_count(
+                arg, "--horizon=", 0, std::numeric_limits<Time>::max()));
         } else if (arg == "--drop-duplicates") {
             reg.drop_duplicates = true;
         } else if (arg == "--reject-late") {
@@ -229,7 +231,8 @@ int run_query(Client& client, const std::string& name, int argc, char** argv,
         if (arg == "--sealed-only") {
             query.sealed_only = true;
         } else if (arg.rfind("--delta=", 0) == 0) {
-            query.delta = static_cast<Time>(parse_count(arg, "--delta="));
+            query.delta = static_cast<Time>(parse_bounded_count(
+                arg, "--delta=", 0, std::numeric_limits<Time>::max()));
         } else if (kind.empty() && arg.rfind("--", 0) != 0) {
             kind = arg;
         } else {

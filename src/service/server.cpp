@@ -35,6 +35,7 @@
 #include "util/contracts.hpp"
 #include "util/fd_io.hpp"
 #include "util/json.hpp"
+#include "util/thread_pool.hpp"
 #include "util/wire.hpp"
 
 namespace natscale::service {
@@ -120,7 +121,8 @@ using StreamPtr = std::shared_ptr<StreamState>;
 
 struct Server::Impl {
     explicit Impl(ServerOptions options) : options_(std::move(options)) {
-        NATSCALE_EXPECTS(options_.workers >= 1);
+        NATSCALE_EXPECTS(options_.workers >= 1 && options_.workers <= ThreadPool::kMaxThreads);
+        NATSCALE_EXPECTS(options_.engine_threads <= ThreadPool::kMaxThreads);
         NATSCALE_EXPECTS(!options_.unix_path.empty() || !options_.tcp_host.empty());
         try {
             if (!options_.state_dir.empty()) load_state_dir();

@@ -79,12 +79,13 @@ struct ServerOptions {
     /// frames answer bad_request).
     std::string state_dir;
 
-    /// Worker threads draining the stream strands (>= 1).
+    /// Worker threads draining the stream strands (1 to
+    /// ThreadPool::kMaxThreads).
     std::size_t workers = 2;
 
-    /// Per-engine sync/refresh fan-out (OnlineSweepOptions::num_threads);
-    /// 1 = sequential, the safe default under a worker pool.  Results are
-    /// bit-identical for every value.
+    /// Per-engine sync/refresh fan-out (OnlineSweepOptions::num_threads, at
+    /// most ThreadPool::kMaxThreads); 1 = sequential, the safe default under
+    /// a worker pool.  Results are bit-identical for every value.
     std::size_t engine_threads = 1;
 };
 
@@ -95,8 +96,9 @@ class Server {
 public:
     /// Throws std::runtime_error when a listener cannot be bound or the
     /// state directory cannot be read, io_error when a state file is
-    /// malformed.  Preconditions: at least one listener configured;
-    /// workers >= 1.
+    /// malformed.  Throws contract_error, before any listener binds, unless
+    /// at least one listener is configured and both thread counts are within
+    /// their bounds above.
     explicit Server(ServerOptions options);
     ~Server();
 

@@ -31,6 +31,11 @@
 // distance-accumulating scans to the dense engine (see
 // temporal/reachability_backend.hpp).  Like the dense engine, every scan
 // emits every minimal trip.
+//
+// Unlike the dense engine, this kernel calls no runtime-dispatched SIMD op
+// (util/simd.hpp): its candidate generation is a plain loop, since a
+// vectorized copy measured within the runs' spread on sparse scans
+// (docs/simd.md, "Benchmarks").
 #pragma once
 
 #include <algorithm>
@@ -43,7 +48,6 @@
 #include "temporal/minimal_trip.hpp"
 #include "temporal/reachability.hpp"
 #include "util/contracts.hpp"
-#include "util/simd.hpp"
 #include "util/types.hpp"
 
 namespace natscale {
@@ -55,11 +59,6 @@ public:
     /// being processed) is `arr`, with `hops` minimum hops among
     /// earliest-arrival paths.
     using Entry = ReachEntry;
-    // The SIMD candidate-generation kernel (util/simd.hpp) copies entries as
-    // 16-byte {u32, u32, u64} records, bumping the second u32 lane (hops).
-    static_assert(sizeof(Entry) == 16);
-    static_assert(offsetof(Entry, v) == 0 && offsetof(Entry, hops) == 4 &&
-                  offsetof(Entry, arr) == 8);
 
     /// Per-source state: finite entries sorted by v — the kernel-independent
     /// rows of temporal/reachability.hpp, stored as they are.  Exposed (with
@@ -187,17 +186,12 @@ void SparseTemporalReachability::process_instant(Time label, Sink& sink) {
     }
 
     // 3. One sorted merge per source: old row vs. all candidates.
-    const simd::Ops& vec = simd::ops();
-    // Appends [src, src + count) to candidates_ with every hops field
-    // incremented — the continuation candidates of one neighbor row, bulk
-    // copied through the active SIMD path (bit-identical to the former
-    // entry-at-a-time push loop: a pure u32 lane increment).
-    const auto append_bumped = [&](const Entry* src, std::size_t count) {
-        if (count == 0) return;
-        const std::size_t old_size = candidates_.size();
-        candidates_.resize(old_size + count);
-        vec.copy_bump_second_u32(reinterpret_cast<std::byte*>(candidates_.data() + old_size),
-                                 reinterpret_cast<const std::byte*>(src), count);
+    // Appends the entries of [first, last) to candidates_ one hop longer —
+    // the continuation candidates of one neighbor row.
+    const auto append_bumped = [&](Row::const_iterator first, Row::const_iterator last) {
+        for (; first != last; ++first) {
+            candidates_.push_back(Entry{first->v, first->hops + 1, first->arr});
+        }
     };
     std::size_t i = 0;
     while (i < arcs_.size()) {
@@ -210,15 +204,13 @@ void SparseTemporalReachability::process_instant(Time label, Sink& sink) {
             candidates_.push_back(Entry{w, 1, label});
             // Continuations u -> w (now) -> ... -> v (later), v != u: the
             // neighbor row split around the diagonal entry (rows are sorted
-            // by v, so one lower_bound finds it), each half bulk-bumped.
+            // by v, so one lower_bound finds it).
             const Row& wrow = snapshot_[static_cast<std::size_t>(slot_[w])];
             const auto diag = std::lower_bound(
                 wrow.begin(), wrow.end(), u,
                 [](const Entry& e, NodeId x) { return e.v < x; });
-            append_bumped(wrow.data(), static_cast<std::size_t>(diag - wrow.begin()));
-            const auto rest = (diag != wrow.end() && diag->v == u) ? diag + 1 : diag;
-            append_bumped(wrow.data() + (rest - wrow.begin()),
-                          static_cast<std::size_t>(wrow.end() - rest));
+            append_bumped(wrow.begin(), diag);
+            append_bumped((diag != wrow.end() && diag->v == u) ? diag + 1 : diag, wrow.end());
         }
         // Lexicographic (v, arr, hops): after the sort the first candidate of
         // each v is the pointwise-best one, exactly the value the dense

@@ -2,14 +2,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define NATSCALE_SIMD_X86 1
 #include <immintrin.h>
-#elif defined(__aarch64__)
-#define NATSCALE_SIMD_NEON 1
-#include <arm_neon.h>
 #endif
 
 namespace natscale {
@@ -23,16 +19,6 @@ void packed_min_add1_scalar(std::uint64_t* row, const std::uint64_t* wrow,
     for (std::size_t j = 0; j < width; ++j) {
         const std::uint64_t cand = wrow[j] + 1;
         row[j] = row[j] < cand ? row[j] : cand;
-    }
-}
-
-void copy_bump_scalar(std::byte* dst, const std::byte* src, std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) {
-        std::memcpy(dst + i * 16, src + i * 16, 16);
-        std::uint32_t b = 0;
-        std::memcpy(&b, src + i * 16 + 4, 4);
-        b += 1;
-        std::memcpy(dst + i * 16 + 4, &b, 4);
     }
 }
 
@@ -86,24 +72,6 @@ __attribute__((target("avx2"))) void packed_min_add1_avx2(std::uint64_t* row,
     for (; j < width; ++j) {
         const std::uint64_t cand = wrow[j] + 1;
         row[j] = row[j] < cand ? row[j] : cand;
-    }
-}
-
-__attribute__((target("avx2"))) void copy_bump_avx2(std::byte* dst, const std::byte* src,
-                                                    std::size_t count) {
-    const __m256i bump = _mm256_setr_epi32(0, 1, 0, 0, 0, 1, 0, 0);
-    std::size_t i = 0;
-    for (; i + 2 <= count; i += 2) {
-        const __m256i rec =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i * 16));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i * 16),
-                            _mm256_add_epi32(rec, bump));
-    }
-    if (i < count) {  // one 16-byte record: SSE2 is x86-64 baseline
-        const __m128i rec =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i * 16));
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i * 16),
-                         _mm_add_epi32(rec, _mm_setr_epi32(0, 1, 0, 0)));
     }
 }
 
@@ -174,25 +142,6 @@ __attribute__((target("avx512f"))) void packed_min_add1_avx512(std::uint64_t* ro
     }
 }
 
-__attribute__((target("avx512f"))) void copy_bump_avx512(std::byte* dst,
-                                                         const std::byte* src,
-                                                         std::size_t count) {
-    const __m512i bump =
-        _mm512_setr_epi32(0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0);
-    std::size_t i = 0;
-    for (; i + 4 <= count; i += 4) {
-        _mm512_storeu_si512(dst + i * 16,
-                            _mm512_add_epi32(_mm512_loadu_si512(src + i * 16), bump));
-    }
-    const std::size_t rem = count - i;  // 0..3 records = 4 u32 lanes each
-    if (rem != 0) {
-        const __mmask16 m = static_cast<__mmask16>((1u << (rem * 4)) - 1);
-        _mm512_mask_storeu_epi32(
-            dst + i * 16,
-            m, _mm512_add_epi32(_mm512_mask_loadu_epi32(_mm512_setzero_si512(), m, src + i * 16), bump));
-    }
-}
-
 // Eight cells per register, eight registers per bitmap word; the last
 // register of a row is a masked load and a masked compare, so no bit past
 // width can be set.
@@ -236,46 +185,13 @@ __attribute__((target("avx512f"))) void diff_masks_avx512(const std::uint64_t* n
 
 #endif  // NATSCALE_SIMD_X86
 
-#if NATSCALE_SIMD_NEON
-
-void packed_min_add1_neon(std::uint64_t* row, const std::uint64_t* wrow,
-                          std::size_t width) {
-    const uint64x2_t one = vdupq_n_u64(1);
-    std::size_t j = 0;
-    for (; j + 2 <= width; j += 2) {
-        const uint64x2_t r = vld1q_u64(row + j);
-        const uint64x2_t cand = vaddq_u64(vld1q_u64(wrow + j), one);
-        vst1q_u64(row + j, vbslq_u64(vcgtq_u64(r, cand), cand, r));
-    }
-    if (j < width) {
-        const std::uint64_t cand = wrow[j] + 1;
-        row[j] = row[j] < cand ? row[j] : cand;
-    }
-}
-
-void copy_bump_neon(std::byte* dst, const std::byte* src, std::size_t count) {
-    const uint32x4_t bump = {0, 1, 0, 0};
-    for (std::size_t i = 0; i < count; ++i) {
-        const uint32x4_t rec =
-            vld1q_u32(reinterpret_cast<const std::uint32_t*>(src + i * 16));
-        vst1q_u32(reinterpret_cast<std::uint32_t*>(dst + i * 16), vaddq_u32(rec, bump));
-    }
-}
-
-#endif  // NATSCALE_SIMD_NEON
-
 simd::Ops ops_for(SimdIsa isa) {
     switch (isa) {
 #if NATSCALE_SIMD_X86
         case SimdIsa::avx2:
-            return {&packed_min_add1_avx2, &copy_bump_avx2, &diff_masks_avx2};
+            return {&packed_min_add1_avx2, &diff_masks_avx2};
         case SimdIsa::avx512:
-            return {&packed_min_add1_avx512, &copy_bump_avx512, &diff_masks_avx512};
-#endif
-#if NATSCALE_SIMD_NEON
-        case SimdIsa::neon:
-            // The mask op runs the portable loop (docs/simd.md).
-            return {&packed_min_add1_neon, &copy_bump_neon, &diff_masks_scalar};
+            return {&packed_min_add1_avx512, &diff_masks_avx512};
 #endif
         default:
             return simd::kScalarOps;
@@ -300,7 +216,7 @@ Dispatch& dispatch() {
             } else if (!parse_simd_isa(text, requested)) {
                 std::fprintf(stderr,
                              "natscale: NATSCALE_SIMD='%s' not recognized "
-                             "(auto|scalar|avx2|avx512|neon); using %s\n",
+                             "(auto|scalar|avx2|avx512); using %s\n",
                              env, to_string(isa));
             } else if (!simd_isa_supported(requested)) {
                 std::fprintf(stderr,
@@ -323,7 +239,6 @@ const char* to_string(SimdIsa isa) {
         case SimdIsa::scalar: return "scalar";
         case SimdIsa::avx2: return "avx2";
         case SimdIsa::avx512: return "avx512";
-        case SimdIsa::neon: return "neon";
     }
     return "scalar";
 }
@@ -332,7 +247,6 @@ bool parse_simd_isa(const std::string& text, SimdIsa& out) {
     if (text == "scalar") out = SimdIsa::scalar;
     else if (text == "avx2") out = SimdIsa::avx2;
     else if (text == "avx512") out = SimdIsa::avx512;
-    else if (text == "neon") out = SimdIsa::neon;
     else return false;
     return true;
 }
@@ -347,10 +261,6 @@ bool simd_isa_supported(SimdIsa isa) {
         case SimdIsa::avx512:
             return __builtin_cpu_supports("avx512f") != 0;
 #endif
-#if NATSCALE_SIMD_NEON
-        case SimdIsa::neon:
-            return true;
-#endif
         default:
             return false;
     }
@@ -361,8 +271,6 @@ SimdIsa detect_simd_isa() {
     if (__builtin_cpu_supports("avx512f")) return SimdIsa::avx512;
     if (__builtin_cpu_supports("avx2")) return SimdIsa::avx2;
     return SimdIsa::scalar;
-#elif NATSCALE_SIMD_NEON
-    return SimdIsa::neon;
 #else
     return SimdIsa::scalar;
 #endif
@@ -370,8 +278,7 @@ SimdIsa detect_simd_isa() {
 
 std::vector<SimdIsa> supported_simd_isas() {
     std::vector<SimdIsa> isas;
-    for (const SimdIsa isa :
-         {SimdIsa::scalar, SimdIsa::avx2, SimdIsa::avx512, SimdIsa::neon}) {
+    for (const SimdIsa isa : {SimdIsa::scalar, SimdIsa::avx2, SimdIsa::avx512}) {
         if (simd_isa_supported(isa)) isas.push_back(isa);
     }
     return isas;
@@ -387,7 +294,7 @@ bool set_simd_isa(SimdIsa isa) {
 
 namespace simd {
 
-const Ops kScalarOps = {&packed_min_add1_scalar, &copy_bump_scalar, &diff_masks_scalar};
+const Ops kScalarOps = {&packed_min_add1_scalar, &diff_masks_scalar};
 
 const Ops& ops() { return dispatch().ops; }
 

@@ -5,13 +5,13 @@
 // (arrival_rank << 32 | hops) cells: the relaxation
 // `row[j] = min(row[j], wrow[j] + 1)`, and the comparison of each relaxed
 // row with its pre-instant copy that finds the cells the relaxation improved
-// (each one a minimal trip).  The sparse backend's candidate generation is a
-// 16-byte-record copy that adds 1 to the hops lane.  All three are pure
-// unsigned integer operations, so a vector implementation is bit-identical
-// to the scalar loop by construction: there is no floating point, no
-// reassociation, no per-lane control flow.
+// (each one a minimal trip).  Both are pure unsigned integer operations, so
+// a vector implementation is bit-identical to the scalar loop by
+// construction: there is no floating point, no reassociation, no per-lane
+// control flow.  The sparse backend dispatches nothing: on its workload the
+// ISAs measured within the runs' spread (docs/simd.md, "Benchmarks").
 //
-// This header exposes those three operations behind one function-pointer
+// This header exposes those two operations behind one function-pointer
 // table resolved once per process:
 //
 //   isa        packed u64 min            availability
@@ -22,22 +22,20 @@
 //                                        signed domain after XOR 1<<63)
 //   avx512     vpminuq (512-bit)         x86-64 with AVX-512F (masked tail,
 //                                        no scalar remainder loop at all)
-//   neon       vcgtq_u64 + vbslq_u64     AArch64 (NEON is baseline there;
-//                                        the mask op runs the portable loop)
 //
 // The mask op compares arrival ranks after a 32-bit right shift.  A shifted
 // rank fits in 32 bits, so AVX2's signed vpcmpgtq needs no sign flip there;
 // AVX-512 compares straight into mask registers.
 //
 // Selection order: NATSCALE_SIMD environment variable if set
-// (auto|scalar|avx2|avx512|neon), else the strongest ISA the CPU reports
-// (CPUID via __builtin_cpu_supports on x86-64; NEON unconditionally on
-// AArch64).  Requesting an unsupported ISA falls back to the strongest
-// supported one with a one-time stderr warning — a forced-path CI leg on the
-// wrong hardware degrades loudly instead of crashing.  The variable is the
-// one user-facing override; set_simd_isa() is the programmatic one the tests
-// and the bench suite use, and tests iterate supported_simd_isas() to pin
-// every path that can run here.
+// (auto|scalar|avx2|avx512), else the strongest ISA the CPU reports (CPUID
+// via __builtin_cpu_supports on x86-64; scalar elsewhere).  Requesting an
+// unsupported or unknown ISA falls back to the strongest supported one with
+// a one-time stderr warning — a forced-path CI leg on the wrong hardware
+// degrades loudly instead of crashing.  The variable is the one user-facing
+// override; set_simd_isa() is the programmatic one the tests and the bench
+// suite use, and tests iterate supported_simd_isas() to pin every path that
+// can run here.
 //
 // Every implementation of every op produces byte-identical output, so the
 // differential suites (tests/test_simd.cpp, scalar-vs-ISA over the whole
@@ -55,14 +53,13 @@ enum class SimdIsa {
     scalar,  ///< portable fallback, always available
     avx2,    ///< x86-64 AVX2 (unsigned min emulated via signed compare)
     avx512,  ///< x86-64 AVX-512F (native vpminuq + masked tails)
-    neon,    ///< AArch64 Advanced SIMD
 };
 
 /// Lower-case name used by NATSCALE_SIMD and the benches.
 const char* to_string(SimdIsa isa);
 
-/// Parses "scalar" / "avx2" / "avx512" / "neon"; returns false on anything
-/// else ("auto" is not an ISA — resolve it with detect_simd_isa()).
+/// Parses "scalar" / "avx2" / "avx512"; returns false on anything else
+/// ("auto" is not an ISA — resolve it with detect_simd_isa()).
 bool parse_simd_isa(const std::string& text, SimdIsa& out);
 
 /// True when this machine can execute `isa` (scalar always can).
@@ -86,7 +83,7 @@ bool set_simd_isa(SimdIsa isa);
 
 namespace simd {
 
-/// The three hot operations, one pointer each.  All implementations are
+/// The two hot operations, one pointer each.  All implementations are
 /// bit-exact; the table only changes which instructions compute the result.
 struct Ops {
     /// row[j] = min(row[j], wrow[j] + 1) over width unsigned 64-bit cells
@@ -94,12 +91,6 @@ struct Ops {
     /// unreachable sentinel has zero low bits).  row and wrow must not alias.
     void (*packed_min_add1)(std::uint64_t* row, const std::uint64_t* wrow,
                             std::size_t width);
-
-    /// Copies `count` 16-byte records {u32 a, u32 b, u64 c} from src to dst,
-    /// adding 1 to the `b` lane of every record (the sparse backend's
-    /// hops-plus-one candidate generation).  dst and src must not overlap.
-    void (*copy_bump_second_u32)(std::byte* dst, const std::byte* src,
-                                 std::size_t count);
 
     /// Compares a relaxed row with its pre-instant copy, one bit per cell:
     /// bit j % 64 of word j / 64 of `improved` is set when

@@ -4,6 +4,8 @@
 // flag name appearing in the message (it used to say only the value).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "examples/example_cli.hpp"
@@ -118,6 +120,38 @@ TEST(ExampleCliDeath, GridPointsBelowTwoNameTheFlag) {
                 "'1' for option '--points' \\(expected at least 2\\)");
     EXPECT_EXIT(parse_grid_points("--points=0", "--points="), ::testing::ExitedWithCode(2),
                 "'0' for option '--points'");
+}
+
+TEST(ExampleCliParsers, BoundedCountsAcceptBothEnds) {
+    constexpr std::size_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+    constexpr std::size_t kTimeMax = std::numeric_limits<std::int64_t>::max();
+    EXPECT_EQ(parse_bounded_count("--points=2", "--points=", 2, kU32Max), 2u);
+    EXPECT_EQ(parse_bounded_count("--points=4294967295", "--points=", 2, kU32Max), kU32Max);
+    EXPECT_EQ(parse_bounded_count("--horizon=0", "--horizon=", 0, kTimeMax), 0u);
+    EXPECT_EQ(parse_bounded_count("--delta=9223372036854775807", "--delta=", 0, kTimeMax),
+              kTimeMax);
+}
+
+TEST(ExampleCliDeath, BoundedCountsOutOfRangeNameTheFlag) {
+    // natscale_client narrows --points to std::uint32_t and --horizon /
+    // --delta to Time; `watch` never gives up waiting at --poll-ms=0.
+    constexpr std::size_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+    constexpr std::size_t kTimeMax = std::numeric_limits<std::int64_t>::max();
+    EXPECT_EXIT(parse_bounded_count("--points=4294967298", "--points=", 2, kU32Max),
+                ::testing::ExitedWithCode(2),
+                "'4294967298' for option '--points' \\(expected at most 4294967295\\)");
+    EXPECT_EXIT(parse_bounded_count("--points=1", "--points=", 2, kU32Max),
+                ::testing::ExitedWithCode(2),
+                "'1' for option '--points' \\(expected at least 2\\)");
+    EXPECT_EXIT(parse_bounded_count("--horizon=9223372036854775808", "--horizon=", 0, kTimeMax),
+                ::testing::ExitedWithCode(2),
+                "'9223372036854775808' for option '--horizon' "
+                "\\(expected at most 9223372036854775807\\)");
+    EXPECT_EXIT(parse_bounded_count("--delta=18446744073709551615", "--delta=", 0, kTimeMax),
+                ::testing::ExitedWithCode(2), "'18446744073709551615' for option '--delta'");
+    EXPECT_EXIT(parse_bounded_count("--poll-ms=0", "--poll-ms=", 1, kTimeMax),
+                ::testing::ExitedWithCode(2),
+                "'0' for option '--poll-ms' \\(expected at least 1\\)");
 }
 
 TEST(ExampleCliParsers, ParseDelimiterNamesAndLiterals) {

@@ -22,7 +22,9 @@
 #include "service/client.hpp"
 #include "service/server.hpp"
 #include "testing/temp_files.hpp"
+#include "util/contracts.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "util/wire.hpp"
 
 namespace natscale::service {
@@ -391,6 +393,23 @@ TEST(ServiceDaemon, CorruptStateFilesFailStartup) {
         EXPECT_THROW(start_with(flipped), io_error) << "flip at " << at;
     }
     std::filesystem::remove_all(state_dir);
+}
+
+TEST(ServiceDaemon, ThreadCountsAboveTheCeilingFailConstruction) {
+    // Checked before any listener binds, so neither server below ever
+    // starts a thread; run() is never called.
+    const std::string socket_path = testing::temp_path("natscaled_threads.sock");
+    const auto construct = [&](std::size_t workers, std::size_t engine_threads) {
+        ServerOptions options;
+        options.unix_path = socket_path;
+        options.workers = workers;
+        options.engine_threads = engine_threads;
+        Server server(options);
+    };
+    EXPECT_THROW(construct(ThreadPool::kMaxThreads + 1, 1), contract_error);
+    EXPECT_THROW(construct(2, ThreadPool::kMaxThreads + 1), contract_error);
+    EXPECT_THROW(construct(0, 1), contract_error);
+    std::filesystem::remove(socket_path);
 }
 
 TEST(ServiceDaemon, StatsReturnsLiveMetricsSnapshot) {

@@ -70,8 +70,7 @@ std::vector<std::uint64_t> random_packed(Rng& rng, std::size_t width) {
 }
 
 TEST(SimdDispatch, NamesRoundTripAndAutoIsNotAnIsa) {
-    for (const SimdIsa isa :
-         {SimdIsa::scalar, SimdIsa::avx2, SimdIsa::avx512, SimdIsa::neon}) {
+    for (const SimdIsa isa : {SimdIsa::scalar, SimdIsa::avx2, SimdIsa::avx512}) {
         SimdIsa parsed = SimdIsa::scalar;
         ASSERT_TRUE(parse_simd_isa(to_string(isa), parsed)) << to_string(isa);
         EXPECT_EQ(parsed, isa);
@@ -96,10 +95,8 @@ TEST(SimdDispatch, SetSwitchesTheTableAndRejectsUnsupported) {
     ASSERT_TRUE(set_simd_isa(SimdIsa::scalar));
     EXPECT_EQ(active_simd_isa(), SimdIsa::scalar);
     EXPECT_EQ(simd::ops().packed_min_add1, simd::kScalarOps.packed_min_add1);
-    EXPECT_EQ(simd::ops().copy_bump_second_u32, simd::kScalarOps.copy_bump_second_u32);
     EXPECT_EQ(simd::ops().diff_masks, simd::kScalarOps.diff_masks);
-    for (const SimdIsa isa :
-         {SimdIsa::scalar, SimdIsa::avx2, SimdIsa::avx512, SimdIsa::neon}) {
+    for (const SimdIsa isa : {SimdIsa::scalar, SimdIsa::avx2, SimdIsa::avx512}) {
         if (simd_isa_supported(isa)) {
             EXPECT_TRUE(set_simd_isa(isa));
             EXPECT_EQ(active_simd_isa(), isa);
@@ -128,24 +125,6 @@ TEST(SimdKernels, PackedMinAdd1MatchesScalarAtEveryWidth) {
                 ASSERT_EQ(actual, expected)
                     << "isa=" << to_string(isa) << " width=" << width;
             }
-        }
-    }
-}
-
-TEST(SimdKernels, CopyBumpSecondU32MatchesScalarAtEveryCount) {
-    IsaGuard guard;
-    Rng rng(13);
-    for (const SimdIsa isa : supported_simd_isas()) {
-        ASSERT_TRUE(set_simd_isa(isa));
-        const simd::Ops& vec = simd::ops();
-        for (const std::size_t count : kWidths) {
-            std::vector<std::byte> src(count * 16);
-            for (auto& b : src) b = static_cast<std::byte>(rng.uniform_index(256));
-            std::vector<std::byte> expected(count * 16);
-            simd::kScalarOps.copy_bump_second_u32(expected.data(), src.data(), count);
-            std::vector<std::byte> actual(count * 16);
-            vec.copy_bump_second_u32(actual.data(), src.data(), count);
-            ASSERT_EQ(actual, expected) << "isa=" << to_string(isa) << " count=" << count;
         }
     }
 }
