@@ -13,16 +13,14 @@
 // point ran as counters, so the crossover curve can be plotted straight
 // from the JSON artifact.
 //
-// A second artifact, BENCH_kernel.json, comes from the PackedVsLegacy,
-// ColumnScaling and ScalarVsSimd suites
-// (`--benchmark_filter=PackedVsLegacy|ColumnScaling|ScalarVsSimd`):
-// the packed 8 B/pair kernel against the retired 12 B scalar kernel on the
-// same workloads, a one-period DeltaSweepEngine grid (column-sharded over
-// the pool) at 1/2/4/8 threads, and the same dense scan under every SIMD
-// dispatch (one row per ISA; rows for ISAs this machine cannot execute run
-// the strongest supported path instead and say so via the supported/fallback
-// counters — see docs/simd.md for how to read them).  CI uploads both from
-// the Release leg — the in-repo perf trajectory of the dense hot path.
+// A second artifact, BENCH_kernel.json, comes from the ColumnScaling and
+// ScalarVsSimd suites (`--benchmark_filter=ColumnScaling|ScalarVsSimd`): a
+// one-period DeltaSweepEngine grid (column-sharded over the pool) at
+// 1/2/4/8 threads, and the same dense scan under every SIMD dispatch (one
+// row per ISA; rows for ISAs this machine cannot execute run the strongest
+// supported path instead and say so via the supported/fallback counters —
+// see docs/simd.md for how to read them).  CI uploads both from the Release
+// leg — the in-repo perf trajectory of the dense hot path.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -31,7 +29,6 @@
 #include "core/occupancy.hpp"
 #include "linkstream/aggregation.hpp"
 #include "temporal/column_shards.hpp"
-#include "temporal/legacy_reachability.hpp"
 #include "temporal/reachability_backend.hpp"
 #include "util/proc_rss.hpp"
 #include "util/rng.hpp"
@@ -125,9 +122,9 @@ BENCHMARK(BM_Aggregate)->Arg(1)->Arg(1'000)->Arg(1'000'000)->Unit(benchmark::kMi
 /// sweeping n at a fixed ~4 events/node (the sparse regime of real contact
 /// traces).  Filter with --benchmark_filter=DenseVsSparse for the JSON
 /// artifact; compare the two curves point by point to read off the
-/// crossover.  The dense sweep stops at n = 4096 (state: n^2 x 12 B =
-/// 192 MiB); the sparse sweep continues to n = 16384, where dense would
-/// need 3 GiB.
+/// crossover.  The dense sweep stops at n = 4096 (state: n^2 x 8 B =
+/// 128 MiB); the sparse sweep continues to n = 16384, where dense would
+/// need 2 GiB.
 LinkStream crossover_stream(NodeId n) {
     return random_stream(6, n, static_cast<std::size_t>(n) * 4, static_cast<Time>(n) * 40);
 }
@@ -177,7 +174,9 @@ void BM_DenseVsSparse_Sparse(benchmark::State& state) {
     state.counters["n"] = static_cast<double>(n);
     state.counters["M"] = static_cast<double>(series.total_edges());
     state.counters["trips"] = static_cast<double>(trips);
-    state.counters["state_MiB"] = static_cast<double>(engine.num_finite_entries()) *
+    std::size_t entries = 0;
+    for (const auto& row : engine.state_rows()) entries += row.size();
+    state.counters["state_MiB"] = static_cast<double>(entries) *
                                   sizeof(SparseTemporalReachability::Entry) /
                                   (1024.0 * 1024.0);
     state.counters["rss_delta_MiB"] = std::max(0.0, current_rss_mib() - rss_before);
@@ -185,50 +184,8 @@ void BM_DenseVsSparse_Sparse(benchmark::State& state) {
 BENCHMARK(BM_DenseVsSparse_Sparse)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384)
     ->Unit(benchmark::kMillisecond);
 
-/// Packed vs legacy kernel on the crossover workload: the identical series
-/// scan through the packed 8 B/pair engine and the retired 12 B scalar
-/// reference.  Compare the two curves point by point; the acceptance bar of
-/// the packing PR is >= 1.5x single-thread at n = 2048.
-void BM_PackedVsLegacy_Packed(benchmark::State& state) {
-    const NodeId n = static_cast<NodeId>(state.range(0));
-    const auto series = crossover_series(n);
-    TemporalReachability engine;
-    std::uint64_t trips = 0;
-    for (auto _ : state) {
-        trips = 0;
-        engine.scan_series(series, [&](const MinimalTrip&) { ++trips; });
-        benchmark::DoNotOptimize(trips);
-    }
-    state.counters["n"] = static_cast<double>(n);
-    state.counters["M"] = static_cast<double>(series.total_edges());
-    state.counters["trips"] = static_cast<double>(trips);
-    state.counters["state_MiB"] = static_cast<double>(n) * static_cast<double>(n) *
-                                  static_cast<double>(kDensePairBytes) / (1024.0 * 1024.0);
-}
-BENCHMARK(BM_PackedVsLegacy_Packed)->Arg(256)->Arg(1024)->Arg(2048)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_PackedVsLegacy_Legacy(benchmark::State& state) {
-    const NodeId n = static_cast<NodeId>(state.range(0));
-    const auto series = crossover_series(n);
-    LegacyTemporalReachability engine;
-    std::uint64_t trips = 0;
-    for (auto _ : state) {
-        trips = 0;
-        engine.scan_series(series, [&](const MinimalTrip&) { ++trips; });
-        benchmark::DoNotOptimize(trips);
-    }
-    state.counters["n"] = static_cast<double>(n);
-    state.counters["M"] = static_cast<double>(series.total_edges());
-    state.counters["trips"] = static_cast<double>(trips);
-    state.counters["state_MiB"] =
-        static_cast<double>(n) * static_cast<double>(n) * 12.0 / (1024.0 * 1024.0);
-}
-BENCHMARK(BM_PackedVsLegacy_Legacy)->Arg(256)->Arg(1024)->Arg(2048)
-    ->Unit(benchmark::kMillisecond);
-
-/// Scalar vs SIMD dispatch on the identical scan: one row per ISA, same
-/// workload as PackedVsLegacy at n = 2048, so per-ISA speedup is the ratio
+/// Scalar vs SIMD dispatch on the identical scan: one row per ISA, the
+/// crossover workload at n = 2048, so per-ISA speedup is the ratio
 /// of a row against the scalar row of the same suite.  A row whose ISA the
 /// machine cannot execute still runs — through the strongest supported path
 /// — and records supported=0 fallback=1, so a BENCH_kernel.json from any

@@ -14,10 +14,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <string>
 #include <utility>
 
+#include "core/delta_grid.hpp"
 #include "stats/uniformity.hpp"
 #include "util/thread_pool.hpp"
 
@@ -80,9 +80,10 @@ inline std::size_t parse_thread_count(const std::string& arg, const std::string&
 }
 
 /// `--points=` of a geometric Δ grid: a count of at least 2, since the grid
-/// spans two ends; exits 2 naming the flag otherwise.
+/// spans two ends, and at most kMaxGridPoints (core/delta_grid.hpp); exits 2
+/// naming the flag otherwise.
 inline std::size_t parse_grid_points(const std::string& arg, const std::string& flag) {
-    return parse_bounded_count(arg, flag, 2, std::numeric_limits<std::size_t>::max());
+    return parse_bounded_count(arg, flag, 2, kMaxGridPoints);
 }
 
 /// `--metric=mk|stddev|shannon|cre`; exits 2 on anything else.

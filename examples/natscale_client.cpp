@@ -25,6 +25,7 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "examples/example_cli.hpp"
@@ -38,6 +39,7 @@ using examples::invalid_value;
 using examples::option_value;
 using examples::parse_bounded_count;
 using examples::parse_count;
+using examples::parse_grid_points;
 using examples::parse_metric;
 using service::Client;
 using service::Query;
@@ -69,23 +71,43 @@ void usage() {
                  "  shutdown         checkpoint (when configured) and stop the daemon\n");
 }
 
-Client connect_to(const std::string& target) {
-    if (target.rfind("unix:", 0) == 0) return Client::connect_unix(target.substr(5));
+/// A --connect target, read before any socket opens so that a malformed one
+/// exits 2 naming the flag whether or not a daemon is listening.
+struct Target {
+    bool tcp = false;
+    std::string path_or_host;
+    std::uint16_t port = 0;
+
+    Client connect() const {
+        return tcp ? Client::connect_tcp(path_or_host, port) : Client::connect_unix(path_or_host);
+    }
+};
+
+Target parse_target(const std::string& target) {
+    if (target.rfind("unix:", 0) == 0) return {false, target.substr(5), 0};
     if (target.rfind("tcp:", 0) == 0) {
         const std::string rest = target.substr(4);
         const std::size_t colon = rest.rfind(':');
         if (colon == std::string::npos || colon == 0 || colon + 1 == rest.size()) {
             invalid_value("--connect=", target, "tcp:HOST:PORT");
         }
-        const std::string port_text = rest.substr(colon + 1);
-        const unsigned long port = std::strtoul(port_text.c_str(), nullptr, 10);
-        if (port == 0 || port > 65535) {
-            invalid_value("--connect=", target, "tcp:HOST:PORT with PORT in 1..65535");
-        }
-        return Client::connect_tcp(rest.substr(0, colon),
-                                   static_cast<std::uint16_t>(port));
+        const std::size_t port =
+            parse_bounded_count("--connect=" + rest.substr(colon + 1), "--connect=", 1, 65535);
+        return {true, rest.substr(0, colon), static_cast<std::uint16_t>(port)};
     }
     invalid_value("--connect=", target, "unix:PATH or tcp:HOST:PORT");
+}
+
+/// Exits 2 with `message`: an argument the client does not take.
+[[noreturn]] void reject(const std::string& message) {
+    std::fprintf(stderr, "%s\n", message.c_str());
+    std::exit(2);
+}
+
+/// Exits 2 when argv holds anything from `first` on: the command reads no
+/// more arguments.
+void reject_extra(int argc, char** argv, int first) {
+    if (first < argc) reject("unexpected argument '" + std::string(argv[first]) + "'");
 }
 
 std::uint64_t read_token_file(const std::string& path) {
@@ -131,52 +153,56 @@ void print_stream_ack(const char* action, const StreamAck& ack) {
     std::_Exit(3);
 }
 
-int run_ingest(Client& client, const std::string& name, int argc, char** argv,
-               int first_option) {
+/// The ingest command's arguments, as read from the command line.
+struct IngestArgs {
     std::string path;
     std::string token_file;
     std::size_t batch = 4096;
     std::uint64_t abort_after = 0;
     bool close_at_end = false;
     RegisterStream reg;
-    reg.name = name;
+};
+
+IngestArgs parse_ingest(const std::string& name, int argc, char** argv, int first_option) {
+    IngestArgs args;
+    args.reg.name = name;
     for (int i = first_option; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--token-file=", 0) == 0) {
-            token_file = option_value(arg, "--token-file=");
+            args.token_file = option_value(arg, "--token-file=");
         } else if (arg.rfind("--batch=", 0) == 0) {
-            batch = parse_bounded_count(arg, "--batch=", 1,
-                                        std::numeric_limits<std::size_t>::max());
+            args.batch = parse_bounded_count(arg, "--batch=", 1,
+                                             std::numeric_limits<std::size_t>::max());
         } else if (arg.rfind("--abort-after=", 0) == 0) {
-            abort_after = parse_count(arg, "--abort-after=");
+            args.abort_after = parse_count(arg, "--abort-after=");
         } else if (arg == "--close") {
-            close_at_end = true;
+            args.close_at_end = true;
         } else if (arg.rfind("--points=", 0) == 0) {
-            reg.grid_points = static_cast<std::uint32_t>(parse_bounded_count(
-                arg, "--points=", 2, std::numeric_limits<std::uint32_t>::max()));
+            args.reg.grid_points =
+                static_cast<std::uint32_t>(parse_grid_points(arg, "--points="));
         } else if (arg.rfind("--metric=", 0) == 0) {
-            reg.metric = static_cast<std::uint32_t>(parse_metric(arg, "--metric="));
+            args.reg.metric = static_cast<std::uint32_t>(parse_metric(arg, "--metric="));
         } else if (arg.rfind("--horizon=", 0) == 0) {
-            reg.reorder_horizon = static_cast<Time>(parse_bounded_count(
+            args.reg.reorder_horizon = static_cast<Time>(parse_bounded_count(
                 arg, "--horizon=", 0, std::numeric_limits<Time>::max()));
         } else if (arg == "--drop-duplicates") {
-            reg.drop_duplicates = true;
+            args.reg.drop_duplicates = true;
         } else if (arg == "--reject-late") {
-            reg.reject_late = true;
-        } else if (path.empty() && arg.rfind("--", 0) != 0) {
-            path = arg;
+            args.reg.reject_late = true;
+        } else if (args.path.empty() && arg.rfind("--", 0) != 0) {
+            args.path = arg;
         } else {
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            return 2;
+            reject("unknown option '" + arg + "'");
         }
     }
-    if (path.empty()) {
-        std::fprintf(stderr, "ingest: an event file is required\n");
-        return 2;
-    }
+    if (args.path.empty()) reject("ingest: an event file is required");
+    return args;
+}
 
-    const LoadedStream loaded = load_stream_auto(path);
+int run_ingest(Client& client, IngestArgs args) {
+    const LoadedStream loaded = load_stream_auto(args.path);
     const std::span<const Event> events = loaded.stream.events();
+    RegisterStream& reg = args.reg;
     reg.num_nodes = loaded.stream.num_nodes();
     reg.directed = loaded.stream.directed();
     reg.period_end = loaded.stream.period_end();
@@ -184,13 +210,13 @@ int run_ingest(Client& client, const std::string& name, int argc, char** argv,
     // Attach with the saved token when there is one; register otherwise.
     StreamAck ack;
     const std::uint64_t token =
-        token_file.empty() ? 0 : read_token_file(token_file);
+        args.token_file.empty() ? 0 : read_token_file(args.token_file);
     if (token != 0) {
-        ack = client.attach(name, token);
+        ack = client.attach(reg.name, token);
         print_stream_ack("attach", ack);
     } else {
         ack = client.register_stream(reg);
-        if (!token_file.empty()) write_token_file(token_file, ack.resume_token);
+        if (!args.token_file.empty()) write_token_file(args.token_file, ack.resume_token);
         print_stream_ack("register", ack);
     }
 
@@ -200,17 +226,17 @@ int run_ingest(Client& client, const std::string& name, int argc, char** argv,
     ingest_ack.acked_seq = ack.acked_seq;
     while (sent < events.size()) {
         const std::size_t n =
-            std::min<std::size_t>(batch, events.size() - static_cast<std::size_t>(sent));
+            std::min<std::size_t>(args.batch, events.size() - static_cast<std::size_t>(sent));
         ingest_ack = client.ingest(ack.stream_id, sent + 1,
                                    events.subspan(static_cast<std::size_t>(sent), n));
         sent = ingest_ack.acked_seq;
-        if (abort_after != 0 && sent >= abort_after) abort_mid_frame(client);
+        if (args.abort_after != 0 && sent >= args.abort_after) abort_mid_frame(client);
     }
 
     JsonWriter json;
     json.begin_object();
     json.field("action", "ingest");
-    json.field("stream", name);
+    json.field("stream", reg.name);
     json.field("acked_seq", ingest_ack.acked_seq);
     json.field("accepted", ingest_ack.accepted);
     json.field("duplicates_dropped", ingest_ack.duplicates_dropped);
@@ -218,12 +244,12 @@ int run_ingest(Client& client, const std::string& name, int argc, char** argv,
     json.end_object();
     std::printf("%s\n", json.str().c_str());
 
-    if (close_at_end) print_stream_ack("close", client.close_stream(ack.stream_id));
+    if (args.close_at_end) print_stream_ack("close", client.close_stream(ack.stream_id));
     return 0;
 }
 
-int run_query(Client& client, const std::string& name, int argc, char** argv,
-              int first_option) {
+/// The query command's request, with its stream still to be resolved.
+Query parse_query(int argc, char** argv, int first_option) {
     Query query;
     std::string kind;
     for (int i = first_option; i < argc; ++i) {
@@ -236,8 +262,7 @@ int run_query(Client& client, const std::string& name, int argc, char** argv,
         } else if (kind.empty() && arg.rfind("--", 0) != 0) {
             kind = arg;
         } else {
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            return 2;
+            reject("unknown option '" + arg + "'");
         }
     }
     if (kind == "saturation") {
@@ -251,10 +276,15 @@ int run_query(Client& client, const std::string& name, int argc, char** argv,
     } else {
         invalid_value("query", kind, "saturation|curve|histogram|status");
     }
-    const StreamAck ack = client.attach(name, 0);  // read-only attach
-    query.stream_id = ack.stream_id;
-    std::printf("%s\n", client.query(query).json.c_str());
-    return 0;
+    return query;
+}
+
+bool known_command(const std::string& command) {
+    for (const char* known :
+         {"ingest", "query", "close", "list", "checkpoint", "ping", "stats", "shutdown"}) {
+        if (command == known) return true;
+    }
+    return false;
 }
 
 }  // namespace
@@ -279,24 +309,43 @@ int main(int argc, char** argv) {
     }
     const std::string command = argv[i];
 
+    // Every argument is read before the socket opens: a bad one exits 2
+    // naming it whether or not a daemon is listening.
+    const Target endpoint = parse_target(target);
+    if (!known_command(command)) {
+        std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
+        usage();
+        return 2;
+    }
+    std::string name;
+    IngestArgs ingest;
+    Query query;
+    if (command == "ingest" || command == "query" || command == "close") {
+        if (i + 1 >= argc) reject(command + ": a stream name is required");
+        name = argv[i + 1];
+        if (command == "ingest") ingest = parse_ingest(name, argc, argv, i + 2);
+        if (command == "query") query = parse_query(argc, argv, i + 2);
+        if (command == "close") reject_extra(argc, argv, i + 2);
+    } else {
+        reject_extra(argc, argv, i + 1);
+    }
+
     try {
-        Client client = connect_to(target);
-        if (command == "ingest" || command == "query" || command == "close") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: a stream name is required\n",
-                             command.c_str());
-                return 2;
-            }
-            const std::string name = argv[i + 1];
-            if (command == "ingest") return run_ingest(client, name, argc, argv, i + 2);
-            if (command == "query") return run_query(client, name, argc, argv, i + 2);
+        Client client = endpoint.connect();
+        if (command == "ingest") return run_ingest(client, std::move(ingest));
+        if (command == "query") {
+            query.stream_id = client.attach(name, 0).stream_id;  // read-only attach
+            std::printf("%s\n", client.query(query).json.c_str());
+            return 0;
+        }
+        if (command == "close") {
             const StreamAck ack = client.attach(name, 0);
             print_stream_ack("close", client.close_stream(ack.stream_id));
             return 0;
         }
         if (command == "list") {
-            for (const std::string& name : client.list_streams()) {
-                std::printf("%s\n", name.c_str());
+            for (const std::string& stream : client.list_streams()) {
+                std::printf("%s\n", stream.c_str());
             }
             return 0;
         }
@@ -314,14 +363,10 @@ int main(int argc, char** argv) {
             std::printf("%s\n", client.stats().c_str());
             return 0;
         }
-        if (command == "shutdown") {
-            client.shutdown_server();
-            std::printf("shutdown acknowledged\n");
-            return 0;
-        }
-        std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
-        usage();
-        return 2;
+        // The one known command left: shutdown.
+        client.shutdown_server();
+        std::printf("shutdown acknowledged\n");
+        return 0;
     } catch (const service::remote_error& error) {
         std::fprintf(stderr, "natscale_client: server error %u: %s\n",
                      static_cast<unsigned>(error.code()), error.what());
@@ -330,5 +375,4 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "natscale_client: %s\n", error.what());
         return 1;
     }
-    return 0;
 }

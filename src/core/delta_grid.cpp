@@ -1,6 +1,5 @@
 #include "core/delta_grid.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/contracts.hpp"
@@ -34,18 +33,6 @@ std::vector<Time> linear_delta_grid(Time lo, Time hi, std::size_t count) {
         if (grid.empty() || t > grid.back()) grid.push_back(t);
     }
     return grid;
-}
-
-std::vector<Time> merge_delta_grids(const std::vector<Time>& a, const std::vector<Time>& b) {
-    // std::merge requires sorted ranges; an unsorted input would silently
-    // yield a non-sorted, non-deduplicated grid downstream.
-    NATSCALE_EXPECTS(std::is_sorted(a.begin(), a.end()));
-    NATSCALE_EXPECTS(std::is_sorted(b.begin(), b.end()));
-    std::vector<Time> merged;
-    merged.reserve(a.size() + b.size());
-    std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(merged));
-    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-    return merged;
 }
 
 }  // namespace natscale

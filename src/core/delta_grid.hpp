@@ -13,6 +13,11 @@
 
 namespace natscale {
 
+/// Largest geometric grid a command line or a daemon registration may ask
+/// for.  Each point costs one sweep (online, one engine state); a larger
+/// count is refused where it is read, instead of failing in allocation.
+inline constexpr std::size_t kMaxGridPoints = 512;
+
 /// Geometric grid of `count` distinct integer periods covering [lo, hi].
 /// Consecutive duplicates arising from rounding are removed, so the result
 /// may hold fewer than `count` values.  Preconditions: 1 <= lo <= hi,
@@ -21,10 +26,5 @@ std::vector<Time> geometric_delta_grid(Time lo, Time hi, std::size_t count);
 
 /// Linear grid of up to `count` distinct integer periods covering [lo, hi].
 std::vector<Time> linear_delta_grid(Time lo, Time hi, std::size_t count);
-
-/// Merges two sorted grids, removing duplicates.  Preconditions: both
-/// inputs sorted (checked; std::merge would otherwise silently produce a
-/// non-sorted, non-deduplicated grid).
-std::vector<Time> merge_delta_grids(const std::vector<Time>& a, const std::vector<Time>& b);
 
 }  // namespace natscale

@@ -32,21 +32,6 @@ std::string saturation_result_to_json(const SaturationResult& result) {
     return json.str();
 }
 
-std::string stream_stats_to_json(const StreamStats& stats) {
-    JsonWriter json;
-    json.begin_object();
-    json.field("schema", kReportSchemaVersion);
-    json.field("num_nodes", static_cast<std::uint64_t>(stats.num_nodes));
-    json.field("num_events", static_cast<std::uint64_t>(stats.num_events));
-    json.field("period_end_ticks", static_cast<std::int64_t>(stats.period_end));
-    json.field("duration_days", stats.duration_days);
-    json.field("active_nodes", static_cast<std::uint64_t>(stats.active_nodes));
-    json.field("events_per_node_per_day", stats.events_per_node_per_day);
-    json.field("mean_intercontact_ticks", stats.mean_intercontact_ticks);
-    json.end_object();
-    return json.str();
-}
-
 std::string segmented_saturation_to_json(const SegmentedSaturation& result) {
     JsonWriter json;
     json.begin_object();

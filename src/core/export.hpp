@@ -7,16 +7,12 @@
 
 #include "core/saturation.hpp"
 #include "core/segmentation.hpp"
-#include "linkstream/stream_stats.hpp"
 
 namespace natscale {
 
 /// {"gamma": ..., "metric": "...", "curve": [{"delta": ..., ...}, ...],
 ///  "icd_at_gamma": [[x, y], ...]}
 std::string saturation_result_to_json(const SaturationResult& result);
-
-/// {"num_nodes": ..., "num_events": ..., "activity_per_day": ..., ...}
-std::string stream_stats_to_json(const StreamStats& stats);
 
 /// {"split": ..., "gamma_high": ..., "segments": [...]}
 std::string segmented_saturation_to_json(const SegmentedSaturation& result);

@@ -4,7 +4,6 @@
 
 #include "core/delta_grid.hpp"
 #include "core/delta_sweep.hpp"
-#include "core/occupancy.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/contracts.hpp"
@@ -21,14 +20,6 @@ DeltaSweepOptions sweep_options_of(const SweepConfig& options) {
     sweep.shannon_slots = options.shannon_slots;
     sweep.num_threads = options.num_threads;
     return sweep;
-}
-
-DeltaPoint evaluate_delta(const LinkStream& stream, Time delta,
-                          const SweepConfig& options, Histogram01* histogram_out) {
-    Histogram01 hist = occupancy_histogram(stream, delta, options.histogram_bins);
-    DeltaPoint point = score_delta_point(delta, hist, options.shannon_slots);
-    if (histogram_out != nullptr) *histogram_out = std::move(hist);
-    return point;
 }
 
 namespace {

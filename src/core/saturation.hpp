@@ -82,12 +82,4 @@ using GridEvaluator = std::function<std::vector<DeltaPoint>(
 SaturationResult find_saturation_scale_with(const GridEvaluator& evaluate, Time lo,
                                             Time hi, const SweepConfig& options);
 
-/// Evaluates a single aggregation period (one sequential O(nM) sweep;
-/// num_threads is ignored).  This is the legacy single-period reference
-/// path — independent of DeltaSweepEngine — kept as the ground truth the
-/// batched sweep is tested against.  For more than a couple of periods, or
-/// to scan one period on several threads, build a DeltaSweepEngine instead.
-DeltaPoint evaluate_delta(const LinkStream& stream, Time delta,
-                          const SweepConfig& options, Histogram01* histogram_out = nullptr);
-
 }  // namespace natscale

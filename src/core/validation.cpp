@@ -5,6 +5,7 @@
 #include "linkstream/aggregation.hpp"
 #include "stats/exact_sum.hpp"
 #include "temporal/sharded_scan.hpp"
+#include "temporal/trip_store.hpp"
 #include "util/contracts.hpp"
 #include "util/math.hpp"
 #include "util/thread_pool.hpp"
@@ -103,13 +104,6 @@ std::vector<ElongationPoint> elongation_points(const LinkStream& stream,
 }
 
 }  // namespace
-
-ElongationPoint elongation_at(const LinkStream& stream, Time delta,
-                              const StreamTripStore& store) {
-    NATSCALE_EXPECTS(delta >= 1);
-    ThreadPool pool(1);
-    return elongation_points(stream, std::span(&delta, 1), store, pool).front();
-}
 
 std::vector<ElongationPoint> elongation_curve(const LinkStream& stream,
                                               const std::vector<Time>& deltas,

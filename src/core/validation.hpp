@@ -18,7 +18,6 @@
 #include "natscale/sweep_config.hpp"
 #include "temporal/reachability.hpp"
 #include "temporal/transitions.hpp"
-#include "temporal/trip_store.hpp"
 #include "util/types.hpp"
 
 namespace natscale {
@@ -54,10 +53,5 @@ struct ElongationPoint {
 std::vector<ElongationPoint> elongation_curve(const LinkStream& stream,
                                               const std::vector<Time>& deltas,
                                               const SweepConfig& options = {});
-
-/// Single-period elongation against a prebuilt trip store (the series sink
-/// keeps the pairs the store keeps): the same fan-out on one thread.
-ElongationPoint elongation_at(const LinkStream& stream, Time delta,
-                              const StreamTripStore& store);
 
 }  // namespace natscale

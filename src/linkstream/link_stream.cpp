@@ -36,17 +36,6 @@ LinkStream::LinkStream(std::vector<Event> events, NodeId num_nodes, Time period_
     source_ = EventSource::owning(std::move(events));
 }
 
-LinkStream LinkStream::from_events(std::vector<Event> events, bool directed) {
-    NATSCALE_EXPECTS(!events.empty());
-    NodeId max_node = 0;
-    Time max_time = 0;
-    for (const auto& e : events) {
-        max_node = std::max({max_node, e.u, e.v});
-        max_time = std::max(max_time, e.t);
-    }
-    return LinkStream(std::move(events), max_node + 1, max_time + 1, directed);
-}
-
 LinkStream LinkStream::from_source(EventSource source, NodeId num_nodes, Time period_end,
                                    bool directed, std::size_t distinct_timestamps) {
     NATSCALE_EXPECTS(period_end > 0);

@@ -36,10 +36,6 @@ public:
     LinkStream(std::vector<Event> events, NodeId num_nodes, Time period_end,
                bool directed = false, bool dedup = false);
 
-    /// Convenience factory: infers num_nodes = 1 + max endpoint and
-    /// period_end = 1 + max timestamp.  Precondition: events non-empty.
-    static LinkStream from_events(std::vector<Event> events, bool directed = false);
-
     /// Wraps an externally validated source without copying or sorting: the
     /// zero-copy entry point of the mmap-backed natbin loader.  `source`
     /// must hold canonical events — (t, u, v)-sorted, endpoints in

@@ -25,6 +25,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "core/delta_grid.hpp"
 #include "linkstream/io.hpp"
 #include "natscale/report_schema.hpp"
 #include "natscale/session.hpp"
@@ -613,8 +614,10 @@ struct Server::Impl {
                        "grid from the period of study)");
             return;
         }
-        if (msg.grid_points < 1 || msg.grid_points > 512) {
-            send_error(conn, ErrorCode::bad_request, "grid_points must be in [1, 512]");
+        // A geometric grid spans two ends (geometric_delta_grid's count >= 2).
+        if (msg.grid_points < 2 || msg.grid_points > kMaxGridPoints) {
+            send_error(conn, ErrorCode::bad_request,
+                       "grid_points must be in [2, " + std::to_string(kMaxGridPoints) + "]");
             return;
         }
         if (msg.metric > static_cast<std::uint32_t>(UniformityMetric::cre)) {

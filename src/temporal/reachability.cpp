@@ -29,15 +29,16 @@ void TemporalReachability::begin(NodeId n) {
 }
 
 std::vector<ReachRow> TemporalReachability::state_rows() const {
-    NATSCALE_EXPECTS(col_begin_ == 0 && col_end_ == n_);
+    const std::size_t width = col_end_ - col_begin_;
     std::vector<ReachRow> rows(n_);
     for (NodeId u = 0; u < n_; ++u) {
-        const PackedState* cells = &state_[static_cast<std::size_t>(u) * n_];
-        for (NodeId v = 0; v < n_; ++v) {
-            const auto rank = static_cast<std::uint32_t>(cells[v] >> 32);
+        const PackedState* cells = state_.data() + static_cast<std::size_t>(u) * width;
+        for (std::size_t j = 0; j < width; ++j) {
+            const auto rank = static_cast<std::uint32_t>(cells[j] >> 32);
             if (rank == kUnreachableRank) continue;
-            rows[u].push_back(
-                {v, static_cast<Hops>(static_cast<std::uint32_t>(cells[v])), label_of(rank)});
+            rows[u].push_back({col_begin_ + static_cast<NodeId>(j),
+                               static_cast<Hops>(static_cast<std::uint32_t>(cells[j])),
+                               label_of(rank)});
         }
     }
     return rows;
@@ -80,23 +81,6 @@ void build_instant_arcs(std::vector<Edge>& arcs, std::span<const Edge> edges, bo
 }
 
 }  // namespace detail
-
-Time TemporalReachability::arrival(NodeId u, NodeId v) const {
-    NATSCALE_EXPECTS(u < n_ && v >= col_begin_ && v < col_end_);
-    const std::size_t width = col_end_ - col_begin_;
-    const PackedState cell = state_[static_cast<std::size_t>(u) * width + (v - col_begin_)];
-    const auto rank = static_cast<std::uint32_t>(cell >> 32);
-    return rank == kUnreachableRank ? kInfiniteTime : label_of(rank);
-}
-
-Hops TemporalReachability::hop_count(NodeId u, NodeId v) const {
-    NATSCALE_EXPECTS(u < n_ && v >= col_begin_ && v < col_end_);
-    const std::size_t width = col_end_ - col_begin_;
-    const PackedState cell = state_[static_cast<std::size_t>(u) * width + (v - col_begin_)];
-    const auto rank = static_cast<std::uint32_t>(cell >> 32);
-    return rank == kUnreachableRank ? kInfiniteHops
-                                    : static_cast<Hops>(static_cast<std::uint32_t>(cell));
-}
 
 void TemporalReachability::decode_tables() {
     NATSCALE_EXPECTS(col_begin_ == 0 && col_end_ == n_);

@@ -36,12 +36,13 @@
 // arbitrary int64 timestamps cost nothing).  Ranks preserve the time order,
 // so the tie-toward-fewer-hops relaxation "(a < A) || (a == A && h < H)"
 // becomes a single branchless unsigned min of packed words, which the
-// compiler turns into cmov/SIMD instead of the branchy 12 B/pair compare of
-// the legacy kernel (temporal/legacy_reachability.hpp).  The unreachable
+// compiler turns into cmov/SIMD instead of a branchy two-field compare over
+// 12 B/pair (the pre-packed kernel, kept as a test reference in
+// tests/testing/legacy_reachability.hpp).  The unreachable
 // sentinel is (0xFFFFFFFF << 32) | 0: adding the +1 hop of a continuation
 // keeps it larger than every reachable value, so no masking is needed in
 // the inner loop.  Ranks are mapped back to original labels on trip
-// emission, in the accessors, and when feeding the distance accumulator.
+// emission, in state_rows(), and when feeding the distance accumulator.
 // State cost drops from 12 B to 8 B per pair, which also raises the dense
 // backend's node ceiling under the fixed memory budget by ~22 % (see
 // temporal/reachability_backend.hpp).
@@ -199,14 +200,6 @@ public:
     template <typename Sink>
     void scan_stream(const LinkStream& stream, Sink&& sink);
 
-    /// Final earliest-arrival state of the last scan: arr(u, v) is the
-    /// earliest arrival over paths departing at any time (>= 1 / >= first
-    /// timestamp), decoded back to original labels.  Exposed for tests; the
-    /// analyses read state_rows().  Preconditions: v inside the column
-    /// range of the last scan.
-    Time arrival(NodeId u, NodeId v) const;
-    Hops hop_count(NodeId u, NodeId v) const;
-
     // --- resumable time-reversed form (see the file comment) ----------------
 
     /// Largest window index relax_window accepts.
@@ -234,7 +227,7 @@ public:
     /// The finite cells, decoded: row u lists (v, hops, arr) for every v
     /// reachable from u, in increasing v — after the same instants (batch
     /// or reversed), exactly SparseTemporalReachability::state_rows().
-    /// Full column range only.
+    /// After a column-restricted scan, only the v of its column range.
     std::vector<ReachRow> state_rows() const;
 
     /// True when every arrival of `rows` is the label of a window the

@@ -23,26 +23,4 @@ void SparseTemporalReachability::restore_state(NodeId n, std::vector<Row> rows) 
     rows_ = std::move(rows);
 }
 
-Time SparseTemporalReachability::arrival(NodeId u, NodeId v) const {
-    NATSCALE_EXPECTS(u < n_ && v < n_);
-    const Row& row = rows_[u];
-    const auto it = std::lower_bound(row.begin(), row.end(), v,
-                                     [](const Entry& e, NodeId x) { return e.v < x; });
-    return it != row.end() && it->v == v ? it->arr : kInfiniteTime;
-}
-
-Hops SparseTemporalReachability::hop_count(NodeId u, NodeId v) const {
-    NATSCALE_EXPECTS(u < n_ && v < n_);
-    const Row& row = rows_[u];
-    const auto it = std::lower_bound(row.begin(), row.end(), v,
-                                     [](const Entry& e, NodeId x) { return e.v < x; });
-    return it != row.end() && it->v == v ? it->hops : kInfiniteHops;
-}
-
-std::size_t SparseTemporalReachability::num_finite_entries() const {
-    std::size_t total = 0;
-    for (const Row& row : rows_) total += row.size();
-    return total;
-}
-
 }  // namespace natscale

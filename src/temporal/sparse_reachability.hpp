@@ -118,15 +118,6 @@ public:
     /// increasing v with v < n.
     void restore_state(NodeId n, std::vector<Row> rows);
 
-    /// Final earliest-arrival state of the last scan (kInfiniteTime /
-    /// kInfiniteHops when v is unreachable from u).
-    Time arrival(NodeId u, NodeId v) const;
-    Hops hop_count(NodeId u, NodeId v) const;
-
-    /// Number of finite (u, v) entries currently stored — the sparse
-    /// backend's whole state; exposed for tests and the memory-model bench.
-    std::size_t num_finite_entries() const;
-
 private:
     void prepare(NodeId n);
 

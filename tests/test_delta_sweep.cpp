@@ -1,12 +1,14 @@
 // Tests of the batched multi-Delta sweep engine: the batched evaluation is
-// bit-identical to the legacy per-Delta path, and results are independent
-// of the thread count.
+// bit-identical to the sequential per-Delta path (one occupancy_histogram
+// scan per period, scored by score_delta_point), and results are
+// independent of the thread count.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/delta_grid.hpp"
 #include "core/delta_sweep.hpp"
+#include "core/occupancy.hpp"
 #include "core/saturation.hpp"
 #include "gen/registry.hpp"
 
@@ -32,19 +34,19 @@ TEST(DeltaSweep, BatchedMatchesLegacyEvaluateDeltaBitwise) {
     const auto stream = seeded_stream(42);
     const auto grid = geometric_delta_grid(1, stream.period_end(), 20);
 
-    SweepConfig legacy_options;
-    DeltaSweepEngine engine(stream, sweep_options_of(legacy_options));
+    const SweepConfig config;
+    DeltaSweepEngine engine(stream, sweep_options_of(config));
     std::vector<Histogram01> histograms;
     const auto batched = engine.evaluate(grid, &histograms);
 
     ASSERT_EQ(batched.size(), grid.size());
     ASSERT_EQ(histograms.size(), grid.size());
     for (std::size_t i = 0; i < grid.size(); ++i) {
-        Histogram01 legacy_hist(legacy_options.histogram_bins);
-        const DeltaPoint legacy =
-            evaluate_delta(stream, grid[i], legacy_options, &legacy_hist);
-        expect_identical_point(batched[i], legacy);
-        EXPECT_EQ(histograms[i].counts(), legacy_hist.counts());
+        const Histogram01 sequential =
+            occupancy_histogram(stream, grid[i], config.histogram_bins);
+        expect_identical_point(batched[i],
+                               score_delta_point(grid[i], sequential, config.shannon_slots));
+        EXPECT_EQ(histograms[i].counts(), sequential.counts());
         EXPECT_EQ(histograms[i].total(), batched[i].num_trips);
     }
 }
@@ -98,16 +100,15 @@ TEST(DeltaSweep, FindSaturationScaleIdenticalAcrossThreadCounts) {
 
 TEST(DeltaSweep, GammaHistogramMatchesLegacyReEvaluation) {
     // The search retains the gamma histogram from the sweep instead of
-    // re-evaluating; it must equal what the legacy re-evaluation produced.
+    // re-evaluating; it must equal a sequential re-evaluation at gamma.
     const auto stream = seeded_stream(19);
     SweepConfig options;
     options.coarse_points = 12;
     options.refine_rounds = 1;
     const SaturationResult result = find_saturation_scale(stream, options);
 
-    Histogram01 legacy(options.histogram_bins);
-    evaluate_delta(stream, result.gamma, options, &legacy);
-    EXPECT_EQ(result.gamma_histogram.counts(), legacy.counts());
+    EXPECT_EQ(result.gamma_histogram.counts(),
+              occupancy_histogram(stream, result.gamma, options.histogram_bins).counts());
 }
 
 TEST(DeltaSweep, EmptyGridAndDuplicateDeltas) {

@@ -103,6 +103,7 @@ TEST(ExampleCliParsers, ThreadCountsUpToTheCeilingAndGridPointsFromTwo) {
     EXPECT_EQ(parse_thread_count("--threads=0", "--threads="), 0u);
     EXPECT_EQ(parse_thread_count("--workers=1024", "--workers="), ThreadPool::kMaxThreads);
     EXPECT_EQ(parse_grid_points("--points=2", "--points="), 2u);
+    EXPECT_EQ(parse_grid_points("--points=512", "--points="), kMaxGridPoints);
 }
 
 TEST(ExampleCliDeath, ThreadCountAboveTheCeilingNamesTheFlag) {
@@ -122,6 +123,15 @@ TEST(ExampleCliDeath, GridPointsBelowTwoNameTheFlag) {
                 "'0' for option '--points'");
 }
 
+TEST(ExampleCliDeath, GridPointsAboveTheCeilingNameTheFlag) {
+    // One double per point is allocated before the first sweep, so a huge
+    // count used to end in std::bad_alloc after the input was loaded.
+    EXPECT_EXIT(parse_grid_points("--points=513", "--points="), ::testing::ExitedWithCode(2),
+                "'513' for option '--points' \\(expected at most 512\\)");
+    EXPECT_EXIT(parse_grid_points("--points=99999999999", "--points="),
+                ::testing::ExitedWithCode(2), "'99999999999' for option '--points'");
+}
+
 TEST(ExampleCliParsers, BoundedCountsAcceptBothEnds) {
     constexpr std::size_t kU32Max = std::numeric_limits<std::uint32_t>::max();
     constexpr std::size_t kTimeMax = std::numeric_limits<std::int64_t>::max();
@@ -133,8 +143,9 @@ TEST(ExampleCliParsers, BoundedCountsAcceptBothEnds) {
 }
 
 TEST(ExampleCliDeath, BoundedCountsOutOfRangeNameTheFlag) {
-    // natscale_client narrows --points to std::uint32_t and --horizon /
-    // --delta to Time; `watch` never gives up waiting at --poll-ms=0.
+    // Bounds at the edge of a 32-bit count and of Time (natscale_client
+    // narrows --horizon / --delta to Time); `watch` never gives up waiting
+    // at --poll-ms=0.
     constexpr std::size_t kU32Max = std::numeric_limits<std::uint32_t>::max();
     constexpr std::size_t kTimeMax = std::numeric_limits<std::int64_t>::max();
     EXPECT_EXIT(parse_bounded_count("--points=4294967298", "--points=", 2, kU32Max),

@@ -94,14 +94,6 @@ TEST(Export, SaturationResultRoundTripsKeyFields) {
               std::count(text.begin(), text.end(), ']'));
 }
 
-TEST(Export, StreamStatsJson) {
-    LinkStream stream({{0, 1, 0}, {1, 2, 43'200}}, 3, 86'400);
-    const std::string text = stream_stats_to_json(compute_stream_stats(stream));
-    EXPECT_NE(text.find("\"num_nodes\":3"), std::string::npos);
-    EXPECT_NE(text.find("\"num_events\":2"), std::string::npos);
-    EXPECT_NE(text.find("\"duration_days\":1"), std::string::npos);
-}
-
 TEST(Export, SegmentedSaturationJson) {
     SegmentedSaturation result;
     result.split = true;

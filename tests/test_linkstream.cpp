@@ -15,6 +15,8 @@ TEST(LinkStream, EventsSortedChronologically) {
     EXPECT_EQ(events[0].t, 1);
     EXPECT_EQ(events[1].t, 3);
     EXPECT_EQ(events[2].t, 5);
+    EXPECT_EQ(stream.first_time(), 1);
+    EXPECT_EQ(stream.last_time(), 5);
 }
 
 TEST(LinkStream, UndirectedEndpointsCanonicalized) {
@@ -45,14 +47,6 @@ TEST(LinkStream, RejectsInvalidEvents) {
     EXPECT_THROW(LinkStream({{0, 1, 10}}, 2, 10), contract_error);   // t >= T
     EXPECT_THROW(LinkStream({{0, 1, -1}}, 2, 10), contract_error);   // t < 0
     EXPECT_THROW(LinkStream({{0, 1, 1}}, 2, 0), contract_error);     // empty period
-}
-
-TEST(LinkStream, FromEventsInfersBounds) {
-    const auto stream = LinkStream::from_events({{0, 4, 7}, {1, 2, 3}});
-    EXPECT_EQ(stream.num_nodes(), 5u);
-    EXPECT_EQ(stream.period_end(), 8);
-    EXPECT_EQ(stream.first_time(), 3);
-    EXPECT_EQ(stream.last_time(), 7);
 }
 
 TEST(LinkStream, DistinctTimestamps) {

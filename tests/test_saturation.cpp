@@ -36,29 +36,16 @@ TEST(DeltaGrid, LinearSpacing) {
     }
 }
 
-TEST(DeltaGrid, MergeDeduplicates) {
-    const auto merged = merge_delta_grids({1, 5, 9}, {3, 5, 12});
-    const std::vector<Time> expected{1, 3, 5, 9, 12};
-    EXPECT_EQ(merged, expected);
-}
-
 TEST(DeltaGrid, SingletonRange) {
     EXPECT_EQ(geometric_delta_grid(7, 7, 10), std::vector<Time>{7});
 }
 
-TEST(DeltaGrid, MergeRejectsUnsortedInputs) {
-    // Regression: std::merge silently produced a non-sorted,
-    // non-deduplicated grid when either input violated its precondition.
-    EXPECT_THROW(merge_delta_grids({5, 1, 9}, {3, 12}), contract_error);
-    EXPECT_THROW(merge_delta_grids({1, 9}, {12, 3}), contract_error);
-    EXPECT_NO_THROW(merge_delta_grids({}, {}));
-    EXPECT_NO_THROW(merge_delta_grids({1, 1, 2}, {2}));  // non-strict is fine
-}
-
 TEST(DeltaGrid, RefinementRoundGridsSatisfyMergePreconditions) {
-    // find_saturation_scale merges a geometric coarse grid with linear
-    // refinement grids over the brackets around the running optimum; every
-    // grid either side can produce must arrive sorted and deduplicated.
+    // find_saturation_scale inserts every point of the geometric coarse grid
+    // and of the linear refinement grids around the running optimum into its
+    // delta-sorted curve, skipping deltas already there; a grid repeating a
+    // delta would evaluate and insert it twice, so every grid either side
+    // can produce must arrive sorted and free of duplicates.
     for (const Time lo : {Time{1}, Time{7}, Time{999}}) {
         for (const Time hi : {lo, lo + 1, lo + 2, lo + 100, lo + 99'999}) {
             for (const std::size_t count : {std::size_t{2}, std::size_t{3},
@@ -67,20 +54,26 @@ TEST(DeltaGrid, RefinementRoundGridsSatisfyMergePreconditions) {
                                          linear_delta_grid(lo, hi, count)}) {
                     EXPECT_TRUE(std::is_sorted(grid.begin(), grid.end()));
                     EXPECT_EQ(std::adjacent_find(grid.begin(), grid.end()), grid.end());
-                    EXPECT_NO_THROW(merge_delta_grids(grid, grid));
                 }
             }
         }
     }
-    // And the searches themselves run their refinement rounds without
-    // tripping the new contracts (exercised on a real stream).
+    // And the search itself runs its refinement rounds without tripping a
+    // contract, into a curve of strictly increasing deltas (exercised on a
+    // real stream).
     SweepConfig options;
     options.coarse_points = 24;
     options.refine_rounds = 3;
     options.refine_points = 6;
     options.histogram_bins = 400;
     const auto stream = gen::generate_stream("uniform:n=12,links=6,T=10000", 9).stream;
-    EXPECT_NO_THROW(find_saturation_scale(stream, options));
+    SaturationResult result;
+    ASSERT_NO_THROW(result = find_saturation_scale(stream, options));
+    EXPECT_EQ(std::adjacent_find(result.curve.begin(), result.curve.end(),
+                                 [](const DeltaPoint& a, const DeltaPoint& b) {
+                                     return a.delta >= b.delta;
+                                 }),
+              result.curve.end());
 }
 
 TEST(DeltaGrid, RejectsBadArguments) {

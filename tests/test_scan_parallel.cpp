@@ -29,10 +29,10 @@
 #include "linkstream/aggregation.hpp"
 #include "obs/metrics.hpp"
 #include "temporal/column_shards.hpp"
-#include "temporal/legacy_reachability.hpp"
 #include "temporal/minimal_trip.hpp"
 #include "temporal/reachability_backend.hpp"
 #include "testing/histograms.hpp"
+#include "testing/legacy_reachability.hpp"
 #include "testing/streams.hpp"
 #include "util/rng.hpp"
 

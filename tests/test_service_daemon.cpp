@@ -261,6 +261,28 @@ TEST(ServiceDaemon, StaleTokenAndUnknownStreamAreRejected) {
     EXPECT_EQ(ro.resume_token, 0u);
 }
 
+TEST(ServiceDaemon, RegisterTakesTheGridPointsTheCommandLinesTake) {
+    // [2, kMaxGridPoints], as --points: a one-point grid has no second end.
+    Daemon daemon;
+    Client client = daemon.connect();
+    for (const std::uint32_t points : {1u, 513u}) {
+        RegisterStream spec = stream_spec("grid" + std::to_string(points), 8, 100);
+        spec.grid_points = points;
+        try {
+            client.register_stream(spec);
+            FAIL() << "grid_points " << points << " accepted";
+        } catch (const remote_error& error) {
+            EXPECT_EQ(error.code(), ErrorCode::bad_request);
+            EXPECT_STREQ(error.what(), "grid_points must be in [2, 512]");
+        }
+    }
+    for (const std::uint32_t points : {2u, 512u}) {
+        RegisterStream spec = stream_spec("grid" + std::to_string(points), 8, 100);
+        spec.grid_points = points;
+        EXPECT_NO_THROW(client.register_stream(spec)) << points;
+    }
+}
+
 TEST(ServiceDaemon, MalformedFramesAreContainedPerConnection) {
     Daemon daemon;
 

@@ -51,8 +51,7 @@ TEST(Elongation, HandComputedSingleTransition) {
     // 0-1 @ 10, 1-2 @ 25.  At delta = 10: trip (0,2) spans windows 2..3,
     // absolute span (3-2+1)*10 = 20; the stream trip takes 15 ticks.
     LinkStream stream({{0, 1, 10}, {1, 2, 25}}, 3, 50);
-    const StreamTripStore store(stream);
-    const auto point = elongation_at(stream, 10, store);
+    const auto point = elongation_curve(stream, {10}).front();
     ASSERT_EQ(point.measured_trips, 1u);  // only the 2-window trip qualifies
     EXPECT_DOUBLE_EQ(point.mean_elongation, 20.0 / 15.0);
 }
@@ -62,11 +61,9 @@ TEST(Elongation, AlwaysAtLeastOne) {
     // its duration is at most the window span: e_P >= 1 ... the stream trip
     // can at most span the whole window, duration <= span - 1 < span.
     const auto stream = random_stream(23, 12, 300, 5'000);
-    const StreamTripStore store(stream);
-    for (Time delta : {3, 17, 101, 997}) {
-        const auto point = elongation_at(stream, delta, store);
+    for (const auto& point : elongation_curve(stream, {3, 17, 101, 997})) {
         if (point.measured_trips > 0) {
-            EXPECT_GE(point.mean_elongation, 1.0) << "delta=" << delta;
+            EXPECT_GE(point.mean_elongation, 1.0) << "delta=" << point.delta;
         }
     }
 }
@@ -94,8 +91,7 @@ TEST(Elongation, GrowsAroundSaturation) {
 TEST(Elongation, SingleWindowTripsSkipped) {
     // Delta large enough that every trip fits one window: nothing measurable.
     LinkStream stream({{0, 1, 10}, {1, 2, 25}}, 3, 50);
-    const StreamTripStore store(stream);
-    const auto point = elongation_at(stream, 50, store);
+    const auto point = elongation_curve(stream, {50}).front();
     EXPECT_EQ(point.measured_trips, 0u);
     EXPECT_DOUBLE_EQ(point.mean_elongation, 0.0);
 }

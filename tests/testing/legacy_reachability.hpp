@@ -1,13 +1,13 @@
 // The pre-packed scalar reachability kernel, kept verbatim as the reference
-// implementation the packed engine (temporal/reachability.hpp) is tested and
-// benchmarked against.
+// implementation the packed engine (temporal/reachability.hpp) is tested
+// against.
 //
 // State layout: two parallel n x n tables (Time arr + Hops hops, 12 B per
 // ordered pair) relaxed with a branchy two-field lexicographic compare.  The
 // packed engine replaced this with a single 8 B `(arrival rank << 32) | hops`
 // word per pair and a branchless unsigned min; both emit the exact same
-// minimal-trip sequence.  This header is referenced only by tests and by
-// bench/perf_reachability's PackedVsLegacy suite — production code paths go
+// minimal-trip sequence.  Only the differential tests include it
+// (test_packed_reachability, test_scan_parallel); production code paths go
 // through TemporalReachability / ReachabilityEngine.
 #pragma once
 
