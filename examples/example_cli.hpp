@@ -12,9 +12,11 @@
 // message name the flag (tests/test_example_cli.cpp locks this in).
 #pragma once
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <system_error>
 #include <utility>
 
 #include "core/delta_grid.hpp"
@@ -39,21 +41,18 @@ inline std::string option_value(const std::string& arg, const std::string& flag)
     std::exit(2);
 }
 
-/// Numeric value of an `--option=N` argument; exits with a message on junk
-/// (including negatives, which std::stoul would silently wrap, and trailing
-/// garbage, which it would silently drop).
+/// Numeric value of an `--option=N` argument: decimal digits only, all of
+/// the value.  Exits with a message on anything else — a sign, a space,
+/// trailing garbage, or a count beyond std::size_t.
 inline std::size_t parse_count(const std::string& arg, const std::string& flag) {
     const std::string value = option_value(arg, flag);
-    try {
-        std::size_t consumed = 0;
-        const unsigned long parsed = std::stoul(value, &consumed);
-        if (value.empty() || value[0] == '-' || consumed != value.size()) {
-            throw std::invalid_argument(value);
-        }
-        return static_cast<std::size_t>(parsed);
-    } catch (const std::exception&) {
+    std::size_t parsed = 0;
+    const char* end = value.data() + value.size();
+    const auto [stop, error] = std::from_chars(value.data(), end, parsed);
+    if (error != std::errc{} || stop != end) {
         invalid_value(flag, value, "a non-negative integer");
     }
+    return parsed;
 }
 
 /// A count as parse_count reads it, within [min, max]; exits 2 naming the

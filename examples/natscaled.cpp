@@ -82,18 +82,8 @@ void parse_listen(const std::string& arg, ServerOptions& options) {
             natscale::examples::invalid_value("--listen=", value, "tcp:HOST:PORT");
         }
         options.tcp_host = rest.substr(0, colon);
-        const std::string port_text = rest.substr(colon + 1);
-        try {
-            std::size_t consumed = 0;
-            const unsigned long port = std::stoul(port_text, &consumed);
-            if (port_text[0] == '-' || consumed != port_text.size() || port > 65535) {
-                throw std::invalid_argument(port_text);
-            }
-            options.tcp_port = static_cast<std::uint16_t>(port);
-        } catch (const std::exception&) {
-            natscale::examples::invalid_value("--listen=", value,
-                                              "tcp:HOST:PORT with PORT in 0..65535");
-        }
+        options.tcp_port = static_cast<std::uint16_t>(natscale::examples::parse_bounded_count(
+            "--listen=" + rest.substr(colon + 1), "--listen=", 0, 65535));
         return;
     }
     natscale::examples::invalid_value("--listen=", value, "unix:PATH or tcp:HOST:PORT");

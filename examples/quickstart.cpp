@@ -6,6 +6,7 @@
 //   4. decide which aggregation periods are safe for propagation analyses.
 //
 // Run:  ./build/examples/quickstart
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 
@@ -30,13 +31,17 @@ int main() {
     print_stream_summary(std::cout, "quickstart", compute_stream_stats(stream));
 
     // 2. Aggregate at 10 minutes and inspect the middle snapshot.
+    //    The series lists only its non-empty windows.
     const GraphSeries series = aggregate(stream, /*delta=*/600);
     const WindowIndex mid = series.num_windows() / 2;
-    const StaticGraph snapshot = series.graph_at(mid);
+    const auto snapshots = series.snapshots();
+    const auto at = std::find_if(snapshots.begin(), snapshots.end(),
+                                 [mid](const Snapshot& snapshot) { return snapshot.k == mid; });
+    const std::size_t edges = at == snapshots.end() ? 0 : at->edges.size();
     std::printf("aggregated at 10min: %lld windows, snapshot %lld has %zu edges "
                 "(density %.4f)\n",
                 static_cast<long long>(series.num_windows()), static_cast<long long>(mid),
-                snapshot.num_edges(), density(snapshot));
+                edges, density(edges, series.num_nodes(), series.directed()));
 
     // 3. The occupancy method: fully automatic, no parameters needed.
     SweepConfig options;

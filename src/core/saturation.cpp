@@ -113,14 +113,13 @@ SaturationResult find_saturation_scale(const LinkStream& stream,
     NATSCALE_EXPECTS(!stream.empty());
 
     const Time lo = options.min_delta > 0 ? options.min_delta : 1;
-    const Time hi = options.max_delta > 0 ? options.max_delta : stream.period_end();
 
     DeltaSweepEngine engine(stream, sweep_options_of(options));
     return find_saturation_scale_with(
         [&engine](std::span<const Time> grid, std::vector<Histogram01>* histograms) {
             return engine.evaluate(grid, histograms);
         },
-        lo, hi, options);
+        lo, stream.period_end(), options);
 }
 
 }  // namespace natscale

@@ -62,7 +62,6 @@ std::vector<ActivitySegment> segment_by_activity(const LinkStream& stream,
     // Two-regime split with a bimodality guard.
     const auto threshold = otsu_threshold(rates);
     std::vector<bool> is_high(bins, true);
-    bool split_accepted = false;
     if (threshold) {
         double low_sum = 0.0, high_sum = 0.0;
         std::size_t low_count = 0, high_count = 0;
@@ -91,12 +90,10 @@ std::vector<ActivitySegment> segment_by_activity(const LinkStream& stream,
             const bool significant =
                 (high_counts - low_counts) >= 3.0 * std::sqrt(std::max(high_counts, 1.0));
             if (ratio_ok && significant) {
-                split_accepted = true;
                 for (std::size_t i = 0; i < bins; ++i) is_high[i] = rates[i] > *threshold;
             }
         }
     }
-    (void)split_accepted;
 
     // Merge consecutive bins of the same class into segments.
     std::vector<ActivitySegment> segments;

@@ -40,22 +40,6 @@ bool EpochUnionFind::unite(NodeId x, NodeId y) {
 
 std::uint32_t EpochUnionFind::component_size(NodeId x) { return size_[find(x)]; }
 
-std::vector<std::uint32_t> component_sizes(const StaticGraph& g) {
-    EpochUnionFind uf(g.num_nodes());
-    for (const auto& [u, v] : g.edges()) uf.unite(u, v);
-    std::vector<std::uint32_t> sizes;
-    for (NodeId u = 0; u < g.num_nodes(); ++u) {
-        if (uf.find(u) == u) sizes.push_back(uf.component_size(u));
-    }
-    return sizes;
-}
-
-std::uint32_t largest_component_size(const StaticGraph& g) {
-    const auto sizes = component_sizes(g);
-    if (sizes.empty()) return 0;
-    return *std::max_element(sizes.begin(), sizes.end());
-}
-
 ComponentSummary summarize_components(std::span<const Edge> edges, EpochUnionFind& uf) {
     uf.reset();
     ComponentSummary out;

@@ -1,4 +1,4 @@
-// Connected components, both as a one-shot graph algorithm and as a reusable
+// Connected components of a snapshot's edge list, through a reusable
 // union-find structure with O(1) amortized reset.
 //
 // The classical-property sweep (paper Fig. 2, top-right) needs the largest
@@ -12,7 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "graph/static_graph.hpp"
 #include "util/types.hpp"
 
 namespace natscale {
@@ -44,16 +43,9 @@ private:
     std::uint64_t epoch_ = 1;
 };
 
-/// Sizes of all connected components (weakly connected if directed), in no
-/// particular order.  Isolated nodes contribute components of size 1.
-std::vector<std::uint32_t> component_sizes(const StaticGraph& g);
-
-/// Size of the largest connected component; 0 for an empty node set.
-std::uint32_t largest_component_size(const StaticGraph& g);
-
-/// Largest component and non-isolated-node count computed directly from an
-/// edge list, without materializing a StaticGraph.  `uf` must cover all node
-/// ids appearing in `edges`; it is reset on entry.
+/// Largest component (weakly connected if the edges are directed) and
+/// non-isolated-node count of an edge list.  `uf` must cover all node ids
+/// appearing in `edges`; it is reset on entry.
 struct ComponentSummary {
     std::uint32_t largest_component = 0;  // 0 if no edges
     std::uint32_t non_isolated_nodes = 0;

@@ -9,33 +9,4 @@ double density(std::size_t num_edges, NodeId num_nodes, bool directed) noexcept 
     return static_cast<double>(num_edges) / possible;
 }
 
-double density(const StaticGraph& g) noexcept {
-    return density(g.num_edges(), g.num_nodes(), g.directed());
-}
-
-double mean_degree(const StaticGraph& g) noexcept {
-    if (g.num_nodes() == 0) return 0.0;
-    const double m = static_cast<double>(g.num_edges());
-    const double n = static_cast<double>(g.num_nodes());
-    return (g.directed() ? m : 2.0 * m) / n;
-}
-
-NodeId num_non_isolated(const StaticGraph& g) {
-    NodeId count = 0;
-    for (NodeId u = 0; u < g.num_nodes(); ++u) {
-        if (g.degree(u) > 0) ++count;
-    }
-    if (g.directed()) {
-        // degree() is out-degree; nodes with only in-edges are found via edges.
-        std::vector<bool> seen(g.num_nodes(), false);
-        for (NodeId u = 0; u < g.num_nodes(); ++u) seen[u] = g.degree(u) > 0;
-        for (const auto& [u, v] : g.edges()) seen[v] = true;
-        count = 0;
-        for (NodeId u = 0; u < g.num_nodes(); ++u) {
-            if (seen[u]) ++count;
-        }
-    }
-    return count;
-}
-
 }  // namespace natscale

@@ -1,22 +1,15 @@
 // Classical per-snapshot graph metrics used by the paper's Fig. 2.
 #pragma once
 
-#include "graph/static_graph.hpp"
+#include <cstddef>
+
+#include "util/types.hpp"
 
 namespace natscale {
 
-/// Edge density: m / (n(n-1)/2) for undirected graphs, m / (n(n-1)) for
-/// directed.  0 for graphs with fewer than 2 nodes.
-double density(const StaticGraph& g) noexcept;
-
-/// Density computed from counts alone (avoids building a StaticGraph in the
-/// hot sweep of Fig. 2).
+/// Edge density of a snapshot with `num_edges` distinct edges on
+/// `num_nodes` nodes: m / (n(n-1)/2) for undirected graphs, m / (n(n-1))
+/// for directed.  0 for graphs with fewer than 2 nodes.
 double density(std::size_t num_edges, NodeId num_nodes, bool directed) noexcept;
-
-/// Mean degree 2m/n (undirected) or m/n (directed out-degree); 0 if n == 0.
-double mean_degree(const StaticGraph& g) noexcept;
-
-/// Number of nodes with at least one incident edge.
-NodeId num_non_isolated(const StaticGraph& g);
 
 }  // namespace natscale

@@ -202,11 +202,11 @@ std::size_t validate_records(const std::string& path, const NatbinHeader& h,
 }
 
 /// The first `count` records of `file` as an EventSource: the mapping
-/// itself (zero copy) on little-endian hosts when `prefer_mmap`, an owned
-/// decoded copy otherwise.
+/// itself (zero copy) on little-endian hosts when the file is mapped, an
+/// owned decoded copy otherwise.
 EventSource record_source(const std::shared_ptr<const MappedFile>& file, const NatbinHeader& h,
-                          std::uint64_t count, bool prefer_mmap) {
-    if (prefer_mmap && kLittleEndian && file->is_mapped()) {
+                          std::uint64_t count) {
+    if (kLittleEndian && file->is_mapped()) {
         return EventSource::mapped(file, h.events_offset, static_cast<std::size_t>(count));
     }
     const std::byte* records = file->data() + h.events_offset;
@@ -344,27 +344,19 @@ void NatbinWriter::finish() {
     os_.close();
 }
 
-namespace {
-
-LoadedStream load_impl(const std::string& path, bool prefer_mmap) {
+LoadedStream open_natbin(const std::string& path) {
     auto file = std::make_shared<const MappedFile>(MappedFile::open(path));
     const std::span<const std::byte> bytes(file->data(), file->size());
     const NatbinHeader h = parse_header(path, bytes);
     std::vector<std::string> labels = parse_labels(path, h, bytes);
     if (h.num_events == 0) throw std::runtime_error(path + ": no events");
 
-    EventSource source = record_source(file, h, h.num_events, prefer_mmap);
+    EventSource source = record_source(file, h, h.num_events);
     const std::size_t distinct = validate_records(path, h, source);
     return {LinkStream::from_source(std::move(source), h.num_nodes, h.period_end, h.directed,
                                     distinct),
             std::move(labels)};
 }
-
-}  // namespace
-
-LoadedStream open_natbin(const std::string& path) { return load_impl(path, true); }
-
-LoadedStream load_natbin(const std::string& path) { return load_impl(path, false); }
 
 NatbinTail open_natbin_tail(const std::string& path, const NatbinTailCursor& cursor) {
     auto file = std::make_shared<const MappedFile>(MappedFile::open(path));
@@ -385,7 +377,7 @@ NatbinTail open_natbin_tail(const std::string& path, const NatbinTailCursor& cur
                                  std::to_string(tail.complete_records) + " records, " +
                                  std::to_string(prefix) + " previously seen)");
     }
-    tail.source = record_source(file, h, tail.complete_records, /*prefer_mmap=*/true);
+    tail.source = record_source(file, h, tail.complete_records);
     tail.events = tail.source.events();
 
     // Validate only the records appended since the caller's previous open;

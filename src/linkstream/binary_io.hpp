@@ -66,14 +66,11 @@ void save_natbin(const std::string& path, const LinkStream& stream,
 /// address space, O(sliding window) resident.  One sequential pass validates
 /// every record (bounds, canonical endpoints, (t, u, v) order) and counts
 /// distinct timestamps; it releases pages behind itself.  On big-endian
-/// hosts (where the records cannot be aliased in place) this degrades to
-/// load_natbin.  Throws io_error on malformed files, std::runtime_error on
-/// unopenable or empty-stream files.
+/// hosts (where the records cannot be aliased in place) and for files that
+/// cannot be mapped, the records are decoded into an owned copy instead.
+/// Throws io_error on malformed files, std::runtime_error on unopenable or
+/// empty-stream files.
 LoadedStream open_natbin(const std::string& path);
-
-/// Reads the whole file into an owned in-memory LinkStream (works on any
-/// endianness).  Same validation and errors as open_natbin.
-LoadedStream load_natbin(const std::string& path);
 
 /// A tail-mode view of a (possibly still growing) natbin file: the complete
 /// records present right now, mmap-backed where possible.  Unlike the strict
@@ -172,8 +169,6 @@ public:
     /// header count: that is finish()'s signal that the file is complete.
     /// Throws std::runtime_error on write failure.
     void flush();
-
-    std::uint64_t events_written() const noexcept { return count_; }
 
     /// Flushes buffered records and patches num_events into the header.
     /// Throws std::runtime_error on write failure.  Idempotent.

@@ -24,29 +24,4 @@ GraphSeries::GraphSeries(NodeId num_nodes, WindowIndex num_windows, Time delta, 
     }
 }
 
-const Snapshot* GraphSeries::find_snapshot(WindowIndex k) const {
-    const auto it = std::lower_bound(
-        snapshots_.begin(), snapshots_.end(), k,
-        [](const Snapshot& s, WindowIndex key) { return s.k < key; });
-    if (it == snapshots_.end() || it->k != k) return nullptr;
-    return &*it;
-}
-
-StaticGraph GraphSeries::graph_at(WindowIndex k) const {
-    NATSCALE_EXPECTS(k >= 1 && k <= num_windows_);
-    const Snapshot* snap = find_snapshot(k);
-    if (snap == nullptr) return StaticGraph(num_nodes_, directed_);
-    return StaticGraph(num_nodes_, snap->edges, directed_);
-}
-
-bool GraphSeries::has_edge_at(WindowIndex k, NodeId u, NodeId v) const {
-    NATSCALE_EXPECTS(k >= 1 && k <= num_windows_);
-    NATSCALE_EXPECTS(u < num_nodes_ && v < num_nodes_);
-    const Snapshot* snap = find_snapshot(k);
-    if (snap == nullptr) return false;
-    Edge probe{u, v};
-    if (!directed_ && probe.first > probe.second) std::swap(probe.first, probe.second);
-    return std::binary_search(snap->edges.begin(), snap->edges.end(), probe);
-}
-
 }  // namespace natscale

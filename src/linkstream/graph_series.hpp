@@ -13,7 +13,6 @@
 #include <span>
 #include <vector>
 
-#include "graph/static_graph.hpp"
 #include "util/types.hpp"
 
 namespace natscale {
@@ -51,16 +50,7 @@ public:
     /// O(nM) complexity statement).
     std::size_t total_edges() const noexcept { return total_edges_; }
 
-    /// Materializes snapshot `k` as a static graph on the full node set;
-    /// returns an empty graph for windows with no events.
-    StaticGraph graph_at(WindowIndex k) const;
-
-    /// True if the edge u-v (u->v if directed) occurs in window k.
-    bool has_edge_at(WindowIndex k, NodeId u, NodeId v) const;
-
 private:
-    const Snapshot* find_snapshot(WindowIndex k) const;
-
     NodeId num_nodes_ = 0;
     WindowIndex num_windows_ = 0;
     Time delta_ = 0;

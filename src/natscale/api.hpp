@@ -14,10 +14,11 @@
 //   online_report_json,    natscale/report_schema.hpp the versioned JSON
 //   curve_json, ...                                   report schema
 //
-// The CLI tools (examples/), `find_time_scale watch`, and the natscaled
-// daemon (service/) are all thin layers over exactly this surface — there
-// is no daemon-only or CLI-only analysis path, which is what keeps their
-// answers bit-identical.
+// The CLI tools (examples/) and the natscaled daemon (service/) are thin
+// layers over this surface; `find_time_scale watch` drives the
+// OnlineSweepEngine under StreamSession directly, with its own checkpoint
+// file.  There is no daemon-only or CLI-only analysis path, which is what
+// keeps their answers bit-identical.
 #pragma once
 
 #include "core/delta_grid.hpp"

@@ -1,10 +1,13 @@
-// StreamSession: the one ingest-and-query surface over a growing stream.
+// StreamSession: the ingest-and-query surface over a growing stream.
 //
-// Every consumer of the online pipeline — `find_time_scale watch`, the
-// natscaled daemon, embedders of the library — needs the same composition:
-// a StreamIngestor validating and reordering appended events into the
-// canonical sealed prefix + provisional tail, and an OnlineSweepEngine
-// maintaining the occupancy statistics of a fixed Delta grid over it.
+// A consumer that receives events one by one — the natscaled daemon,
+// embedders of the library — needs the same composition: a StreamIngestor
+// validating and reordering appended events into the canonical sealed
+// prefix + provisional tail, and an OnlineSweepEngine maintaining the
+// occupancy statistics of a fixed Delta grid over it.  (`find_time_scale
+// watch` reads a natbin file that is already canonical, so it drives an
+// OnlineSweepEngine and its checkpoint file directly; see run_watch in
+// examples/find_time_scale.cpp.)
 // StreamSession owns that pair and keeps their contracts straight (the
 // engine is always sync()ed against the ingestor's finalized prefix, never
 // the provisional tail, so both sealed-only and full refreshes satisfy the

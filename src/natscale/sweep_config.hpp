@@ -31,7 +31,7 @@ struct SweepConfig {
     /// Metric whose maximum defines gamma (paper default: M-K proximity).
     UniformityMetric metric = UniformityMetric::mk_proximity;
 
-    /// Points of the initial geometric grid over [min_delta, max_delta].
+    /// Points of the initial geometric grid over [min_delta, T].
     std::size_t coarse_points = 48;
 
     /// Linear refinement rounds around the running optimum, and points per
@@ -46,9 +46,9 @@ struct SweepConfig {
     /// Slot count for the Shannon-entropy metric (Section 7 uses 10).
     std::size_t shannon_slots = 10;
 
-    /// Sweep range; 0 means "use the natural bound" (1 tick / T).
+    /// Smallest period searched; 0 means 1 tick.  The search always
+    /// reaches the stream's period T.
     Time min_delta = 0;
-    Time max_delta = 0;
 
     // --- execution (every entry point) -------------------------------------
 

@@ -78,14 +78,13 @@ std::uint64_t TraceSink::now_ns() noexcept {
     return monotonic_ns() - process_epoch_ns();
 }
 
-TraceSink::TraceSink(const std::string& path, std::size_t ring_capacity) {
+TraceSink::TraceSink(const std::string& path) {
     process_epoch_ns();  // pin the epoch before the first event
     file_ = std::fopen(path.c_str(), "w");
     if (file_ == nullptr) {
         throw std::runtime_error("cannot open trace file '" + path + "'");
     }
     std::fputs("[\n", file_);
-    ring_.resize(ring_capacity == 0 ? 1 : ring_capacity);
 }
 
 TraceSink::~TraceSink() { close(); }
@@ -99,48 +98,18 @@ void TraceSink::close() {
 }
 
 void TraceSink::emit(const SpanRecord& record) {
-    const bool instant = record.duration_ns == 0 && record.id == 0;
     std::lock_guard<std::mutex> lock(mutex_);
-    if (file_ != nullptr) {
-        if (!first_event_) std::fputs(",\n", file_);
-        first_event_ = false;
-        std::fprintf(file_, "{\"name\":\"%s\",\"ph\":\"%s\",\"ts\":%.3f",
-                     record.name, instant ? "i" : "X",
-                     static_cast<double>(record.start_ns) / 1e3);
-        if (instant) {
-            std::fputs(",\"s\":\"t\"", file_);
-        } else {
-            std::fprintf(file_,
-                         ",\"dur\":%.3f,\"id\":%" PRIu64 ",\"parent\":%" PRIu64,
-                         static_cast<double>(record.duration_ns) / 1e3,
-                         record.id, record.parent);
-        }
-        std::fprintf(file_, ",\"pid\":%d,\"tid\":%zu",
-                     static_cast<int>(::getpid()), record.thread);
-        write_args(file_, record);
-        std::fputc('}', file_);
-    }
-    ring_[ring_next_] = record;
-    ring_next_ = (ring_next_ + 1) % ring_.size();
-    if (ring_size_ < ring_.size()) ++ring_size_;
-    ++events_written_;
-}
-
-std::vector<SpanRecord> TraceSink::recent() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<SpanRecord> out;
-    out.reserve(ring_size_);
-    const std::size_t start =
-        (ring_next_ + ring_.size() - ring_size_) % ring_.size();
-    for (std::size_t i = 0; i < ring_size_; ++i) {
-        out.push_back(ring_[(start + i) % ring_.size()]);
-    }
-    return out;
-}
-
-std::uint64_t TraceSink::events_written() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return events_written_;
+    if (file_ == nullptr) return;
+    if (!first_event_) std::fputs(",\n", file_);
+    first_event_ = false;
+    std::fprintf(file_,
+                 "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"id\":%" PRIu64
+                 ",\"parent\":%" PRIu64 ",\"pid\":%d,\"tid\":%zu",
+                 record.name, static_cast<double>(record.start_ns) / 1e3,
+                 static_cast<double>(record.duration_ns) / 1e3, record.id, record.parent,
+                 static_cast<int>(::getpid()), record.thread);
+    write_args(file_, record);
+    std::fputc('}', file_);
 }
 
 void install_trace_sink(TraceSink* sink) noexcept {
@@ -214,49 +183,6 @@ void Span::attr(const char* key, std::string_view value) noexcept {
         slot->key = key;
         slot->set_text(value);
     }
-}
-
-Instant::Instant(const char* name) noexcept {
-    sink_ = trace_sink();
-    if (sink_ == nullptr) return;
-    record_.name = name;
-    record_.parent = t_current_span;
-    record_.thread = thread_ordinal();
-    record_.start_ns = TraceSink::now_ns();
-}
-
-Instant::~Instant() noexcept {
-    if (sink_ == nullptr) return;
-    sink_->emit(record_);
-}
-
-Instant& Instant::attr(const char* key, std::int64_t value) noexcept {
-    if (sink_ != nullptr && record_.num_attrs < kMaxAttrs) {
-        Attr& slot = record_.attrs[record_.num_attrs++];
-        slot.key = key;
-        slot.kind = Attr::Kind::i64;
-        slot.i = value;
-    }
-    return *this;
-}
-
-Instant& Instant::attr(const char* key, std::uint64_t value) noexcept {
-    if (sink_ != nullptr && record_.num_attrs < kMaxAttrs) {
-        Attr& slot = record_.attrs[record_.num_attrs++];
-        slot.key = key;
-        slot.kind = Attr::Kind::u64;
-        slot.u = value;
-    }
-    return *this;
-}
-
-Instant& Instant::attr(const char* key, std::string_view value) noexcept {
-    if (sink_ != nullptr && record_.num_attrs < kMaxAttrs) {
-        Attr& slot = record_.attrs[record_.num_attrs++];
-        slot.key = key;
-        slot.set_text(value);
-    }
-    return *this;
 }
 
 }  // namespace natscale::obs

@@ -7,8 +7,7 @@
 // up to kMaxAttrs typed attributes (Δ, shard range, stream name, ...).
 // Completed spans go to the installed TraceSink, which appends them as
 // Chrome trace-event JSON (one event per line, loadable in chrome://tracing
-// and Perfetto) and keeps an in-memory ring buffer of the most recent
-// spans for live introspection.
+// and Perfetto).
 //
 // Dormant by construction: all instrumentation is compiled in, but with
 // no sink installed a Span constructor is one relaxed atomic load and a
@@ -23,9 +22,6 @@
 //         span.attr("delta", delta);
 //         ...work...
 //     }  // emitted on scope exit
-//
-// Instant events (obs::Instant) mark moments with no duration with the
-// same attribute syntax.
 #pragma once
 
 #include <array>
@@ -35,13 +31,12 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace natscale::obs {
 
 inline constexpr std::size_t kMaxAttrs = 8;
 
-/// One typed span/event attribute.  Keys must be string literals (the
+/// One typed span attribute.  Keys must be string literals (the
 /// pointer is kept, not copied); string values are truncated to fit the
 /// inline buffer.
 struct Attr {
@@ -56,7 +51,7 @@ struct Attr {
     void set_text(std::string_view value) noexcept;
 };
 
-/// A finished span or instant event as stored in the sink's ring buffer.
+/// A finished span, as handed to TraceSink::emit.
 struct SpanRecord {
     const char* name = nullptr;
     std::uint64_t id = 0;
@@ -68,9 +63,8 @@ struct SpanRecord {
     std::array<Attr, kMaxAttrs> attrs{};
 };
 
-/// Appends trace events to a file as they complete and mirrors the most
-/// recent ones into a fixed ring buffer.  Thread-safe; writes are
-/// serialized under a mutex (tracing is opt-in, dormant paths never get
+/// Appends trace events to a file as they complete.  Thread-safe; writes
+/// are serialized under a mutex (tracing is opt-in, dormant paths never get
 /// here).  The file is a single JSON array — "[\n" at open, one event
 /// object per line, "]" at close() — so `json.load` accepts the whole
 /// file and Perfetto accepts even an unterminated one after a crash.
@@ -78,7 +72,7 @@ class TraceSink {
 public:
     /// Opens `path` for writing (truncates).  Throws std::runtime_error
     /// when the file cannot be opened.
-    explicit TraceSink(const std::string& path, std::size_t ring_capacity = 1024);
+    explicit TraceSink(const std::string& path);
     ~TraceSink();
     TraceSink(const TraceSink&) = delete;
     TraceSink& operator=(const TraceSink&) = delete;
@@ -89,22 +83,13 @@ public:
 
     void emit(const SpanRecord& record);
 
-    /// Most recent completed spans, oldest first.
-    std::vector<SpanRecord> recent() const;
-
-    std::uint64_t events_written() const;
-
     /// Monotonic nanoseconds since an epoch fixed at process start.
     static std::uint64_t now_ns() noexcept;
 
 private:
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::FILE* file_ = nullptr;
     bool first_event_ = true;
-    std::uint64_t events_written_ = 0;
-    std::vector<SpanRecord> ring_;
-    std::size_t ring_next_ = 0;
-    std::size_t ring_size_ = 0;
 };
 
 /// Installs `sink` as the process-wide trace sink (nullptr uninstalls).
@@ -158,23 +143,6 @@ public:
 private:
     Attr* next_attr() noexcept;
 
-    TraceSink* sink_ = nullptr;
-    SpanRecord record_;
-};
-
-/// Emits a zero-duration instant event (dormant without a sink).
-class Instant {
-public:
-    explicit Instant(const char* name) noexcept;
-    ~Instant() noexcept;
-    Instant(const Instant&) = delete;
-    Instant& operator=(const Instant&) = delete;
-
-    Instant& attr(const char* key, std::int64_t value) noexcept;
-    Instant& attr(const char* key, std::uint64_t value) noexcept;
-    Instant& attr(const char* key, std::string_view value) noexcept;
-
-private:
     TraceSink* sink_ = nullptr;
     SpanRecord record_;
 };

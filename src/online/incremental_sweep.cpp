@@ -1,6 +1,7 @@
 #include "online/incremental_sweep.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "core/occupancy.hpp"
 #include "linkstream/aggregation.hpp"
@@ -95,6 +96,27 @@ ReachabilityBackend OnlineSweepEngine::initial_backend(NodeId num_nodes, std::si
         static_cast<std::size_t>(num_nodes) * num_nodes * kDensePairBytes;
     return periods <= kDenseMemoryBudgetBytes / table_bytes ? ReachabilityBackend::dense
                                                             : ReachabilityBackend::sparse;
+}
+
+std::uint64_t OnlineSweepEngine::initial_state_bytes(NodeId num_nodes, std::size_t periods,
+                                                     std::size_t histogram_bins) {
+    constexpr std::uint64_t kSaturated = std::numeric_limits<std::uint64_t>::max();
+    const auto times = [](std::uint64_t a, std::uint64_t b) {
+        std::uint64_t product = 0;
+        return __builtin_mul_overflow(a, b, &product) ? kSaturated : product;
+    };
+    const auto plus = [](std::uint64_t a, std::uint64_t b) {
+        std::uint64_t sum = 0;
+        return __builtin_add_overflow(a, b, &sum) ? kSaturated : sum;
+    };
+    const std::uint64_t row_bytes =
+        initial_backend(num_nodes, periods) == ReachabilityBackend::dense
+            ? times(num_nodes, kDensePairBytes)
+            : sizeof(ReachRow);
+    const std::uint64_t per_node = plus(row_bytes, sizeof(std::int32_t));
+    const std::uint64_t per_period =
+        plus(times(num_nodes, per_node), times(histogram_bins, sizeof(std::uint64_t)));
+    return times(per_period, periods);
 }
 
 void OnlineSweepEngine::count_period_backends() const {

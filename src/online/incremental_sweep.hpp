@@ -152,7 +152,7 @@ public:
     Time synced_watermark() const noexcept { return watermark_; }
 
     /// Events folded into the frozen state of grid period `index` — the
-    /// refresh tail starts there.  Exposed for the bench and the tests.
+    /// refresh tail starts there.  Exposed for the tests.
     std::uint64_t folded_events(std::size_t index) const;
 
     /// Kernel holding the frozen state of grid period `index`.  Exposed
@@ -163,6 +163,15 @@ public:
     /// nodes and `periods` grid periods starts on (the rule in the file
     /// comment).
     static ReachabilityBackend initial_backend(NodeId num_nodes, std::size_t periods);
+
+    /// Bytes a new engine over `num_nodes` nodes allocates up front for
+    /// `periods` grid periods of `histogram_bins` bins each: per period, the
+    /// initial backend's state (the dense n^2 x 8 B table, or one empty
+    /// sparse row per node), its per-node slots, and the histogram.
+    /// Saturates at UINT64_MAX instead of wrapping.  natscaled checks it
+    /// before it builds an engine for a register request.
+    static std::uint64_t initial_state_bytes(NodeId num_nodes, std::size_t periods,
+                                             std::size_t histogram_bins);
 
     /// Re-binds the sync/refresh fan-out width (0 = hardware concurrency).
     /// Thread count is a runtime choice, not sweep state: load_checkpoint

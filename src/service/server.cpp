@@ -31,6 +31,7 @@
 #include "natscale/session.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "online/incremental_sweep.hpp"
 #include "service/protocol.hpp"
 #include "util/atomic_file.hpp"
 #include "util/contracts.hpp"
@@ -148,6 +149,27 @@ struct Server::Impl {
 
     void run() {
         start_workers();
+        try {
+            serve();
+        } catch (...) {
+            // A std::thread destroyed while joinable aborts the process:
+            // the workers are joined on this exit path too.
+            stop_workers();
+            throw;
+        }
+        stop_workers();
+        flush_all_best_effort();
+        disconnect_all();
+        if (!options_.state_dir.empty()) checkpoint_all_direct();
+    }
+
+    void stop() {
+        stop_.store(true, std::memory_order_release);
+        wake();
+    }
+
+    /// The epoll loop, until stop().
+    void serve() {
         std::vector<epoll_event> events(64);
         while (!stop_.load(std::memory_order_acquire)) {
             const int n = epoll_wait(epoll_fd_, events.data(),
@@ -168,15 +190,6 @@ struct Server::Impl {
                 }
             }
         }
-        stop_workers();
-        flush_all_best_effort();
-        disconnect_all();
-        if (!options_.state_dir.empty()) checkpoint_all_direct();
-    }
-
-    void stop() {
-        stop_.store(true, std::memory_order_release);
-        wake();
     }
 
     std::uint16_t tcp_port() const noexcept { return bound_port_; }
@@ -276,7 +289,7 @@ struct Server::Impl {
                     conn->reader.feed(std::span<const std::byte>(
                         chunk, static_cast<std::size_t>(n)));
                     Frame frame;
-                    while (conn->reader.next(frame)) dispatch(conn, frame);
+                    while (conn->reader.next(frame)) dispatch_guarded(conn, frame);
                 } catch (const protocol_error& e) {
                     // Unparsable framing or payload: the byte stream can no
                     // longer be trusted — answer and hang up.
@@ -454,15 +467,23 @@ struct Server::Impl {
         workers_.clear();
     }
 
-    void enqueue(const StreamPtr& stream, std::function<void()> task) {
+    /// Queues `task` on the stream's strand.  An exception it throws
+    /// answers `conn`, the connection that asked for it, with an internal
+    /// error; the worker and the strand carry on.
+    void enqueue(const StreamPtr& stream, const ConnectionPtr& conn,
+                 std::function<void()> task) {
         // Queue-delay gauge: last observed enqueue-to-start latency, the
         // live signal that the worker pool is saturated.
         static obs::Gauge& queue_delay = obs::gauge("service.strand_queue_delay_ns");
         const std::uint64_t queued_ns = obs::TraceSink::now_ns();
-        auto timed = [queued_ns, task = std::move(task)] {
+        auto timed = [this, conn, queued_ns, task = std::move(task)] {
             queue_delay.set(
                 static_cast<std::int64_t>(obs::TraceSink::now_ns() - queued_ns));
-            task();
+            try {
+                task();
+            } catch (const std::exception& e) {
+                send_error(conn, ErrorCode::internal, e.what());
+            }
         };
         {
             std::lock_guard lock(strands_mutex_);
@@ -530,6 +551,19 @@ struct Server::Impl {
     }
 
     // --- dispatch (IO thread) ----------------------------------------------
+
+    /// dispatch, with any other failure of the request answered as an
+    /// internal error: its frame was read whole, so the connection stays
+    /// in step and keeps being served.  Framing errors still propagate.
+    void dispatch_guarded(const ConnectionPtr& conn, const Frame& frame) {
+        try {
+            dispatch(conn, frame);
+        } catch (const protocol_error&) {
+            throw;
+        } catch (const std::exception& e) {
+            send_error(conn, ErrorCode::internal, e.what());
+        }
+    }
 
     void dispatch(const ConnectionPtr& conn, const Frame& frame) {
         if (!conn->said_hello) {
@@ -638,6 +672,18 @@ struct Server::Impl {
                        "stream '" + msg.name + "' already exists; attach instead");
             return;
         }
+        const std::size_t bins =
+            msg.histogram_bins != 0 ? msg.histogram_bins : Histogram01::kDefaultBins;
+        const std::uint64_t state_bytes = OnlineSweepEngine::initial_state_bytes(
+            static_cast<NodeId>(msg.num_nodes),
+            geometric_delta_grid(1, msg.period_end, msg.grid_points).size(), bins);
+        if (state_bytes > kMaxRegisterStateBytes) {
+            send_error(conn, ErrorCode::bad_request,
+                       "stream state of " + std::to_string(state_bytes) +
+                           " bytes exceeds the per-stream limit of " +
+                           std::to_string(kMaxRegisterStateBytes) + " bytes");
+            return;
+        }
 
         SessionOptions options;
         options.config.metric = static_cast<UniformityMetric>(msg.metric);
@@ -684,7 +730,7 @@ struct Server::Impl {
         // Resume state (acked_seq, watermark) is strand-owned: answer from
         // the strand so an attach racing in-flight ingest sees a settled
         // value, not a torn one.
-        enqueue(stream, [this, conn, stream, reveal] {
+        enqueue(stream, conn, [this, conn, stream, reveal] {
             send_frame(conn, MessageType::stream_ack,
                        encode_stream_ack(ack_of(*stream, reveal)));
         });
@@ -708,7 +754,7 @@ struct Server::Impl {
                        "no stream with id " + std::to_string(msg.stream_id));
             return;
         }
-        enqueue(stream, [this, conn, stream, msg = std::move(msg)] {
+        enqueue(stream, conn, [this, conn, stream, msg = std::move(msg)] {
             apply_ingest(conn, stream, msg);
         });
     }
@@ -773,7 +819,7 @@ struct Server::Impl {
                        "no stream with id " + std::to_string(msg.stream_id));
             return;
         }
-        enqueue(stream, [this, conn, stream] {
+        enqueue(stream, conn, [this, conn, stream] {
             if (!stream->session->closed()) stream->session->close();
             send_frame(conn, MessageType::stream_ack,
                        encode_stream_ack(ack_of(*stream, /*reveal_token=*/false)));
@@ -787,7 +833,7 @@ struct Server::Impl {
                        "no stream with id " + std::to_string(msg.stream_id));
             return;
         }
-        enqueue(stream, [this, conn, stream, msg] { answer_query(conn, stream, msg); });
+        enqueue(stream, conn, [this, conn, stream, msg] { answer_query(conn, stream, msg); });
     }
 
     void answer_query(const ConnectionPtr& conn, const StreamPtr& stream,
@@ -921,7 +967,7 @@ struct Server::Impl {
             return;
         }
         for (const StreamPtr& stream : streams) {
-            enqueue(stream, [this, conn, stream, remaining, finish] {
+            enqueue(stream, conn, [this, conn, stream, remaining, finish] {
                 if (!options_.state_dir.empty()) {
                     try {
                         persist(*stream);

@@ -32,7 +32,10 @@
 // (unknown stream, stale resume token, sequence gap, contract-violating
 // events) answer with an error frame and keep the connection — none of
 // them can crash or wedge the daemon (tests/test_service_protocol.cpp
-// fuzzes this).
+// fuzzes this).  A register whose engine would start above
+// kMaxRegisterStateBytes is refused before anything is allocated, and any
+// other exception a request raises, on the IO thread or in a strand task,
+// answers that connection with an `internal` error frame.
 //
 // --- Persistence ------------------------------------------------------------
 //
@@ -64,6 +67,15 @@
 #include <string>
 
 namespace natscale::service {
+
+/// Largest up-front engine state (OnlineSweepEngine::initial_state_bytes)
+/// one register request may ask for: 1 GiB.  It admits every dense engine
+/// (at most kDenseMemoryBudgetBytes = 192 MiB of tables, e.g. n = 1024 at
+/// 24 grid points) with room for its histograms, and sparse engines up to
+/// about 38 million node-periods (n = 10^6 at 38 points).  A register
+/// frame is a few dozen bytes; without this bound one of them could make
+/// the daemon allocate without limit and take every hosted stream down.
+inline constexpr std::uint64_t kMaxRegisterStateBytes = std::uint64_t{1} << 30;
 
 struct ServerOptions {
     /// Unix-socket listener path; empty = no Unix listener.  An existing

@@ -32,30 +32,15 @@ void DistanceAccumulator::record_change(NodeId u, NodeId v, Time k, Time old_arr
     last_change_[idx] = k;
 }
 
-void DistanceAccumulator::flush(NodeId u, NodeId v, Time from_window, Time arr, Hops hops) {
-    (void)u;
-    (void)v;
+void DistanceAccumulator::close_pair(NodeId u, NodeId v, Time arr, Hops hops) {
+    NATSCALE_EXPECTS(u != v && arr != kInfiniteTime);
+    // The final value holds for start windows 1 .. last_change_.
     const Time lo = 1;
-    const Time hi = from_window;
-    if (hi < lo || arr == kInfiniteTime) return;
+    const Time hi = last_change_[static_cast<std::size_t>(u) * n_ + v];
+    if (hi < lo) return;
     stats_.dtime_sum += arithmetic_series(arr - hi + 1, arr - lo + 1);
     stats_.dhops_sum += static_cast<double>(hops) * static_cast<double>(hi - lo + 1);
     stats_.finite_count += static_cast<double>(hi - lo + 1);
-}
-
-void DistanceAccumulator::finish(const std::vector<Time>& arr, const std::vector<Hops>& hops) {
-    NATSCALE_EXPECTS(arr.size() == static_cast<std::size_t>(n_) * n_);
-    NATSCALE_EXPECTS(hops.size() == arr.size());
-    for (NodeId u = 0; u < n_; ++u) {
-        const std::size_t row = static_cast<std::size_t>(u) * n_;
-        for (NodeId v = 0; v < n_; ++v) {
-            if (v == u) continue;
-            const std::size_t idx = row + v;
-            if (arr[idx] != kInfiniteTime) {
-                flush(u, v, last_change_[idx], arr[idx], hops[idx]);
-            }
-        }
-    }
 }
 
 }  // namespace natscale

@@ -11,7 +11,8 @@
 // the stretch is an arithmetic series, added in O(1).
 //
 // The accumulator is driven by TemporalReachability during its backward
-// sweep (series mode only).
+// sweep (series mode only): record_change at every value change, then
+// close_pair for every pair still finite when the sweep ends.
 #pragma once
 
 #include <cstdint>
@@ -47,15 +48,15 @@ public:
     /// [k+1 .. previous change] — is being replaced at window k.
     void record_change(NodeId u, NodeId v, Time k, Time old_arr, Hops old_hops);
 
-    /// Closes all open stretches down to window 1.  `arr` and `hops` are the
-    /// final n*n row-major tables of the backward sweep.
-    void finish(const std::vector<Time>& arr, const std::vector<Hops>& hops);
+    /// Closes the open stretch of pair (u, v) down to window 1: (arr, hops)
+    /// is its final value in the backward sweep.  The sweep calls it once
+    /// per finite pair, in row-major (u, then v) order, so the sums always
+    /// add up in the same order.  Preconditions: u != v; arr finite.
+    void close_pair(NodeId u, NodeId v, Time arr, Hops hops);
 
     const DistanceStats& stats() const { return stats_; }
 
 private:
-    void flush(NodeId u, NodeId v, Time from_window, Time arr, Hops hops);
-
     NodeId n_ = 0;
     WindowIndex num_windows_ = 0;
     std::vector<Time> last_change_;  // per ordered pair, row-major

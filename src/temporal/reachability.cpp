@@ -29,18 +29,10 @@ void TemporalReachability::begin(NodeId n) {
 }
 
 std::vector<ReachRow> TemporalReachability::state_rows() const {
-    const std::size_t width = col_end_ - col_begin_;
     std::vector<ReachRow> rows(n_);
-    for (NodeId u = 0; u < n_; ++u) {
-        const PackedState* cells = state_.data() + static_cast<std::size_t>(u) * width;
-        for (std::size_t j = 0; j < width; ++j) {
-            const auto rank = static_cast<std::uint32_t>(cells[j] >> 32);
-            if (rank == kUnreachableRank) continue;
-            rows[u].push_back({col_begin_ + static_cast<NodeId>(j),
-                               static_cast<Hops>(static_cast<std::uint32_t>(cells[j])),
-                               label_of(rank)});
-        }
-    }
+    for_each_finite([&rows](NodeId u, NodeId v, Time arr, Hops hops) {
+        rows[u].push_back({v, hops, arr});
+    });
     return rows;
 }
 
@@ -81,23 +73,5 @@ void build_instant_arcs(std::vector<Edge>& arcs, std::span<const Edge> edges, bo
 }
 
 }  // namespace detail
-
-void TemporalReachability::decode_tables() {
-    NATSCALE_EXPECTS(col_begin_ == 0 && col_end_ == n_);
-    const std::size_t cells = state_.size();
-    decode_arr_.resize(cells);
-    decode_hops_.resize(cells);
-    for (std::size_t i = 0; i < cells; ++i) {
-        const PackedState cell = state_[i];
-        const auto rank = static_cast<std::uint32_t>(cell >> 32);
-        if (rank == kUnreachableRank) {
-            decode_arr_[i] = kInfiniteTime;
-            decode_hops_[i] = kInfiniteHops;
-        } else {
-            decode_arr_[i] = labels_[rank];
-            decode_hops_[i] = static_cast<Hops>(static_cast<std::uint32_t>(cell));
-        }
-    }
-}
 
 }  // namespace natscale

@@ -42,7 +42,8 @@
 // sentinel is (0xFFFFFFFF << 32) | 0: adding the +1 hop of a continuation
 // keeps it larger than every reachable value, so no masking is needed in
 // the inner loop.  Ranks are mapped back to original labels on trip
-// emission, in state_rows(), and when feeding the distance accumulator.
+// emission and on the one walk over the finite cells (for_each_finite),
+// which both state_rows() and the distance accumulator's close read.
 // State cost drops from 12 B to 8 B per pair, which also raises the dense
 // backend's node ceiling under the fixed memory budget by ~22 % (see
 // temporal/reachability_backend.hpp).
@@ -272,9 +273,10 @@ private:
     void process_instant(std::uint32_t rank, Time label, Sink& sink,
                          const ReachabilityOptions& options);
 
-    /// Decodes the packed table into (arr, hops) vectors for
-    /// DistanceAccumulator::finish.  Full column range only.
-    void decode_tables();
+    /// Calls visit(u, v, arr, hops) for every finite cell in row-major
+    /// order (u, then increasing v): the one decode of the packed table.
+    template <typename Visit>
+    void for_each_finite(Visit&& visit) const;
 
     NodeId n_ = 0;
     NodeId col_begin_ = 0;
@@ -288,8 +290,6 @@ private:
     std::vector<std::int32_t> slot_;    // node -> scratch slot, -1 when inactive
     std::vector<NodeId> active_;        // nodes with a scratch slot this instant
     std::vector<Edge> arcs_;            // current instant, sorted by source
-    std::vector<Time> decode_arr_;      // DistanceAccumulator::finish scratch
-    std::vector<Hops> decode_hops_;
 };
 
 // --- implementation --------------------------------------------------------
@@ -314,8 +314,23 @@ void TemporalReachability::scan_series_columns(const GraphSeries& series, NodeId
         process_instant<false>(static_cast<std::uint32_t>(i), snapshots[i].k, sink, options);
     }
     if (options.distances != nullptr) {
-        decode_tables();
-        options.distances->finish(decode_arr_, decode_hops_);
+        for_each_finite([&options](NodeId u, NodeId v, Time arr, Hops hops) {
+            options.distances->close_pair(u, v, arr, hops);
+        });
+    }
+}
+
+template <typename Visit>
+void TemporalReachability::for_each_finite(Visit&& visit) const {
+    const std::size_t width = col_end_ - col_begin_;
+    for (NodeId u = 0; u < n_; ++u) {
+        const PackedState* cells = state_.data() + static_cast<std::size_t>(u) * width;
+        for (std::size_t j = 0; j < width; ++j) {
+            const auto rank = static_cast<std::uint32_t>(cells[j] >> 32);
+            if (rank == kUnreachableRank) continue;
+            visit(u, col_begin_ + static_cast<NodeId>(j), label_of(rank),
+                  static_cast<Hops>(static_cast<std::uint32_t>(cells[j])));
+        }
     }
 }
 

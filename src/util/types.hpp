@@ -3,12 +3,17 @@
 
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 namespace natscale {
 
 /// Dense node identifier in [0, n).  Streams loaded from files with sparse or
 /// string identifiers are relabelled to this dense range (see linkstream/io).
 using NodeId = std::uint32_t;
+
+/// An edge as an ordered pair of endpoints.  For undirected graphs the
+/// canonical storage form is u < v.
+using Edge = std::pair<NodeId, NodeId>;
 
 /// Timestamp in integer ticks.  One tick is the resolution of the stream
 /// (1 second for all datasets in the paper).  Continuous-time streams are

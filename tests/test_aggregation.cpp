@@ -136,33 +136,6 @@ TEST(Aggregate, EdgeCountPartitionInvariant) {
     }
 }
 
-TEST(GraphSeries, GraphAtMaterializesSnapshots) {
-    LinkStream stream({{0, 1, 0}, {1, 2, 15}}, 3, 20);
-    const auto series = aggregate(stream, 10);
-    const auto g1 = series.graph_at(1);
-    EXPECT_EQ(g1.num_edges(), 1u);
-    EXPECT_TRUE(g1.has_edge(0, 1));
-    const auto g2 = series.graph_at(2);
-    EXPECT_TRUE(g2.has_edge(1, 2));
-    EXPECT_THROW(series.graph_at(0), contract_error);
-    EXPECT_THROW(series.graph_at(3), contract_error);
-}
-
-TEST(GraphSeries, GraphAtEmptyWindow) {
-    LinkStream stream({{0, 1, 0}, {1, 2, 25}}, 3, 30);
-    const auto series = aggregate(stream, 10);
-    const auto g2 = series.graph_at(2);
-    EXPECT_EQ(g2.num_edges(), 0u);
-    EXPECT_EQ(g2.num_nodes(), 3u);
-}
-
-TEST(GraphSeries, HasEdgeAtBothOrientationsUndirected) {
-    LinkStream stream({{0, 1, 0}}, 2, 10);
-    const auto series = aggregate(stream, 10);
-    EXPECT_TRUE(series.has_edge_at(1, 0, 1));
-    EXPECT_TRUE(series.has_edge_at(1, 1, 0));
-}
-
 TEST(GraphSeries, ValidatesSnapshotsOnConstruction) {
     std::vector<Snapshot> bad1;
     bad1.push_back({2, {{0, 1}}});

@@ -39,6 +39,12 @@ TEST(ExampleCliDeath, JunkCountNamesTheFlag) {
 TEST(ExampleCliDeath, NegativeCountNamesTheFlag) {
     EXPECT_EXIT(parse_count("--threads=-4", "--threads="),
                 ::testing::ExitedWithCode(2), "'-4' for option '--threads'");
+    // Digits only: no leading space (std::stoul skipped it and then wrapped
+    // the negative) and no explicit sign.
+    EXPECT_EXIT(parse_count("--seed= -5", "--seed="),
+                ::testing::ExitedWithCode(2), "' -5' for option '--seed'");
+    EXPECT_EXIT(parse_count("--seed=+7", "--seed="),
+                ::testing::ExitedWithCode(2), "'\\+7' for option '--seed'");
 }
 
 TEST(ExampleCliDeath, TrailingGarbageNamesTheFlag) {

@@ -195,7 +195,7 @@ TEST(FormatGolden, LabelledNatbin) {
     const auto* data = reinterpret_cast<const std::byte*>(text.data());
     EXPECT_EQ(text.size(), 176u);
     EXPECT_EQ(hash_of({data, text.size()}), "0xeb77aee889fe20c3");
-    EXPECT_EQ(load_natbin(file.path()).node_labels, labels);
+    EXPECT_EQ(open_natbin(file.path()).node_labels, labels);
 }
 
 }  // namespace

@@ -1,93 +1,67 @@
-// Unit tests for src/graph: CSR graphs, connected components, metrics.
+// Unit tests for src/graph: connected components and metrics of edge lists.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "graph/connected_components.hpp"
 #include "graph/metrics.hpp"
-#include "graph/static_graph.hpp"
-#include "util/contracts.hpp"
+#include "linkstream/aggregation.hpp"
 #include "util/rng.hpp"
 
 namespace natscale {
 namespace {
 
-StaticGraph triangle_plus_isolated() {
-    // 0-1, 1-2, 0-2 triangle; node 3 isolated.
-    const std::vector<Edge> edges{{0, 1}, {1, 2}, {0, 2}};
-    return StaticGraph(4, edges, /*directed=*/false);
-}
+// 0-1, 1-2, 0-2 triangle on four nodes; node 3 isolated.
+const std::vector<Edge> kTriangle{{0, 1}, {1, 2}, {0, 2}};
 
-TEST(StaticGraph, BasicProperties) {
-    const auto g = triangle_plus_isolated();
-    EXPECT_EQ(g.num_nodes(), 4u);
-    EXPECT_EQ(g.num_edges(), 3u);
-    EXPECT_FALSE(g.directed());
-    EXPECT_EQ(g.degree(0), 2u);
-    EXPECT_EQ(g.degree(3), 0u);
-}
-
-TEST(StaticGraph, NeighborsSortedBothDirections) {
-    const auto g = triangle_plus_isolated();
-    const auto n1 = g.neighbors(1);
-    ASSERT_EQ(n1.size(), 2u);
-    EXPECT_EQ(n1[0], 0u);
-    EXPECT_EQ(n1[1], 2u);
-    EXPECT_TRUE(std::is_sorted(n1.begin(), n1.end()));
-}
-
-TEST(StaticGraph, DuplicateAndReversedEdgesCollapse) {
-    const std::vector<Edge> edges{{0, 1}, {1, 0}, {0, 1}};
-    const StaticGraph g(2, edges, /*directed=*/false);
-    EXPECT_EQ(g.num_edges(), 1u);
-    EXPECT_TRUE(g.has_edge(0, 1));
-    EXPECT_TRUE(g.has_edge(1, 0));
-}
-
-TEST(StaticGraph, DirectedKeepsOrientation) {
-    const std::vector<Edge> edges{{0, 1}, {1, 0}, {2, 1}};
-    const StaticGraph g(3, edges, /*directed=*/true);
-    EXPECT_EQ(g.num_edges(), 3u);
-    EXPECT_TRUE(g.has_edge(0, 1));
-    EXPECT_TRUE(g.has_edge(2, 1));
-    EXPECT_FALSE(g.has_edge(1, 2));
-    EXPECT_EQ(g.degree(1), 1u);  // out-degree
-}
-
-TEST(StaticGraph, RejectsSelfLoopsAndOutOfRange) {
-    const std::vector<Edge> loop{{0, 0}};
-    EXPECT_THROW(StaticGraph(2, loop, false), contract_error);
-    const std::vector<Edge> range{{0, 5}};
-    EXPECT_THROW(StaticGraph(2, range, false), contract_error);
-}
-
-TEST(StaticGraph, EmptyGraph) {
-    const StaticGraph g(3);
-    EXPECT_EQ(g.num_edges(), 0u);
-    EXPECT_EQ(g.degree(2), 0u);
-    EXPECT_TRUE(g.neighbors(0).empty());
+/// Reference for summarize_components: breadth-first search over the
+/// undirected adjacency of `edges` on `n` nodes.
+ComponentSummary bfs_components(const std::vector<Edge>& edges, NodeId n) {
+    std::vector<std::vector<NodeId>> adjacency(n);
+    for (const auto& [u, v] : edges) {
+        adjacency[u].push_back(v);
+        adjacency[v].push_back(u);
+    }
+    ComponentSummary out;
+    std::vector<bool> seen(n, false);
+    for (NodeId start = 0; start < n; ++start) {
+        if (seen[start] || adjacency[start].empty()) continue;
+        std::vector<NodeId> queue{start};
+        seen[start] = true;
+        for (std::size_t head = 0; head < queue.size(); ++head) {
+            for (const NodeId next : adjacency[queue[head]]) {
+                if (!seen[next]) {
+                    seen[next] = true;
+                    queue.push_back(next);
+                }
+            }
+        }
+        const auto size = static_cast<std::uint32_t>(queue.size());
+        out.largest_component = std::max(out.largest_component, size);
+        out.non_isolated_nodes += size;
+    }
+    return out;
 }
 
 TEST(ConnectedComponents, TriangleAndIsolated) {
-    const auto g = triangle_plus_isolated();
-    auto sizes = component_sizes(g);
-    std::sort(sizes.begin(), sizes.end());
-    ASSERT_EQ(sizes.size(), 2u);
-    EXPECT_EQ(sizes[0], 1u);
-    EXPECT_EQ(sizes[1], 3u);
-    EXPECT_EQ(largest_component_size(g), 3u);
+    EpochUnionFind uf(4);
+    const ComponentSummary summary = summarize_components(kTriangle, uf);
+    EXPECT_EQ(summary.largest_component, 3u);
+    EXPECT_EQ(summary.non_isolated_nodes, 3u);
 }
 
 TEST(ConnectedComponents, EmptyGraphAllSingletons) {
-    const StaticGraph g(5);
-    EXPECT_EQ(component_sizes(g).size(), 5u);
-    EXPECT_EQ(largest_component_size(g), 1u);
+    EpochUnionFind uf(5);
+    const ComponentSummary summary = summarize_components({}, uf);
+    EXPECT_EQ(summary.largest_component, 0u);  // no edge, no component of size >= 2
+    EXPECT_EQ(summary.non_isolated_nodes, 0u);
 }
 
 TEST(ConnectedComponents, DirectedUsesWeakConnectivity) {
     const std::vector<Edge> edges{{0, 1}, {2, 1}};
-    const StaticGraph g(3, edges, /*directed=*/true);
-    EXPECT_EQ(largest_component_size(g), 3u);
+    EpochUnionFind uf(3);
+    EXPECT_EQ(summarize_components(edges, uf).largest_component, 3u);
 }
 
 TEST(EpochUnionFind, ResetForgetsUnions) {
@@ -120,43 +94,32 @@ TEST(SummarizeComponents, MatchesStaticGraphPath) {
             edges.emplace_back(u, v);
         }
         const ComponentSummary summary = summarize_components(edges, uf);
-
-        // Reference: canonical StaticGraph computation.
-        std::vector<Edge> canonical;
-        for (auto [u, v] : edges) canonical.emplace_back(std::min(u, v), std::max(u, v));
-        const StaticGraph g(30, canonical, false);
-        const auto sizes = component_sizes(g);
-        std::uint32_t expect_largest = 0;
-        std::uint32_t expect_non_isolated = 0;
-        for (NodeId u = 0; u < 30; ++u) {
-            if (g.degree(u) > 0) ++expect_non_isolated;
-        }
-        for (std::uint32_t s : sizes) {
-            if (s > 1) expect_largest = std::max(expect_largest, s);
-        }
-        if (edges.empty()) {
-            EXPECT_EQ(summary.largest_component, 0u);
-        } else {
-            EXPECT_EQ(summary.largest_component, expect_largest) << "trial " << trial;
-        }
-        EXPECT_EQ(summary.non_isolated_nodes, expect_non_isolated) << "trial " << trial;
+        const ComponentSummary expected = bfs_components(edges, 30);
+        EXPECT_EQ(summary.largest_component, expected.largest_component) << "trial " << trial;
+        EXPECT_EQ(summary.non_isolated_nodes, expected.non_isolated_nodes) << "trial " << trial;
     }
 }
 
 TEST(Metrics, DensityUndirected) {
-    const auto g = triangle_plus_isolated();
-    EXPECT_DOUBLE_EQ(density(g), 3.0 / 6.0);  // 3 edges / C(4,2)
+    EXPECT_DOUBLE_EQ(density(kTriangle.size(), 4, false), 3.0 / 6.0);  // 3 edges / C(4,2)
 }
 
 TEST(Metrics, DensityDirected) {
-    const std::vector<Edge> edges{{0, 1}, {1, 0}};
-    const StaticGraph g(3, edges, true);
-    EXPECT_DOUBLE_EQ(density(g), 2.0 / 6.0);
+    EXPECT_DOUBLE_EQ(density(2, 3, true), 2.0 / 6.0);  // 0->1, 1->0 of 3 x 2 arcs
 }
 
 TEST(Metrics, DensityFromCountsMatches) {
-    const auto g = triangle_plus_isolated();
-    EXPECT_DOUBLE_EQ(density(g), density(g.num_edges(), g.num_nodes(), g.directed()));
+    // The edge count of an aggregated snapshot is all density needs: window
+    // 1 of this stream holds 0-1 and 1-2 (0-1 twice), window 2 holds 2-3.
+    const LinkStream stream({{0, 1, 0}, {1, 0, 3}, {1, 2, 5}, {2, 3, 12}}, 5, 20);
+    const GraphSeries series = aggregate(stream, 10);
+    ASSERT_EQ(series.num_nonempty_windows(), 2u);
+    const auto snapshot_density = [&series](std::size_t i) {
+        return density(series.snapshots()[i].edges.size(), series.num_nodes(),
+                       series.directed());
+    };
+    EXPECT_DOUBLE_EQ(snapshot_density(0), 2.0 / 10.0);  // 2 edges / C(5,2)
+    EXPECT_DOUBLE_EQ(snapshot_density(1), 1.0 / 10.0);
 }
 
 TEST(Metrics, DensityOfTinyGraphIsZero) {
@@ -164,17 +127,11 @@ TEST(Metrics, DensityOfTinyGraphIsZero) {
     EXPECT_DOUBLE_EQ(density(0, 0, false), 0.0);
 }
 
-TEST(Metrics, MeanDegree) {
-    const auto g = triangle_plus_isolated();
-    EXPECT_DOUBLE_EQ(mean_degree(g), 2.0 * 3.0 / 4.0);
-}
-
 TEST(Metrics, NonIsolatedCountsBothDirections) {
     const std::vector<Edge> edges{{0, 1}};
-    const StaticGraph gd(3, edges, true);
-    EXPECT_EQ(num_non_isolated(gd), 2u);  // 1 has only an in-edge
-    const auto gu = triangle_plus_isolated();
-    EXPECT_EQ(num_non_isolated(gu), 3u);
+    EpochUnionFind uf(3);
+    EXPECT_EQ(summarize_components(edges, uf).non_isolated_nodes, 2u);  // 1 has only an in-edge
+    EXPECT_EQ(summarize_components(kTriangle, uf).non_isolated_nodes, 3u);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Unified observability layer (src/obs, docs/observability.md): registry
 // semantics (interning, cross-thread merge, bucket edges), snapshot
-// serialization (including the schema-1 seq contract), span/instant
-// emission through the trace sink — and the load-bearing invariant of the
-// whole design: instrumentation is purely observational, so a traced sweep
-// is bit-identical to an untraced one.
+// serialization (including the schema-1 seq contract), span emission
+// through the trace sink, read back from its file — and the load-bearing
+// invariant of the whole design: instrumentation is purely observational,
+// so a traced sweep is bit-identical to an untraced one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +21,7 @@
 #include "obs/trace.hpp"
 #include "service/protocol.hpp"
 #include "testing/temp_files.hpp"
+#include "testing/trace_reader.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -165,23 +166,19 @@ TEST(ObsTrace, SpansNestAndCarryAttributes) {
             }
         }
         obs::install_trace_sink(nullptr);
-
-        const std::vector<obs::SpanRecord> recent = sink.recent();
-        ASSERT_EQ(recent.size(), 2u);  // inner completes first
-        const obs::SpanRecord& inner = recent[0];
-        const obs::SpanRecord& outer = recent[1];
-        EXPECT_STREQ(inner.name, "test.inner");
-        EXPECT_STREQ(outer.name, "test.outer");
-        EXPECT_EQ(inner.parent, outer.id);  // nesting captured
-        EXPECT_EQ(outer.parent, 0u);
-        ASSERT_EQ(inner.num_attrs, 2u);
-        EXPECT_STREQ(inner.attrs[0].key, "shard");
-        EXPECT_EQ(inner.attrs[0].u, 3u);
-        EXPECT_STREQ(inner.attrs[1].key, "name");
-        EXPECT_STREQ(inner.attrs[1].text, "stream-a");
-        EXPECT_EQ(sink.events_written(), 2u);
         sink.close();
     }
+    const std::vector<testing::TraceEvent> events = testing::read_trace(path);
+    ASSERT_EQ(events.size(), 2u);  // inner completes first
+    const testing::TraceEvent& inner = events[0];
+    const testing::TraceEvent& outer = events[1];
+    EXPECT_EQ(inner.name, "test.inner");
+    EXPECT_EQ(outer.name, "test.outer");
+    EXPECT_EQ(inner.parent, outer.id);  // nesting captured
+    EXPECT_EQ(outer.parent, 0u);
+    using Args = std::vector<std::pair<std::string, std::string>>;
+    EXPECT_EQ(inner.args, (Args{{"shard", "3"}, {"name", "stream-a"}}));
+    EXPECT_EQ(outer.args, (Args{{"delta", "42"}}));
 }
 
 TEST(ObsTrace, DormantParentIsSkippedNotMisattributed) {
@@ -199,14 +196,13 @@ TEST(ObsTrace, DormantParentIsSkippedNotMisattributed) {
         obs::Span child("test.child");
         EXPECT_TRUE(child.active());
         EXPECT_FALSE(dormant_mid.active());
-        EXPECT_EQ(sink.recent().size(), 0u);  // nothing completed yet
     }
     obs::install_trace_sink(nullptr);
-    const auto recent = sink.recent();
-    ASSERT_EQ(recent.size(), 1u);  // only the child was born under the sink
-    EXPECT_STREQ(recent[0].name, "test.child");
-    EXPECT_EQ(recent[0].parent, 0u);
     sink.close();
+    const auto events = testing::read_trace(path);
+    ASSERT_EQ(events.size(), 1u);  // only the child was born under the sink
+    EXPECT_EQ(events[0].name, "test.child");
+    EXPECT_EQ(events[0].parent, 0u);
 }
 
 TEST(ObsTrace, TraceFileIsOneWellFormedJsonArray) {
@@ -219,7 +215,6 @@ TEST(ObsTrace, TraceFileIsOneWellFormedJsonArray) {
             obs::Span span("test.file_span");
             span.attr("i", std::int64_t{i});
         }
-        obs::Instant("test.file_instant").attr("mark", std::int64_t{9});
         obs::install_trace_sink(nullptr);
         sink.close();
     }
@@ -232,7 +227,7 @@ TEST(ObsTrace, TraceFileIsOneWellFormedJsonArray) {
     EXPECT_EQ(text.front(), '[');
     EXPECT_EQ(text.find_last_not_of(" \n"), text.size() - std::string("]\n").size());
     EXPECT_EQ(text[text.find_last_not_of(" \n")], ']');
-    // One complete-span event per Span, one instant: phases X and i.
+    // One complete-span event per Span, each on its own line.
     const auto count = [&text](const std::string& needle) {
         std::size_t total = 0;
         for (std::size_t at = text.find(needle); at != std::string::npos;
@@ -241,8 +236,14 @@ TEST(ObsTrace, TraceFileIsOneWellFormedJsonArray) {
         }
         return total;
     };
+    EXPECT_EQ(count("\"ph\":"), 3u);
     EXPECT_EQ(count("\"ph\":\"X\""), 3u);
-    EXPECT_EQ(count("\"ph\":\"i\""), 1u);
+    const auto events = testing::read_trace(path);
+    ASSERT_EQ(events.size(), 3u);
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        EXPECT_EQ(events[i].name, "test.file_span");
+        EXPECT_EQ(events[i].args.at(0).second, std::to_string(i));
+    }
 }
 
 TEST(ObsTrace, PoolThreadSpansNestUnderTheCallersSpan) {
@@ -252,7 +253,7 @@ TEST(ObsTrace, PoolThreadSpansNestUnderTheCallersSpan) {
     const std::string path = testing::temp_path("obs_pool.trace.json");
     testing::TempFileGuard guard(path);
     constexpr std::size_t kTasks = 64;
-    obs::TraceSink sink(path, /*ring_capacity=*/kTasks + 1);
+    obs::TraceSink sink(path);
     ThreadPool pool(4);
     std::uint64_t outer_id = 0;
     obs::install_trace_sink(&sink);
@@ -271,34 +272,14 @@ TEST(ObsTrace, PoolThreadSpansNestUnderTheCallersSpan) {
     const std::size_t caller_thread = obs::thread_ordinal();
     std::size_t tasks = 0;
     std::size_t on_pool_threads = 0;
-    for (const obs::SpanRecord& record : sink.recent()) {
-        if (std::string(record.name) != "test.pool_task") continue;
+    for (const testing::TraceEvent& record : testing::read_trace(path)) {
+        if (record.name != "test.pool_task") continue;
         ++tasks;
         if (record.thread != caller_thread) ++on_pool_threads;
         EXPECT_EQ(record.parent, outer_id) << "task on thread " << record.thread;
     }
     EXPECT_EQ(tasks, kTasks);
     EXPECT_GT(on_pool_threads, 0u);  // the case the per-thread stack misses
-}
-
-TEST(ObsTrace, RingBufferKeepsMostRecent) {
-    const std::string path = testing::temp_path("obs_ring.trace.json");
-    testing::TempFileGuard guard(path);
-    obs::TraceSink sink(path, /*ring_capacity=*/4);
-    obs::install_trace_sink(&sink);
-    for (int i = 0; i < 10; ++i) {
-        obs::Span span("test.ring");
-        span.attr("i", std::int64_t{i});
-    }
-    obs::install_trace_sink(nullptr);
-    const auto recent = sink.recent();
-    ASSERT_EQ(recent.size(), 4u);  // capacity bound
-    EXPECT_EQ(sink.events_written(), 10u);  // the file got everything
-    // Oldest-first: the surviving four are 6, 7, 8, 9.
-    for (std::size_t i = 0; i < recent.size(); ++i) {
-        EXPECT_EQ(recent[i].attrs[0].i, static_cast<std::int64_t>(6 + i));
-    }
-    sink.close();
 }
 
 // --- bit-identity with tracing on ------------------------------------------
@@ -347,7 +328,7 @@ TEST(ObsParity, SweepIsBitIdenticalWithTracingOn) {
 
         EXPECT_EQ(saturation_result_to_json(traced),
                   saturation_result_to_json(untraced));
-        EXPECT_GT(sink.events_written(), 0u);  // the sweep really was traced
+        EXPECT_FALSE(testing::read_trace(path).empty());  // the sweep really was traced
     }
 }
 
@@ -360,7 +341,6 @@ TEST(ObsTrace, SweepSpansNestUnderTheirSearchRound) {
     // grids are narrower, so they run as column-shard tasks (n = 200 spans
     // several shards).
     const LinkStream stream = corpus_stream(5, 200, 3'000, 2'000);
-    constexpr std::size_t kRing = std::size_t{1} << 14;
     SweepConfig options;
     options.coarse_points = 8;
     options.refine_rounds = 2;
@@ -368,18 +348,17 @@ TEST(ObsTrace, SweepSpansNestUnderTheirSearchRound) {
     options.num_threads = 4;
     const std::string path = testing::temp_path("obs_sweep_tree.trace.json");
     testing::TempFileGuard guard(path);
-    obs::TraceSink sink(path, kRing);
+    obs::TraceSink sink(path);
     obs::install_trace_sink(&sink);
     find_saturation_scale(stream, options);
     obs::install_trace_sink(nullptr);
     sink.close();
 
-    const std::vector<obs::SpanRecord> records = sink.recent();
-    ASSERT_LT(records.size(), kRing);  // nothing evicted
+    const std::vector<testing::TraceEvent> records = testing::read_trace(path);
     std::vector<std::uint64_t> coarse;
     std::vector<std::uint64_t> rounds;
-    for (const obs::SpanRecord& record : records) {
-        const std::string name = record.name;
+    for (const testing::TraceEvent& record : records) {
+        const std::string& name = record.name;
         if (name == "saturation.coarse_grid") coarse.push_back(record.id);
         if (name == "saturation.round") rounds.push_back(record.id);
     }
@@ -387,8 +366,8 @@ TEST(ObsTrace, SweepSpansNestUnderTheirSearchRound) {
     ASSERT_FALSE(rounds.empty());
     std::size_t deltas = 0;
     std::size_t shards = 0;
-    for (const obs::SpanRecord& record : records) {
-        const std::string name = record.name;
+    for (const testing::TraceEvent& record : records) {
+        const std::string& name = record.name;
         if (name == "sweep.delta") {
             ++deltas;
             EXPECT_EQ(record.parent, coarse.front())

@@ -21,6 +21,7 @@
 #include "core/saturation.hpp"
 #include "obs/trace.hpp"
 #include "testing/temp_files.hpp"
+#include "testing/trace_reader.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -110,19 +111,18 @@ TEST(ObsPerf, DormantInstrumentationIsUnderTwoPercentOfSweep) {
         sweep_seconds = std::min(sweep_seconds, watch.elapsed_seconds());
     }
 
-    // How many spans/instants would that sweep emit if traced?  Run it
+    // How many spans would that sweep emit if traced?  Run it
     // once with a real sink and count.
     const std::string path = testing::temp_path("obs_perf.trace.json");
     testing::TempFileGuard guard(path);
-    std::uint64_t events_traced = 0;
     {
         obs::TraceSink sink(path);
         obs::install_trace_sink(&sink);
         find_saturation_scale(stream, options);
         obs::install_trace_sink(nullptr);
-        events_traced = sink.events_written();
         sink.close();
     }
+    const std::size_t events_traced = testing::read_trace(path).size();
     ASSERT_GT(events_traced, 0u);
 
     const double dormant_ns = best_ns_per_op(1'000'000, 3, [](std::uint64_t i) {

@@ -107,7 +107,7 @@ TEST(PackedReachability, FinalStateDecodesIdenticallyToLegacy) {
 
 TEST(PackedReachability, DistanceAccumulationIdenticalToLegacy) {
     // The packed engine decodes ranks back to window labels both per change
-    // and in the final tables handed to DistanceAccumulator::finish.
+    // and when it closes each finite pair at the end of the scan.
     for (const std::uint64_t seed : {3ull, 5ull}) {
         const auto stream = random_stream(seed, 30, 250, 3'000, false);
         const auto series = aggregate(stream, 75);

@@ -4,6 +4,7 @@
 #include <algorithm>
 
 #include "core/delta_grid.hpp"
+#include "core/delta_sweep.hpp"
 #include "core/saturation.hpp"
 #include "gen/registry.hpp"
 #include "util/rng.hpp"
@@ -187,14 +188,27 @@ TEST(Saturation, VariationCoefficientPrefersTinyDeltas) {
               result.gamma_for(UniformityMetric::mk_proximity));
 }
 
+/// find_saturation_scale's own evaluator, for searches over explicit bounds.
+GridEvaluator engine_evaluator(DeltaSweepEngine& engine) {
+    return [&engine](std::span<const Time> grid, std::vector<Histogram01>* histograms) {
+        return engine.evaluate(grid, histograms);
+    };
+}
+
 TEST(Saturation, ExplicitRangeHonoured) {
-    auto options = quick_options();
-    options.min_delta = 10;
-    options.max_delta = 1'000;
+    const auto options = quick_options();
     const auto stream = gen::generate_stream("uniform:n=10,links=5,T=5000", 1).stream;
-    const auto result = find_saturation_scale(stream, options);
-    EXPECT_GE(result.curve.front().delta, 10);
-    EXPECT_LE(result.curve.back().delta, 1'000);
+    DeltaSweepEngine engine(stream, sweep_options_of(options));
+    const auto result = find_saturation_scale_with(engine_evaluator(engine), 10, 1'000, options);
+    EXPECT_EQ(result.curve.front().delta, 10);
+    EXPECT_EQ(result.curve.back().delta, 1'000);
+
+    // min_delta alone raises the lower bound; the search still reaches T.
+    auto from_ten = options;
+    from_ten.min_delta = 10;
+    const auto to_period = find_saturation_scale(stream, from_ten);
+    EXPECT_EQ(to_period.curve.front().delta, 10);
+    EXPECT_EQ(to_period.curve.back().delta, stream.period_end());
 }
 
 TEST(Saturation, RefinementOnlyAddsPoints) {
@@ -217,10 +231,12 @@ TEST(Saturation, RejectsEmptyStreamAndBadOptions) {
     SweepConfig bad;
     bad.coarse_points = 1;
     EXPECT_THROW(find_saturation_scale(stream, bad), contract_error);
-    SweepConfig bad_range;
-    bad_range.min_delta = 50;
-    bad_range.max_delta = 10;
-    EXPECT_THROW(find_saturation_scale(stream, bad_range), contract_error);
+    DeltaSweepEngine engine(stream, sweep_options_of(quick_options()));
+    EXPECT_THROW(find_saturation_scale_with(engine_evaluator(engine), 50, 10, quick_options()),
+                 contract_error);
+    SweepConfig beyond_period;
+    beyond_period.min_delta = 101;
+    EXPECT_THROW(find_saturation_scale(stream, beyond_period), contract_error);
 }
 
 TEST(Saturation, SingleEventStream) {

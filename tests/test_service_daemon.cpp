@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,6 +20,7 @@
 
 #include "linkstream/io.hpp"
 #include "natscale/api.hpp"
+#include "online/incremental_sweep.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
 #include "testing/temp_files.hpp"
@@ -281,6 +283,47 @@ TEST(ServiceDaemon, RegisterTakesTheGridPointsTheCommandLinesTake) {
         spec.grid_points = points;
         EXPECT_NO_THROW(client.register_stream(spec)) << points;
     }
+}
+
+TEST(ServiceDaemon, OversizedRegisterIsRefusedAndSiblingsKeepAnswering) {
+    // A register whose engine would need more than kMaxRegisterStateBytes is
+    // refused before anything is allocated; the daemon, the connection and
+    // the streams it already hosts carry on.
+    Daemon daemon;
+    Client client = daemon.connect();
+    const StreamAck sibling = client.register_stream(stream_spec("sibling", 10, 200));
+    client.ingest(sibling.stream_id, 1, random_events(17, 10, 200, 120));
+    client.close_stream(sibling.stream_id);
+    Query query;
+    query.stream_id = sibling.stream_id;
+    query.kind = QueryKind::curve;
+    const std::string before = client.query(query).json;
+
+    RegisterStream huge = stream_spec("huge", 10, 200);
+    huge.num_nodes = std::numeric_limits<NodeId>::max();  // 2^32 - 1: 240 GB of sparse rows
+    huge.grid_points = 2;
+    ASSERT_GT(OnlineSweepEngine::initial_state_bytes(std::numeric_limits<NodeId>::max(), 2,
+                                                     Histogram01::kDefaultBins),
+              kMaxRegisterStateBytes);
+    try {
+        client.register_stream(huge);
+        FAIL() << "oversized register accepted";
+    } catch (const remote_error& error) {
+        EXPECT_EQ(error.code(), ErrorCode::bad_request);
+        EXPECT_NE(std::string(error.what()).find("exceeds the per-stream limit"),
+                  std::string::npos)
+            << error.what();
+    }
+
+    EXPECT_EQ(client.query(query).json, before);
+    Client other = daemon.connect();
+    EXPECT_EQ(other.query(query).json, before);
+    EXPECT_EQ(other.list_streams(), std::vector<std::string>{"sibling"});
+    // The bound admits the largest dense engine the online rule builds:
+    // n = 1024 at 24 grid points, the CI daemon-smoke streams.
+    EXPECT_EQ(OnlineSweepEngine::initial_backend(1024, 24), ReachabilityBackend::dense);
+    EXPECT_LE(OnlineSweepEngine::initial_state_bytes(1024, 24, Histogram01::kDefaultBins),
+              kMaxRegisterStateBytes);
 }
 
 TEST(ServiceDaemon, MalformedFramesAreContainedPerConnection) {

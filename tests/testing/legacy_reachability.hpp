@@ -41,7 +41,7 @@ public:
             detail::build_instant_arcs(arcs_, it->edges, series.directed());
             process_instant(it->k, sink, options);
         }
-        if (options.distances != nullptr) options.distances->finish(arr_, hops_);
+        if (options.distances != nullptr) close_distances(*options.distances);
     }
 
     template <typename Sink>
@@ -61,6 +61,18 @@ public:
     }
 
 private:
+    /// Closes every finite pair from the final tables, row-major, as the
+    /// packed kernel does from its packed cells.
+    void close_distances(DistanceAccumulator& distances) const {
+        for (NodeId u = 0; u < n_; ++u) {
+            for (NodeId v = 0; v < n_; ++v) {
+                const std::size_t idx = static_cast<std::size_t>(u) * n_ + v;
+                if (v == u || arr_[idx] == kInfiniteTime) continue;
+                distances.close_pair(u, v, arr_[idx], hops_[idx]);
+            }
+        }
+    }
+
     void prepare(NodeId n) {
         n_ = n;
         const std::size_t cells = static_cast<std::size_t>(n) * n;
