@@ -13,22 +13,19 @@
 // point ran as counters, so the crossover curve can be plotted straight
 // from the JSON artifact.
 //
-// A second artifact, BENCH_kernel.json, comes from the ColumnScaling and
-// ScalarVsSimd suites (`--benchmark_filter=ColumnScaling|ScalarVsSimd`): a
-// one-period DeltaSweepEngine grid (column-sharded over the pool) at
-// 1/2/4/8 threads, and the same dense scan under every SIMD dispatch (one
-// row per ISA; rows for ISAs this machine cannot execute run the strongest
-// supported path instead and say so via the supported/fallback counters —
-// see docs/simd.md for how to read them).  CI uploads both from the Release
-// leg — the in-repo perf trajectory of the dense hot path.
+// A second artifact, BENCH_kernel.json, comes from the ScalarVsSimd suite
+// (`--benchmark_filter=ScalarVsSimd`): the same dense scan under every SIMD
+// dispatch (one row per ISA; rows for ISAs this machine cannot execute run
+// the strongest supported path instead and say so via the
+// supported/fallback counters — see docs/simd.md for how to read them).  CI
+// uploads both from the Release leg — the in-repo perf trajectory of the
+// dense hot path.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 
-#include "core/delta_sweep.hpp"
 #include "core/occupancy.hpp"
 #include "linkstream/aggregation.hpp"
-#include "temporal/column_shards.hpp"
 #include "temporal/reachability_backend.hpp"
 #include "util/proc_rss.hpp"
 #include "util/rng.hpp"
@@ -216,32 +213,6 @@ BENCHMARK_CAPTURE(BM_ScalarVsSimd_DenseSeries, avx2, SimdIsa::avx2)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ScalarVsSimd_DenseSeries, avx512, SimdIsa::avx512)
     ->Unit(benchmark::kMillisecond);
-
-/// Intra-scan thread scaling: the crossover period of the n = 1024 stream
-/// (below kSparseMinNodes, so select_backend resolves it to dense) as a
-/// one-point DeltaSweepEngine grid (aggregate + dense scan + bin) at
-/// 1/2/4/8 threads.  One period is narrower than any multi-thread pool, so
-/// the engine splits the scan into column shards.  The result is
-/// bit-identical at every point (enforced by tests/test_scan_parallel.cpp);
-/// this measures only the wall-clock curve.
-void BM_ColumnScaling_OccupancyHistogram(benchmark::State& state) {
-    const auto threads = static_cast<std::size_t>(state.range(0));
-    const auto stream = crossover_stream(1024);
-    const std::vector<Time> grid = {crossover_delta(1024)};
-    DeltaSweepOptions options;
-    options.num_threads = threads;
-    DeltaSweepEngine engine(stream, options);
-    std::uint64_t total = 0;
-    for (auto _ : state) {
-        total = engine.evaluate(grid).front().num_trips;
-        benchmark::DoNotOptimize(total);
-    }
-    state.counters["threads"] = static_cast<double>(threads);
-    state.counters["trips"] = static_cast<double>(total);
-    state.counters["shards"] = static_cast<double>(column_shards(1024).size());
-}
-BENCHMARK(BM_ColumnScaling_OccupancyHistogram)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// One full occupancy-histogram evaluation (aggregate + scan + bin).
 void BM_OccupancyHistogram(benchmark::State& state) {

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -95,20 +96,22 @@ inline UniformityMetric parse_metric(const std::string& arg, const std::string& 
     invalid_value(flag, value, "mk|stddev|shannon|cre");
 }
 
-/// Floating-point value of an `--option=X` argument; exits 2 on junk and
-/// trailing garbage (std::stod would silently drop "1.5abc"'s tail).
+/// Floating-point value of an `--option=X` argument, read whole by
+/// std::from_chars in general format: no leading space, '+' or hex prefix.
+/// Exits 2 naming the flag on junk and trailing garbage, and on values that
+/// are not finite (inf, nan, out of range).
 inline double parse_double(const std::string& arg, const std::string& flag) {
     const std::string value = option_value(arg, flag);
-    try {
-        std::size_t consumed = 0;
-        const double parsed = std::stod(value, &consumed);
-        if (value.empty() || consumed != value.size()) {
-            throw std::invalid_argument(value);
-        }
-        return parsed;
-    } catch (const std::exception&) {
+    double parsed = 0.0;
+    const char* end = value.data() + value.size();
+    const auto [stop, error] = std::from_chars(value.data(), end, parsed);
+    if (stop != end || (error != std::errc{} && error != std::errc::result_out_of_range)) {
         invalid_value(flag, value, "a number");
     }
+    if (error == std::errc::result_out_of_range || !std::isfinite(parsed)) {
+        invalid_value(flag, value, "a finite number");
+    }
+    return parsed;
 }
 
 /// Splits a repeated `--param=key=value` option into (key, value); exits 2

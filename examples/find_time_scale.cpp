@@ -657,9 +657,9 @@ int main(int argc, char** argv) {
             // online `watch` engine reproduces bit-for-bit.
             options.refine_rounds = parse_count(arg, "--refine-rounds=");
         } else if (arg.rfind("--threads=", 0) == 0) {
-            // The Delta grid is swept in parallel, a grid narrower than the
-            // pool by column shards; the result is identical for every
-            // thread count (0 = all hardware threads).
+            // The Delta grid is swept in parallel, one task per period; the
+            // result is identical for every thread count (0 = all hardware
+            // threads).
             options.num_threads = parse_thread_count(arg, "--threads=");
         } else if (arg.rfind("--format=", 0) == 0) {
             // Input encoding: auto sniffs the magic bytes; natbin streams

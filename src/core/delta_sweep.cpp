@@ -2,7 +2,7 @@
 
 #include "core/occupancy.hpp"
 #include "linkstream/aggregation.hpp"
-#include "temporal/sharded_scan.hpp"
+#include "temporal/scan_periods.hpp"
 
 namespace natscale {
 

@@ -10,21 +10,17 @@
 //     time-sorted event buffer (in RAM or an mmap'd .natbin trace); peak
 //     residency is the per-window working set, not the trace;
 //   * the per-Delta reachability scans fan out over a util/thread_pool
-//     through scan_periods (temporal/sharded_scan), the one function that
-//     decides between one task per period (one reusable ReachabilityEngine
-//     per worker) and, for a grid narrower than the pool (a late
-//     refinement round can hold a single period), (Delta, column shard)
-//     tasks; each scan runs on the dense or sparse kernel that
-//     select_backend (temporal/reachability_backend) picks for that
-//     period's series;
+//     through scan_periods (temporal/scan_periods), one task per period
+//     (one reusable ReachabilityEngine per worker); each scan runs on the
+//     dense or sparse kernel that select_backend
+//     (temporal/reachability_backend) picks for that period's series;
 //   * every period is scored by score_delta_point once the fan-out is done.
 //
-// Results are deterministic and thread-count independent: every period (or
-// shard) is scanned by exactly one task writing to its own partial, shard
-// partials merge in fixed ascending order into split-invariant
-// accumulators, and the per-period computation is bit-identical to the
-// sequential single-period path (same snapshot edge order, same trip
-// emission order, same floating-point accumulation order).
+// Results are deterministic and thread-count independent: every period is
+// scanned by exactly one task writing to its own histogram, and the
+// per-period computation is bit-identical to the sequential single-period
+// path (same snapshot edge order, same trip emission order, same
+// floating-point accumulation order).
 #pragma once
 
 #include <cstdint>
@@ -72,12 +68,10 @@ struct DeltaSweepOptions {
 
     /// Threads for the sweep; 0 = hardware concurrency, 1 = fully
     /// sequential (no pool threads are spawned).  The one concurrency (and
-    /// engine-memory) cap: a grid at least as wide as the pool runs one
-    /// task per period, a narrower one splits its dense scans into column
-    /// shards (temporal/column_shards) over the same pool.  Results are
-    /// bit-identical for every value: the shard structure depends on n
-    /// alone, partials merge in fixed ascending order, and the histogram
-    /// accumulators are split-invariant.
+    /// engine-memory) cap: the pool runs one task per period, so a grid
+    /// narrower than the pool leaves threads idle.  Results are
+    /// bit-identical for every value: one task scans each period into its
+    /// own histogram.
     std::size_t num_threads = 0;
 };
 
@@ -93,7 +87,7 @@ public:
     /// uniformity metrics), in grid order.  When `histograms_out` is
     /// non-null it receives the per-period occupancy histograms, aligned
     /// with the returned points.  The scans run through scan_periods
-    /// (temporal/sharded_scan), which counts and traces every period under
+    /// (temporal/scan_periods), which counts and traces every period under
     /// `sweep.*`; the result is identical for any thread count.
     /// Preconditions: every delta >= 1.
     std::vector<DeltaPoint> evaluate(std::span<const Time> grid,

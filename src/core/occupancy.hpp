@@ -10,9 +10,9 @@
 // occ(P) depends on P only through its (hops, duration) pair, so the
 // histogram of a Delta — bins and both exact moments — is a function of the
 // multiset of those pairs.  Every scan that builds one (occupancy_histogram,
-// DeltaSweepEngine's periods and column shards, the online engine's sync and
-// refresh) therefore tallies trips by pair in an OccupancyTally and adds
-// each distinct pair to the Histogram01 once, when the scan ends.
+// DeltaSweepEngine's periods, the online engine's sync and refresh)
+// therefore tallies trips by pair in an OccupancyTally and adds each
+// distinct pair to the Histogram01 once, when the scan ends.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +31,7 @@ namespace natscale {
 /// minimal trips of a graph series by (duration, hops), and flush() adds
 /// each counted pair to `histogram` once, as add(hops / duration, count) —
 /// the double series_occupancy computes.  Histogram01 bins are integers and
-/// its moments exact, split-invariant sums, so the flushed histogram is
+/// its moments exact, order-independent sums, so the flushed histogram is
 /// bit-identical to adding series_occupancy(trip) once per trip.
 ///
 /// Trips of up to kMaxTableDuration windows are counted in a dense
@@ -89,9 +89,7 @@ private:
 /// Streaming histogram of the occupancy rates of all minimal trips of the
 /// series (histogram error O(1/num_bins); see Histogram01), from one
 /// sequential scan on the backend select_backend picks from n and event
-/// density (temporal/reachability_backend.hpp).  To scan one period on
-/// several threads, evaluate a one-point grid with DeltaSweepEngine, which
-/// splits a grid narrower than its pool into column shards.
+/// density (temporal/reachability_backend.hpp).
 Histogram01 occupancy_histogram(const GraphSeries& series,
                                 std::size_t num_bins = Histogram01::kDefaultBins);
 

@@ -4,7 +4,7 @@
 
 #include "linkstream/aggregation.hpp"
 #include "stats/exact_sum.hpp"
-#include "temporal/sharded_scan.hpp"
+#include "temporal/scan_periods.hpp"
 #include "temporal/trip_store.hpp"
 #include "util/contracts.hpp"
 #include "util/math.hpp"
@@ -30,21 +30,13 @@ std::vector<LostTransitionPoint> lost_transitions_curve(const LinkStream& stream
 
 namespace {
 
-/// Per-scan (or per column shard) elongation partial.  The sum is exact and
-/// order-independent (stats/exact_sum.hpp), so merging shard partials — in
-/// any order — reproduces the unsharded accumulation bit-for-bit.
+/// Per-period elongation partial, filled by the period's one scan.
 struct ElongationPartial {
     ExactSum sum;
     std::uint64_t measured = 0;
-
-    void merge(const ElongationPartial& other) {
-        sum.merge(other.sum);
-        measured += other.measured;
-    }
 };
 
-/// Adds one minimal trip's elongation term to the partial of its scan (or
-/// column shard).
+/// Adds one minimal trip's elongation term to the partial of its scan.
 void accumulate_elongation(const MinimalTrip& trip, Time delta, const StreamTripStore& store,
                            ElongationPartial& partial) {
     if (trip.dep == trip.arr) return;  // e_P defined only for t_u != t_v
@@ -82,7 +74,7 @@ ElongationPoint point_of(Time delta, const ElongationPartial& partial) {
 }
 
 /// Elongation points of every period of `deltas`, scanned on `pool` by
-/// scan_periods (temporal/sharded_scan) against the stream trip store.  The
+/// scan_periods (temporal/scan_periods) against the stream trip store.  The
 /// series sinks keep the pairs the store keeps, so both sides see the same
 /// pairs.
 std::vector<ElongationPoint> elongation_points(const LinkStream& stream,

@@ -46,10 +46,9 @@ struct ElongationPoint {
 /// Trips with t_u == t_v are skipped, as in the paper (their elongation is
 /// undefined).  Deterministic pair sampling keeps memory bounded on large
 /// streams while leaving the mean unbiased.  The per-period scans run
-/// through scan_periods (temporal/sharded_scan), the fan-out
-/// DeltaSweepEngine::evaluate uses too: one task per period, or column
-/// shards when the period list is narrower than the pool.  Every period is
-/// counted and traced under `sweep.*` like a search period.
+/// through scan_periods (temporal/scan_periods), the fan-out
+/// DeltaSweepEngine::evaluate uses too: one task per period.  Every period
+/// is counted and traced under `sweep.*` like a search period.
 std::vector<ElongationPoint> elongation_curve(const LinkStream& stream,
                                               const std::vector<Time>& deltas,
                                               const SweepConfig& options = {});

@@ -30,18 +30,6 @@ Time IntervalStream::total_active_time() const noexcept {
     return total;
 }
 
-bool IntervalStream::active_at(NodeId u, NodeId v, Time t) const {
-    NATSCALE_EXPECTS(u < num_nodes_ && v < num_nodes_);
-    NodeId a = u;
-    NodeId b = v;
-    if (!directed_ && a > b) std::swap(a, b);
-    for (const auto& iv : intervals_) {
-        if (iv.begin > t) break;  // sorted by begin
-        if (iv.u == a && iv.v == b && t >= iv.begin && t < iv.end) return true;
-    }
-    return false;
-}
-
 LinkStream oversample(const IntervalStream& stream, const OversampleOptions& options) {
     NATSCALE_EXPECTS(options.sampling_period >= 1);
     NATSCALE_EXPECTS(options.phase >= 0 && options.phase < options.sampling_period);

@@ -56,9 +56,6 @@ public:
     /// Total connected time summed over links, in ticks.
     Time total_active_time() const noexcept;
 
-    /// True if u-v are connected at instant t by any interval.
-    bool active_at(NodeId u, NodeId v, Time t) const;
-
 private:
     std::vector<IntervalEvent> intervals_;  // sorted
     NodeId num_nodes_ = 0;

@@ -53,9 +53,9 @@ struct SweepConfig {
     // --- execution (every entry point) -------------------------------------
 
     /// Threads for the sweep; 0 = hardware concurrency, 1 = fully
-    /// sequential.  Grids narrower than the pool split their dense scans
-    /// by destination column (temporal/column_shards), so every thread has
-    /// work.  Results are bit-identical for every value.
+    /// sequential.  Each period of a grid is one task, so a grid narrower
+    /// than the pool leaves threads idle.  Results are bit-identical for
+    /// every value.
     std::size_t num_threads = 0;
 
     // --- validation (elongation_curve) --------------------------------------

@@ -12,7 +12,7 @@
 // register once through a function-local static and afterwards pay one
 // relaxed atomic add:
 //
-//     static obs::Counter& scans = obs::counter("sweep.shards_scanned");
+//     static obs::Counter& scans = obs::counter("sweep.deltas_evaluated");
 //     scans.add();
 //
 // Metric names are stable API once shipped — the catalogue lives in

@@ -4,7 +4,7 @@
 // daemon request); spans carry a process-unique id, the id of the
 // enclosing span on the same thread (for bodies run by
 // ThreadPool::parallel_for: the span open on the dispatching thread), and
-// up to kMaxAttrs typed attributes (Δ, shard range, stream name, ...).
+// up to kMaxAttrs typed attributes (Δ, backend, stream name, ...).
 // Completed spans go to the installed TraceSink, which appends them as
 // Chrome trace-event JSON (one event per line, loadable in chrome://tracing
 // and Perfetto).

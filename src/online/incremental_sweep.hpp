@@ -38,9 +38,16 @@
 // processed once per period over the stream's lifetime).  refresh() answers
 // the current question: clone the frozen state, sweep only the unsealed
 // tail windows, flush the tail's tally into a copy of the frozen histogram,
-// and score.  Refresh cost is O(tail + reachable pairs) per period — on a
-// 10^7-event trace with a 1 % tail, orders of magnitude below the cold
-// sweep (bench/perf_online.cpp measures it).
+// and score.  With a short tail that is orders of magnitude below the cold
+// sweep (bench/perf_online.cpp measures it on a 10^7-event trace with a
+// 1 % tail).  It is not O(tail + reachable pairs) per period in two cases:
+//   * cloning a dense period copies its whole n^2 x 8 B table, however few
+//     pairs are reachable;
+//   * the tail is every unsealed window.  A period whose Delta is close to
+//     T has a few windows that seal late (the Delta = T window not before
+//     the stream closes), so its tail is most or all of the stream: on the
+//     enron replica fed to a daemon, the six largest periods (at most 7
+//     windows each) took about 70 % of the tail re-sweep time.
 //
 // --- Which kernel -----------------------------------------------------------
 //

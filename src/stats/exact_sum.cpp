@@ -52,10 +52,6 @@ void ExactSum::add(double x, std::uint64_t count) {
     }
 }
 
-void ExactSum::merge(const ExactSum& other) noexcept {
-    for (std::size_t i = 0; i < kLimbs; ++i) add_limb(limbs_, i, other.limbs_[i]);
-}
-
 double ExactSum::value() const noexcept {
     std::size_t top = kLimbs;
     while (top > 0 && limbs_[top - 1] == 0) --top;

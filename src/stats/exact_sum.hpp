@@ -1,22 +1,21 @@
 // Exact, order-independent summation of non-negative doubles.
 //
-// The column-sharded reachability scans (temporal/column_shards.hpp) split
-// one logical sample stream — occupancy rates, elongation factors — into
-// per-shard partials that are accumulated concurrently and merged afterwards.
 // Floating-point addition is not associative, so a naive `double sum`
-// partial would make the merged result depend on the shard structure and
-// destroy the repo's differential-parity discipline (sequential and parallel
-// paths must be bit-identical at every thread count, and a partial split at
-// ANY boundary must reproduce the single-accumulator result bit-for-bit).
+// depends on the order and grouping of its adds.  The occupancy histograms
+// must not: OccupancyTally (core/occupancy) adds each distinct occupancy
+// rate once, weighted by its trip count, and the online engine
+// (online/incremental_sweep) meets a period's trips in time-reversed order,
+// sync by sync; both must reproduce the per-trip adds of a batch scan
+// bit-for-bit (the repo's batch = online invariant).
 //
 // ExactSum removes the problem at the root: it accumulates the exact value
 // of the sum in a Kulisch-style fixed-point superaccumulator — an array of
 // 64-bit limbs covering every bit position a non-negative finite double can
-// occupy (2^-1074 .. 2^1024) plus headroom for 2^64-fold counts and merges.
-// Integer addition is associative and commutative, so the accumulator state
-// after adding a multiset of samples is a unique function of the multiset:
-// any split into partials, merged in any order, yields the identical limbs
-// and therefore the identical rounded `value()`.
+// occupy (2^-1074 .. 2^1024) plus headroom for 2^64-fold counts.  Integer
+// addition is associative and commutative, so the accumulator state after
+// adding a multiset of samples is a unique function of the multiset: any
+// order of adds, and any grouping of equal samples into one weighted add,
+// yields the identical limbs and therefore the identical rounded `value()`.
 //
 // Cost: add() is ~a dozen integer operations (decompose the double, one
 // 128-bit multiply by the count, shifted add into at most three limbs plus
@@ -34,9 +33,6 @@ public:
     /// Preconditions: x is finite and non-negative.
     void add(double x, std::uint64_t count = 1);
 
-    /// Adds another accumulator exactly (limb-wise integer addition).
-    void merge(const ExactSum& other) noexcept;
-
     /// The accumulated sum rounded to double (deterministic: a pure function
     /// of the exact accumulator state, which itself is a pure function of
     /// the added multiset).  Faithful to within ~1 ulp of the exact value.
@@ -50,13 +46,13 @@ public:
 
     /// Bit 0 of limb 0 weighs 2^-1074 (the smallest subnormal).  The largest
     /// finite double contributes up to bit 2097; a 2^64 count shifts that to
-    /// 2161 and merge carries need a little more — 36 limbs = 2304 bits.
+    /// 2161 and carries need a little more — 36 limbs = 2304 bits.
     static constexpr std::size_t kLimbs = 36;
 
     /// The raw accumulator limbs — the complete state, which is a pure
     /// function of the added multiset.  Restoring them verbatim (from_limbs)
     /// reproduces the accumulator bit-for-bit, so checkpointed statistics
-    /// resume with the exact-merge guarantees intact (online/checkpoint).
+    /// resume with their order independence intact (online/checkpoint).
     const std::array<std::uint64_t, kLimbs>& limbs() const noexcept { return limbs_; }
 
     static ExactSum from_limbs(const std::array<std::uint64_t, kLimbs>& limbs) noexcept {

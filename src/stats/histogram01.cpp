@@ -35,14 +35,6 @@ void Histogram01::add(double x, std::uint64_t count) noexcept {
 
 void Histogram01::add(double x) noexcept { add(x, 1); }
 
-void Histogram01::merge(const Histogram01& other) {
-    NATSCALE_EXPECTS(other.counts_.size() == counts_.size());
-    for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-    total_ += other.total_;
-    sum_.merge(other.sum_);
-    sum_sq_.merge(other.sum_sq_);
-}
-
 Histogram01 Histogram01::restore(std::vector<std::uint64_t> counts, std::uint64_t total,
                                  ExactSum sum, ExactSum sum_sq) {
     NATSCALE_EXPECTS(!counts.empty());

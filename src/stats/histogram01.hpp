@@ -16,15 +16,13 @@
 // one bin width elsewhere.  The default B = 3600 is divisible by the Shannon
 // slot counts used in the paper's Section 7 (5, 10, 20, 100).
 //
-// Accumulation is split-invariant: the bins are integers and the moments are
-// kept in exact fixed-point superaccumulators (stats/exact_sum.hpp), so
-// splitting a sample stream into partial histograms at ANY boundaries and
-// merge()-ing them — or adding k equal samples as one add(x, k) —
-// reproduces the single-accumulator bins, total, mean and stddev
-// bit-for-bit.  This is what lets the column-sharded parallel
-// reachability scans (temporal/column_shards.hpp) accumulate per-shard
-// partials concurrently while staying bit-identical to the sequential scan
-// at every thread count.
+// Accumulation is order-independent: the bins are integers and the moments
+// are kept in exact fixed-point superaccumulators (stats/exact_sum.hpp), so
+// adding a multiset of samples in ANY order — or adding k equal samples as
+// one add(x, k) — reproduces the bins, total, mean and stddev bit-for-bit.
+// This is what lets OccupancyTally add each distinct rate once and the
+// online engine add a period's trips in time-reversed order while staying
+// bit-identical to the per-trip adds of a batch scan.
 #pragma once
 
 #include <cstdint>
@@ -49,11 +47,6 @@ public:
 
     /// Adds `count` samples of the same value.
     void add(double x, std::uint64_t count) noexcept;
-
-    /// Merges another histogram with the same bin count.  Exact: merging a
-    /// set of partials reproduces the single-accumulator state bit-for-bit
-    /// regardless of how the samples were split across them.
-    void merge(const Histogram01& other);
 
     std::size_t num_bins() const noexcept { return counts_.size(); }
     std::uint64_t total() const noexcept { return total_; }

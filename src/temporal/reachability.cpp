@@ -4,16 +4,11 @@
 
 namespace natscale {
 
-void TemporalReachability::prepare(NodeId n, NodeId col_begin, NodeId col_end) {
-    NATSCALE_EXPECTS(col_begin <= col_end && col_end <= n);
+void TemporalReachability::prepare(NodeId n) {
     n_ = n;
-    col_begin_ = col_begin;
-    col_end_ = col_end;
     reversed_ = false;
-    const std::size_t cells =
-        static_cast<std::size_t>(n) * (col_end - col_begin);
-    state_.assign(cells, kUnreachablePacked);
-    const std::size_t mask_words = (static_cast<std::size_t>(col_end - col_begin) + 63) / 64;
+    state_.assign(static_cast<std::size_t>(n) * n, kUnreachablePacked);
+    const std::size_t mask_words = (static_cast<std::size_t>(n) + 63) / 64;
     if (improved_.size() < mask_words) {
         improved_.resize(mask_words);
         changed_.resize(mask_words);
@@ -24,7 +19,7 @@ void TemporalReachability::prepare(NodeId n, NodeId col_begin, NodeId col_end) {
 }
 
 void TemporalReachability::begin(NodeId n) {
-    prepare(n, 0, n);
+    prepare(n);
     reversed_ = true;
 }
 

@@ -48,20 +48,6 @@
 // backend's node ceiling under the fixed memory budget by ~22 % (see
 // temporal/reachability_backend.hpp).
 //
-// --- Column-restricted scans -----------------------------------------------
-//
-// The DP decomposes exactly by destination column: cell (u, v) is only ever
-// written from cell (w, v) of a neighbor row (continuation) or by the direct
-// candidate for column w — never from another column.  scan_series_columns()
-// therefore runs the identical sweep restricted to destinations in
-// [col_begin, col_end) using n x width state, and the union of the
-// restricted scans over a partition of [0, n) produces the exact same trip
-// multiset, per-pair trip sequences, and final state as one full scan.
-// temporal/column_shards.hpp fixes the partition as a function of n alone,
-// and the callers fan the shards out over a util/thread_pool: intra-scan
-// parallelism with bit-identical results at every thread count (the sample
-// accumulators downstream are split-invariant — see stats/histogram01.hpp).
-//
 // The same sweep optionally drives a DistanceAccumulator (mean d_time /
 // d_hops over all start windows, Fig. 2).  Every scan emits every minimal
 // trip; a sink that wants a subset filters its own (the pair sampling of the
@@ -113,7 +99,7 @@ enum class ReachabilityBackend {
 struct ReachabilityOptions {
     /// If non-null, fed with every value change so that mean d_time/d_hops
     /// over all (u, v, t) can be computed exactly.  Only series scans take
-    /// options (the sparse kernel takes none), full column range only.
+    /// options (the sparse kernel takes none).
     DistanceAccumulator* distances = nullptr;
 };
 
@@ -166,9 +152,9 @@ void for_each_instant_backward(std::span<const Event> events, bool directed,
 }  // namespace detail
 
 /// Reusable sweep engine over the packed state.  Construction is cheap; the
-/// O(n * width) state is allocated on first use and reused across scans (the
+/// O(n^2) state is allocated on first use and reused across scans (the
 /// occupancy method runs one scan per aggregation period on the same node
-/// set, and the column-parallel drivers reuse one engine per worker).
+/// set, and scan_periods reuses one engine per pool worker).
 class TemporalReachability {
 public:
     /// One packed (arrival_rank, hops) cell; exposed so the backend-budget
@@ -181,23 +167,11 @@ public:
     /// dep/arr being 1-based window indices.
     template <typename Sink>
     void scan_series(const GraphSeries& series, Sink&& sink,
-                     const ReachabilityOptions& options = {}) {
-        scan_series_columns(series, 0, series.num_nodes(), std::forward<Sink>(sink),
-                            options);
-    }
-
-    /// Column-restricted series scan: identical sweep, destinations limited
-    /// to [col_begin, col_end).  Emits exactly the full scan's trips with
-    /// v in the range, in the full scan's relative order.
-    /// Preconditions: col_begin <= col_end <= n; distance accumulation
-    /// requires the full range.
-    template <typename Sink>
-    void scan_series_columns(const GraphSeries& series, NodeId col_begin, NodeId col_end,
-                             Sink&& sink, const ReachabilityOptions& options = {});
+                     const ReachabilityOptions& options = {});
 
     /// Enumerates all minimal trips of the raw link stream (each distinct
     /// timestamp is its own instant; dep/arr are the original timestamps —
-    /// rank compression is internal), over the full column range.
+    /// rank compression is internal).
     template <typename Sink>
     void scan_stream(const LinkStream& stream, Sink&& sink);
 
@@ -206,8 +180,8 @@ public:
     /// Largest window index relax_window accepts.
     static constexpr WindowIndex kMaxReversedWindow = 0xFFFFFFFE;
 
-    /// Resets the state for a reversed sweep over n nodes (full column
-    /// range).  Must be called before the first relax_window of a sweep.
+    /// Resets the state for a reversed sweep over n nodes.  Must be called
+    /// before the first relax_window of a sweep.
     void begin(NodeId n);
 
     /// Relaxes window k of the time-reversed sweep: `edges` are the
@@ -228,7 +202,6 @@ public:
     /// The finite cells, decoded: row u lists (v, hops, arr) for every v
     /// reachable from u, in increasing v — after the same instants (batch
     /// or reversed), exactly SparseTemporalReachability::state_rows().
-    /// After a column-restricted scan, only the v of its column range.
     std::vector<ReachRow> state_rows() const;
 
     /// True when every arrival of `rows` is the label of a window the
@@ -264,7 +237,7 @@ private:
         return reversed_ ? reversed_label(rank) : labels_[rank];
     }
 
-    void prepare(NodeId n, NodeId col_begin, NodeId col_end);
+    void prepare(NodeId n);
 
     /// Relaxes the arcs_ of one instant.  Arrival ranks decode back to
     /// labels through labels_ in the batch scans, arithmetically in the
@@ -279,10 +252,8 @@ private:
     void for_each_finite(Visit&& visit) const;
 
     NodeId n_ = 0;
-    NodeId col_begin_ = 0;
-    NodeId col_end_ = 0;
     bool reversed_ = false;             // ranks decode arithmetically, not via labels_
-    std::vector<PackedState> state_;    // n_ rows x (col_end_ - col_begin_) columns
+    std::vector<PackedState> state_;    // n_ rows x n_ columns
     std::vector<PackedState> scratch_;  // pre-instant rows of active nodes
     std::vector<std::uint64_t> improved_;  // step 4, one bit per column: rank dropped
     std::vector<std::uint64_t> changed_;   // step 4, one bit per column: cell changed
@@ -295,18 +266,14 @@ private:
 // --- implementation --------------------------------------------------------
 
 template <typename Sink>
-void TemporalReachability::scan_series_columns(const GraphSeries& series, NodeId col_begin,
-                                               NodeId col_end, Sink&& sink,
-                                               const ReachabilityOptions& options) {
-    prepare(series.num_nodes(), col_begin, col_end);
+void TemporalReachability::scan_series(const GraphSeries& series, Sink&& sink,
+                                       const ReachabilityOptions& options) {
+    prepare(series.num_nodes());
     const auto snapshots = series.snapshots();
     NATSCALE_EXPECTS(snapshots.size() < kUnreachableRank);
     labels_.resize(snapshots.size());
     for (std::size_t i = 0; i < snapshots.size(); ++i) labels_[i] = snapshots[i].k;
     if (options.distances != nullptr) {
-        // The accumulator keeps full n x n state; a column-restricted scan
-        // would feed it a partial view.
-        NATSCALE_EXPECTS(col_begin == 0 && col_end == series.num_nodes());
         options.distances->begin(series.num_nodes(), series.num_windows());
     }
     for (std::size_t i = snapshots.size(); i-- > 0;) {
@@ -322,21 +289,19 @@ void TemporalReachability::scan_series_columns(const GraphSeries& series, NodeId
 
 template <typename Visit>
 void TemporalReachability::for_each_finite(Visit&& visit) const {
-    const std::size_t width = col_end_ - col_begin_;
     for (NodeId u = 0; u < n_; ++u) {
-        const PackedState* cells = state_.data() + static_cast<std::size_t>(u) * width;
-        for (std::size_t j = 0; j < width; ++j) {
-            const auto rank = static_cast<std::uint32_t>(cells[j] >> 32);
+        const PackedState* cells = state_.data() + static_cast<std::size_t>(u) * n_;
+        for (NodeId v = 0; v < n_; ++v) {
+            const auto rank = static_cast<std::uint32_t>(cells[v] >> 32);
             if (rank == kUnreachableRank) continue;
-            visit(u, col_begin_ + static_cast<NodeId>(j), label_of(rank),
-                  static_cast<Hops>(static_cast<std::uint32_t>(cells[j])));
+            visit(u, v, label_of(rank), static_cast<Hops>(static_cast<std::uint32_t>(cells[v])));
         }
     }
 }
 
 template <typename Sink>
 void TemporalReachability::scan_stream(const LinkStream& stream, Sink&& sink) {
-    prepare(stream.num_nodes(), 0, stream.num_nodes());
+    prepare(stream.num_nodes());
     const std::size_t distinct = stream.num_distinct_timestamps();
     NATSCALE_EXPECTS(distinct < kUnreachableRank);
     labels_.resize(distinct);
@@ -367,12 +332,7 @@ void TemporalReachability::process_instant(std::uint32_t rank, Time label, Sink&
             return labels_[arrival_rank];
         }
     };
-    const std::size_t width = col_end_ - col_begin_;
-    // A zero-width shard (col_begin == col_end, legal per the sharding
-    // contract) owns no destination columns: nothing can be relaxed or
-    // emitted, and state_ is empty, so taking row pointers below would be
-    // out of bounds.
-    if (width == 0) return;
+    const std::size_t width = n_;  // cells per row
     // The SIMD dispatch of steps 3 and 4, resolved once per instant (the ISA
     // cannot change mid-scan; see util/simd.hpp).
     const simd::Ops& vec = simd::ops();
@@ -406,37 +366,31 @@ void TemporalReachability::process_instant(std::uint32_t rank, Time label, Sink&
     while (i < arcs_.size()) {
         const NodeId u = arcs_[i].first;
         PackedState* row = &state_[static_cast<std::size_t>(u) * width];
-        const bool u_in_range = u >= col_begin_ && u < col_end_;
-        const std::size_t u_col = u_in_range ? u - col_begin_ : 0;
         for (; i < arcs_.size() && arcs_[i].first == u; ++i) {
             const NodeId w = arcs_[i].second;
             // Direct hop u -> w at this instant: (rank, 1) wins every tie by
             // hops, exactly the legacy two-field compare.
-            if (w >= col_begin_ && w < col_end_) {
-                PackedState& cell = row[w - col_begin_];
-                cell = cell < direct ? cell : direct;
-            }
+            PackedState& cell = row[w];
+            cell = cell < direct ? cell : direct;
             // Continuations u -> w (now) -> ... -> v (later): +1 in the low
             // 32 bits is +1 hop at unchanged arrival, and the unreachable
             // sentinel stays losing, so the whole relaxation is one
             // branchless min per cell — dispatched to the active SIMD path
             // (bit-identical to the scalar loop; pure unsigned integer min).
             PackedState* wrow = &scratch_[static_cast<std::size_t>(slot_[w]) * width];
-            PackedState saved = 0;
-            if (u_in_range) {  // never relax the diagonal pair (u, u)
-                saved = wrow[u_col];
-                wrow[u_col] = kUnreachablePacked;
-            }
+            // Never relax the diagonal pair (u, u).
+            const PackedState saved = wrow[u];
+            wrow[u] = kUnreachablePacked;
             vec.packed_min_add1(row, wrow, width);
-            if (u_in_range) wrow[u_col] = saved;
+            wrow[u] = saved;
         }
 
         // 4. Every strict arrival improvement is a minimal trip departing at
         //    this instant; any value change feeds the distance accumulator.
         //    One dispatched pass compares the relaxed row with its
         //    pre-instant copy and marks both kinds of cell, 64 columns per
-        //    word (bit j is column col_begin_ + j); the set bits are then
-        //    walked in increasing v.
+        //    word (bit v is column v); the set bits are then walked in
+        //    increasing v.
         const PackedState* old_row = &scratch_[static_cast<std::size_t>(slot_[u]) * width];
         vec.diff_masks(row, old_row, width, improved_.data(), changed_.data());
         const std::uint64_t* walk = options.distances != nullptr ? changed_.data()
@@ -445,10 +399,9 @@ void TemporalReachability::process_instant(std::uint32_t rank, Time label, Sink&
             const std::uint64_t improved = improved_[word];
             for (std::uint64_t bits = walk[word]; bits != 0; bits &= bits - 1) {
                 const auto bit = static_cast<unsigned>(__builtin_ctzll(bits));
-                const std::size_t j = word * 64 + bit;
-                const NodeId v = col_begin_ + static_cast<NodeId>(j);
+                const auto v = static_cast<NodeId>(word * 64 + bit);
                 if (options.distances != nullptr) {
-                    const PackedState before = old_row[j];
+                    const PackedState before = old_row[v];
                     const auto old_rank = static_cast<std::uint32_t>(before >> 32);
                     const Time old_arr =
                         old_rank == kUnreachableRank ? kInfiniteTime : decode(old_rank);
@@ -459,7 +412,7 @@ void TemporalReachability::process_instant(std::uint32_t rank, Time label, Sink&
                     options.distances->record_change(u, v, label, old_arr, old_hops);
                 }
                 if ((improved >> bit) & 1u) {
-                    const PackedState now = row[j];
+                    const PackedState now = row[v];
                     sink(MinimalTrip{u, v, label, decode(static_cast<std::uint32_t>(now >> 32)),
                                      static_cast<Hops>(static_cast<std::uint32_t>(now))});
                 }

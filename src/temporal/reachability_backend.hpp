@@ -10,9 +10,8 @@
 // is the facade every scan goes through:
 //   * batch scans: core/occupancy directly; core/delta_sweep and
 //     core/validation, and through them core/saturation and
-//     core/segmentation, via scan_periods in temporal/sharded_scan, which
-//     applies the same rule per period when it splits a narrow period list
-//     into column shards;
+//     core/segmentation, via scan_periods in temporal/scan_periods (one
+//     facade per pool worker, one scan per period);
 //   * the stream analyses: temporal/transitions (lost_transitions_curve),
 //     temporal/trip_store (elongation_curve's stream side),
 //     temporal/reachability_stats (reachability_census) and the distance

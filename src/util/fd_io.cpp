@@ -21,13 +21,6 @@ ssize_t recv_retry(int fd, void* buffer, std::size_t capacity) noexcept {
     }
 }
 
-ssize_t read_retry(int fd, void* buffer, std::size_t capacity) noexcept {
-    for (;;) {
-        const ssize_t n = ::read(fd, buffer, capacity);
-        if (n >= 0 || errno != EINTR) return n;
-    }
-}
-
 bool send_all(int fd, const void* data, std::size_t size) noexcept {
     const char* at = static_cast<const char*>(data);
     std::size_t sent = 0;

@@ -38,9 +38,6 @@ bool write_all(int fd, const void* data, std::size_t size) noexcept;
 /// non-blocking fds).
 ssize_t recv_retry(int fd, void* buffer, std::size_t capacity) noexcept;
 
-/// One read() with EINTR retried; same contract as recv_retry.
-ssize_t read_retry(int fd, void* buffer, std::size_t capacity) noexcept;
-
 /// One send() (MSG_NOSIGNAL) with EINTR retried: the non-blocking flush
 /// loops' primitive.  Returns the byte count or -1 with errno set
 /// (EAGAIN/EWOULDBLOCK included).

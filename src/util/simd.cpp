@@ -113,8 +113,8 @@ __attribute__((target("avx2"))) void diff_masks_avx2(const std::uint64_t* now,
 // --- AVX-512 ---------------------------------------------------------------
 //
 // Native vpminuq, and masked loads/stores absorb the remainder — no scalar
-// tail at any width, which is what lets the width-1 shard tests pin the
-// masked path.
+// tail at any width (SimdKernels.*AtEveryWidth pin the masked path from
+// width 0 up).
 
 // GCC 12's avx512fintrin.h trips -Wmaybe-uninitialized on the zero source of
 // masked loads (GCC PR 105593); the value is fully defined.

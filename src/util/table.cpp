@@ -41,31 +41,4 @@ void ConsoleTable::print(std::ostream& os) const {
     for (const auto& row : rows_) print_row(row);
 }
 
-namespace {
-void write_csv_field(std::ostream& os, const std::string& field) {
-    if (field.find_first_of(",\"\n") == std::string::npos) {
-        os << field;
-        return;
-    }
-    os << '"';
-    for (char ch : field) {
-        if (ch == '"') os << '"';
-        os << ch;
-    }
-    os << '"';
-}
-}  // namespace
-
-void ConsoleTable::write_csv(std::ostream& os) const {
-    auto write_row = [&](const std::vector<std::string>& row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            if (c != 0) os << ',';
-            write_csv_field(os, row[c]);
-        }
-        os << '\n';
-    };
-    write_row(headers_);
-    for (const auto& row : rows_) write_row(row);
-}
-
 }  // namespace natscale

@@ -1,4 +1,4 @@
-// Console table rendering and CSV export for benchmark output.
+// Console table rendering for benchmark output.
 //
 // Every bench binary prints the rows/series of the corresponding paper table
 // or figure through this class so that all experiment output has a uniform,
@@ -18,14 +18,8 @@ public:
 
     void add_row(std::vector<std::string> cells);
 
-    std::size_t num_rows() const noexcept { return rows_.size(); }
-    std::size_t num_columns() const noexcept { return headers_.size(); }
-
     /// Aligned, pipe-separated rendering with a header rule.
     void print(std::ostream& os) const;
-
-    /// RFC-4180-ish CSV (fields containing commas or quotes are quoted).
-    void write_csv(std::ostream& os) const;
 
 private:
     std::vector<std::string> headers_;

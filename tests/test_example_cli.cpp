@@ -81,6 +81,17 @@ TEST(ExampleCliDeath, JunkDoubleNamesTheFlag) {
                 "'fast' for option '--time-scale' \\(expected a number\\)");
     EXPECT_EXIT(parse_double("--time-scale=1.5x", "--time-scale="),
                 ::testing::ExitedWithCode(2), "'1.5x' for option '--time-scale'");
+    // The whole value is the number: no leading space, sign or hex prefix.
+    EXPECT_EXIT(parse_double("--time-scale= 2", "--time-scale="),
+                ::testing::ExitedWithCode(2),
+                "' 2' for option '--time-scale' \\(expected a number\\)");
+    EXPECT_EXIT(parse_double("--time-scale=+2", "--time-scale="),
+                ::testing::ExitedWithCode(2), "'[+]2' for option '--time-scale'");
+    EXPECT_EXIT(parse_double("--time-scale=0x10", "--time-scale="),
+                ::testing::ExitedWithCode(2), "'0x10' for option '--time-scale'");
+    EXPECT_EXIT(parse_double("--time-scale=inf", "--time-scale="),
+                ::testing::ExitedWithCode(2),
+                "'inf' for option '--time-scale' \\(expected a finite number\\)");
 }
 
 TEST(ExampleCliParsers, ParseKeyValueSplitsOnFirstEquals) {

@@ -1,9 +1,7 @@
-// Split-invariance suite for the exact accumulators: merging Histogram01
-// partials produced by ANY split of a sample stream must reproduce the
-// single-accumulator bins, total, mean and stddev bit-for-bit — the property
-// the column-sharded parallel scans rely on for thread-count-independent
-// results (see stats/exact_sum.hpp and temporal/column_shards.hpp).  The
-// same property lets OccupancyTally add each (hops, duration) pair once:
+// Order-independence suite for the exact accumulators: adding a multiset of
+// samples in any order, or equal samples as one weighted add, must give the
+// same bins, total, mean and stddev bit-for-bit (see stats/exact_sum.hpp).
+// That property lets OccupancyTally add each (hops, duration) pair once:
 // its flushed histogram must equal per-trip adds in every bit of state.
 #include <gtest/gtest.h>
 
@@ -65,24 +63,6 @@ TEST(ExactSum, OrderIndependentToTheBit) {
     EXPECT_TRUE(same_bits(forward.value(), backward.value()));
 }
 
-TEST(ExactSum, MergeEqualsConcatenationForAnySplit) {
-    Rng rng(11);
-    std::vector<double> samples;
-    for (int i = 0; i < 1000; ++i) samples.push_back(rng.uniform01());
-    ExactSum whole;
-    for (double x : samples) whole.add(x);
-    for (const std::size_t split : {std::size_t{0}, std::size_t{1}, std::size_t{500},
-                                    std::size_t{999}, samples.size()}) {
-        ExactSum left;
-        ExactSum right;
-        for (std::size_t i = 0; i < samples.size(); ++i) {
-            (i < split ? left : right).add(samples[i]);
-        }
-        left.merge(right);
-        EXPECT_TRUE(left == whole) << "split=" << split;
-    }
-}
-
 TEST(ExactSum, HandlesSubnormalsAndHugeCounts) {
     const double tiny = std::numeric_limits<double>::denorm_min();
     ExactSum sum;
@@ -115,7 +95,7 @@ TEST(ExactSum, ZeroAndEmptyBehaviour) {
     EXPECT_FALSE(sum.zero());
 }
 
-// --- Histogram01 block merge ----------------------------------------------
+// --- Histogram01 weighted adds ---------------------------------------------
 
 /// Occupancy-like samples: mostly rationals hops/duration in (0, 1], plus a
 /// few adversarial values exercising the clamp paths.
@@ -136,62 +116,6 @@ std::vector<double> occupancy_like_samples(std::uint64_t seed, std::size_t count
     samples.push_back(std::numeric_limits<double>::infinity());  // clamps to last bin
     samples.push_back(std::numeric_limits<double>::denorm_min());
     return samples;
-}
-
-TEST(HistogramBlockMerge, RandomSplitsReproduceSingleAccumulatorBitwise) {
-    for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull}) {
-        const auto samples = occupancy_like_samples(seed, 5'000);
-        Histogram01 whole(360);
-        for (double x : samples) whole.add(x);
-
-        // Random consecutive blocks, one partial per block, merged in block
-        // order — the exact shape of the column-sharded scans' partials.
-        Rng rng(seed * 1000 + 17);
-        std::vector<Histogram01> partials;
-        std::size_t i = 0;
-        while (i < samples.size()) {
-            const std::size_t block = 1 + rng.uniform_index(997);
-            Histogram01 partial(360);
-            for (std::size_t j = i; j < std::min(i + block, samples.size()); ++j) {
-                partial.add(samples[j]);
-            }
-            partials.push_back(std::move(partial));
-            i += block;
-        }
-        ASSERT_GE(partials.size(), 2u) << "seed=" << seed;
-
-        Histogram01 merged(360);
-        for (const auto& partial : partials) merged.merge(partial);
-        expect_identical_histograms(merged, whole);
-    }
-}
-
-TEST(HistogramBlockMerge, InterleavedSplitReproducesSingleAccumulatorBitwise) {
-    // Harder than consecutive blocks: round-robin assignment scrambles the
-    // accumulation order entirely; exactness must still give bit equality.
-    const auto samples = occupancy_like_samples(99, 3'000);
-    Histogram01 whole(3600);
-    for (double x : samples) whole.add(x);
-    std::vector<Histogram01> partials(7, Histogram01(3600));
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-        partials[i % partials.size()].add(samples[i]);
-    }
-    Histogram01 merged(3600);
-    for (const auto& partial : partials) merged.merge(partial);
-    expect_identical_histograms(merged, whole);
-}
-
-TEST(HistogramBlockMerge, MergeOrderDoesNotMatter) {
-    const auto samples = occupancy_like_samples(123, 2'000);
-    std::vector<Histogram01> partials(5, Histogram01(100));
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-        partials[i % partials.size()].add(samples[i]);
-    }
-    Histogram01 ascending(100);
-    for (std::size_t p = 0; p < partials.size(); ++p) ascending.merge(partials[p]);
-    Histogram01 descending(100);
-    for (std::size_t p = partials.size(); p-- > 0;) descending.merge(partials[p]);
-    expect_identical_histograms(ascending, descending);
 }
 
 TEST(HistogramBlockMerge, WeightedAddsMatchRepeatedAdds) {

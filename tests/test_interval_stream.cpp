@@ -26,12 +26,18 @@ TEST(IntervalStream, UndirectedCanonicalizes) {
 }
 
 TEST(IntervalStream, ActiveAt) {
-    IntervalStream stream({{0, 1, 5, 15}}, 2, 20);
-    EXPECT_FALSE(stream.active_at(0, 1, 4));
-    EXPECT_TRUE(stream.active_at(0, 1, 5));
-    EXPECT_TRUE(stream.active_at(0, 1, 14));
-    EXPECT_FALSE(stream.active_at(0, 1, 15));  // exclusive end
-    EXPECT_TRUE(stream.active_at(1, 0, 10));   // undirected
+    // Sampled at every tick, an interval is active from its begin
+    // (inclusive) to its end (exclusive), whichever way round it was given.
+    for (const IntervalEvent& interval : {IntervalEvent{0, 1, 5, 15}, IntervalEvent{1, 0, 5, 15}}) {
+        const LinkStream sampled = oversample(IntervalStream({interval}, 2, 20), {1, 0});
+        ASSERT_EQ(sampled.num_events(), 10u);
+        EXPECT_EQ(sampled.events().front().t, 5);
+        EXPECT_EQ(sampled.events().back().t, 14);
+        for (const Event& event : sampled.events()) {
+            EXPECT_EQ(event.u, 0u);
+            EXPECT_EQ(event.v, 1u);
+        }
+    }
 }
 
 TEST(IntervalStream, RejectsInvalidIntervals) {

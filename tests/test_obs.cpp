@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/export.hpp"
@@ -333,13 +334,11 @@ TEST(ObsParity, SweepIsBitIdenticalWithTracingOn) {
 }
 
 TEST(ObsTrace, SweepSpansNestUnderTheirSearchRound) {
-    // Every per-period and per-shard span of a multi-threaded search hangs
-    // under the coarse-grid or refinement-round span that dispatched it.
-    // With nothing but num_threads set, the engine picks the decomposition
-    // itself: the 8-point coarse grid is wider than the 4-thread pool, so
-    // it runs one sweep.delta task per period; the three-point refinement
-    // grids are narrower, so they run as column-shard tasks (n = 200 spans
-    // several shards).
+    // Every evaluated period of a multi-threaded search is exactly one
+    // sweep.delta span, hanging under the coarse-grid or refinement-round
+    // span that dispatched it: the 8-point coarse grid is wider than the
+    // 4-thread pool, the three-point refinement grids are narrower, and both
+    // run one task per period.
     const LinkStream stream = corpus_stream(5, 200, 3'000, 2'000);
     SweepConfig options;
     options.coarse_points = 8;
@@ -348,9 +347,12 @@ TEST(ObsTrace, SweepSpansNestUnderTheirSearchRound) {
     options.num_threads = 4;
     const std::string path = testing::temp_path("obs_sweep_tree.trace.json");
     testing::TempFileGuard guard(path);
+    const obs::Counter& deltas_evaluated = obs::counter("sweep.deltas_evaluated");
     obs::TraceSink sink(path);
     obs::install_trace_sink(&sink);
+    const std::uint64_t evaluated_before = deltas_evaluated.read();
     find_saturation_scale(stream, options);
+    const std::uint64_t evaluated = deltas_evaluated.read() - evaluated_before;
     obs::install_trace_sink(nullptr);
     sink.close();
 
@@ -364,22 +366,29 @@ TEST(ObsTrace, SweepSpansNestUnderTheirSearchRound) {
     }
     ASSERT_EQ(coarse.size(), 1u);
     ASSERT_FALSE(rounds.empty());
-    std::size_t deltas = 0;
-    std::size_t shards = 0;
+    std::size_t under_coarse = 0;
+    std::size_t under_rounds = 0;
+    std::vector<std::pair<std::uint64_t, std::string>> periods;  // (round span, delta)
     for (const testing::TraceEvent& record : records) {
-        const std::string& name = record.name;
-        if (name == "sweep.delta") {
-            ++deltas;
-            EXPECT_EQ(record.parent, coarse.front())
-                << "sweep.delta span " << record.id << " has parent " << record.parent;
-        } else if (name == "sweep.shard") {
-            ++shards;
+        if (record.name != "sweep.delta") continue;
+        if (record.parent == coarse.front()) {
+            ++under_coarse;
+        } else {
             EXPECT_NE(std::find(rounds.begin(), rounds.end(), record.parent), rounds.end())
-                << "sweep.shard span " << record.id << " has parent " << record.parent;
+                << "sweep.delta span " << record.id << " has parent " << record.parent;
+            ++under_rounds;
         }
+        const auto delta = std::find_if(record.args.begin(), record.args.end(),
+                                        [](const auto& arg) { return arg.first == "delta"; });
+        ASSERT_NE(delta, record.args.end()) << "sweep.delta span " << record.id;
+        periods.emplace_back(record.parent, delta->second);
     }
-    EXPECT_EQ(deltas, options.coarse_points);
-    EXPECT_GT(shards, 1u);
+    EXPECT_EQ(under_coarse, options.coarse_points);
+    EXPECT_GT(under_rounds, 0u);
+    EXPECT_EQ(under_coarse + under_rounds, evaluated);
+    // No period of a round is traced twice.
+    std::sort(periods.begin(), periods.end());
+    EXPECT_EQ(std::adjacent_find(periods.begin(), periods.end()), periods.end());
 }
 
 // --- stats protocol message -------------------------------------------------

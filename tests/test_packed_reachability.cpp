@@ -1,9 +1,8 @@
 // Differential suite for the packed lexicographic reachability kernel
 // (temporal/reachability.hpp) against the pre-packed scalar reference
 // (testing/legacy_reachability.hpp): same trips in the same order, same
-// final state, same distance accumulation — plus the column-restricted scan
-// decomposition and the stream-mode timestamp rank compression on
-// adversarial timestamp sets.
+// final state, same distance accumulation — plus the stream-mode timestamp
+// rank compression on adversarial timestamp sets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +12,6 @@
 #include <vector>
 
 #include "linkstream/aggregation.hpp"
-#include "temporal/column_shards.hpp"
 #include "temporal/minimal_trip.hpp"
 #include "temporal/reachability.hpp"
 #include "temporal/sparse_reachability.hpp"
@@ -227,79 +225,6 @@ TEST(PackedReachability, DuplicateHeavyTimestampsMatchLegacy) {
                          "duplicate-heavy");
 }
 
-// --- column-restricted scans -----------------------------------------------
-
-TEST(ColumnShards, StructureIsAFunctionOfNOnly) {
-    EXPECT_TRUE(column_shards(0).empty());
-    for (const NodeId n : {1u, 63u, 64u, 65u, 200u, 1000u, 2048u, 5016u}) {
-        const auto shards = column_shards(n);
-        ASSERT_FALSE(shards.empty()) << n;
-        EXPECT_EQ(shards.front().begin, 0u);
-        EXPECT_EQ(shards.back().end, n);
-        for (std::size_t s = 0; s < shards.size(); ++s) {
-            EXPECT_LT(shards[s].begin, shards[s].end);
-            if (s > 0) {
-                EXPECT_EQ(shards[s].begin, shards[s - 1].end);
-            }
-            if (s + 1 < shards.size()) {
-                EXPECT_EQ(shards[s].end - shards[s].begin, column_shard_width(n));
-            }
-        }
-        // Deterministic: two calls agree.
-        const auto again = column_shards(n);
-        ASSERT_EQ(again.size(), shards.size());
-    }
-    // The n = 2048 crossover workload shards into 16 blocks of 128 columns.
-    EXPECT_EQ(column_shard_width(2048), 128u);
-    EXPECT_EQ(column_shards(2048).size(), 16u);
-}
-
-TEST(PackedReachability, ColumnScansPartitionTheFullScan) {
-    for (const bool directed : {false, true}) {
-        const auto stream = random_stream(31, 70, 600, 4'000, directed);
-        const auto series = aggregate(stream, 60);
-        TemporalReachability full_engine;
-        const auto full = series_trips(full_engine, series);
-
-        // A hand-picked uneven partition: restricted scans must reproduce
-        // exactly the full scan's trips with v in range, in relative order.
-        const std::vector<ColumnShard> partition = {{0, 1}, {1, 64}, {64, 70}};
-        std::vector<MinimalTrip> stitched_per_shard;
-        TemporalReachability engine;  // reused across shards on purpose
-        for (const auto& shard : partition) {
-            std::vector<MinimalTrip> shard_trips;
-            engine.scan_series_columns(series, shard.begin, shard.end,
-                                       [&](const MinimalTrip& t) { shard_trips.push_back(t); });
-            std::vector<MinimalTrip> expected;
-            for (const auto& t : full) {
-                if (t.v >= shard.begin && t.v < shard.end) expected.push_back(t);
-            }
-            expect_same_sequence(shard_trips, expected, "shard");
-            stitched_per_shard.insert(stitched_per_shard.end(), shard_trips.begin(),
-                                      shard_trips.end());
-        }
-        EXPECT_EQ(stitched_per_shard.size(), full.size());
-    }
-}
-
-TEST(PackedReachability, ColumnScanStateMatchesFullScan) {
-    const auto stream = random_stream(37, 50, 400, 3'000, false);
-    const auto series = aggregate(stream, 80);
-    TemporalReachability full;
-    full.scan_series(series, [](const MinimalTrip&) {});
-    TemporalReachability restricted;
-    restricted.scan_series_columns(series, 10, 30, [](const MinimalTrip&) {});
-    // The full state's cells with v in [10, 30), row by row.
-    std::vector<ReachRow> expected = full.state_rows();
-    for (ReachRow& row : expected) {
-        std::erase_if(row, [](const ReachEntry& entry) { return entry.v < 10 || entry.v >= 30; });
-    }
-    ASSERT_TRUE(std::any_of(expected.begin(), expected.end(),
-                            [](const ReachRow& row) { return !row.empty(); }))
-        << "vacuous column range";
-    EXPECT_EQ(restricted.state_rows(), expected);
-}
-
 // --- rows spanning several 64-cell words -------------------------------------
 //
 // The dense kernel finds the improved cells of a relaxed row 64 columns at a
@@ -364,34 +289,6 @@ TEST(PackedReachability, MultiWordDistanceAccumulationIdenticalToLegacy) {
     EXPECT_EQ(packed_distances.stats().finite_count, legacy_distances.stats().finite_count);
 }
 
-TEST(PackedReachability, MultiWordColumnShardsMatchLegacyFullScan) {
-    // Shards of width 1, 62, 67 and 70, starting inside, at the end of and
-    // past the first word: each shard's first column is its bit 0.
-    for (const bool directed : {false, true}) {
-        const auto stream = random_stream(71, 200, 2'000, 5'000, directed);
-        const auto series = aggregate(stream, 50);
-        LegacyTemporalReachability legacy;
-        const auto full = series_trips(legacy, series);
-        ASSERT_TRUE(reaches_word(full, 3));
-        const std::vector<ColumnShard> partition = {{0, 1}, {1, 63}, {63, 130}, {130, 200}};
-        TemporalReachability engine;  // reused across shards on purpose
-        std::size_t stitched = 0;
-        for (const auto& shard : partition) {
-            std::vector<MinimalTrip> shard_trips;
-            engine.scan_series_columns(series, shard.begin, shard.end,
-                                       [&](const MinimalTrip& t) { shard_trips.push_back(t); });
-            std::vector<MinimalTrip> expected;
-            for (const auto& t : full) {
-                if (t.v >= shard.begin && t.v < shard.end) expected.push_back(t);
-            }
-            ASSERT_FALSE(expected.empty()) << shard.begin;
-            expect_same_sequence(shard_trips, expected, "shard");
-            stitched += shard_trips.size();
-        }
-        EXPECT_EQ(stitched, full.size());
-    }
-}
-
 TEST(PackedReachability, MultiWordRelaxWindowMatchesSparseRelaxInstant) {
     // The reversed form `watch` and `natscaled` run: window k of the dense
     // kernel against the sparse kernel's instant labelled -k.
@@ -412,18 +309,6 @@ TEST(PackedReachability, MultiWordRelaxWindowMatchesSparseRelaxInstant) {
     ASSERT_TRUE(reaches_word(expected, 2));
     expect_same_sequence(got, expected, "reversed");
     EXPECT_EQ(dense.state_rows(), sparse.state_rows());
-}
-
-TEST(PackedReachability, ColumnScanRejectsDistanceAccumulation) {
-    const auto stream = random_stream(43, 20, 100, 500, false);
-    const auto series = aggregate(stream, 50);
-    DistanceAccumulator distances;
-    ReachabilityOptions options;
-    options.distances = &distances;
-    TemporalReachability engine;
-    EXPECT_THROW(
-        engine.scan_series_columns(series, 0, 10, [](const MinimalTrip&) {}, options),
-        contract_error);
 }
 
 }  // namespace

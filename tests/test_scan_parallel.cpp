@@ -1,15 +1,14 @@
-// Differential-parity suite for intra-scan column parallelism: occupancy
-// histograms, batched Delta sweeps, the full saturation search, and the
-// elongation validation must be bit-identical — trips counted, gamma, every
-// curve score, histogram bins AND moments — to the sequential pre-packed
-// reference across {1, N} threads.  Grids narrower than an N-thread pool
-// run as (period, column shard) tasks, so the N-thread legs exercise the
-// sharded path.  The small streams resolve to
-// the dense backend; a large sparse stream drives the sparse-resolved
-// periods (whole tasks on both paths) and period lists mixing the two, for
-// the sweep against a direct dense-engine reference and for the elongation
-// curve across thread counts.  N defaults to 4 and is overridable
-// through the NATSCALE_TEST_THREADS environment variable so CI can force
+// Differential-parity suite for the parallel period scans (scan_periods,
+// one task per period): occupancy histograms, batched Delta sweeps, the
+// full saturation search, and the elongation validation must be
+// bit-identical — trips counted, gamma, every curve score, histogram bins
+// AND moments — to the sequential pre-packed reference across {1, N}
+// threads, for grids both wider and narrower than the pool.  The small
+// streams resolve to the dense backend; a large sparse stream drives the
+// sparse-resolved periods and period lists mixing the two, for the sweep
+// against a direct dense-engine reference and for the elongation curve
+// across thread counts.  N defaults to 4 and is overridable through the
+// NATSCALE_TEST_THREADS environment variable so CI can force
 // oversubscription (threads > cores) and shake out scheduling-order
 // dependence a wide machine would never hit.
 #include <gtest/gtest.h>
@@ -28,7 +27,6 @@
 #include "core/validation.hpp"
 #include "linkstream/aggregation.hpp"
 #include "obs/metrics.hpp"
-#include "temporal/column_shards.hpp"
 #include "temporal/minimal_trip.hpp"
 #include "temporal/reachability_backend.hpp"
 #include "testing/histograms.hpp"
@@ -110,8 +108,7 @@ TEST(ScanParallel, OccupancyHistogramBitIdenticalToPrePackedSequentialScan) {
         // The sequential scan ...
         expect_identical_histograms(occupancy_histogram(series, 720), reference);
 
-        // ... and the same period as a one-point grid on an N-thread pool,
-        // which splits its dense scan into column shards.
+        // ... and the same period as a one-point grid on an N-thread pool.
         DeltaSweepOptions options;
         options.histogram_bins = 720;
         options.num_threads = test_threads();
@@ -124,7 +121,7 @@ TEST(ScanParallel, OccupancyHistogramBitIdenticalToPrePackedSequentialScan) {
     }
 }
 
-TEST(ScanParallel, DeltaSweepNarrowGridShardedPathBitIdenticalToOuterPath) {
+TEST(ScanParallel, DeltaSweepNarrowGridBitIdenticalAcrossThreads) {
     const auto stream = random_stream(57, 200, 2'000, 50'000);
     const std::vector<Time> narrow_grid = {60, 900, 20'000};
 
@@ -135,18 +132,14 @@ TEST(ScanParallel, DeltaSweepNarrowGridShardedPathBitIdenticalToOuterPath) {
     std::vector<Histogram01> reference_hists;
     const auto reference = reference_engine.evaluate(narrow_grid, &reference_hists);
 
-    const obs::Counter& shards_scanned = obs::counter("sweep.shards_scanned");
     for (const std::size_t threads : {std::size_t{1}, test_threads()}) {
         DeltaSweepOptions options;
         options.histogram_bins = 360;
-        // A pool wider than the grid engages the (period, shard)
-        // decomposition; a one-thread pool never does.
+        // At N threads the pool is wider than the grid.
         options.num_threads = threads;
         DeltaSweepEngine engine(stream, options);
         std::vector<Histogram01> hists;
-        const std::uint64_t shards_before = shards_scanned.read();
         const auto points = engine.evaluate(narrow_grid, &hists);
-        EXPECT_EQ(shards_scanned.read() > shards_before, narrow_grid.size() < threads);
         ASSERT_EQ(points.size(), reference.size());
         for (std::size_t i = 0; i < points.size(); ++i) {
             SCOPED_TRACE("i=" + std::to_string(i) + " threads=" + std::to_string(threads));
@@ -212,13 +205,13 @@ void expect_elongation_thread_invariant(const LinkStream& stream, const std::vec
 
 TEST(ScanParallel, ElongationCurveBitIdenticalAcrossThreads) {
     // n = 60 resolves dense; at the default N = 4 the three periods are
-    // narrower than the pool, so the N-thread leg shards them.
+    // narrower than the pool.
     expect_elongation_thread_invariant(random_stream(67, 60, 700, 8'000), {50, 400, 2'000},
                                        test_threads(), 0);
 
     // The burst stream: a wide list whose periods all resolve sparse, and
-    // a narrow list mixing one dense sharded period (Delta = 2) with one
-    // sparse whole period (Delta = 5000).
+    // a narrow list mixing one dense period (Delta = 2) with one sparse
+    // period (Delta = 5000).
     const auto stream = burst_pairs_stream();
     const std::vector<Time> wide =
         geometric_delta_grid(50, stream.period_end(), std::max<std::size_t>(6, test_threads()));
@@ -228,11 +221,12 @@ TEST(ScanParallel, ElongationCurveBitIdenticalAcrossThreads) {
 }
 
 TEST(ScanParallel, OversubscribedThreadsStayDeterministic) {
-    // Pools far wider than any core count the CI runners have: the scheduler
-    // interleaves the one-period grid's shard tasks arbitrarily, results
-    // must not move.
+    // Pools far wider than any core count the CI runners have, each given a
+    // grid at least as wide as itself: the scheduler interleaves whole-period
+    // tasks and their per-worker engines arbitrarily, results must not move.
     const auto stream = random_stream(71, 120, 1'000, 12'000);
-    const std::vector<Time> grid = {150};
+    const std::vector<Time> grid = geometric_delta_grid(20, 12'000, 61);
+    ASSERT_EQ(grid.size(), 61u);
     const auto evaluate = [&](std::size_t threads) {
         DeltaSweepOptions options;
         options.histogram_bins = 360;
@@ -240,14 +234,18 @@ TEST(ScanParallel, OversubscribedThreadsStayDeterministic) {
         DeltaSweepEngine engine(stream, options);
         std::vector<Histogram01> hists;
         const auto points = engine.evaluate(grid, &hists);
-        return std::pair{points.front(), hists.front()};
+        return std::pair{points, hists};
     };
-    const auto [reference_point, reference_hist] = evaluate(1);
+    const auto [reference_points, reference_hists] = evaluate(1);
     for (const std::size_t threads : {std::size_t{3}, std::size_t{16}, std::size_t{61}}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        const auto [point, hist] = evaluate(threads);
-        expect_same_point(point, reference_point);
-        expect_identical_histograms(hist, reference_hist);
+        ASSERT_LE(threads, grid.size());
+        const auto [points, hists] = evaluate(threads);
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+            SCOPED_TRACE("threads=" + std::to_string(threads) +
+                         " delta=" + std::to_string(grid[i]));
+            expect_same_point(points[i], reference_points[i]);
+            expect_identical_histograms(hists[i], reference_hists[i]);
+        }
     }
 }
 
@@ -293,8 +291,7 @@ void expect_grid_matches_dense_engine(const LinkStream& stream, const std::vecto
 
 TEST(ScanParallel, SparseResolvedGridsBitIdenticalToDenseEngine) {
     const auto stream = burst_pairs_stream();
-    // At least as wide as the pool (whole-period tasks) and narrower than
-    // it (the sharded plan, which keeps sparse periods whole).
+    // At least as wide as the pool, and narrower than it.
     const std::vector<Time> wide =
         geometric_delta_grid(50, stream.period_end(), std::max<std::size_t>(6, test_threads()));
     const std::vector<Time> narrow = {200, 9'000};
@@ -306,15 +303,13 @@ TEST(ScanParallel, SparseResolvedGridsBitIdenticalToDenseEngine) {
 }
 
 TEST(ScanParallel, NarrowGridMixingDenseAndSparsePeriodsBitIdenticalToDenseEngine) {
-    // Delta = 2 resolves dense (split into column shards), 5000 sparse
-    // (kept whole): one sharded plan holds both kinds of task.
+    // Delta = 2 resolves dense, 5000 sparse: one grid, narrower than the
+    // N-thread pool, holds both kinds of task.
     const auto stream = burst_pairs_stream();
     const std::vector<Time> grid = {2, 5'000};
-    const obs::Counter& shards_scanned = obs::counter("sweep.shards_scanned");
-    const std::uint64_t shards_before = shards_scanned.read();
-    expect_grid_matches_dense_engine(stream, grid, std::max<std::size_t>(3, test_threads()), 1,
-                                     1);
-    EXPECT_EQ(shards_scanned.read() - shards_before, column_shards(kSparseMinNodes).size() + 1);
+    for (const std::size_t pool : {std::size_t{1}, std::max<std::size_t>(3, test_threads())}) {
+        expect_grid_matches_dense_engine(stream, grid, pool, 1, 1);
+    }
 }
 
 }  // namespace

@@ -5,10 +5,7 @@
 // pipeline (sweep points, saturation gamma, histogram moments) must be
 // bitwise identical between scalar and vector dispatch over the whole
 // generator corpus, at 1 and 4 threads, with every period also scanned
-// through the sparse engine directly (the corpus resolves to dense).  The
-// saturation search's one-period refinement round runs column-sharded on
-// every ISA, and the width-0 / width-1 column-shard scans pin the
-// masked-tail paths through the public scan API on every ISA.
+// through the sparse engine directly (the corpus resolves to dense).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -24,7 +21,6 @@
 #include "core/saturation.hpp"
 #include "gen/registry.hpp"
 #include "linkstream/aggregation.hpp"
-#include "obs/metrics.hpp"
 #include "temporal/reachability.hpp"
 #include "temporal/reachability_backend.hpp"
 #include "util/rng.hpp"
@@ -228,56 +224,6 @@ LinkStream random_stream(std::uint64_t seed, NodeId n, std::size_t num_events,
     return LinkStream(std::move(events), n, period, false);
 }
 
-TEST(SimdScan, WidthZeroAndWidthOneColumnShardsOnEveryIsa) {
-    IsaGuard guard;
-    const auto stream = random_stream(23, 40, 500, 5'000);
-    const auto series = aggregate(stream, 200);
-
-    // The scalar-dispatch full scan is the reference.
-    ASSERT_TRUE(set_simd_isa(SimdIsa::scalar));
-    std::vector<MinimalTrip> series_reference;
-    {
-        TemporalReachability dense;
-        dense.scan_series(series, [&](const MinimalTrip& t) {
-            series_reference.push_back(t);
-        });
-    }
-
-    for (const SimdIsa isa : supported_simd_isas()) {
-        ASSERT_TRUE(set_simd_isa(isa));
-        TemporalReachability dense;
-
-        // Width-0 shards: legal, emit nothing, touch nothing.
-        dense.scan_series_columns(series, 0, 0,
-                                  [&](const MinimalTrip&) { FAIL() << "empty shard"; });
-        dense.scan_series_columns(series, series.num_nodes(), series.num_nodes(),
-                                  [&](const MinimalTrip&) { FAIL() << "empty shard"; });
-
-        // Width-1 shards: n single-column scans concatenate (in ascending
-        // column order) to a permutation-free exact cover of the full scan.
-        std::vector<MinimalTrip> series_cols;
-        for (NodeId c = 0; c < series.num_nodes(); ++c) {
-            dense.scan_series_columns(series, c, c + 1, [&](const MinimalTrip& t) {
-                EXPECT_EQ(t.v, c);
-                series_cols.push_back(t);
-            });
-        }
-        const auto sort_key = [](const MinimalTrip& t) {
-            return std::tuple(t.v, t.dep, t.arr, t.u);
-        };
-        const auto by_key = [&](const MinimalTrip& x, const MinimalTrip& y) {
-            return sort_key(x) < sort_key(y);
-        };
-        auto sorted_series_ref = series_reference;
-        std::sort(sorted_series_ref.begin(), sorted_series_ref.end(), by_key);
-        std::sort(series_cols.begin(), series_cols.end(), by_key);
-        ASSERT_EQ(series_cols.size(), sorted_series_ref.size()) << to_string(isa);
-        for (std::size_t i = 0; i < series_cols.size(); ++i) {
-            ASSERT_EQ(series_cols[i], sorted_series_ref[i]) << to_string(isa);
-        }
-    }
-}
-
 // --- corpus-wide pipeline parity ---------------------------------------------
 
 void expect_identical_point(const std::string& context, const DeltaPoint& a,
@@ -375,16 +321,12 @@ TEST(SimdScan, SaturationGammaBitIdenticalAcrossIsas) {
     options.num_threads = 1;
     const auto reference = find_saturation_scale(stream, options);
 
-    // On a 4-thread pool the refinement round (fewer periods than threads)
-    // splits n = 80 into two column shards on every ISA.
+    // The same search on a 4-thread pool, under every ISA.
     options.num_threads = 4;
-    const obs::Counter& shards_scanned = obs::counter("sweep.shards_scanned");
     for (const SimdIsa isa : supported_simd_isas()) {
         ASSERT_TRUE(set_simd_isa(isa));
-        const std::uint64_t shards_before = shards_scanned.read();
         const auto result = find_saturation_scale(stream, options);
         const std::string context = std::string("isa=") + to_string(isa);
-        EXPECT_GT(shards_scanned.read(), shards_before) << context;
         EXPECT_EQ(result.gamma, reference.gamma) << context;
         ASSERT_EQ(result.curve.size(), reference.curve.size()) << context;
         for (std::size_t i = 0; i < result.curve.size(); ++i) {

@@ -129,19 +129,6 @@ TEST(Histogram01, SurvivalAtEdges) {
     EXPECT_DOUBLE_EQ(surv[4], 0.0);
 }
 
-TEST(Histogram01, MergeAddsCounts) {
-    Histogram01 a(8);
-    Histogram01 b(8);
-    a.add(0.3);
-    b.add(0.7);
-    b.add(0.7);
-    a.merge(b);
-    EXPECT_EQ(a.total(), 3u);
-    EXPECT_NEAR(a.mean(), (0.3 + 1.4) / 3.0, 1e-12);
-    Histogram01 c(4);
-    EXPECT_THROW(a.merge(c), contract_error);  // bin-count mismatch
-}
-
 TEST(Histogram01, IcdPointsStartAtOneEndAtZero) {
     Histogram01 hist(16);
     Rng rng(5);

@@ -3,6 +3,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -243,20 +244,12 @@ TEST(Table, PrintAlignsColumns) {
     const std::string text = os.str();
     EXPECT_NE(text.find("long-header"), std::string::npos);
     EXPECT_NE(text.find("| 333"), std::string::npos);
-    EXPECT_EQ(table.num_rows(), 2u);
+    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 4);  // header, rule, 2 rows
 }
 
 TEST(Table, RowArityEnforced) {
     ConsoleTable table({"a", "b"});
     EXPECT_THROW(table.add_row({"only-one"}), contract_error);
-}
-
-TEST(Table, CsvQuotesSpecials) {
-    ConsoleTable table({"x"});
-    table.add_row({"va\"l,ue"});
-    std::ostringstream os;
-    table.write_csv(os);
-    EXPECT_NE(os.str().find("\"va\"\"l,ue\""), std::string::npos);
 }
 
 TEST(Gnuplot, WritesBlocks) {
