@@ -11,16 +11,16 @@ void OccupancyTally::grow(Time duration) {
 }
 
 void OccupancyTally::flush() noexcept {
-    for (Time d = 1; d <= rows_; ++d) {
-        for (Hops h = 1; h <= d; ++h) {
-            const std::uint64_t count = cells_[cell(d, h)];
-            if (count != 0) {
-                histogram_->add(static_cast<double>(h) / static_cast<double>(d), count);
-            }
-        }
+    // Histogram01 adds are order-independent, so first-count order gives
+    // the bits a walk of the whole table would.
+    for (const std::uint32_t key : counted_) {
+        const Time d = key >> 16;
+        const auto h = static_cast<Hops>(key & 0xFFFF);
+        std::uint64_t& count = cells_[cell(d, h)];
+        histogram_->add(static_cast<double>(h) / static_cast<double>(d), count);
+        count = 0;
     }
-    rows_ = 0;
-    cells_.clear();
+    counted_.clear();
 }
 
 Histogram01 occupancy_histogram(const GraphSeries& series, std::size_t num_bins) {

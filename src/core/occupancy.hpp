@@ -36,10 +36,13 @@ namespace natscale {
 ///
 /// Trips of up to kMaxTableDuration windows are counted in a dense
 /// triangular table, cell (d, h) with 1 <= h <= d, that grows on demand to
-/// the longest duration counted, so a flush walks only the rows its scan
-/// touched.  Longer trips go straight to Histogram01::add.  The destructor
-/// flushes too, so a tally that ends with its scan leaves the histogram
-/// complete.  Non-copyable: no copy can count a trip twice.
+/// the longest duration counted.  A cell's first count also records the
+/// pair, so a flush walks only the cells it counted, not the table: the
+/// online engine builds one tally per period per sync and per refresh, and
+/// most of those count a few hundred pairs.  Longer trips go straight to
+/// Histogram01::add.  The destructor flushes too, so a tally that ends
+/// with its scan leaves the histogram complete.  Non-copyable: no copy can
+/// count a trip twice.
 class OccupancyTally {
 public:
     /// Longest trip, in windows, counted in the table (about 257 KiB at
@@ -66,11 +69,13 @@ public:
             return;
         }
         if (duration > rows_) grow(duration);
-        ++cells_[cell(duration, trip.hops)];
+        if (cells_[cell(duration, trip.hops)]++ == 0) {
+            counted_.push_back(static_cast<std::uint32_t>((duration << 16) | trip.hops));
+        }
     }
 
-    /// Adds every counted pair to the histogram and empties the table, so
-    /// a second flush adds nothing.
+    /// Adds every counted pair to the histogram and zeroes its cell, so a
+    /// second flush adds nothing.
     void flush() noexcept;
 
 private:
@@ -84,6 +89,9 @@ private:
     Histogram01* histogram_;
     Time rows_ = 0;  // the table holds rows 1..rows_
     std::vector<std::uint64_t> cells_;
+    // (duration << 16) | hops of each nonzero cell, in first-count order;
+    // both are at most kMaxTableDuration.
+    std::vector<std::uint32_t> counted_;
 };
 
 /// Streaming histogram of the occupancy rates of all minimal trips of the

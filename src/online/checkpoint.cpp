@@ -2,6 +2,7 @@
 
 #include <array>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "linkstream/io.hpp"
@@ -107,8 +108,9 @@ OnlineSweepEngine restore_checkpoint(std::span<const std::byte> bytes,
     if (bins == 0) in.fail("bad checkpoint histogram resolution");
     in.require_items(bins, 8);  // every period stores `bins` counts
     engine.options_.histogram_bins = static_cast<std::size_t>(bins);
-    engine.options_.shannon_slots = static_cast<std::size_t>(in.u64());
-    if (engine.options_.shannon_slots == 0) in.fail("bad checkpoint shannon slot count");
+    const std::uint64_t slots = in.u64();
+    if (slots == 0 || slots > kMaxShannonSlots) in.fail("bad checkpoint shannon slot count");
+    engine.options_.shannon_slots = static_cast<std::size_t>(slots);
 
     const std::uint64_t grid_count = in.u64();
     if (grid_count == 0) in.fail("empty checkpoint grid");
@@ -139,9 +141,9 @@ OnlineSweepEngine restore_checkpoint(std::span<const std::byte> bytes,
         for (std::uint64_t& count : counts) count = in.u64();
         const ExactSum sum = get_exact_sum(in);
         const ExactSum sum_sq = get_exact_sum(in);
-        std::uint64_t check = 0;
-        for (const std::uint64_t count : counts) check += count;
-        if (check != total) in.fail("checkpoint histogram counts do not sum");
+        if (const char* why = Histogram01::invalid_state(counts, total, sum, sum_sq)) {
+            in.fail(std::string("checkpoint ") + why);
+        }
         period.histogram = Histogram01::restore(std::move(counts), total, sum, sum_sq);
 
         // Every row costs at least its 8-byte count in the remaining

@@ -27,11 +27,12 @@
 //   40      4     metric (u32, UniformityMetric enumerator)
 //   44      4     reserved = 0
 //   48      8     histogram_bins (u64)
-//   56      8     shannon_slots (u64)
+//   56      8     shannon_slots (u64, 1 .. kMaxShannonSlots)
 //   64      8     grid_count (u64)
 //   ...           grid periods (i64 each)
 //   ...           per period: folded (u64), histogram total (u64),
-//                 bin counts (u64 x bins), moment limbs (u64 x 36 twice),
+//                 bin counts (u64 x bins) summing to the total,
+//                 moment limbs (u64 x 36 twice, limbs 18..35 zero),
 //                 then per source row: entry count (u64) followed by
 //                 entries (v u32, hops u32 >= 1, arr i64 <= -1), by
 //                 strictly increasing v < num_nodes

@@ -71,6 +71,7 @@ OnlineSweepEngine::OnlineSweepEngine(NodeId num_nodes, bool directed,
     : num_nodes_(num_nodes), directed_(directed), options_(std::move(options)) {
     NATSCALE_EXPECTS(num_nodes >= 2);
     NATSCALE_EXPECTS(!options_.grid.empty());
+    NATSCALE_EXPECTS(options_.shannon_slots >= 1 && options_.shannon_slots <= kMaxShannonSlots);
     grid_ = options_.grid;
     std::sort(grid_.begin(), grid_.end());
     grid_.erase(std::unique(grid_.begin(), grid_.end()), grid_.end());

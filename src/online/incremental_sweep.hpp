@@ -81,6 +81,11 @@
 
 namespace natscale {
 
+/// Most Shannon slots an online engine is built or restored with:
+/// natscaled refuses a register that asks for more, and restore_checkpoint
+/// a checkpoint that holds more.
+inline constexpr std::size_t kMaxShannonSlots = std::size_t{1} << 20;
+
 struct OnlineSweepOptions {
     /// Aggregation periods to maintain, in ticks (>= 1 each); sorted and
     /// deduplicated at construction.  The grid is fixed for the engine's
@@ -90,7 +95,8 @@ struct OnlineSweepOptions {
     std::vector<Time> grid;
 
     /// Occupancy histogram resolution and Shannon slot count (must match
-    /// the batch run being compared against).
+    /// the batch run being compared against); shannon_slots is in
+    /// [1, kMaxShannonSlots].
     std::size_t histogram_bins = Histogram01::kDefaultBins;
     std::size_t shannon_slots = 10;
 
@@ -124,7 +130,7 @@ struct OnlineReport {
 class OnlineSweepEngine {
 public:
     /// Preconditions: num_nodes >= 2; grid non-empty with every period
-    /// >= 1.
+    /// >= 1; 1 <= shannon_slots <= kMaxShannonSlots.
     OnlineSweepEngine(NodeId num_nodes, bool directed, OnlineSweepOptions options);
 
     NodeId num_nodes() const noexcept { return num_nodes_; }

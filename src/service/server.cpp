@@ -659,7 +659,7 @@ struct Server::Impl {
             return;
         }
         if (msg.histogram_bins > (1u << 20) ||
-            msg.shannon_slots < 1 || msg.shannon_slots > (1u << 20)) {
+            msg.shannon_slots < 1 || msg.shannon_slots > kMaxShannonSlots) {
             send_error(conn, ErrorCode::bad_request, "bad histogram resolution");
             return;
         }

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "util/contracts.hpp"
+#include "util/math.hpp"
 
 namespace natscale {
 
@@ -12,7 +13,7 @@ Histogram01::Histogram01(std::size_t num_bins) : counts_(num_bins, 0) {
 
 void Histogram01::add(double x, std::uint64_t count) noexcept {
     // A NaN sample carries no information and would fall through both range
-    // guards below into ceil(NaN) - 1, an out-of-bounds write.  Drop it.
+    // guards below into an out-of-bounds bin index.  Drop it.
     if (std::isnan(x)) return;
     const std::size_t bins = counts_.size();
     std::size_t idx;
@@ -24,7 +25,7 @@ void Histogram01::add(double x, std::uint64_t count) noexcept {
         x = 1.0;
     } else {
         // Bin j covers (j/B, (j+1)/B]: index = ceil(x*B) - 1.
-        idx = static_cast<std::size_t>(std::ceil(x * static_cast<double>(bins))) - 1;
+        idx = ceil_to_size(x * static_cast<double>(bins)) - 1;
         if (idx >= bins) idx = bins - 1;
     }
     counts_[idx] += count;
@@ -37,16 +38,25 @@ void Histogram01::add(double x) noexcept { add(x, 1); }
 
 Histogram01 Histogram01::restore(std::vector<std::uint64_t> counts, std::uint64_t total,
                                  ExactSum sum, ExactSum sum_sq) {
-    NATSCALE_EXPECTS(!counts.empty());
-    std::uint64_t check = 0;
-    for (const std::uint64_t c : counts) check += c;
-    NATSCALE_EXPECTS(check == total);
+    NATSCALE_EXPECTS(invalid_state(counts, total, sum, sum_sq) == nullptr);
     Histogram01 hist(counts.size());
     hist.counts_ = std::move(counts);
     hist.total_ = total;
     hist.sum_ = sum;
     hist.sum_sq_ = sum_sq;
     return hist;
+}
+
+const char* Histogram01::invalid_state(const std::vector<std::uint64_t>& counts,
+                                       std::uint64_t total, const ExactSum& sum,
+                                       const ExactSum& sum_sq) noexcept {
+    if (counts.empty()) return "histogram has no bins";
+    std::uint64_t check = 0;
+    bool wrapped = false;
+    for (const std::uint64_t c : counts) wrapped |= __builtin_add_overflow(check, c, &check);
+    if (wrapped || check != total) return "histogram counts do not sum";
+    if (!sum.below_2_to_78() || !sum_sq.below_2_to_78()) return "moment sums out of range";
+    return nullptr;
 }
 
 double Histogram01::mean() const noexcept {

@@ -66,9 +66,19 @@ public:
     /// Rebuilds a histogram from state previously read back through
     /// counts() / total() / moment_sum() / moment_sum_sq(); the result is
     /// bit-identical to the accumulator it was read from.
-    /// Preconditions: counts non-empty and summing to total.
+    /// Precondition: invalid_state(...) is nullptr.
     static Histogram01 restore(std::vector<std::uint64_t> counts, std::uint64_t total,
                                ExactSum sum, ExactSum sum_sq);
+
+    /// Why the four parts cannot be a histogram's state, or nullptr when
+    /// they can: the counts must be non-empty and sum to total without
+    /// wrapping, and each moment, a sum of at most 2^64 - 1 samples in
+    /// [0, 1], must stay below 2^64, so no limb from 2^78 up is set
+    /// (ExactSum::below_2_to_78).  State that fails would score a survival
+    /// above 1 or let a later add carry past the last limb.
+    static const char* invalid_state(const std::vector<std::uint64_t>& counts,
+                                     std::uint64_t total, const ExactSum& sum,
+                                     const ExactSum& sum_sq) noexcept;
 
     /// P(X > j/B) for j = 0..B: survival function at all bin edges.
     std::vector<double> survival_at_edges() const;

@@ -5,7 +5,8 @@
 // metric is the Monge-Kantorovich (M-K) proximity to the uniform density; it
 // also evaluates standard deviation, variation coefficient, Shannon entropy
 // over k slots, and cumulative residual entropy (CRE), all implemented here
-// both exactly (from stored samples) and from streaming histograms.
+// exactly (from stored samples), and all five at once from a streaming
+// histogram (compute_all_metrics, the scorer of every Delta).
 //
 // All five are maximized by the uniform density on [0, 1]:
 //   M-K proximity  max 1/2       (distance 0)
@@ -35,8 +36,8 @@ enum class UniformityMetric {
 std::string metric_name(UniformityMetric metric);
 
 /// Integral over [a, b] of |lambda - (1 - c)|: the area between a constant
-/// ICD piece of height c and the uniform ICD  y = 1 - lambda.  Exposed for
-/// testing; preconditions: 0 <= a <= b <= 1.
+/// ICD piece of height c and the uniform ICD  y = 1 - lambda.
+/// Preconditions: 0 <= a <= b <= 1 and 0 <= c <= 1.
 double integrate_abs_deviation(double a, double b, double c);
 
 // --- Exact metrics from stored samples ------------------------------------
@@ -58,13 +59,7 @@ double shannon_entropy(const EmpiricalDistribution& dist, std::size_t slots);
 /// Cumulative residual entropy: -integral of P(X>l) * ln P(X>l).
 double cumulative_residual_entropy(const EmpiricalDistribution& dist);
 
-// --- Histogram versions (error O(1/num_bins)) ------------------------------
-
-double mk_distance_to_uniform(const Histogram01& hist);
-double mk_proximity(const Histogram01& hist);
-double variation_coefficient(const Histogram01& hist);
-double shannon_entropy(const Histogram01& hist, std::size_t slots);
-double cumulative_residual_entropy(const Histogram01& hist);
+// --- From a histogram (error O(1/num_bins)) --------------------------------
 
 /// All five metrics of one distribution, in the layout of the paper's Fig. 7.
 struct UniformityScores {
@@ -75,6 +70,18 @@ struct UniformityScores {
     double cre = 0.0;
 };
 
+/// The five metrics of a histogram's binned ICD (bin j is the piece
+/// [j/B, (j+1)/B) at height c = P(X > j/B), its mass sitting at (j+1)/B),
+/// in one pass over the bins with no per-bin vector: M-K adds
+/// integrate_abs_deviation per bin, CRE subtracts c ln c (b - a) and
+/// recomputes c ln c only after a non-empty bin, and Shannon closes each
+/// slot as the pass leaves it.  Every sum takes its terms in bin order, so
+/// the scores equal a per-metric loop over
+/// Histogram01::survival_at_edges() bit for bit
+/// (tests/testing/reference_uniformity.hpp keeps those loops).  The
+/// standard deviation and variation coefficient come from the histogram's
+/// exact moments, not its bins.  An empty histogram scores 0 on every
+/// metric (M-K distance 1/2).  Precondition: shannon_slots >= 1.
 UniformityScores compute_all_metrics(const Histogram01& hist, std::size_t shannon_slots = 10);
 
 /// Extracts a single metric value from precomputed scores.

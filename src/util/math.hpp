@@ -50,6 +50,14 @@ constexpr std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
     return (a + b - 1) / b;
 }
 
+/// static_cast<std::size_t>(std::ceil(x)) for 0 <= x < 2^64, without the
+/// libm call a baseline x86-64 build makes for std::ceil: the truncation,
+/// stepped up unless x was already an integer.
+constexpr std::size_t ceil_to_size(double x) {
+    const auto truncated = static_cast<std::size_t>(x);
+    return static_cast<double>(truncated) < x ? truncated + 1 : truncated;
+}
+
 /// Sum of the arithmetic progression a + (a+1) + ... + b, 0 if b < a.
 /// Used by the distance accumulator to integrate d_time over stretches of
 /// start windows in O(1).

@@ -3,8 +3,12 @@
 // same bins, total, mean and stddev bit-for-bit (see stats/exact_sum.hpp).
 // That property lets OccupancyTally add each (hops, duration) pair once:
 // its flushed histogram must equal per-trip adds in every bit of state.
+// ExactSum's one-carry-chain add is checked limb for limb against the
+// three rippling adds it replaced.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -82,6 +86,134 @@ TEST(ExactSum, RejectsNegativeAndNonFinite) {
     EXPECT_THROW(sum.add(std::numeric_limits<double>::infinity()), contract_error);
     EXPECT_THROW(sum.add(std::numeric_limits<double>::quiet_NaN()), contract_error);
     EXPECT_TRUE(sum.zero());
+}
+
+using Limbs = std::array<std::uint64_t, ExactSum::kLimbs>;
+
+/// An add of `count` copies of `x` to `limbs`, written the way ExactSum
+/// added before its single carry chain: the shifted product as three
+/// pieces, each added by its own rippling loop.  `at` throws if a case
+/// carries past the last limb.
+Limbs reference_add(Limbs limbs, double x, std::uint64_t count) {
+    const auto add_limb = [&limbs](std::size_t index, std::uint64_t piece) {
+        if (piece == 0) return;
+        while (true) {
+            const std::uint64_t before = limbs.at(index);
+            limbs[index] = before + piece;
+            if (limbs[index] >= before) return;
+            piece = 1;
+            ++index;
+        }
+    };
+    if (x == 0.0 || count == 0) return limbs;
+    const auto bits = std::bit_cast<std::uint64_t>(x);
+    const std::uint64_t raw_exp = bits >> 52;
+    const std::uint64_t mantissa = bits & ((std::uint64_t{1} << 52) - 1);
+    const std::uint64_t m = raw_exp != 0 ? (mantissa | (std::uint64_t{1} << 52)) : mantissa;
+    const std::size_t bitpos = raw_exp != 0 ? raw_exp - 1 : 0;
+    const unsigned __int128 prod = static_cast<unsigned __int128>(m) * count;
+    const auto lo = static_cast<std::uint64_t>(prod);
+    const auto hi = static_cast<std::uint64_t>(prod >> 64);
+    const std::size_t limb = bitpos >> 6;
+    const unsigned shift = bitpos & 63;
+    if (shift == 0) {
+        add_limb(limb, lo);
+        add_limb(limb + 1, hi);
+    } else {
+        add_limb(limb, lo << shift);
+        add_limb(limb + 1, (lo >> (64 - shift)) | (hi << shift));
+        add_limb(limb + 2, hi >> (64 - shift));
+    }
+    return limbs;
+}
+
+/// Bit offset of x's lowest mantissa bit inside its first limb.
+unsigned word_shift(double x) {
+    const std::uint64_t raw_exp = std::bit_cast<std::uint64_t>(x) >> 52;
+    return static_cast<unsigned>((raw_exp != 0 ? raw_exp - 1 : 0) & 63);
+}
+
+TEST(ExactSum, OneCarryChainMatchesThreeRipplingAdds) {
+    const double denorm_min = std::numeric_limits<double>::denorm_min();
+    std::vector<double> xs = {
+        denorm_min,
+        std::numeric_limits<double>::min(),  // 2^-1022: shift 0
+        std::ldexp(1.0, -62),                // shift 0
+        std::ldexp(1.75, -63),               // shift 63
+        0.5 + std::ldexp(1.0, -53),
+        2.5,  // shift 63
+        4.0,  // shift 0
+        1.0 / 3.0,
+        1.0,
+        std::numeric_limits<double>::max(),
+    };
+    Rng rng(29);
+    for (int i = 0; i < 200; ++i) {
+        const auto exponent = static_cast<int>(rng.uniform_int(-1074, 1000));
+        xs.push_back(std::ldexp(1.0 + rng.uniform01(), exponent));
+    }
+    bool saw_shift_0 = false;
+    bool saw_shift_63 = false;
+    for (const double x : xs) {
+        saw_shift_0 |= word_shift(x) == 0;
+        saw_shift_63 |= word_shift(x) == 63;
+    }
+    ASSERT_TRUE(saw_shift_0 && saw_shift_63);
+
+    const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+    const std::uint64_t counts[] = {1, 2, 3, (std::uint64_t{1} << 32) + 1,
+                                    std::uint64_t{1} << 63, max - 1, max};
+    for (const double x : xs) {
+        for (const std::uint64_t count : counts) {
+            // Limbs 0..29 hold random words, often all ones so that carries
+            // ripple; 30..35 stay zero, above any carry these adds make.
+            Limbs start{};
+            for (std::size_t i = 0; i < 30; ++i) {
+                start[i] = rng.bernoulli(0.5) ? max : rng.next_u64();
+            }
+            ExactSum sum = ExactSum::from_limbs(start);
+            sum.add(x, count);
+            EXPECT_EQ(sum.limbs(), reference_add(start, x, count))
+                << "x=" << x << " count=" << count;
+        }
+    }
+}
+
+TEST(ExactSum, CarryRipplesThroughAllOnesLimbs) {
+    // count x 1.0 sits at bit 1074, in limbs 16 and 17, the last two of
+    // its three-limb chain (15..17).  Limbs 16 up to 21 are all ones, so
+    // the chain carries out of limb 17 and ripples up to limb 22.
+    Limbs start{};
+    for (std::size_t i = 16; i <= 21; ++i) start[i] = std::numeric_limits<std::uint64_t>::max();
+    start[22] = 5;
+    for (const std::uint64_t count : {std::uint64_t{1}, std::uint64_t{1} << 20,
+                                      std::numeric_limits<std::uint64_t>::max()}) {
+        ExactSum sum = ExactSum::from_limbs(start);
+        sum.add(1.0, count);
+        const Limbs expected = reference_add(start, 1.0, count);
+        EXPECT_EQ(sum.limbs(), expected) << "count=" << count;
+        EXPECT_EQ(sum.limbs()[22], 6u);
+        for (std::size_t i = 18; i <= 21; ++i) EXPECT_EQ(sum.limbs()[i], 0u) << "limb " << i;
+    }
+}
+
+TEST(ExactSum, CarryOutOfTheLastLimbStaysInsideTheArray) {
+    // All ones plus 1.0 wraps the whole accumulator: the carry out of limb
+    // 35 is dropped, never written past the array (an index check aborts
+    // on that under _GLIBCXX_ASSERTIONS).  No histogram moment gets near
+    // this; restore_checkpoint refuses such limbs.
+    Limbs start;
+    start.fill(std::numeric_limits<std::uint64_t>::max());
+    ExactSum sum = ExactSum::from_limbs(start);
+    sum.add(1.0);
+    // 1.0 is 2^52 at bit 1022 = 2^50 at bit 1024 (limb 16): limbs 0..15 stay
+    // all ones, limb 16 becomes 2^50 - 1, and 17..35 wrap to zero.
+    for (std::size_t i = 0; i < ExactSum::kLimbs; ++i) {
+        const std::uint64_t expected = i < 16    ? std::numeric_limits<std::uint64_t>::max()
+                                       : i == 16 ? (std::uint64_t{1} << 50) - 1
+                                                 : 0;
+        EXPECT_EQ(sum.limbs()[i], expected) << "limb " << i;
+    }
 }
 
 TEST(ExactSum, ZeroAndEmptyBehaviour) {

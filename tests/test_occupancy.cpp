@@ -36,7 +36,7 @@ TEST(Occupancy, HistogramMatchesExactDistribution) {
                            [&](const MinimalTrip& trip) { exact.add(series_occupancy(trip)); });
         ASSERT_EQ(hist.total(), exact.size()) << "delta=" << delta;
         EXPECT_NEAR(hist.mean(), exact.mean(), 1e-12);
-        EXPECT_NEAR(mk_distance_to_uniform(hist), mk_distance_to_uniform(exact),
+        EXPECT_NEAR(compute_all_metrics(hist).mk_proximity, mk_proximity(exact),
                     2.0 / 3600.0 + 1e-9);
     }
 }
@@ -54,7 +54,7 @@ TEST(Occupancy, FullAggregationConcentratesAtOne) {
     ASSERT_GT(hist.total(), 0u);
     EXPECT_DOUBLE_EQ(hist.mean(), 1.0);
     EXPECT_EQ(hist.counts().back(), hist.total());
-    EXPECT_NEAR(mk_proximity(hist), 0.0, 1e-9);
+    EXPECT_NEAR(compute_all_metrics(hist).mk_proximity, 0.0, 1e-9);
 }
 
 TEST(Occupancy, FineAggregationOfSparseStreamConcentratesNearZero) {
@@ -78,10 +78,11 @@ TEST(Occupancy, StretchesThenContracts) {
     const auto total = occupancy_histogram(stream, 100'000);
     double best = -1.0;
     for (Time delta : {100, 300, 1000, 3000, 10'000}) {
-        best = std::max(best, mk_proximity(occupancy_histogram(stream, delta)));
+        const Histogram01 hist = occupancy_histogram(stream, delta);
+        best = std::max(best, compute_all_metrics(hist).mk_proximity);
     }
-    EXPECT_GT(best, mk_proximity(near_zero));
-    EXPECT_GT(best, mk_proximity(total));
+    EXPECT_GT(best, compute_all_metrics(near_zero).mk_proximity);
+    EXPECT_GT(best, compute_all_metrics(total).mk_proximity);
 }
 
 TEST(Occupancy, EmptyStreamGivesEmptyHistogram) {

@@ -89,7 +89,7 @@ TEST_P(OccupancyFamily, EndpointAndBoundInvariants) {
         ASSERT_GT(hist.total(), 0u) << "seed=" << seed;
         EXPECT_GT(hist.mean(), 0.0);
         EXPECT_LE(hist.mean(), 1.0);
-        EXPECT_LE(mk_distance_to_uniform(hist), 0.5 + 1e-12);
+        EXPECT_GE(compute_all_metrics(hist).mk_proximity, -1e-12);
     }
 
     // Mean occupancy at Delta = resolution is no larger than at Delta = T

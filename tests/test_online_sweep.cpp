@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -429,6 +430,100 @@ TEST(OnlineSweep, CheckpointRejectsCorruption) {
                       std::string::npos)
                 << error.what();
         }
+    }
+}
+
+/// The checkpoint image of a small synced engine (3 nodes, 2 periods of 60
+/// bins), with the offsets of period 0's bin counts and moment limbs.
+struct SmallCheckpoint {
+    std::vector<std::byte> image;
+    std::size_t counts_at = 0;
+    std::size_t moment_sum_at = 0;
+    std::size_t moment_sum_sq_at = 0;
+};
+
+SmallCheckpoint small_checkpoint() {
+    OnlineSweepOptions options;
+    options.grid = {1, 5};
+    options.histogram_bins = 60;
+    OnlineSweepEngine engine(3, false, options);
+    const std::vector<Event> events = {{0, 1, 0}, {1, 2, 2}, {0, 2, 4}, {0, 1, 7}};
+    engine.sync(events, 10);
+    SmallCheckpoint checkpoint;
+    checkpoint.image = serialize_checkpoint(engine);
+    // Fixed header, grid, then period 0's fold position and total.
+    checkpoint.counts_at = 72 + 8 * options.grid.size() + 16;
+    checkpoint.moment_sum_at = checkpoint.counts_at + 8 * options.histogram_bins;
+    checkpoint.moment_sum_sq_at = checkpoint.moment_sum_at + 8 * ExactSum::kLimbs;
+    EXPECT_GT(wire::get_u64(checkpoint.image.data() + checkpoint.counts_at - 8), 0u);
+    return checkpoint;
+}
+
+/// Recomputes the image's checksum, as anyone crafting a file can, and
+/// expects restore to refuse it with an io_error naming `check`.
+void expect_refused(std::vector<std::byte> image, const std::string& check) {
+    wire::put_u64(image.data() + image.size() - 8,
+                  wire::fnv1a64(image.data(), image.size() - 8));
+    try {
+        restore_checkpoint(image, "crafted");
+        ADD_FAILURE() << "restored; expected a refusal naming '" << check << "'";
+    } catch (const io_error& error) {
+        EXPECT_NE(std::string(error.what()).find(check), std::string::npos) << error.what();
+    }
+}
+
+TEST(OnlineSweep, CheckpointRejectsHistogramCountsThatWrap) {
+    // 2^63 more in two bins wraps the bins' sum back to the stored total.
+    // Restored, the first refresh would score a survival above 1.
+    SmallCheckpoint checkpoint = small_checkpoint();
+    EXPECT_NO_THROW(restore_checkpoint(checkpoint.image, "intact"));
+    for (const std::size_t bin : {0, 1}) {
+        std::byte* at = checkpoint.image.data() + checkpoint.counts_at + 8 * bin;
+        wire::put_u64(at, wire::get_u64(at) + (std::uint64_t{1} << 63));
+    }
+    expect_refused(checkpoint.image, "checkpoint histogram counts do not sum");
+}
+
+TEST(OnlineSweep, CheckpointRejectsShannonSlotsAboveTheRegisterBound) {
+    SmallCheckpoint checkpoint = small_checkpoint();
+    std::byte* slots_at = checkpoint.image.data() + 56;
+    ASSERT_EQ(wire::get_u64(slots_at), 10u);
+    for (const std::uint64_t slots : {std::uint64_t{kMaxShannonSlots} + 1,
+                                      std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {
+        wire::put_u64(slots_at, slots);
+        expect_refused(checkpoint.image, "bad checkpoint shannon slot count");
+    }
+    // The bound itself restores and scores.
+    wire::put_u64(slots_at, kMaxShannonSlots);
+    wire::put_u64(checkpoint.image.data() + checkpoint.image.size() - 8,
+                  wire::fnv1a64(checkpoint.image.data(), checkpoint.image.size() - 8));
+    OnlineSweepEngine restored = restore_checkpoint(checkpoint.image, "at the bound");
+    EXPECT_EQ(restored.options().shannon_slots, kMaxShannonSlots);
+    const std::vector<Event> events = {{0, 1, 0}, {1, 2, 2}, {0, 2, 4}, {0, 1, 7}};
+    EXPECT_NO_THROW(restored.refresh(events));
+    // An engine is never built with more than a checkpoint can hold.
+    OnlineSweepOptions options;
+    options.grid = {1, 5};
+    options.shannon_slots = kMaxShannonSlots + 1;
+    EXPECT_THROW(OnlineSweepEngine(3, false, options), contract_error);
+}
+
+TEST(OnlineSweep, CheckpointRejectsMomentLimbsAboveTheSampleBound) {
+    // A moment is a sum of at most 2^64 - 1 samples in [0, 1], so limbs 18
+    // and up (weights from 2^78) are zero.  Unchecked, all-ones limbs
+    // restore, and the first refresh carries out of limb 35.
+    const SmallCheckpoint checkpoint = small_checkpoint();
+    std::vector<std::byte> all_ones = checkpoint.image;
+    for (std::size_t i = 0; i < ExactSum::kLimbs; ++i) {
+        wire::put_u64(all_ones.data() + checkpoint.moment_sum_at + 8 * i,
+                      std::numeric_limits<std::uint64_t>::max());
+    }
+    expect_refused(all_ones, "checkpoint moment sums out of range");
+    for (const std::size_t at : {checkpoint.moment_sum_at + 8 * 18,
+                                 checkpoint.moment_sum_sq_at + 8 * (ExactSum::kLimbs - 1)}) {
+        std::vector<std::byte> image = checkpoint.image;
+        wire::put_u64(image.data() + at, 1);
+        expect_refused(image, "checkpoint moment sums out of range");
     }
 }
 

@@ -1,11 +1,17 @@
 // Tests of the five uniformity metrics (paper Sections 4 and 7): closed-form
-// values, maximality at the uniform density, and histogram-vs-exact
-// convergence.
+// values, maximality at the uniform density, histogram-vs-exact
+// convergence, and the one-pass histogram scorer against the per-metric
+// reference loops (testing/reference_uniformity.hpp), bit for bit.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "stats/uniformity.hpp"
+#include "testing/reference_uniformity.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 
@@ -138,6 +144,66 @@ TEST(ComputeAllMetrics, ScoreOfRoundTrips) {
     EXPECT_DOUBLE_EQ(score_of(scores, UniformityMetric::cre), scores.cre);
 }
 
+bool same_bits(double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Histograms of every shape the one-pass scorer must handle: empty, one
+/// sample, all mass in one bin (first, middle, last), and random mixtures
+/// with empty runs, spikes and counts far above one per sample.
+std::vector<Histogram01> scorer_cases(std::size_t bins, Rng& rng) {
+    std::vector<Histogram01> cases(1, Histogram01(bins));
+    cases.emplace_back(bins);
+    cases.back().add(0.37);
+    for (const double x : {0.0, 0.5, 1.0}) {
+        cases.emplace_back(bins);
+        cases.back().add(x, 1000);
+    }
+    for (int draw = 0; draw < 4; ++draw) {
+        Histogram01 hist(bins);
+        const std::size_t samples = 1 + rng.uniform_index(3000);
+        for (std::size_t i = 0; i < samples; ++i) {
+            const double pick = rng.uniform01();
+            if (pick < 0.2) {
+                hist.add(1.0);
+            } else if (pick < 0.3) {
+                hist.add(0.01 + 0.02 * rng.uniform01(), std::uint64_t{1} << 40);
+            } else {
+                hist.add(rng.uniform01());
+            }
+        }
+        cases.push_back(std::move(hist));
+    }
+    return cases;
+}
+
+TEST(ComputeAllMetrics, OnePassMatchesTheReferenceLoopsBitForBit) {
+    Rng rng(41);
+    for (const std::size_t bins : {1, 7, 360, 3600}) {
+        const std::vector<Histogram01> cases = scorer_cases(bins, rng);
+        const std::size_t slot_counts[] = {1, 3, 10, bins + 1};
+        for (const std::size_t slots : slot_counts) {
+            for (std::size_t i = 0; i < cases.size(); ++i) {
+                const Histogram01& hist = cases[i];
+                const UniformityScores scores = compute_all_metrics(hist, slots);
+                const std::string where = "bins=" + std::to_string(bins) +
+                                          " slots=" + std::to_string(slots) +
+                                          " case=" + std::to_string(i);
+                EXPECT_TRUE(same_bits(scores.mk_proximity, testing::mk_proximity(hist))) << where;
+                EXPECT_TRUE(same_bits(scores.std_deviation, hist.population_stddev())) << where;
+                EXPECT_TRUE(same_bits(scores.variation_coefficient,
+                                      testing::variation_coefficient(hist)))
+                    << where;
+                EXPECT_TRUE(same_bits(scores.shannon_entropy,
+                                      testing::shannon_entropy(hist, slots)))
+                    << where;
+                EXPECT_TRUE(same_bits(scores.cre, testing::cumulative_residual_entropy(hist)))
+                    << where;
+            }
+        }
+    }
+}
+
 // Histogram metrics must converge to the exact sample metrics as the bin
 // count grows; with samples aligned on bin edges they agree exactly.
 class HistogramVsExact : public ::testing::TestWithParam<std::uint64_t> {};
@@ -164,22 +230,23 @@ TEST_P(HistogramVsExact, MetricsAgreeWithinBinWidth) {
         exact.add(x);
     }
     const double tolerance = 2.0 / static_cast<double>(bins) + 1e-9;
-    EXPECT_NEAR(mk_distance_to_uniform(hist), mk_distance_to_uniform(exact), tolerance);
-    EXPECT_NEAR(cumulative_residual_entropy(hist), cumulative_residual_entropy(exact),
-                tolerance * 4);
-    EXPECT_NEAR(hist.population_stddev(), exact.population_stddev(), 1e-9);
-    EXPECT_NEAR(shannon_entropy(hist, 10), shannon_entropy(exact, 10), 0.02);
+    const UniformityScores scores = compute_all_metrics(hist, 10);
+    EXPECT_NEAR(scores.mk_proximity, mk_proximity(exact), tolerance);
+    EXPECT_NEAR(scores.cre, cumulative_residual_entropy(exact), tolerance * 4);
+    EXPECT_NEAR(scores.std_deviation, exact.population_stddev(), 1e-9);
+    EXPECT_NEAR(scores.variation_coefficient, variation_coefficient(exact), 1e-9);
+    EXPECT_NEAR(scores.shannon_entropy, shannon_entropy(exact, 10), 0.02);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, HistogramVsExact, ::testing::Range<std::uint64_t>(0, 10));
 
 TEST(HistogramMetrics, EmptyHistogramConventions) {
-    Histogram01 hist(100);
-    EXPECT_DOUBLE_EQ(mk_distance_to_uniform(hist), 0.5);
-    EXPECT_DOUBLE_EQ(mk_proximity(hist), 0.0);
-    EXPECT_DOUBLE_EQ(cumulative_residual_entropy(hist), 0.0);
-    EXPECT_DOUBLE_EQ(shannon_entropy(hist, 10), 0.0);
-    EXPECT_DOUBLE_EQ(variation_coefficient(hist), 0.0);
+    const UniformityScores scores = compute_all_metrics(Histogram01(100), 10);
+    EXPECT_DOUBLE_EQ(scores.mk_proximity, 0.0);  // M-K distance 1/2
+    EXPECT_DOUBLE_EQ(scores.std_deviation, 0.0);
+    EXPECT_DOUBLE_EQ(scores.variation_coefficient, 0.0);
+    EXPECT_DOUBLE_EQ(scores.shannon_entropy, 0.0);
+    EXPECT_DOUBLE_EQ(scores.cre, 0.0);
 }
 
 }  // namespace
