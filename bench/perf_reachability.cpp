@@ -89,20 +89,6 @@ void BM_MinimalTripScan_EdgeSweep(benchmark::State& state) {
 BENCHMARK(BM_MinimalTripScan_EdgeSweep)->Arg(5'000)->Arg(20'000)->Arg(80'000)
     ->Unit(benchmark::kMillisecond);
 
-/// Stream-mode scan (validation substrate): distinct-timestamp granularity.
-void BM_MinimalTripScan_StreamMode(benchmark::State& state) {
-    const auto stream = random_stream(3, 128, static_cast<std::size_t>(state.range(0)),
-                                      500'000);
-    TemporalReachability engine;
-    for (auto _ : state) {
-        std::uint64_t trips = 0;
-        engine.scan_stream(stream, [&](const MinimalTrip&) { ++trips; });
-        benchmark::DoNotOptimize(trips);
-    }
-}
-BENCHMARK(BM_MinimalTripScan_StreamMode)->Arg(10'000)->Arg(40'000)
-    ->Unit(benchmark::kMillisecond);
-
 /// Aggregation alone (sort + dedup per window).
 void BM_Aggregate(benchmark::State& state) {
     const auto stream = random_stream(4, 256, 100'000, 1'000'000);

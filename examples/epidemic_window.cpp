@@ -13,9 +13,8 @@
 // Run:  ./build/epidemic_window [--threads=N]
 //
 // The saturation search runs through the batched parallel sweep engine:
-// --threads fans the Delta grid out (splitting the dense scans of a grid
-// narrower than the pool by column).  gamma and every number printed are
-// identical for every thread count.
+// --threads fans the Delta grid out, one period per task.  gamma and every
+// number printed are identical for every thread count.
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -87,7 +86,7 @@ int main(int argc, char** argv) {
         result.gamma, result.gamma * 8, std::min(stream.period_end(), result.gamma * 64)};
     for (Time delta : deltas) {
         const auto census = reachability_census(aggregate(stream, delta));
-        const double retention = reachable_pairs_retention(stream, delta);
+        const double retention = reachable_pairs_retention(truth, census);
         const double ratio = static_cast<double>(delta) / static_cast<double>(result.gamma);
         table.add_row({format_duration(static_cast<double>(delta)),
                        format_fixed(ratio, 2) + "x",

@@ -42,8 +42,8 @@
 // files.
 //
 // The Delta grid of every search round is swept in parallel by one
-// in-process thread pool (--threads; a round narrower than the pool is
-// split by destination column instead); gamma, the curve and the JSON
+// in-process thread pool (--threads), one task per period, so a round
+// narrower than the pool leaves threads idle; gamma, the curve and the JSON
 // report are bit-identical for every thread count.  Each period's scan
 // runs on the dense or sparse reachability kernel that select_backend
 // picks from n and event density.

@@ -48,17 +48,17 @@ void accumulate_elongation(const MinimalTrip& trip, Time delta, const StreamTrip
     // (and a direct link there would make time_L zero).
     const Time window_begin = (trip.dep - 1) * delta;
     const Time window_end = trip.arr * delta - 1;
-    const auto stream_duration =
+    const auto stream_time =
         store.min_duration_within(trip.u, trip.v, window_begin, window_end);
     // A minimal series trip always embeds a stream trip in its window
     // (each hop's window holds at least one matching event, at strictly
     // increasing times); duration > 0 because a zero-duration stream trip
     // (a single link) would make the multi-window series trip non-minimal.
-    NATSCALE_CHECK(stream_duration.has_value());
-    NATSCALE_CHECK(*stream_duration > 0);
+    NATSCALE_CHECK(stream_time.has_value());
+    NATSCALE_CHECK(*stream_time > 0);
     const double span_ticks =
         static_cast<double>(trip.arr - trip.dep + 1) * static_cast<double>(delta);
-    partial.sum.add(span_ticks / static_cast<double>(*stream_duration));
+    partial.sum.add(span_ticks / static_cast<double>(*stream_time));
     ++partial.measured;
 }
 

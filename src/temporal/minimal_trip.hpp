@@ -12,8 +12,10 @@ namespace natscale {
 /// paths departing at `dep` and arriving at `arr` (the quantity entering the
 /// occupancy rate).
 ///
-/// `dep`/`arr` are window indices (1-based) when the trip comes from a graph
-/// series, or raw timestamps when it comes from a link stream.
+/// `dep`/`arr` are window indices (1-based) of the scanned graph series.  A
+/// link stream is scanned as its Delta = 1 series, whose window k holds the
+/// events at t = k - 1; the stream analyses that keep times
+/// (temporal/transitions, temporal/trip_store) store t = k - 1.
 struct MinimalTrip {
     NodeId u = 0;
     NodeId v = 0;
@@ -28,11 +30,6 @@ struct MinimalTrip {
 /// whole window, so a single-window trip lasts one window (Definition 4).
 constexpr Time series_duration(const MinimalTrip& trip) {
     return trip.arr - trip.dep + 1;
-}
-
-/// Duration of a trip in a link stream: arr - dep (timestamps are instants).
-constexpr Time stream_duration(const MinimalTrip& trip) {
-    return trip.arr - trip.dep;
 }
 
 /// Occupancy rate occ(P) = hops(P) / time(P) of a minimal trip in a graph

@@ -1,7 +1,13 @@
 // Temporal reachability: the backward dynamic program of the paper
-// (Section 5) that enumerates all minimal trips of a graph series or link
-// stream in O(nM) time, where n is the number of nodes and M the total
-// number of edges over all snapshots.
+// (Section 5) that enumerates all minimal trips of a graph series in O(nM)
+// time, where n is the number of nodes and M the total number of edges over
+// all snapshots.
+//
+// Every batch scan is a series scan, and trips carry window indices.  A
+// link stream is scanned as its Delta = 1 series: window k holds exactly
+// the events at t = k - 1 (Definition 1), so the stream analyses
+// (temporal/transitions, temporal/trip_store, temporal/reachability_stats)
+// aggregate at Delta = 1 and translate back to timestamps themselves.
 //
 // The sweep processes event times in decreasing order.  Its state after
 // processing time k+1 is, for every ordered pair (u, v):
@@ -30,10 +36,9 @@
 //
 //     packed = (arrival_rank << 32) | hops
 //
-// where arrival_rank is the index of the arrival instant in the increasing
-// sequence of instant labels (window indices in series mode, distinct
-// timestamps in stream mode — both rank-compressed the same way, so
-// arbitrary int64 timestamps cost nothing).  Ranks preserve the time order,
+// where arrival_rank is the snapshot index of the arrival window: the window
+// indices of the non-empty snapshots are rank-compressed, so however far
+// apart they lie, a rank fits 32 bits.  Ranks preserve the time order,
 // so the tie-toward-fewer-hops relaxation "(a < A) || (a == A && h < H)"
 // becomes a single branchless unsigned min of packed words, which the
 // compiler turns into cmov/SIMD instead of a branchy two-field compare over
@@ -75,7 +80,6 @@
 #include <vector>
 
 #include "linkstream/graph_series.hpp"
-#include "linkstream/link_stream.hpp"
 #include "temporal/distance_stats.hpp"
 #include "temporal/minimal_trip.hpp"
 #include "util/contracts.hpp"
@@ -98,8 +102,8 @@ enum class ReachabilityBackend {
 
 struct ReachabilityOptions {
     /// If non-null, fed with every value change so that mean d_time/d_hops
-    /// over all (u, v, t) can be computed exactly.  Only series scans take
-    /// options (the sparse kernel takes none).
+    /// over all (u, v, t) can be computed exactly.  Only the dense kernel
+    /// takes options (the sparse kernel takes none).
     DistanceAccumulator* distances = nullptr;
 };
 
@@ -126,29 +130,6 @@ namespace detail {
 /// same arc sequence.
 void build_instant_arcs(std::vector<Edge>& arcs, std::span<const Edge> edges, bool directed);
 
-/// Stream-mode sweep driver, shared by both backends so they group the
-/// identical instants: walks the time-sorted event list backwards, one
-/// distinct timestamp at a time, fills `arcs` for that instant and invokes
-/// process(timestamp).
-template <typename Process>
-void for_each_instant_backward(std::span<const Event> events, bool directed,
-                               std::vector<Edge>& arcs, Process&& process) {
-    std::vector<Edge> group_edges;
-    std::size_t end = events.size();
-    while (end > 0) {
-        const Time t = events[end - 1].t;
-        std::size_t begin = end;
-        while (begin > 0 && events[begin - 1].t == t) --begin;
-        group_edges.clear();
-        for (std::size_t i = begin; i < end; ++i) {
-            group_edges.emplace_back(events[i].u, events[i].v);
-        }
-        build_instant_arcs(arcs, group_edges, directed);
-        process(t);
-        end = begin;
-    }
-}
-
 }  // namespace detail
 
 /// Reusable sweep engine over the packed state.  Construction is cheap; the
@@ -168,12 +149,6 @@ public:
     template <typename Sink>
     void scan_series(const GraphSeries& series, Sink&& sink,
                      const ReachabilityOptions& options = {});
-
-    /// Enumerates all minimal trips of the raw link stream (each distinct
-    /// timestamp is its own instant; dep/arr are the original timestamps —
-    /// rank compression is internal).
-    template <typename Sink>
-    void scan_stream(const LinkStream& stream, Sink&& sink);
 
     // --- resumable time-reversed form (see the file comment) ----------------
 
@@ -240,7 +215,7 @@ private:
     void prepare(NodeId n);
 
     /// Relaxes the arcs_ of one instant.  Arrival ranks decode back to
-    /// labels through labels_ in the batch scans, arithmetically in the
+    /// labels through labels_ in the batch scan, arithmetically in the
     /// `Reversed` form.
     template <bool Reversed, typename Sink>
     void process_instant(std::uint32_t rank, Time label, Sink& sink,
@@ -297,29 +272,6 @@ void TemporalReachability::for_each_finite(Visit&& visit) const {
             visit(u, v, label_of(rank), static_cast<Hops>(static_cast<std::uint32_t>(cells[v])));
         }
     }
-}
-
-template <typename Sink>
-void TemporalReachability::scan_stream(const LinkStream& stream, Sink&& sink) {
-    prepare(stream.num_nodes());
-    const std::size_t distinct = stream.num_distinct_timestamps();
-    NATSCALE_EXPECTS(distinct < kUnreachableRank);
-    labels_.resize(distinct);
-    // Ranks are assigned on the fly: the backward driver visits distinct
-    // timestamps in strictly decreasing order, so rank distinct-1 .. 0 maps
-    // them to increasing time; arrivals always reference ranks of instants
-    // already visited (arrival >= departure), hence labels_ is filled before
-    // any lookup reads it.
-    std::size_t next_rank = distinct;
-    detail::for_each_instant_backward(stream.events(), stream.directed(), arcs_,
-                                      [&](Time t) {
-                                          NATSCALE_EXPECTS(next_rank > 0);
-                                          const auto rank =
-                                              static_cast<std::uint32_t>(--next_rank);
-                                          labels_[rank] = t;
-                                          process_instant<false>(rank, t, sink, {});
-                                      });
-    NATSCALE_ENSURES(next_rank == 0);
 }
 
 template <bool Reversed, typename Sink>

@@ -12,10 +12,12 @@
 //     core/validation, and through them core/saturation and
 //     core/segmentation, via scan_periods in temporal/scan_periods (one
 //     facade per pool worker, one scan per period);
-//   * the stream analyses: temporal/transitions (lost_transitions_curve),
-//     temporal/trip_store (elongation_curve's stream side),
-//     temporal/reachability_stats (reachability_census) and the distance
-//     scan of core/classical_properties;
+//   * the stream analyses, each a scan of its stream's Delta = 1 series
+//     whose window k holds the events at t = k - 1:
+//     temporal/transitions (lost_transitions_curve), temporal/trip_store
+//     (elongation_curve's stream side) and temporal/reachability_stats
+//     (reachability_census); and the distance scan of
+//     core/classical_properties;
 //   * the online engine (online/incremental_sweep, under `watch` and
 //     `natscaled`): one facade per grid period, driven through the
 //     resumable time-reversed form below.  All its periods are held at
@@ -63,8 +65,8 @@ inline constexpr NodeId kSparseMinNodes = 2048;
 inline constexpr double kSparseDensityLimit = 8.0;
 
 /// The backend of a scan over `num_nodes` nodes and `total_arcs`
-/// instantaneous arcs (series: total edges over all snapshots; stream:
-/// event count) with `options`, by the rule above.
+/// instantaneous arcs (the series' total edges over all snapshots) with
+/// `options`, by the rule above.
 ReachabilityBackend select_backend(NodeId num_nodes, std::size_t total_arcs,
                                    const ReachabilityOptions& options);
 
@@ -81,16 +83,6 @@ public:
             dense_.scan_series(series, std::forward<Sink>(sink), options);
         } else {
             sparse_.scan_series(series, std::forward<Sink>(sink));
-        }
-    }
-
-    template <typename Sink>
-    void scan_stream(const LinkStream& stream, Sink&& sink) {
-        last_ = select_backend(stream.num_nodes(), stream.num_events(), {});
-        if (last_ == ReachabilityBackend::dense) {
-            dense_.scan_stream(stream, std::forward<Sink>(sink));
-        } else {
-            sparse_.scan_stream(stream, std::forward<Sink>(sink));
         }
     }
 

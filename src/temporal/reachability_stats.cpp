@@ -36,17 +36,13 @@ ReachabilityCensus reachability_census(const GraphSeries& series) {
 }
 
 ReachabilityCensus reachability_census(const LinkStream& stream) {
-    ReachabilityEngine engine;
-    engine.scan_stream(stream, [](const MinimalTrip&) {});
-    return census_from_engine(engine, stream.num_nodes());
+    return reachability_census(aggregate(stream, 1));
 }
 
-double reachable_pairs_retention(const LinkStream& stream, Time delta) {
-    NATSCALE_EXPECTS(delta >= 1);
-    const auto truth = reachability_census(stream);
+double reachable_pairs_retention(const ReachabilityCensus& truth,
+                                 const ReachabilityCensus& aggregated) {
+    NATSCALE_EXPECTS(aggregated.reachable_pairs <= truth.reachable_pairs);
     if (truth.reachable_pairs == 0) return 1.0;
-    const auto aggregated = reachability_census(aggregate(stream, delta));
-    NATSCALE_ENSURES(aggregated.reachable_pairs <= truth.reachable_pairs);
     return static_cast<double>(aggregated.reachable_pairs) /
            static_cast<double>(truth.reachable_pairs);
 }

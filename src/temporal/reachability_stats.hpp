@@ -32,11 +32,15 @@ struct ReachabilityCensus {
 /// Census over the aggregated series (departures from window 1).
 ReachabilityCensus reachability_census(const GraphSeries& series);
 
-/// Census over the raw stream (ground truth).
+/// Census over the raw stream (ground truth): the census of its Delta = 1
+/// series, whose windows order the stream's timestamps one-to-one.
 ReachabilityCensus reachability_census(const LinkStream& stream);
 
-/// Fraction of the stream's reachable pairs that survive aggregation at
-/// `delta`, in [0, 1]; 1 when the stream has no reachable pairs.
-double reachable_pairs_retention(const LinkStream& stream, Time delta);
+/// Fraction of the stream's reachable pairs (`truth`, the census of the
+/// stream) that survive in `aggregated` (the census of one of its
+/// aggregated series), in [0, 1]; 1 when the stream has no reachable pairs.
+/// Precondition: aggregated.reachable_pairs <= truth.reachable_pairs.
+double reachable_pairs_retention(const ReachabilityCensus& truth,
+                                 const ReachabilityCensus& aggregated);
 
 }  // namespace natscale

@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "linkstream/graph_series.hpp"
-#include "linkstream/link_stream.hpp"
 #include "temporal/minimal_trip.hpp"
 #include "temporal/reachability.hpp"
 #include "util/contracts.hpp"
@@ -71,14 +70,9 @@ public:
     template <typename Sink>
     void scan_series(const GraphSeries& series, Sink&& sink);
 
-    /// Enumerates all minimal trips of the raw link stream; same contract
-    /// and same emission order as TemporalReachability::scan_stream.
-    template <typename Sink>
-    void scan_stream(const LinkStream& stream, Sink&& sink);
-
     // --- resumable (instant-at-a-time) form ---------------------------------
     //
-    // The batch scans above are each one closed sweep.  The entry points
+    // The batch scan above is one closed sweep.  The entry points
     // below expose the identical sweep one instant at a time, which is what
     // makes the state reusable across calls: a caller may process a range of
     // instants, keep the engine (it is cheaply copyable — plain vectors),
@@ -91,17 +85,17 @@ public:
     // dense engine has the same form (TemporalReachability::relax_window).
 
     /// Resets the sweep state for a node universe of size n.  Must be called
-    /// before the first relax_instant of a sweep (the batch scans call it
+    /// before the first relax_instant of a sweep (scan_series calls it
     /// internally).
     void begin(NodeId n) { prepare(n); }
 
     /// Relaxes one instant: `edges` are the (possibly duplicated,
     /// arbitrarily ordered) links occurring at `label`, deduplicated and
-    /// direction-expanded exactly as the batch scans do
+    /// direction-expanded exactly as scan_series does
     /// (detail::build_instant_arcs), then processed by the unchanged kernel.
     /// Instants must be fed in strictly decreasing label order within one
-    /// begin()/restore_state() session; trips are emitted exactly as the
-    /// batch scans emit them.
+    /// begin()/restore_state() session; trips are emitted exactly as
+    /// scan_series emits them.
     template <typename Sink>
     void relax_instant(std::span<const Edge> edges, bool directed, Time label, Sink&& sink) {
         detail::build_instant_arcs(arcs_, edges, directed);
@@ -144,13 +138,6 @@ void SparseTemporalReachability::scan_series(const GraphSeries& series, Sink&& s
         detail::build_instant_arcs(arcs_, it->edges, series.directed());
         process_instant(it->k, sink);
     }
-}
-
-template <typename Sink>
-void SparseTemporalReachability::scan_stream(const LinkStream& stream, Sink&& sink) {
-    prepare(stream.num_nodes());
-    detail::for_each_instant_backward(stream.events(), stream.directed(), arcs_,
-                                      [&](Time t) { process_instant(t, sink); });
 }
 
 template <typename Sink>

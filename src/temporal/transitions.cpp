@@ -8,9 +8,9 @@ namespace natscale {
 
 ShortestTransitionSet::ShortestTransitionSet(const LinkStream& stream) {
     ReachabilityEngine engine;
-    engine.scan_stream(stream, [&](const MinimalTrip& trip) {
+    engine.scan_series(aggregate(stream, 1), [&](const MinimalTrip& trip) {
         if (trip.hops == 2) {
-            hop_times_.emplace_back(trip.dep, trip.arr);
+            hop_times_.emplace_back(trip.dep - 1, trip.arr - 1);
         }
     });
 }

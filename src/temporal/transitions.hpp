@@ -10,6 +10,9 @@
 // A shortest transition is LOST at aggregation period Delta exactly when its
 // two hops fall into the same window: the aggregated series then no longer
 // knows whether (a,b) occurred before (b,c).
+//
+// The set is read off the stream's Delta = 1 series, whose window k holds
+// exactly the events at t = k - 1; it stores the translated timestamps.
 #pragma once
 
 #include <cstdint>
@@ -24,10 +27,10 @@ namespace natscale {
 /// (t1 = departure, t2 = arrival); that is all the loss measure needs.
 class ShortestTransitionSet {
 public:
-    /// Scans the stream (O(nM) backward sweep) and keeps every minimal trip
-    /// with exactly two hops.  For a minimal trip, the realizing path departs
-    /// exactly at `dep` and arrives exactly at `arr`, so the two hop times
-    /// are the trip's endpoints.
+    /// Scans the stream's Delta = 1 series (O(nM) backward sweep) and keeps
+    /// every minimal trip with exactly two hops.  For a minimal trip, the
+    /// realizing path departs exactly at `dep` and arrives exactly at `arr`,
+    /// so the two hop times are the trip's endpoints.
     explicit ShortestTransitionSet(const LinkStream& stream);
 
     std::size_t size() const noexcept { return hop_times_.size(); }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "linkstream/aggregation.hpp"
 #include "temporal/reachability_backend.hpp"
 #include "util/contracts.hpp"
 
@@ -18,9 +19,10 @@ StreamTripStore::StreamTripStore(const LinkStream& stream, const Options& option
     };
     std::vector<Row> rows;
     ReachabilityEngine engine;
-    engine.scan_stream(stream, [&](const MinimalTrip& trip) {
+    engine.scan_series(aggregate(stream, 1), [&](const MinimalTrip& trip) {
         if (!keeps_pair(n_, trip.u, trip.v, divisor_)) return;
-        rows.push_back({static_cast<std::uint64_t>(trip.u) * n_ + trip.v, trip.dep, trip.arr});
+        rows.push_back(
+            {static_cast<std::uint64_t>(trip.u) * n_ + trip.v, trip.dep - 1, trip.arr - 1});
     });
 
     std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
@@ -91,7 +93,7 @@ std::uint64_t StreamTripStore::count_trips(const LinkStream& stream,
     ReachabilityEngine engine;
     const NodeId n = stream.num_nodes();
     std::uint64_t count = 0;
-    engine.scan_stream(stream, [&](const MinimalTrip& trip) {
+    engine.scan_series(aggregate(stream, 1), [&](const MinimalTrip& trip) {
         if (keeps_pair(n, trip.u, trip.v, pair_sample_divisor)) ++count;
     });
     return count;

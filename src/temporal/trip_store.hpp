@@ -6,7 +6,9 @@
 // departure times and arrival times are strictly increasing (two minimal
 // trips cannot be nested).  The store keeps each pair's trips sorted by
 // departure, so "minimum duration among trips inside the absolute window
-// [A, B]" is a binary search plus a short scan.
+// [A, B]" is a binary search plus a short scan.  Its times are timestamps:
+// it scans the stream's Delta = 1 series and translates each window k back
+// to t = k - 1 (the kernels emit window indices only).
 //
 // Real traces can hold tens of millions of stream minimal trips; the store
 // therefore supports deterministic pair sampling (keeps_pair below: whole
@@ -44,8 +46,8 @@ public:
         std::uint64_t pair_sample_divisor = 1;
     };
 
-    /// Scans the stream and stores its minimal trips (stream time
-    /// convention: dep/arr are timestamps).
+    /// Scans the stream's Delta = 1 series and stores its minimal trips,
+    /// windows [k_dep, k_arr] as timestamps [k_dep - 1, k_arr - 1].
     StreamTripStore(const LinkStream& stream, const Options& options);
     explicit StreamTripStore(const LinkStream& stream) : StreamTripStore(stream, Options{}) {}
 

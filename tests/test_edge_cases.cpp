@@ -31,7 +31,8 @@ TEST(EdgeCases, AllEventsSimultaneous) {
     // Every link at t = 5: no temporal path has more than one hop.
     LinkStream stream({{0, 1, 5}, {1, 2, 5}, {2, 3, 5}, {0, 3, 5}}, 4, 10);
     TemporalReachability engine;
-    engine.scan_stream(stream, [&](const MinimalTrip& t) { EXPECT_EQ(t.hops, 1); });
+    engine.scan_series(aggregate(stream, 1),
+                       [&](const MinimalTrip& t) { EXPECT_EQ(t.hops, 1); });
     const ShortestTransitionSet transitions(stream);
     EXPECT_TRUE(transitions.empty());
     const auto hist = occupancy_histogram(stream, 1, 50);
@@ -68,7 +69,7 @@ TEST(EdgeCases, RepeatedPairSameTimestamp) {
     LinkStream stream({{0, 1, 5}, {0, 1, 5}, {0, 1, 5}}, 2, 10);
     std::size_t trips = 0;
     TemporalReachability engine;
-    engine.scan_stream(stream, [&](const MinimalTrip&) { ++trips; });
+    engine.scan_series(aggregate(stream, 1), [&](const MinimalTrip&) { ++trips; });
     EXPECT_EQ(trips, 2u);  // one per direction, duplicates collapse
 }
 
@@ -131,7 +132,8 @@ TEST(EdgeCases, DirectedStarHasNoTransitiveTrips) {
     // All arcs point away from the hub: nothing propagates beyond one hop.
     LinkStream stream({{0, 1, 1}, {0, 2, 5}, {0, 3, 9}}, 4, 10, /*directed=*/true);
     TemporalReachability engine;
-    engine.scan_stream(stream, [&](const MinimalTrip& t) { EXPECT_EQ(t.hops, 1); });
+    engine.scan_series(aggregate(stream, 1),
+                       [&](const MinimalTrip& t) { EXPECT_EQ(t.hops, 1); });
     const std::vector<ReachRow> rows = engine.state_rows();
     for (NodeId v = 1; v < 4; ++v) EXPECT_TRUE(rows[v].empty()) << v;
 }

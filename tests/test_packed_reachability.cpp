@@ -1,8 +1,8 @@
 // Differential suite for the packed lexicographic reachability kernel
 // (temporal/reachability.hpp) against the pre-packed scalar reference
 // (testing/legacy_reachability.hpp): same trips in the same order, same
-// final state, same distance accumulation — plus the stream-mode timestamp
-// rank compression on adversarial timestamp sets.
+// final state, same distance accumulation — plus the window-index rank
+// compression on adversarial window sets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,13 +42,6 @@ std::vector<MinimalTrip> series_trips(Engine& engine, const Input& input) {
     return trips;
 }
 
-template <typename Engine>
-std::vector<MinimalTrip> stream_trips(Engine& engine, const LinkStream& stream) {
-    std::vector<MinimalTrip> trips;
-    engine.scan_stream(stream, [&](const MinimalTrip& t) { trips.push_back(t); });
-    return trips;
-}
-
 void expect_same_sequence(const std::vector<MinimalTrip>& packed,
                           const std::vector<MinimalTrip>& legacy, const char* what) {
     ASSERT_EQ(packed.size(), legacy.size()) << what;
@@ -73,11 +66,12 @@ TEST(PackedReachability, SeriesTripSequenceIdenticalToLegacy) {
 }
 
 TEST(PackedReachability, StreamTripSequenceIdenticalToLegacy) {
+    // A link stream is scanned as its Delta = 1 series.
     for (const bool directed : {false, true}) {
-        const auto stream = random_stream(7, 30, 300, 2'000, directed);
+        const auto series = aggregate(random_stream(7, 30, 300, 2'000, directed), 1);
         TemporalReachability packed;
         LegacyTemporalReachability legacy;
-        expect_same_sequence(stream_trips(packed, stream), stream_trips(legacy, stream),
+        expect_same_sequence(series_trips(packed, series), series_trips(legacy, series),
                              "stream");
     }
 }
@@ -126,50 +120,48 @@ TEST(PackedReachability, DistanceAccumulationIdenticalToLegacy) {
     }
 }
 
-// --- stream-mode timestamp rank compression --------------------------------
+// --- window-index rank compression -------------------------------------------
 
-/// Builds a stream around raw timestamps that a naive "arrival fits 32 bits"
+/// The largest window index: the legacy kernel's kInfiniteTime sentinel is
+/// INT64_MAX itself, so the latest window an arrival can name is one less.
+constexpr WindowIndex kLastWindow = std::numeric_limits<Time>::max() - 1;
+
+/// Builds a series around window indices that a naive "arrival fits 32 bits"
 /// packing would mangle; rank compression must emit trips carrying the
-/// original (un-ranked) values.  Bypasses the LinkStream constructor's
-/// [0, period_end) restriction through from_source, whose contract is the
-/// caller's (this test's) responsibility: events must be (t, u, v)-sorted.
-LinkStream adversarial_stream(std::vector<Event> events, NodeId n, bool directed) {
+/// original (un-ranked) indices.  Each event's `t` is its window index; the
+/// links of one window are deduplicated, as aggregate() does.
+GraphSeries adversarial_series(std::vector<Event> events, NodeId n, bool directed) {
     if (!directed) {
         for (auto& e : events) {
             if (e.u > e.v) std::swap(e.u, e.v);
         }
     }
     std::sort(events.begin(), events.end());
-    std::size_t distinct = 0;
-    Time prev = 0;
-    bool have_prev = false;
+    events.erase(std::unique(events.begin(), events.end()), events.end());
+    std::vector<Snapshot> snapshots;
     for (const auto& e : events) {
-        if (!have_prev || e.t != prev) ++distinct;
-        prev = e.t;
-        have_prev = true;
+        if (snapshots.empty() || snapshots.back().k != e.t) snapshots.push_back({e.t, {}});
+        snapshots.back().edges.emplace_back(e.u, e.v);
     }
-    return LinkStream::from_source(EventSource::owning(std::move(events)), n,
-                                   std::numeric_limits<Time>::max(), directed, distinct);
+    return GraphSeries(n, kLastWindow, 1, directed, std::move(snapshots));
 }
 
 std::vector<Event> adversarial_events(std::uint64_t seed, NodeId n, std::size_t count) {
-    // Timestamp pool mixing negative times, INT64_MAX-adjacent values (the
-    // legacy kernel's kInfiniteTime sentinel is INT64_MAX itself, so the
-    // largest representable *event* time is INT64_MAX - 1), huge gaps, and
-    // heavy duplicates.
-    const std::vector<Time> pool = {
-        std::numeric_limits<Time>::min(),
-        std::numeric_limits<Time>::min() + 1,
-        -1'000'000'000'000'000'000LL,
-        -3,
-        -2,
-        -1,
-        0,
+    // Window pool spanning 1 .. kLastWindow: adjacent windows, indices on
+    // both sides of 2^32, huge gaps, and heavy duplicates.
+    const std::vector<WindowIndex> pool = {
         1,
         2,
+        3,
+        4,
+        5,
+        0xFFFFFFFELL,
+        0xFFFFFFFFLL,
+        0x100000000LL,
+        0x100000001LL,
         1'000'000'000'000'000'000LL,
-        std::numeric_limits<Time>::max() - 2,
-        std::numeric_limits<Time>::max() - 1,
+        kLastWindow - 1,
+        kLastWindow,
     };
     Rng rng(seed);
     std::vector<Event> events;
@@ -186,42 +178,42 @@ std::vector<Event> adversarial_events(std::uint64_t seed, NodeId n, std::size_t 
 TEST(PackedReachability, RankCompressionMatchesLegacyOnAdversarialTimestamps) {
     for (const bool directed : {false, true}) {
         for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
-            const auto stream =
-                adversarial_stream(adversarial_events(seed, 12, 160), 12, directed);
+            const auto series =
+                adversarial_series(adversarial_events(seed, 12, 160), 12, directed);
             TemporalReachability packed;
             LegacyTemporalReachability legacy;
-            const auto packed_trips = stream_trips(packed, stream);
-            const auto legacy_trips = stream_trips(legacy, stream);
+            const auto packed_trips = series_trips(packed, series);
+            const auto legacy_trips = series_trips(legacy, series);
             expect_same_sequence(packed_trips, legacy_trips, "adversarial");
             ASSERT_FALSE(packed_trips.empty()) << "vacuous adversarial case";
-            // Emitted values are original timestamps, not ranks: every
-            // dep/arr must come from the input's timestamp set.
-            std::vector<Time> times;
-            for (const auto& e : stream.events()) times.push_back(e.t);
-            std::sort(times.begin(), times.end());
+            // Emitted values are original window indices, not ranks: every
+            // dep/arr must be the index of a non-empty window.
+            std::vector<WindowIndex> windows;
+            for (const auto& snapshot : series.snapshots()) windows.push_back(snapshot.k);
             for (const auto& trip : packed_trips) {
-                EXPECT_TRUE(std::binary_search(times.begin(), times.end(), trip.dep));
-                EXPECT_TRUE(std::binary_search(times.begin(), times.end(), trip.arr));
+                EXPECT_TRUE(std::binary_search(windows.begin(), windows.end(), trip.dep));
+                EXPECT_TRUE(std::binary_search(windows.begin(), windows.end(), trip.arr));
             }
         }
     }
 }
 
 TEST(PackedReachability, DuplicateHeavyTimestampsMatchLegacy) {
-    // Every event on one of two instants: maximal per-instant arc batching.
+    // Every event in one of two windows, the first and the last: maximal
+    // per-instant arc batching across the widest gap.
     std::vector<Event> events;
     Rng rng(42);
     for (int i = 0; i < 200; ++i) {
         const NodeId u = static_cast<NodeId>(rng.uniform_index(15));
         NodeId v = static_cast<NodeId>(rng.uniform_index(15));
         if (u == v) v = (v + 1) % 15;
-        events.push_back({u, v, i % 2 == 0 ? -5 : 7});
+        events.push_back({u, v, i % 2 == 0 ? 1 : kLastWindow});
     }
-    const auto stream = adversarial_stream(std::move(events), 15, false);
-    EXPECT_EQ(stream.num_distinct_timestamps(), 2u);
+    const auto series = adversarial_series(std::move(events), 15, false);
+    EXPECT_EQ(series.num_nonempty_windows(), 2u);
     TemporalReachability packed;
     LegacyTemporalReachability legacy;
-    expect_same_sequence(stream_trips(packed, stream), stream_trips(legacy, stream),
+    expect_same_sequence(series_trips(packed, series), series_trips(legacy, series),
                          "duplicate-heavy");
 }
 
@@ -257,12 +249,12 @@ TEST(PackedReachability, MultiWordSeriesTripSequenceIdenticalToLegacy) {
 }
 
 TEST(PackedReachability, MultiWordStreamTripSequenceIdenticalToLegacy) {
-    const auto stream = random_stream(61, 130, 900, 3'000, false);
+    const auto series = aggregate(random_stream(61, 130, 900, 3'000, false), 1);
     TemporalReachability packed;
     LegacyTemporalReachability legacy;
-    const auto expected = stream_trips(legacy, stream);
+    const auto expected = series_trips(legacy, series);
     ASSERT_TRUE(reaches_word(expected, 2));
-    expect_same_sequence(stream_trips(packed, stream), expected, "stream");
+    expect_same_sequence(series_trips(packed, series), expected, "stream");
 }
 
 TEST(PackedReachability, MultiWordDistanceAccumulationIdenticalToLegacy) {

@@ -9,6 +9,8 @@
 #include "linkstream/aggregation.hpp"
 #include "testing/brute_force.hpp"
 #include "temporal/reachability.hpp"
+#include "temporal/transitions.hpp"
+#include "temporal/trip_store.hpp"
 #include "util/rng.hpp"
 
 namespace natscale {
@@ -136,8 +138,9 @@ TEST_P(DpVsExhaustive, MinimalTripsIdentical) {
 }
 
 TEST_P(DpVsExhaustive, StreamModeMatchesUnitDeltaSeries) {
-    // Minimal trips of the raw stream == minimal trips of the Delta = 1
-    // series with window indices mapped back to timestamps (k = t + 1).
+    // The stream analyses scan the Delta = 1 series, whose window k holds
+    // exactly the events at t = k - 1, and keep timestamps: their trips must
+    // be the exhaustive oracle's trips of that series at t = k - 1.
     const std::uint64_t seed = GetParam();
     Rng meta(seed * 31 + 17);
     const RandomStreamParams params{
@@ -149,21 +152,39 @@ TEST_P(DpVsExhaustive, StreamModeMatchesUnitDeltaSeries) {
     };
     const auto stream = random_stream(params);
 
-    std::vector<MinimalTrip> stream_trips;
-    TemporalReachability engine;
-    engine.scan_stream(stream, [&](const MinimalTrip& t) { stream_trips.push_back(t); });
-    stream_trips = sorted_trips(std::move(stream_trips));
-
-    auto series_trips = dp_trips(aggregate(stream, 1));
-    for (auto& t : series_trips) {
-        t.dep -= 1;  // window k covers exactly timestamp k-1
+    auto oracle = sorted_trips(exhaustive_minimal_trips(aggregate(stream, 1)));
+    for (auto& t : oracle) {
+        t.dep -= 1;
         t.arr -= 1;
     }
 
-    ASSERT_EQ(stream_trips.size(), series_trips.size()) << "seed=" << seed;
-    for (std::size_t i = 0; i < stream_trips.size(); ++i) {
-        EXPECT_EQ(stream_trips[i], series_trips[i]) << "seed=" << seed << " index=" << i;
+    const StreamTripStore store(stream);
+    EXPECT_EQ(store.size(), oracle.size()) << "seed=" << seed;
+    for (NodeId u = 0; u < stream.num_nodes(); ++u) {
+        for (NodeId v = 0; v < stream.num_nodes(); ++v) {
+            std::vector<Time> deps;
+            std::vector<Time> arrs;
+            for (const auto& t : oracle) {
+                if (t.u != u || t.v != v) continue;
+                deps.push_back(t.dep);
+                arrs.push_back(t.arr);
+            }
+            const auto [store_deps, store_arrs] = store.trips_of(u, v);
+            EXPECT_EQ(std::vector<Time>(store_deps.begin(), store_deps.end()), deps)
+                << "seed=" << seed << " pair=" << u << "," << v;
+            EXPECT_EQ(std::vector<Time>(store_arrs.begin(), store_arrs.end()), arrs)
+                << "seed=" << seed << " pair=" << u << "," << v;
+        }
     }
+
+    std::vector<std::pair<Time, Time>> two_hop;
+    for (const auto& t : oracle) {
+        if (t.hops == 2) two_hop.emplace_back(t.dep, t.arr);
+    }
+    auto hop_times = ShortestTransitionSet(stream).hop_times();
+    std::sort(two_hop.begin(), two_hop.end());
+    std::sort(hop_times.begin(), hop_times.end());
+    EXPECT_EQ(hop_times, two_hop) << "seed=" << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, DpVsExhaustive, ::testing::Range<std::uint64_t>(0, 60));

@@ -56,18 +56,25 @@ TEST(ReachabilityCensus, RetentionBounds) {
         events.push_back({u, v, rng.uniform_int(0, 1'999)});
     }
     LinkStream stream(std::move(events), 15, 2'000);
-    EXPECT_DOUBLE_EQ(reachable_pairs_retention(stream, 1), 1.0);
+    const auto truth = reachability_census(stream);
+    const auto census_at = [&](Time delta) {
+        return reachability_census(aggregate(stream, delta));
+    };
+    EXPECT_DOUBLE_EQ(reachable_pairs_retention(truth, census_at(1)), 1.0);
     // Retention is monotone along chains of NESTED windows (each delta
     // divides the next): a path over coarse windows crosses coarse
     // boundaries, which are also fine boundaries.
     double prev = 1.0;
     for (Time delta : {10, 200, 2'000}) {
-        const double retention = reachable_pairs_retention(stream, delta);
+        const double retention = reachable_pairs_retention(truth, census_at(delta));
         EXPECT_GE(retention, 0.0);
         EXPECT_LE(retention, prev + 1e-12);
         prev = retention;
     }
-    EXPECT_THROW(reachable_pairs_retention(stream, 0), contract_error);
+    // An "aggregated" census reaching more pairs than the truth is refused.
+    const auto coarsest = census_at(2'000);
+    ASSERT_LT(coarsest.reachable_pairs, truth.reachable_pairs);
+    EXPECT_THROW(reachable_pairs_retention(coarsest, truth), contract_error);
 }
 
 TEST(ReachabilityCensus, EmptyStream) {
@@ -75,7 +82,8 @@ TEST(ReachabilityCensus, EmptyStream) {
     const auto census = reachability_census(stream);
     EXPECT_EQ(census.reachable_pairs, 0u);
     EXPECT_EQ(census.max_out_reach, 0u);
-    EXPECT_DOUBLE_EQ(reachable_pairs_retention(stream, 5), 1.0);
+    EXPECT_DOUBLE_EQ(
+        reachable_pairs_retention(census, reachability_census(aggregate(stream, 5))), 1.0);
 }
 
 TEST(ReachabilityCensus, DirectedAsymmetry) {

@@ -1,10 +1,10 @@
 // Equivalence suite for the row-sparse reachability backend: the sparse
 // engine must emit the exact same minimal-trip sequence (same trips, same
 // order — so every float accumulation downstream is bit-identical) as the
-// dense engine, on series and stream scans, and through the whole
-// saturation search for every thread count.  The engines are called
-// directly; select_backend's rule (also tested here) decides which one a
-// batch scan runs on.
+// dense engine, on series scans (a link stream's as its Delta = 1 series)
+// and through the whole saturation search for every thread count.  The
+// engines are called directly; select_backend's rule (also tested here)
+// decides which one a batch scan runs on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -70,13 +70,9 @@ TEST(SparseReachability, SeriesTripSequenceIdenticalToDense) {
 
 TEST(SparseReachability, StreamModeTripSequenceIdenticalToDense) {
     for (const bool directed : {false, true}) {
-        const auto stream = random_stream(7, 30, 300, 2'000, directed);
-        std::vector<MinimalTrip> dense;
-        std::vector<MinimalTrip> sparse;
-        TemporalReachability dense_engine;
-        SparseTemporalReachability sparse_engine;
-        dense_engine.scan_stream(stream, [&](const MinimalTrip& t) { dense.push_back(t); });
-        sparse_engine.scan_stream(stream, [&](const MinimalTrip& t) { sparse.push_back(t); });
+        const auto series = aggregate(random_stream(7, 30, 300, 2'000, directed), 1);
+        const auto dense = dense_series_trips(series);
+        const auto sparse = sparse_series_trips(series);
         ASSERT_EQ(dense.size(), sparse.size());
         for (std::size_t i = 0; i < dense.size(); ++i) ASSERT_EQ(dense[i], sparse[i]);
     }

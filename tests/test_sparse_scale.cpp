@@ -68,11 +68,11 @@ LinkStream ring_stream_8k() {
     return LinkStream(std::move(events), kNodes, kPeriod, false);
 }
 
-/// The stream analyses scan through the backend rule too: on the 8192-node
-/// ring each stays far below the dense table's 512 MiB.  One TEST per
-/// analysis, since peak RSS is per process.
+/// The stream analyses scan their stream's Delta = 1 series through the
+/// backend rule too: on the 8192-node ring each stays far below the dense
+/// table's 512 MiB.  One TEST per analysis, since peak RSS is per process.
 void expect_sparse_footprint(const LinkStream& stream) {
-    ASSERT_EQ(select_backend(stream.num_nodes(), stream.num_events(), {}),
+    ASSERT_EQ(select_backend(stream.num_nodes(), aggregate(stream, 1).total_edges(), {}),
               ReachabilityBackend::sparse);
     const double rss = bounded_peak_rss_mib();
     if (rss > 0.0) {
@@ -152,10 +152,11 @@ TEST(SparseScale, OccupancyHistogramAt200kNodesUnder2GiB) {
 }
 
 TEST(SparseScale, StreamModeScanAt200kNodes) {
+    // The stream's own minimal trips: a scan of its Delta = 1 series.
     const auto stream = large_sparse_stream();
     SparseTemporalReachability engine;
     std::uint64_t trips = 0;
-    engine.scan_stream(stream, [&](const MinimalTrip&) { ++trips; });
+    engine.scan_series(aggregate(stream, 1), [&](const MinimalTrip&) { ++trips; });
     EXPECT_GT(trips, 0u);
     const double rss = bounded_peak_rss_mib();
     if (rss > 0.0) {

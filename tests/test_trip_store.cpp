@@ -1,6 +1,7 @@
 // Tests for the per-pair stream-trip store used by the elongation measure.
 #include <gtest/gtest.h>
 
+#include "linkstream/aggregation.hpp"
 #include "temporal/reachability.hpp"
 #include "temporal/trip_store.hpp"
 #include "util/rng.hpp"
@@ -75,10 +76,13 @@ TEST(TripStore, MinDurationBruteForceAgreement) {
     const auto stream = random_stream(9, 8, 120, 300);
     const StreamTripStore store(stream);
 
-    // Reference: collect all trips per pair, scan query windows naively.
+    // Reference: collect all trips of the Delta = 1 series per pair, at
+    // t = k - 1, and scan query windows naively.
     std::vector<MinimalTrip> trips;
     TemporalReachability engine;
-    engine.scan_stream(stream, [&](const MinimalTrip& t) { trips.push_back(t); });
+    engine.scan_series(aggregate(stream, 1), [&](const MinimalTrip& t) {
+        trips.push_back({t.u, t.v, t.dep - 1, t.arr - 1, t.hops});
+    });
 
     Rng rng(1234);
     for (int q = 0; q < 500; ++q) {

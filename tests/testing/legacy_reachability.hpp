@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "linkstream/graph_series.hpp"
-#include "linkstream/link_stream.hpp"
 #include "temporal/minimal_trip.hpp"
 #include "temporal/reachability.hpp"
 #include "util/contracts.hpp"
@@ -42,13 +41,6 @@ public:
             process_instant(it->k, sink, options);
         }
         if (options.distances != nullptr) close_distances(*options.distances);
-    }
-
-    template <typename Sink>
-    void scan_stream(const LinkStream& stream, Sink&& sink) {
-        prepare(stream.num_nodes());
-        detail::for_each_instant_backward(stream.events(), stream.directed(), arcs_,
-                                          [&](Time t) { process_instant(t, sink, {}); });
     }
 
     Time arrival(NodeId u, NodeId v) const {
